@@ -15,9 +15,9 @@ import sys
 from . import decision, groups
 from .cocycles import (BudgetExceeded, CocycleError, antisym, push_to_quotient,
                        twisted_center, validate_cocycle)
-from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Inapplicable,
-                       decide, decide_heisenberg, decide_product,
-                       decide_simplicity, decide_torus)
+from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, decide,
+                       decide_heisenberg, decide_product, decide_simplicity,
+                       decide_torus)
 from .exact import symbol
 from .problem import ProblemError, load_problem
 from .timefreq import frame_verdict, multiwindow_bound
@@ -27,9 +27,19 @@ SCHEMA_VERSION = 1
 OK, UNDECIDED_EXIT, INPUT_ERROR = 0, 2, 1
 
 
+def _positive_budget(value, source):
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ProblemError(0, f"{source} must be a positive integer, got {value!r}")
+    return budget
+
+
 def _default_budget():
     raw = os.environ.get("COCYCLE_LAB_CASE_BUDGET", "")
-    return int(raw) if raw.isdigit() else decision.DEFAULT_CASE_BUDGET
+    return _positive_budget(raw, "COCYCLE_LAB_CASE_BUDGET") if raw else decision.DEFAULT_CASE_BUDGET
 
 
 def _apply_ctx_assertions(problem, assertions):
@@ -307,7 +317,8 @@ def build_parser():
         sp.add_argument("--trace", action="store_true",
                         help="render the full decision tree")
         sp.add_argument("--case-budget", type=int, dest="case_budget",
-                        default=_default_budget())
+                        help="maximum number of case leaves (default: "
+                             f"$COCYCLE_LAB_CASE_BUDGET, else {decision.DEFAULT_CASE_BUDGET})")
         sp.add_argument("--ctx", action="append", metavar="NAME=STATUS",
                         help="extra rationality assumption "
                              "(irrational | rational | integral)")
@@ -328,6 +339,8 @@ def main(argv=None):
     try:
         if args.command == "bound":
             return cmd_bound(args)
+        args.case_budget = (_default_budget() if args.case_budget is None else
+                            _positive_budget(args.case_budget, "--case-budget"))
         return _FILE_COMMANDS[args.command](args)
     except (ProblemError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -134,7 +134,7 @@ def cocycle_defect(c):
     def q(xs, ys):
         mapping = {i: xs[i] for i in range(n)}
         mapping.update({n + i: ys[i] for i in range(n)})
-        return c.phase.substitute(mapping)
+        return c.phase.substitute(mapping, nv)
 
     return q(g, h) + q(gh, k) - q(h, k) - q(g, hk)
 
@@ -150,12 +150,12 @@ def validate_cocycle(c):
     gvars = _vars(n, t, 0, n)
     mapping_ge = {i: gvars[i] for i in range(n)}
     mapping_ge.update({n + i: zero[i] for i in range(n)})
-    viol = integrality_violation(c.phase.substitute(mapping_ge), t)
+    viol = integrality_violation(c.phase.substitute(mapping_ge, n), t)
     if viol:
         return f"normalization Q(g, e) not in Z: {viol}"
     mapping_eg = {i: zero[i] for i in range(n)}
     mapping_eg.update({n + i: gvars[i] for i in range(n)})
-    viol = integrality_violation(c.phase.substitute(mapping_eg), t)
+    viol = integrality_violation(c.phase.substitute(mapping_eg, n), t)
     if viol:
         return f"normalization Q(e, g) not in Z: {viol}"
     # well-definedness modulo the torsion moduli, in each argument slot
@@ -170,7 +170,7 @@ def validate_cocycle(c):
                 if v == arg * n + i:
                     p = p + Poly.const(2 * n, t, Fraction(m))
                 mapping[v] = p
-            shifted = c.phase.substitute(mapping)
+            shifted = c.phase.substitute(mapping, 2 * n)
             viol = integrality_violation(shifted - c.phase, t)
             if viol:
                 return (f"phase is not well defined modulo {m} on coordinate "
@@ -191,7 +191,7 @@ def antisym(c):
     n = c.n
     mapping = {i: Poly.var(2 * n, c.table, n + i) for i in range(n)}
     mapping.update({n + i: Poly.var(2 * n, c.table, i) for i in range(n)})
-    swapped = c.phase.substitute(mapping)
+    swapped = c.phase.substitute(mapping, 2 * n)
     out = c.phase - swapped
     if c.correction is not None:
         out = out + c.correction
@@ -219,12 +219,12 @@ def _pairing_rows(c, gens):
                                     for a in range(k) if gens[a][i]}))
     mapping = {i: gz[i] for i in range(n)}
     mapping.update({n + i: Poly.var(nv, t, k + i) for i in range(n)})
-    qz = q.substitute(mapping)  # Q~(g(z), y) in variables (z, y)
+    qz = q.substitute(mapping, nv)  # Q~(g(z), y) in variables (z, y)
     qzj = []
     for j in range(n):
         sub = {a: Poly.var(nv, t, a) for a in range(k)}
         sub.update({k + i: Poly.const(nv, t, Fraction(1 if i == j else 0)) for i in range(n)})
-        qzj.append(qz.substitute(sub))  # Q~(g(z), e_j), still in nv variables
+        qzj.append(qz.substitute(sub, nv))  # Q~(g(z), e_j), still in nv variables
     lin = Poly.zero(nv, t)
     for j in range(n):
         lin = lin + Poly.var(nv, t, k + j) * qzj[j]
@@ -439,9 +439,9 @@ def coboundary(group, table, phi):
         raise CocycleError("phi(e) must be an integer phase")
     nv = 2 * n
     gh = _law_polys(group, table, nv, 0, n)
-    pg = phi.substitute({i: Poly.var(nv, table, i) for i in range(n)})
-    ph = phi.substitute({i: Poly.var(nv, table, n + i) for i in range(n)})
-    pgh = phi.substitute({i: gh[i] for i in range(n)})
+    pg = phi.substitute({i: Poly.var(nv, table, i) for i in range(n)}, nv)
+    ph = phi.substitute({i: Poly.var(nv, table, n + i) for i in range(n)}, nv)
+    pgh = phi.substitute({i: gh[i] for i in range(n)}, nv)
     return pgh - pg - ph
 
 
@@ -745,7 +745,7 @@ def product_split(c, n1):
         for i in range(n):
             on = (y1_on if i < n1 else y2_on)
             mapping[n + i] = Poly.var(nv, t, n + i) if on else Poly.zero(nv, t)
-        return c.phase.substitute(mapping)
+        return c.phase.substitute(mapping, nv)
 
     q11 = block_subst(True, False, True, False)
     q22 = block_subst(False, True, False, True)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import zlinalg as zl
 
@@ -52,7 +53,7 @@ class SymbolTable:
         object.__setattr__(self, "relations",
                            tuple(_canon_relation(c, items) for c, items in self.relations))
 
-    @property
+    @cached_property
     def names(self):
         return tuple(self.thetas) + tuple(n for n, _ in self.xis)
 
@@ -230,11 +231,17 @@ class Classification:
 
 @dataclass(frozen=True)
 class RationalityContext:
+    """Immutable set of facts.  Echelons, spans and classify() results are cached
+    per instance and only read, never extended; assume_*() builds a fresh
+    instance, so a child never reads its parent's caches."""
+
     table: SymbolTable
     rational: tuple = ()  # KNumbers asserted to lie in Q
     integral: tuple = ()  # KNumbers asserted to lie in Z
     irrational: tuple = ()  # KNumbers asserted to lie outside Q
     assumptions: tuple = ()  # human-readable trail of split() choices
+    _classified: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)  # classify() memo
 
     def __post_init__(self):
         for f in self.rational + self.integral + self.irrational:
@@ -244,9 +251,10 @@ class RationalityContext:
     # -- internal vector views -------------------------------------------
 
     def _vec(self, x):
-        names = self.table.names
-        return [x.coeff(n) for n in names]
+        coeffs = dict(x.coeffs)
+        return [coeffs.get(n, Fraction(0)) for n in self.table.names]
 
+    @cached_property
     def _relation_echelon(self):
         """Echelon over (symbols..., const); relations are identically zero.
 
@@ -268,7 +276,7 @@ class RationalityContext:
         return ech, perm, bad
 
     def _reduce_relations(self, x):
-        ech, perm, _ = self._relation_echelon()
+        ech, perm, _ = self._relation_echelon
         w = self._vec(x)
         r = ech.reduce([w[i] for i in perm] + [Fraction(x.const)])
         out = [Fraction(0)] * len(perm)
@@ -276,6 +284,7 @@ class RationalityContext:
             out[i] = r[pos]
         return r[-1], out
 
+    @cached_property
     def _fact_parts(self):
         """Relation-reduced (symbol part, constant) of rational and integral facts,
         torsion axioms included among the integral facts."""
@@ -291,24 +300,30 @@ class RationalityContext:
             if m:
                 c, v = self._reduce_relations(symbol(self.table, n, m))
                 integ.append((v, c))
-        return rat, integ
+        return tuple(rat), tuple(integ)
 
+    @cached_property
     def _span(self):
-        rat, integ = self._fact_parts()
+        rat, integ = self._fact_parts
         ech = _QEchelon(len(self.table.names))
         for v, _ in rat + integ:
             ech.add(v)
         return ech
 
+    @cached_property
+    def _irrational_residuals(self):
+        return tuple(self._span.reduce(self._reduce_relations(f)[1])
+                     for f in self.irrational)
+
     # -- public API -------------------------------------------------------
 
     def is_consistent(self):
-        ech, _, bad = self._relation_echelon()
+        ech, _, bad = self._relation_echelon
         if bad:
             return False
         names = self.table.names
         ntheta = len(self.table.thetas)
-        span = self._span()
+        span = self._span
         # the rational span must not contain a nonzero pure-theta vector:
         # find combinations of span basis rows with zero xi-part
         rows = [row for _, row in span.rows]
@@ -339,26 +354,31 @@ class RationalityContext:
         return True
 
     def classify(self, x):
+        key = (x.const, x.coeffs)  # the only parts of x that _classify reads
+        cls = self._classified.get(key)
+        if cls is None:
+            cls = self._classified[key] = self._classify(x)
+        return cls
+
+    def _classify(self, x):
         c, v = self._reduce_relations(x)
         names = self.table.names
         ntheta = len(self.table.thetas)
         if not any(v):
             den = c.denominator
             return Classification(INTEGER if den == 1 else RATIONAL, den)
-        span = self._span()
+        span = self._span
         residual = span.reduce(v)
         if any(residual):
             if not any(residual[ntheta:]):
                 return Classification(IRRATIONAL)  # theta axiom
-            for f in self.irrational:
-                _, fv = self._reduce_relations(f)
-                fres = span.reduce(fv)
+            for fres in self._irrational_residuals:
                 q = _collinear(residual, fres)
                 if q is not None and q != 0:
                     return Classification(IRRATIONAL)
             return Classification(UNDETERMINED, residual=tuple(residual))
         # rational: try for a denominator bound from the integral facts alone
-        _, integ = self._fact_parts()
+        _, integ = self._fact_parts
         ivecs = [u for u, _ in integ if any(u)]
         iconsts = [b for u, b in integ if any(u)]
         den_all = c.denominator

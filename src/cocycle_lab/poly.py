@@ -26,8 +26,8 @@ class Poly:
     def make(nv, table, terms):
         acc = {}
         for exps, c in (terms.items() if isinstance(terms, dict) else terms):
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nv or any(e < 0 for e in exps):
+            exps = tuple(map(int, exps))
+            if len(exps) != nv or min(exps, default=0) < 0:
                 raise ValueError("bad exponent vector")
             if not isinstance(c, KNumber):
                 c = KNumber.make(table, c)
@@ -80,41 +80,33 @@ class Poly:
             return self.scale(other)
         if other.nv != self.nv:
             raise ValueError("variable count mismatch")
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2  # symbol-times-symbol products raise here
-                acc[e] = acc[e] + c if e in acc else c
-        return Poly.make(self.nv, self.table, acc)
+        return Poly.make(self.nv, self.table, _times(dict(self.terms), dict(other.terms)))
 
-    def substitute(self, mapping):
-        """Replace variable i by mapping[i] (a Poly in the *target* variables);
-        variables absent from the mapping must not occur."""
-        if not self.terms:
-            tgt = next(iter(mapping.values()))
-            return Poly.zero(tgt.nv, self.table)
-        tgt_nv = next(iter(mapping.values())).nv
+    def substitute(self, mapping, nv):
+        """Replace variable i by mapping[i], a Poly in the nv *target* variables;
+        variables absent from the mapping must not occur.
+
+        Each monomial is expanded from cached powers of the mapped polynomials,
+        kept as {exps: KNumber} dicts; the sum is canonicalized once."""
         powers = {}
 
         def power(i, e):
             if (i, e) not in powers:
-                p = Poly.const(tgt_nv, self.table, Fraction(1))
-                for _ in range(e):
-                    p = p * mapping[i]
-                powers[(i, e)] = p
+                powers[(i, e)] = (dict(mapping[i].terms) if e == 1
+                                  else _times(power(i, e - 1), power(i, 1)))
             return powers[(i, e)]
 
-        out = Poly.zero(tgt_nv, self.table)
+        acc = {}
         for exps, c in self.terms:
-            term = Poly.const(tgt_nv, self.table, Fraction(1))
+            term = {(0,) * nv: c}
             for i, e in enumerate(exps):
                 if e:
                     if i not in mapping:
                         raise ValueError(f"variable {i} has no substitution")
-                    term = term * power(i, e)
-            out = out + term.scale(c)
-        return out
+                    term = _times(term, power(i, e))
+            for te, tc in term.items():
+                acc[te] = acc[te] + tc if te in acc else tc
+        return Poly.make(nv, self.table, acc)
 
     def compose_linear(self, matrix, tgt_nv):
         """Substitute variable i by the linear form sum matrix[i][j] * y_j."""
@@ -126,7 +118,7 @@ class Poly:
                                     for j in range(tgt_nv) if row[j]})
             if not row or not any(row):
                 mapping[i] = Poly.zero(tgt_nv, self.table)
-        return self.substitute(mapping)
+        return self.substitute(mapping, tgt_nv)
 
     def eval(self, point):
         if len(point) != self.nv:
@@ -157,10 +149,21 @@ class Poly:
         return out
 
     def max_degree(self):
-        return max((max(e) for e, _ in self.terms), default=0)
+        return max((max(e, default=0) for e, _ in self.terms), default=0)
 
     def rebase(self, table):
         return Poly(self.nv, table, tuple((e, c.rebase(table)) for e, c in self.terms))
+
+
+def _times(a, b):
+    """Product of two {exps: KNumber} dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple([x + y for x, y in zip(e1, e2)])
+            c = c1 * c2  # symbol-times-symbol products raise here
+            out[e] = out[e] + c if e in out else c
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -211,6 +211,31 @@ def test_tf_requires_density(tmp_path, capsys):
     assert "density" in err
 
 
+@pytest.mark.parametrize("phase,want,stream,text", [
+    ("0", 0, "out", "Z-stable: no"),  # C*(trivial group) = C is finite-dimensional
+    ("", 0, "out", "simple: yes"),
+    ("1/2", 1, "err", "cocycle invalid"),
+])
+def test_trivial_group_ends_in_verdict_or_input_error(tmp_path, capsys, phase, want,
+                                                      stream, text):
+    f = tmp_path / "trivial.problem"
+    f.write_text(f"[group]\nbuilder abelian\n\n[cocycle]\n{phase}\n")
+    code, out, err = run(["verdict", str(f)], capsys)
+    assert code == want
+    assert text in (out if stream == "out" else err)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_case_budget_below_one_is_a_usage_error(value, monkeypatch, capsys):
+    code, out, err = run(["verdict", fixture("g3"), "--case-budget", value], capsys)
+    assert code == 1 and not out
+    assert "--case-budget must be a positive integer" in err
+    monkeypatch.setenv("COCYCLE_LAB_CASE_BUDGET", value)
+    code, out, err = run(["verdict", fixture("g3")], capsys)
+    assert code == 1 and not out
+    assert "COCYCLE_LAB_CASE_BUDGET must be a positive integer" in err
+
+
 def test_case_budget_env_override(monkeypatch):
     monkeypatch.setenv("COCYCLE_LAB_CASE_BUDGET", "7")
     assert cli._default_budget() == 7

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cocycle_lab.exact import (
     INTEGER,
@@ -239,3 +239,49 @@ def test_split_soundness_by_sampling():
     assert irr.classify(symbol(T, "xi")).kind == IRRATIONAL
     # both children stay consistent
     assert rat.is_consistent() and irr.is_consistent()
+
+
+# memoized classification: strategies over a table with a theta, a free
+# parameter pair and a torsion parameter
+U = SymbolTable(thetas=("theta",), xis=(("xi", 0), ("zeta", 0), ("eta", 3)))
+small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+knumbers = st.builds(lambda c, th, x, z, e: knum(U, c, theta=th, xi=x, zeta=z, eta=e),
+                     small, st.integers(-2, 2), small, st.integers(-2, 2), st.integers(-1, 1))
+
+
+@st.composite
+def contexts(draw):
+    ctx = empty_context(U)
+    for method in draw(st.lists(st.sampled_from(["assume_rational", "assume_integral",
+                                                 "assume_irrational"]), max_size=3)):
+        ctx = getattr(ctx, method)(draw(knumbers))
+    return ctx
+
+
+def fresh_copy(ctx):
+    return RationalityContext(ctx.table, ctx.rational, ctx.integral, ctx.irrational,
+                              ctx.assumptions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(contexts(), st.lists(knumbers, min_size=1, max_size=3), small)
+def test_memoized_classify_agrees_with_fresh_context(ctx, xs, shift):
+    xs = xs + list(ctx.rational + ctx.integral)  # values with a known denominator
+    xs = xs + [x + shift for x in xs]  # same symbol part, another constant
+    first = [ctx.classify(x) for x in xs]
+    assert [ctx.classify(x) for x in xs] == first  # answered from the memo
+    assert fresh_copy(ctx) == ctx
+    assert [fresh_copy(ctx).classify(x) for x in xs] == first  # one empty memo each
+
+
+@settings(max_examples=100, deadline=None)
+@given(contexts(), knumbers)
+def test_split_children_do_not_share_the_parent_memo(ctx, x):
+    assume(ctx.is_consistent() and ctx.classify(x).kind == UNDETERMINED)
+    rat, irr = ctx.split(x)
+    if rat is not None:
+        assert rat.classify(x).is_rational()
+    if irr is not None:
+        assert irr.classify(x).kind == IRRATIONAL
+    assert ctx.classify(x).kind == UNDETERMINED
+    assert fresh_copy(ctx).classify(x).kind == UNDETERMINED

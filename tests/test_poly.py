@@ -1,6 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cocycle_lab import groups
+from cocycle_lab.cocycles import _law_polys
 from cocycle_lab.exact import KNumber, SymbolTable, knum
 from cocycle_lab.poly import Poly, binomial_coefficients, is_integer_valued
 
@@ -50,7 +55,71 @@ def test_substitute_matches_composition():
         mapping = {i: rand_poly(rng, mv) for i in range(nv)}
         pt = tuple(rng.randint(-3, 3) for _ in range(mv))
         inner = tuple(mapping[i].eval(pt).const for i in range(nv))
-        assert p.substitute(mapping).eval(pt) == p.eval(inner)
+        assert p.substitute(mapping, mv).eval(pt) == p.eval(inner)
+
+
+def sparse_polys(nv):
+    """Polys in nv variables with rational and theta coefficients; each
+    monomial touches at most two variables, so group-law expansions stay small."""
+    monomial = (st.lists(st.tuples(st.integers(0, nv - 1), st.integers(1, 3)), max_size=2)
+                if nv else st.just([]))
+    term = st.tuples(monomial, st.fractions(-4, 4, max_denominator=3), st.integers(-2, 2))
+
+    def build(terms):
+        out = []
+        for mono, c, th in terms:
+            exps = [0] * nv
+            for i, e in mono:
+                exps[i] = e
+            out.append((tuple(exps), knum(T, c, th=th)))
+        return Poly.make(nv, T, out)
+
+    return st.lists(term, max_size=5).map(build)
+
+
+def affine_forms(nv, mv):
+    """Mappings sending each of nv variables to an affine form in mv variables."""
+    form = st.tuples(st.lists(st.integers(-2, 2), min_size=mv, max_size=mv), st.integers(-2, 2))
+
+    def build(forms):
+        return {i: Poly.make(mv, T, [(tuple(int(t == j) for t in range(mv)), a)
+                                     for j, a in enumerate(row)] + [((0,) * mv, c)])
+                for i, (row, c) in enumerate(forms)}
+
+    return st.lists(form, min_size=nv, max_size=nv).map(build)
+
+
+def assert_substitution_commutes_with_eval(p, mapping, mv, pt):
+    inner = [mapping[i].eval(pt).const for i in range(p.nv)]
+    assert p.substitute(mapping, mv).eval(pt) == p.eval(inner)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitute_linear_maps_commute_with_eval(data):
+    nv, mv = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    p = data.draw(sparse_polys(nv))
+    mapping = data.draw(affine_forms(nv, mv))
+    pt = data.draw(st.tuples(*[st.integers(-3, 3)] * mv))
+    assert_substitution_commutes_with_eval(p, mapping, mv, pt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_substitute_group_laws_commute_with_eval(data):
+    group = data.draw(st.sampled_from([groups.heisenberg_diag((2,))[0], groups.g3(),
+                                       groups.z_times_h3()]))
+    n = group.n
+    p = data.draw(sparse_polys(n))
+    law = _law_polys(group, T, 2 * n, 0, n)  # coordinates of x*y, quadratic
+    pt = data.draw(st.tuples(*[st.integers(-3, 3)] * (2 * n)))
+    assert_substitution_commutes_with_eval(p, dict(enumerate(law)), 2 * n, pt)
+
+
+def test_substitute_keeps_rejecting_symbol_products():
+    p = Poly.make(1, T, {(1,): knum(T, 0, th=1)})
+    with pytest.raises(ValueError):
+        p.substitute({0: p}, 1)
 
 
 def test_compose_linear_matches_matrix_action():
