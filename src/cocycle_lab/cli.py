@@ -13,11 +13,11 @@ import os
 import sys
 
 from . import decision, groups
-from .cocycles import (BudgetExceeded, CocycleError, antisym, push_to_quotient,
+from .cocycles import (BudgetExceeded, CocycleError, push_to_quotient,
                        twisted_center, validate_cocycle)
-from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, decide,
-                       decide_heisenberg, decide_product, decide_simplicity,
-                       decide_torus)
+from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, _leaf_label, decide,
+                       decide_abelian, decide_heisenberg, decide_product,
+                       decide_simplicity)
 from .exact import symbol
 from .problem import ProblemError, load_problem
 from .timefreq import frame_verdict, multiwindow_bound
@@ -133,8 +133,7 @@ def cmd_twisted_center(args):
     leaves = twisted_center(p.cocycle, p.context, args.case_budget)
     lines, data = [], []
     for leaf in leaves:
-        label = "; ".join(leaf.ctx.assumptions) or "unconditional"
-        lines.append(f"case [{label}]:")
+        lines.append(f"case [{_leaf_label(leaf)}]:")
         lines.extend(_lattice_lines(leaf.lattice, p.group.names))
         for cond in leaf.conditions:
             lines.append(f"  from: {cond}")
@@ -150,7 +149,7 @@ def cmd_quotient(args):
     leaves = twisted_center(p.cocycle, p.context, args.case_budget)
     lines, data, code = [], [], OK
     for leaf in leaves:
-        label = "; ".join(leaf.ctx.assumptions) or "unconditional"
+        label = _leaf_label(leaf)
         try:
             qd = groups.quotient_by_central(p.group, leaf.lattice)
             w = push_to_quotient(p.cocycle, qd)
@@ -225,13 +224,7 @@ def cmd_torus(args):
     p = _load(args)
     if not p.group.is_abelian():
         raise ProblemError(0, "torus criterion needs an abelian group")
-    qt = antisym(p.cocycle)
-    n = p.group.n
-    theta = [[qt.eval([1 if i == a else 0 for i in range(n)] +
-                      [1 if i == b else 0 for i in range(n)])
-              for b in range(n)] for a in range(n)]
-    v = decide_torus(theta, p.table, p.context, args.case_budget)
-    return _finish_verdict(args, v)
+    return _finish_verdict(args, decide_abelian(p.cocycle, p.context, args.case_budget))
 
 
 def cmd_heisenberg(args):

@@ -252,10 +252,7 @@ def central_parametrization(lattice):
     if not basis:
         return [], []
     struct = lattice.subgroup_structure()
-    u = [list(r) for r in struct.coords]
-    from .groups import _mat_inverse_unimodular
-
-    p = _mat_inverse_unimodular(u)
+    p = zl.inverse_unimodular([list(r) for r in struct.coords])
     k = len(basis)
     gens, mods = [], []
     for tcol in range(k):
@@ -426,7 +423,7 @@ def _gen_names(gens, group):
 
 
 # ---------------------------------------------------------------------------
-# coboundaries, inflation, restriction
+# coboundaries and pull-backs
 
 
 def coboundary(group, table, phi):
@@ -456,43 +453,24 @@ def twist_by_coboundary(c, phi):
     return replace(c, phase=c.phase + d)
 
 
-def inflate(c, projection):
-    """Pull a cocycle on G/N back to G along the projection morphism."""
-    g = projection.source
-    n = g.n
-    nq = projection.target.n
-    mat = [list(row) for row in projection.matrix]  # nq x n
-    lin = [[mat[i][j] for j in range(n)] + [0] * n for i in range(nq)]
-    lin += [[0] * n + [mat[i][j] for j in range(n)] for i in range(nq)]
-    phase = c.phase.compose_linear(lin, 2 * n)
-    corr = c.correction.compose_linear(lin, 2 * n) if c.correction is not None else None
-    return Cocycle(g, c.table, phase, corr)
-
-
-def restrict(c, embedding):
-    """Restrict to a subgroup presented by an embedding morphism."""
-    sub = embedding.source
-    mat = [list(row) for row in embedding.matrix]  # n x ns
-    ns = sub.n
-    lin = []
-    for i in range(c.n):
-        lin.append([mat[i][j] for j in range(ns)] + [0] * ns)
-    for i in range(c.n):
-        lin.append([0] * ns + [mat[i][j] for j in range(ns)])
+def pull_back(c, morphism):
+    """Pull a cocycle on morphism.target back to morphism.source:
+    Q'(x, y) = Q(A x, A y) with A the morphism's matrix."""
+    ns = morphism.source.n
+    lin = [list(row) + [0] * ns for row in morphism.matrix]
+    lin += [[0] * ns + list(row) for row in morphism.matrix]
     phase = c.phase.compose_linear(lin, 2 * ns)
     corr = c.correction.compose_linear(lin, 2 * ns) if c.correction is not None else None
-    return Cocycle(sub, c.table, phase, corr)
+    return Cocycle(morphism.source, c.table, phase, corr)
 
 
 def restrict_to_lattice(c, lattice):
     """Restrict to a subgroup given as a SubgroupLattice; coordinates of the
     result are the parametrization coordinates of the lattice."""
     gens, zmods = central_parametrization(lattice)
-    k = len(gens)
-    gmat = [[gens[a][i] for a in range(k)] for i in range(c.n)]  # n x k
     sub = sub_presentation(c.group, gens, zmods)
-    emb = Morphism(sub, c.group, tuple(tuple(row) for row in gmat))
-    return restrict(c, emb), emb, gens, zmods
+    emb = Morphism(sub, c.group, tuple(tuple(v[i] for v in gens) for i in range(c.n)))
+    return pull_back(c, emb), emb, gens, zmods
 
 
 def sub_presentation(group, gens, zmods):
@@ -544,16 +522,7 @@ def _coords_in_parametrization(vec, gens, zmods, ambient_moduli):
 def push_to_quotient(c, qd):
     """omega = sigma o (section x section) on G/N; the result is validated
     and a failure is reported, never silently corrected."""
-    nq = qd.group.n
-    p = [list(row) for row in qd.section.matrix]  # n x nq
-    lin = []
-    for i in range(c.n):
-        lin.append([p[i][j] for j in range(nq)] + [0] * nq)
-    for i in range(c.n):
-        lin.append([0] * nq + [p[i][j] for j in range(nq)])
-    phase = c.phase.compose_linear(lin, 2 * nq)
-    corr = c.correction.compose_linear(lin, 2 * nq) if c.correction is not None else None
-    out = Cocycle(qd.group, c.table, phase, corr)
+    out = pull_back(c, qd.section)
     viol = validate_cocycle(out)
     if viol:
         raise CocycleError(
@@ -770,8 +739,8 @@ def product_split(c, n1):
                                        for i in range(n)))
     emb2 = Morphism(g2, c.group, tuple(tuple(1 if (i - n1 == j and i >= n1) else 0 for j in range(n2))
                                        for i in range(n)))
-    s1 = restrict(c, emb1)
-    s2 = restrict(c, emb2)
+    s1 = pull_back(c, emb1)
+    s2 = pull_back(c, emb2)
     fmat = [[KNumber.make(t, 0)] * n1 for _ in range(n2)]
     for exps, coef in cross.terms:
         i2 = next(i for i in range(n1, n) if exps[i])

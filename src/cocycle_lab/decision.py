@@ -10,7 +10,7 @@ so a single flag drives all three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import groups, zlinalg as zl
 from .cocycles import (BudgetExceeded, Cocycle, CocycleError, induce_gamma,
@@ -45,6 +45,17 @@ class Branch:
     verdict: str
     child: object = None  # TraceNode | None
     notes: tuple = ()
+
+    @staticmethod
+    def from_leaf(leaf, verdict, notes=None, index=None, child=None):
+        """Branch of a case leaf.  Notes default to the leaf's conditions and
+        skipped congruences, the index to that of the leaf's lattice."""
+        if notes is None:
+            notes = leaf.conditions + leaf.skipped
+        if index is None:
+            index = leaf.lattice.index()
+        return Branch(_leaf_label(leaf), leaf.ctx.assumptions, leaf.lattice, index,
+                      verdict, child, notes)
 
     def to_dict(self):
         return {
@@ -128,24 +139,26 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     supported constructions, or the case budget), the single-quotient
     criterion for 2-step groups is tried as a fallback before giving up."""
     ctx = ctx or empty_context(c.table)
-    viol = validate_cocycle(c)
-    if viol:
-        raise CocycleError(f"input is not a 2-cocycle: {viol}")
+    _require_cocycle(c)
     node = _decide_node(c, ctx, 0, case_budget)
     if node.verdict != UNDECIDED:
         return Verdict(z_stable=node.verdict, certificate=node)
     try:
-        out = decide_two_step(c, None, ctx, case_budget)
+        out = _two_step(c, None, ctx, case_budget)
     except (CocycleError, ValueError, BudgetExceeded):
         out = None
     if isinstance(out, Verdict) and out.z_stable != UNDECIDED:
-        cert = TraceNode(out.certificate.level, out.certificate.group,
-                         out.certificate.branches, out.certificate.verdict,
-                         out.certificate.notes +
-                         ("generic recursion left cases unresolved; verdict "
-                          "from the single-quotient criterion",))
+        cert = replace(out.certificate, notes=out.certificate.notes + (
+            "generic recursion left cases unresolved; verdict from the "
+            "single-quotient criterion",))
         return Verdict(z_stable=out.z_stable, certificate=cert)
     return Verdict(z_stable=UNDECIDED, certificate=node)
+
+
+def _require_cocycle(c):
+    viol = validate_cocycle(c)
+    if viol:
+        raise CocycleError(f"input is not a 2-cocycle: {viol}")
 
 
 def _decide_node(c, ctx, level, case_budget):
@@ -164,27 +177,22 @@ def _decide_node(c, ctx, level, case_budget):
         idx = leaf.lattice.index()
         notes = leaf.conditions + leaf.skipped
         if idx is not math.inf:
-            branches.append(Branch(_leaf_label(leaf), leaf.ctx.assumptions,
-                                   leaf.lattice, idx, NOT_ZSTABLE, notes=notes +
-                                   ("rational point: the twisted center has finite index",)))
+            branches.append(Branch.from_leaf(leaf, NOT_ZSTABLE, notes + (
+                "rational point: the twisted center has finite index",), idx))
             continue
         if leaf.lattice.is_finite():
-            branches.append(Branch(_leaf_label(leaf), leaf.ctx.assumptions,
-                                   leaf.lattice, idx, ZSTABLE, notes=notes +
-                                   ("twisted center finite while the group is infinite",)))
+            branches.append(Branch.from_leaf(leaf, ZSTABLE, notes + (
+                "twisted center finite while the group is infinite",), idx))
             continue
         try:
             qd = groups.quotient_by_central(g, leaf.lattice)
             w = push_to_quotient(c, qd)
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
             child = _decide_node(wg, leaf.ctx, level + 1, case_budget)
-            branches.append(Branch(_leaf_label(leaf), leaf.ctx.assumptions,
-                                   leaf.lattice, idx, child.verdict, child=child,
-                                   notes=notes))
+            branches.append(Branch.from_leaf(leaf, child.verdict, notes, idx, child))
         except (CocycleError, ValueError) as e:
-            branches.append(Branch(_leaf_label(leaf), leaf.ctx.assumptions,
-                                   leaf.lattice, idx, UNDECIDED,
-                                   notes=notes + (f"undecided: {e}",)))
+            branches.append(Branch.from_leaf(leaf, UNDECIDED, notes + (f"undecided: {e}",),
+                                             idx))
     return TraceNode(level, g, tuple(branches), _combine([b.verdict for b in branches]))
 
 
@@ -198,17 +206,12 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     if not c.group.is_abelian():
         raise ValueError("decide_abelian requires an abelian presentation")
     ctx = ctx or empty_context(c.table)
-    viol = validate_cocycle(c)
-    if viol:
-        raise CocycleError(f"input is not a 2-cocycle: {viol}")
-    leaves = twisted_center(c, ctx, case_budget)
+    _require_cocycle(c)
     branches = []
-    for leaf in leaves:
+    for leaf in twisted_center(c, ctx, case_budget):
         idx = leaf.lattice.index()
-        v = ZSTABLE if idx is math.inf else NOT_ZSTABLE
-        branches.append(Branch(_leaf_label(leaf), leaf.ctx.assumptions,
-                               leaf.lattice, idx, v,
-                               notes=leaf.conditions + leaf.skipped))
+        branches.append(Branch.from_leaf(leaf, ZSTABLE if idx is math.inf else NOT_ZSTABLE,
+                                         index=idx))
     node = TraceNode(0, c.group, tuple(branches),
                      _combine([b.verdict for b in branches]))
     return Verdict(z_stable=node.verdict, certificate=node)
@@ -272,12 +275,13 @@ def decide_two_step(c, d_in_quotient=None, ctx=None, case_budget=DEFAULT_CASE_BU
     Returns a Verdict, or Inapplicable when a hypothesis fails.
     """
     ctx = ctx or empty_context(c.table)
-    viol = validate_cocycle(c)
-    if viol:
-        raise CocycleError(f"input is not a 2-cocycle: {viol}")
-    leaves = twisted_center(c, ctx, case_budget)
+    _require_cocycle(c)
+    return _two_step(c, d_in_quotient, ctx, case_budget)
+
+
+def _two_step(c, d_in_quotient, ctx, case_budget):
     branches = []
-    for leaf in leaves:
+    for leaf in twisted_center(c, ctx, case_budget):
         out = _two_step_leaf(c, leaf, d_in_quotient, case_budget)
         if isinstance(out, Inapplicable):
             return out
@@ -290,10 +294,8 @@ def decide_two_step(c, d_in_quotient=None, ctx=None, case_budget=DEFAULT_CASE_BU
 def _two_step_leaf(c, leaf, d_in_quotient, case_budget):
     g = c.group
     if g.is_finite() or leaf.lattice.index() is not math.inf:
-        return Branch(_leaf_label(leaf), leaf.ctx.assumptions, leaf.lattice,
-                      leaf.lattice.index(), NOT_ZSTABLE,
-                      notes=leaf.conditions +
-                      ("twisted center has finite index; every M is finite",))
+        return Branch.from_leaf(leaf, NOT_ZSTABLE, leaf.conditions +
+                                ("twisted center has finite index; every M is finite",))
     try:
         qd = groups.quotient_by_central(g, leaf.lattice)
         w = push_to_quotient(c, qd)
@@ -340,21 +342,17 @@ def _two_step_leaf(c, leaf, d_in_quotient, case_budget):
             rm, _, _, _ = restrict_to_lattice(wg, mleaf.lattice)
             inner = twisted_center(rm, mleaf.ctx, case_budget)
         except (CocycleError, BudgetExceeded) as e:
-            subbranches.append(Branch("M-leaf", mleaf.ctx.assumptions, mleaf.lattice,
-                                      None, UNDECIDED, notes=(f"undecided: {e}",)))
+            subbranches.append(Branch.from_leaf(mleaf, UNDECIDED, (f"undecided: {e}",)))
             continue
         for il in inner:
             idx = il.lattice.index()
-            v = ZSTABLE if idx is math.inf else NOT_ZSTABLE
-            subbranches.append(Branch(_leaf_label(il), il.ctx.assumptions,
-                                      il.lattice, idx, v,
-                                      notes=il.conditions + il.skipped))
+            subbranches.append(Branch.from_leaf(il, ZSTABLE if idx is math.inf else NOT_ZSTABLE,
+                                                index=idx))
     child = TraceNode(1, quo, tuple(subbranches),
                       _combine([b.verdict for b in subbranches]),
                       notes=("M = ker(phi_D); condition: [M : Z(M, Res omega_gamma)] "
                              "infinite for all gamma",))
-    return Branch(_leaf_label(leaf), leaf.ctx.assumptions, leaf.lattice,
-                  math.inf, child.verdict, child=child, notes=leaf.conditions)
+    return Branch.from_leaf(leaf, child.verdict, leaf.conditions, math.inf, child)
 
 
 def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
@@ -468,13 +466,10 @@ def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
         notes.append("FC(G) is strictly larger than the center; the convention "
                      "above is not evaluated on non-central elements")
         return SIMPLE_UNKNOWN, (), tuple(notes)
-    leaves = twisted_center(c, ctx, case_budget)
     branches = []
-    for leaf in leaves:
-        v = SIMPLE_YES if leaf.lattice.is_trivial() else SIMPLE_NO
-        branches.append(Branch(_leaf_label(leaf), leaf.ctx.assumptions,
-                               leaf.lattice, leaf.lattice.index(), v,
-                               notes=leaf.conditions + leaf.skipped))
+    for leaf in twisted_center(c, ctx, case_budget):
+        branches.append(Branch.from_leaf(
+            leaf, SIMPLE_YES if leaf.lattice.is_trivial() else SIMPLE_NO))
     verdicts = {b.verdict for b in branches}
     overall = verdicts.pop() if len(verdicts) == 1 else SIMPLE_UNKNOWN
     if overall == SIMPLE_UNKNOWN and branches:

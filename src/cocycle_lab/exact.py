@@ -182,43 +182,6 @@ def symbol(table, name, q=1):
     return KNumber.make(table, 0, {name: q})
 
 
-class _QEchelon:
-    """Row-echelon basis over Q with exact reduction."""
-
-    def __init__(self, width):
-        self.width = width
-        self.rows = []  # (pivot index, row) with row[pivot] == 1
-
-    def reduce(self, v):
-        v = list(v)
-        for piv, row in self.rows:
-            if v[piv]:
-                f = v[piv]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, v):
-        r = self.reduce(v)
-        piv = next((i for i, x in enumerate(r) if x), None)
-        if piv is None:
-            return False
-        r = [x / r[piv] for x in r]
-        self.rows.append((piv, r))
-        self.rows.sort(key=lambda p: p[0])
-        # back-substitute to keep full reduction
-        for i, (p, row) in enumerate(self.rows):
-            red = row
-            for p2, row2 in self.rows:
-                if p2 != p and red[p2]:
-                    f = red[p2]
-                    red = [x - f * y for x, y in zip(red, row2)]
-            self.rows[i] = (p, red)
-        return True
-
-    def contains(self, v):
-        return not any(self.reduce(v))
-
-
 @dataclass(frozen=True)
 class Classification:
     kind: str
@@ -265,7 +228,7 @@ class RationalityContext:
         names = self.table.names
         ntheta = len(self.table.thetas)
         perm = list(range(ntheta, len(names))) + list(range(ntheta))  # xi-first
-        ech = _QEchelon(len(names) + 1)
+        ech = zl.QEchelon()
         for const, items in self.table.relations:
             w = [Fraction(0)] * len(names)
             for n, c in items:
@@ -305,7 +268,7 @@ class RationalityContext:
     @cached_property
     def _span(self):
         rat, integ = self._fact_parts
-        ech = _QEchelon(len(self.table.names))
+        ech = zl.QEchelon()
         for v, _ in rat + integ:
             ech.add(v)
         return ech
@@ -330,16 +293,9 @@ class RationalityContext:
         if rows:
             xi_cols = list(range(ntheta, len(names)))
             # integer matrix of xi-parts of the basis rows
-            den = 1
-            for row in rows:
-                for j in xi_cols:
-                    den = den * row[j].denominator // math.gcd(den, row[j].denominator)
+            den = math.lcm(*(row[j].denominator for row in rows for j in xi_cols))
             mat = [[int(rows[i][j] * den) for i in range(len(rows))] for j in xi_cols]
-            if not xi_cols:
-                combos = [[1 if i == k else 0 for i in range(len(rows))] for k in range(len(rows))]
-            else:
-                combos = zl.kernel_int(mat)
-            for combo in combos:
+            for combo in zl.kernel_int(mat) if xi_cols else zl.identity(len(rows)):
                 vec = [sum(Fraction(combo[i]) * rows[i][j] for i in range(len(rows)))
                        for j in range(len(names))]
                 if any(vec[:ntheta]):
@@ -381,13 +337,8 @@ class RationalityContext:
         _, integ = self._fact_parts
         ivecs = [u for u, _ in integ if any(u)]
         iconsts = [b for u, b in integ if any(u)]
-        den_all = c.denominator
-        for x_ in v:
-            den_all = den_all * x_.denominator // math.gcd(den_all, x_.denominator)
-        for u, b in integ:
-            for x_ in list(u) + [b]:
-                den_all = den_all * x_.denominator // math.gcd(den_all, x_.denominator)
-        D = den_all
+        D = math.lcm(c.denominator, *(x_.denominator for x_ in v),
+                     *(x_.denominator for u, b in integ for x_ in (*u, b)))
         if ivecs:
             cols = [[int(x_ * D) for x_ in u] for u in ivecs]
             mat = [[col[i] for col in cols] for i in range(len(names))]
@@ -398,9 +349,7 @@ class RationalityContext:
                 off = c - sum(Fraction(s) * b for s, b in zip(sol, iconsts))
                 den = off.denominator
                 return Classification(INTEGER if den == 1 else RATIONAL, den)
-            hn = zl.col_hnf(mat)
-            hcols = [list(col) for col in zip(*hn)] if hn else []
-            m = zl.denominator_in_lattice([tuple(col) for col in hcols], target) if hcols else None
+            m = zl.denominator_in_lattice(zl.transpose(zl.col_hnf(mat)), target)
             if m is not None:
                 # m*v = sum(n_j * u_j) with n_j integers, so
                 # m*x = m*c - sum(n_j * b_j) + (an integer)

@@ -10,10 +10,7 @@ everything reachable from them by central quotients.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import zlinalg as zl
 
@@ -89,18 +86,6 @@ class GroupPresentation:
             out[k] += c * a[i] * a[j]
         return self.reduce(out)
 
-    def commutator(self, a, b):
-        ab = self.multiply(a, b)
-        return self.multiply(ab, self.multiply(self.inverse(a), self.inverse(b)))
-
-    def power(self, a, e):
-        if e < 0:
-            return self.inverse(self.power(a, -e))
-        acc = self.identity()
-        for _ in range(e):
-            acc = self.multiply(acc, a)
-        return acc
-
     def is_abelian(self):
         return all(self.b(k, i, j) == self.b(k, j, i)
                    for k, i, j, _ in self.bilinear)
@@ -143,11 +128,6 @@ class GroupPresentation:
     def is_finite(self):
         return self.hirsch() == 0
 
-    def box(self, radius):
-        ranges = [range(-radius, radius + 1) if m == 0 else range(m)
-                  for m in self.moduli]
-        return itertools.product(*ranges)
-
     def full_lattice(self):
         return zl.full_lattice(self.moduli)
 
@@ -176,27 +156,6 @@ class QuotientData:
     torsion_lifts: tuple  # per quotient coord: d_k * lift(e_k) in N, or None
 
 
-def _mat_inverse_unimodular(u):
-    n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] + [Fraction(1) if i == k else Fraction(0) for k in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in out]
-
-
 def quotient_by_central(g, sub, section_shift=None):
     """Quotient of g by a central subgroup given as a SubgroupLattice.
 
@@ -221,7 +180,7 @@ def quotient_by_central(g, sub, section_shift=None):
                              "unsupported presentation shape")
     q = sub.quotient_structure()
     u = [list(r) for r in q.coords]
-    p = _mat_inverse_unimodular(u)
+    p = zl.inverse_unimodular(u)
     n = g.n
     new_moduli_full = list(q.moduli)
     kept = [k for k in range(n) if new_moduli_full[k] != 1]
@@ -305,8 +264,8 @@ def heisenberg(b, names=()):
     uu, dd, vv = zl.snf([row[:] for row in b])
     diag = [dd[i][i] for i in range(m)]
     # t B s'^T = (t U^-1) D (V^-1 s'^T): new s = V^T-inverse action, new t = t U^-1
-    uinv = _mat_inverse_unimodular(uu)
-    vinv = _mat_inverse_unimodular(vv)
+    uinv = zl.inverse_unimodular(uu)
+    vinv = zl.inverse_unimodular(vv)
     dpres = heisenberg_diag(diag)
     rows = [[0] * n for _ in range(n)]
     rows[0][0] = 1

@@ -3,11 +3,13 @@
 Matrices are lists of rows of Python ints (arbitrary precision).  Subgroups
 of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
-includes the torsion generators m_i * e_i.
+includes the torsion generators m_i * e_i.  Work over Q (solving, unimodular
+inverses) goes through one reduced row-echelon form, QEchelon.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,39 +23,8 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def det(a):
-    """Determinant by fraction-free Gaussian elimination (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def row_hnf(a, with_transform=False):
@@ -232,35 +203,73 @@ def solve_int(a, b):
     return mat_vec(v, y)
 
 
+class QEchelon:
+    """Span over Q in reduced row-echelon form.
+
+    ``rows`` holds (pivot, row) pairs sorted by pivot, each with row[pivot] == 1
+    and zeros in every other pivot column, so reduce() returns the canonical
+    representative of v modulo the span."""
+
+    def __init__(self):
+        self.rows = []
+
+    def reduce(self, v):
+        v = list(v)
+        for piv, row in self.rows:
+            f = v[piv]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        return v
+
+    def add(self, v):
+        """Extend the span by v; False when v already lies in it."""
+        r = self.reduce(v)
+        piv = next((i for i, x in enumerate(r) if x), None)
+        if piv is None:
+            return False
+        p = Fraction(r[piv])
+        r = [x / p if x else x for x in r]
+        for t, (q, row) in enumerate(self.rows):
+            f = row[piv]
+            if f:
+                self.rows[t] = (q, [x - f * y if y else x for x, y in zip(row, r)])
+        bisect.insort(self.rows, (piv, r), key=lambda pr: pr[0])
+        return True
+
+    def contains(self, v):
+        return not any(self.reduce(v))
+
+
 def solve_rational(cols, v):
     """Coefficients expressing v as a Q-combination of the given columns, or None.
 
-    ``cols`` must be Q-linearly independent (e.g. nonzero HNF columns)."""
+    ``cols`` must be Q-linearly independent (e.g. nonzero HNF columns).
+    Reducing (v | 0) against the rows (col_j | e_j) leaves (0 | -coefficients)."""
     if not cols:
         return None if any(v) else []
     n = len(cols[0])
-    aug = [[Fraction(cols[j][i]) for j in range(len(cols))] + [Fraction(v[i])] for i in range(n)]
-    ncol = len(cols)
-    r = 0
-    pivots = []
-    for c in range(ncol):
-        piv = next((i for i in range(r, n) if aug[i][c] != 0), None)
-        if piv is None:
-            return None  # dependent columns; caller passes independent sets
-        aug[r], aug[piv] = aug[piv], aug[r]
-        pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(r)
-        r += 1
-    sol = [aug[pivots[c]][ncol] for c in range(ncol)]
-    for i in range(n):
-        if i not in pivots and aug[i][ncol] != 0:
-            return None
-    return sol
+    k = len(cols)
+    ech = QEchelon()
+    for j, col in enumerate(cols):
+        ech.add(list(col) + [1 if t == j else 0 for t in range(k)])
+    r = ech.reduce(list(v) + [0] * k)
+    if any(r[:n]):
+        return None
+    return [-x for x in r[n:]]
+
+
+def inverse_unimodular(u):
+    """Integer inverse of a square integer matrix, read off the RREF of (u | I)."""
+    n = len(u)
+    ech = QEchelon()
+    for i, row in enumerate(u):
+        ech.add(list(row) + [1 if t == i else 0 for t in range(n)])
+    if [piv for piv, _ in ech.rows] != list(range(n)):
+        raise ValueError("matrix is singular")
+    inv = [row[n:] for _, row in ech.rows]
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise ValueError("matrix is not unimodular")
+    return [[int(x) for x in row] for row in inv]
 
 
 def reduce_mod_columns(hcols, v):
@@ -337,9 +346,6 @@ class SubgroupLattice:
     def same_subgroup(self, other):
         return self.key() == other.key()
 
-    def free_indices(self):
-        return [i for i, m in enumerate(self.moduli) if m == 0]
-
     def index(self):
         """[ambient : self] as an int, or math.inf."""
         q = self.quotient_structure()
@@ -349,57 +355,17 @@ class SubgroupLattice:
 
     def quotient_structure(self):
         """Invariant factors and free rank of ambient/self."""
-        n = self.n
-        mat = transpose([list(c) for c in self.hnf_basis]) if self.hnf_basis else [[0] * 0 for _ in range(n)]
-        if not self.hnf_basis:
-            mat = [[0] for _ in range(n)]
-        u, d, _ = snf(mat)
-        diag = []
-        for i in range(n):
-            di = d[i][i] if i < len(d) and i < len(d[0]) else 0
-            diag.append(abs(di))
-        factors = tuple(x for x in diag if x > 1)
-        free_rank = sum(1 for x in diag if x == 0)
-        return QuotientStructure(
-            free_rank=free_rank,
-            factors=factors,
-            coords=tuple(tuple(r) for r in u),
-            moduli=tuple(diag),
-        )
+        return _structure([list(c) for c in self.hnf_basis], self.n)
 
     def subgroup_structure(self):
         """Invariant factors and free rank of the subgroup itself.
 
         Generators are the HNF basis columns; relations express the ambient
-        torsion lattice in terms of them."""
+        torsion lattice in terms of them (inside the basis span by construction)."""
         basis = [list(c) for c in self.hnf_basis]
-        if not basis:
-            return QuotientStructure(free_rank=0, factors=(), coords=(), moduli=())
-        k = len(basis)
-        rel_cols = []
-        for i, m in enumerate(self.moduli):
-            if m:
-                target = [m if j == i else 0 for j in range(self.n)]
-                sol = solve_rational(basis, target)
-                # torsion generators are inside the basis span by construction
-                rel_cols.append([int(x) for x in sol])
-        if rel_cols:
-            mat = transpose(rel_cols)
-        else:
-            mat = [[0] for _ in range(k)]
-        u, d, _ = snf(mat)
-        diag = []
-        for i in range(k):
-            di = d[i][i] if i < len(d) and (d and i < len(d[0])) else 0
-            diag.append(abs(di))
-        factors = tuple(x for x in diag if x > 1)
-        free_rank = sum(1 for x in diag if x == 0)
-        return QuotientStructure(
-            free_rank=free_rank,
-            factors=factors,
-            coords=tuple(tuple(r) for r in u),
-            moduli=tuple(diag),
-        )
+        rel_cols = [[int(x) for x in solve_rational(basis, [m * (j == i) for j in range(self.n)])]
+                    for i, m in enumerate(self.moduli) if m]
+        return _structure(rel_cols, len(basis))
 
     def is_finite(self):
         return self.subgroup_structure().free_rank == 0
@@ -409,10 +375,16 @@ class SubgroupLattice:
         return self.hnf_basis == zero.hnf_basis
 
 
-def rank_int(a):
-    if not a or not a[0]:
-        return 0
-    return len(row_hnf(a))
+def _structure(rel_cols, k):
+    """Z^k modulo the span of ``rel_cols``, read off a Smith normal form."""
+    u, d, _ = snf(transpose(rel_cols) if rel_cols else [[0] for _ in range(k)])
+    diag = [abs(d[i][i]) if i < len(d[0]) else 0 for i in range(k)]
+    return QuotientStructure(
+        free_rank=diag.count(0),
+        factors=tuple(x for x in diag if x > 1),
+        coords=tuple(tuple(r) for r in u),
+        moduli=tuple(diag),
+    )
 
 
 def full_lattice(moduli):
@@ -425,9 +397,7 @@ def zero_lattice(moduli):
 
 
 def clear_denominators(row):
-    d = 1
-    for x in row:
-        d = d * Fraction(x).denominator // math.gcd(d, Fraction(x).denominator)
+    d = math.lcm(*(Fraction(x).denominator for x in row))
     return [int(Fraction(x) * d) for x in row], d
 
 
@@ -488,25 +458,7 @@ def solve_mixed_system(moduli, equalities, congruences):
 
 def denominator_in_lattice(hcols, v):
     """Minimal m >= 1 with m*v in the column span, or None if v is outside the Q-span."""
-    cols = [list(c) for c in hcols]
-    # scale v to integers first
-    d = 1
-    for x in v:
-        d = d * Fraction(x).denominator // math.gcd(d, Fraction(x).denominator)
-    vi = [int(Fraction(x) * d) for x in v]
-    if not any(vi):
-        return 1
-    sol = solve_rational(cols, vi) if cols else None
+    sol = solve_rational([list(c) for c in hcols], v)
     if sol is None:
         return None
-    m = 1
-    for c in sol:
-        m = m * c.denominator // math.gcd(m, c.denominator)
-    # m*vi in lattice; v = vi/d, so need minimal t with t*vi/d in lattice:
-    # t*vi/d in L  <=>  (t/d)*sol integral  <=> d*m | t*m ... compute directly
-    # minimal t such that (t/d)*c integral for all c: t = lcm over c of d*den(c)/gcd stuff
-    t = 1
-    for c in sol:
-        cc = c / d
-        t = t * cc.denominator // math.gcd(t, cc.denominator)
-    return t
+    return math.lcm(*(c.denominator for c in sol))

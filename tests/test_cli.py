@@ -145,6 +145,7 @@ EXIT_MATRIX = [
     (["bound", "4"], 0),
     (["verdict", "no-such-file.problem"], 1),
     (["heisenberg", fixture("g3")], 1),             # wrong shape is an input error
+    (["torus", fixture("torus2-rational")], 0),
 ]
 
 
@@ -209,6 +210,27 @@ def test_tf_requires_density(tmp_path, capsys):
     code, _, err = run(["tf", str(f)], capsys)
     assert code == 1
     assert "density" in err
+
+
+def test_torus_keeps_torsion_and_coordinate_names(tmp_path, capsys):
+    f = tmp_path / "torsion-torus.problem"
+    f.write_text("""
+[group]
+builder abelian 0 0 4
+names a b c
+
+[cocycle]
+1/2 * g:a * h:b
+1/4 * g:a * h:c
+""")
+    code, out, _ = run(["torus", str(f), "--json"], capsys)
+    trace = json.loads(out)["verdict"]["trace"]
+    assert code == 0
+    assert trace["group"] == {"moduli": [0, 0, 4], "names": ["a", "b", "c"]}
+    [branch] = trace["branches"]
+    assert branch["index"] == 16
+    assert sorted(branch["notes"]) == ["-1/4*c + -1/2*b in Z", "1/2*a in Z",
+                                       "1/4*a in Z"]
 
 
 @pytest.mark.parametrize("phase,want,stream,text", [

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import zlinalg as zl
 
+from helpers import det, mat_mul, rank_int
+
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
@@ -30,8 +32,8 @@ def test_hnf_properties_random():
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
         h, u = zl.row_hnf(a, with_transform=True)
-        assert abs(zl.det(u)) == 1
-        assert zl.mat_mul(u, a) == h
+        assert abs(det(u)) == 1
+        assert mat_mul(u, a) == h
         # echelon shape with positive pivots and reduced entries above
         last = -1
         for row in h:
@@ -69,9 +71,9 @@ def test_snf_properties_random():
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
         u, d, v = zl.snf(a)
-        assert abs(zl.det(u)) == 1
-        assert abs(zl.det(v)) == 1
-        assert zl.mat_mul(zl.mat_mul(u, a), v) == d
+        assert abs(det(u)) == 1
+        assert abs(det(v)) == 1
+        assert mat_mul(mat_mul(u, a), v) == d
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(rows):
             for j in range(cols):
@@ -95,7 +97,7 @@ def test_kernel_int_random():
         for col in ker:
             assert not any(zl.mat_vec(a, col))
         # rank-nullity over Q
-        assert len(ker) == cols - zl.rank_int(a)
+        assert len(ker) == cols - rank_int(a)
 
 
 def test_kernel_is_saturated():
@@ -252,6 +254,85 @@ def test_denominator_in_lattice():
     assert zl.denominator_in_lattice([(1, 0)], [0, 1]) is None
 
 
+def rand_rational_rows(rng, rows, cols):
+    """Random rational rows, some of them combinations of earlier ones."""
+    out = []
+    for _ in range(rows):
+        if out and rng.random() < 0.3:
+            a, b = rng.choice(out), rng.choice(out)
+            q = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            out.append([x + q * y for x, y in zip(a, b)])
+        else:
+            out.append([Fraction(rng.choice((0, 0, rng.randint(-5, 5))), rng.randint(1, 4))
+                        for _ in range(cols)])
+    return out
+
+
+def test_qechelon_rows_match_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(53)
+    for _ in range(80):
+        a = rand_rational_rows(rng, rng.randint(1, 5), rng.randint(1, 6))
+        ech = zl.QEchelon()
+        for row in a:
+            ech.add(row)
+        ref, pivots = sympy.Matrix(a).rref()
+        assert [p for p, _ in ech.rows] == list(pivots)
+        assert [row for _, row in ech.rows] == [
+            [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(pivots))]
+        v = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in a[0]]
+        r = ech.reduce(v)
+        assert not any(r[p] for p in pivots)
+        assert ech.contains([x - y for x, y in zip(v, r)])
+
+
+def test_solve_rational_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    checked = 0
+    while checked < 80:
+        n, k = rng.randint(1, 5), rng.randint(1, 4)
+        cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
+        m = sympy.Matrix(cols).T
+        if m.rank() != k:
+            continue
+        checked += 1
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
+        v = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
+        sol, params = m.gauss_jordan_solve(sympy.Matrix(v))
+        assert params.shape[0] == 0
+        assert zl.solve_rational(cols, v) == [Fraction(int(x.p), int(x.q)) for x in sol]
+        w = [rng.randint(-6, 6) for _ in range(n)]
+        inside = m.rank() == m.row_join(sympy.Matrix(w)).rank()
+        assert (zl.solve_rational(cols, w) is not None) == inside
+
+
+def test_inverse_unimodular_of_elementary_products():
+    rng = random.Random(61)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        u = zl.identity(n)
+        for _ in range(rng.randint(0, 8)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            op = rng.randrange(3)
+            if op == 0 and i != j:
+                q = rng.randint(-3, 3)
+                u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+            elif op == 1:
+                u[i], u[j] = u[j], u[i]
+            else:
+                u[i] = [-x for x in u[i]]
+        inv = zl.inverse_unimodular(u)
+        assert mat_mul(inv, u) == zl.identity(n)
+        assert all(type(x) is int for row in inv for x in row)
+
+
+@pytest.mark.parametrize("u", [[[1, 1], [1, 1]], [[2, 0], [0, 1]], [[0, 0], [0, 0]]])
+def test_inverse_unimodular_rejects_singular_and_non_unimodular(u):
+    with pytest.raises(ValueError):
+        zl.inverse_unimodular(u)
+
+
 def test_det_matches_fraction_elimination():
     rng = random.Random(37)
     for _ in range(100):
@@ -273,7 +354,7 @@ def test_det_matches_fraction_elimination():
             for i in range(k + 1, n):
                 f = m[i][k] / m[k][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-        assert zl.det(a) == (sign * ref if ref else 0)
+        assert det(a) == (sign * ref if ref else 0)
 
 
 @settings(max_examples=150, deadline=None)
