@@ -203,46 +203,45 @@ def _pairing_rows(c, gens):
     rows[a][j] = Q~(v_a, e_j), after verifying that (g, h) -> Q~(g, h) is a
     bicharacter mod Z on (subgroup) x G.
 
-    The verification is two exact polynomial identities in the subgroup
-    parameters z and the group coordinates y, with g(z) = sum_a z_a v_a:
-      Q~(g(z), y) = sum_j y_j Q~(g(z), e_j)   (character in the second slot)
-      Q~(g(z), e_j) = sum_a z_a Q~(v_a, e_j)  (character in the first slot)
+    With g(z) = sum_a z_a v_a in the subgroup parameters z and the group
+    coordinates y, the verification is one exact polynomial identity:
+      E(z, y) = Q~(g(z), y) - sum_{a,j} rows[a][j] z_a y_j  vanishes mod Z.
+    It is equivalent to the two slot identities
+      P(z, y) = E(z, y) - sum_j y_j E(z, e_j)  (character in the second slot)
+      E(z, e_j) = Q~(g(z), e_j) - sum_a z_a rows[a][j]  (in the first slot)
+    because the polynomials that vanish mod Z are closed under sums, under
+    multiplication by a variable and under substituting y = e_j: E passes
+    iff P and every E(z, e_j) pass.  Only a failing E is split into P and
+    the E(z, e_j), in that order, to name the slot that fails.
     """
     n = c.n
     t = c.table
     k = len(gens)
     q = antisym(c)
     nv = k + n  # z variables then y variables
-    gz = []
-    for i in range(n):
-        gz.append(Poly.make(nv, t, {tuple(1 if v == a else 0 for v in range(nv)): Fraction(gens[a][i])
-                                    for a in range(k) if gens[a][i]}))
-    mapping = {i: gz[i] for i in range(n)}
-    mapping.update({n + i: Poly.var(nv, t, k + i) for i in range(n)})
+
+    def mono(*vs):
+        return tuple(int(v in vs) for v in range(nv))
+
+    ys = [Poly.var(nv, t, k + j) for j in range(n)]
+    mapping = {i: Poly.make(nv, t, {mono(a): Fraction(gens[a][i]) for a in range(k) if gens[a][i]})
+               for i in range(n)}
+    mapping.update({n + i: ys[i] for i in range(n)})
     qz = q.substitute(mapping, nv)  # Q~(g(z), y) in variables (z, y)
-    qzj = []
-    for j in range(n):
-        sub = {a: Poly.var(nv, t, a) for a in range(k)}
-        sub.update({k + i: Poly.const(nv, t, Fraction(1 if i == j else 0)) for i in range(n)})
-        qzj.append(qz.substitute(sub, nv))  # Q~(g(z), e_j), still in nv variables
-    lin = Poly.zero(nv, t)
-    for j in range(n):
-        lin = lin + Poly.var(nv, t, k + j) * qzj[j]
-    viol = integrality_violation(qz - lin, t)
-    if viol:
-        raise CocycleError(
-            f"pairing is not a character in its second argument: {viol}")
-    rows = [[q.eval(tuple(gens[a]) + tuple(1 if i == j else 0 for i in range(n)))
+    rows = [[q.eval(tuple(gens[a]) + tuple(int(i == j) for i in range(n)))
              for j in range(n)] for a in range(k)]
-    for j in range(n):
-        lin = Poly.zero(nv, t)
-        for a in range(k):
-            lin = lin + Poly.var(nv, t, a).scale(rows[a][j])
-        viol = integrality_violation(qzj[j] - lin, t)
-        if viol:
-            raise CocycleError(
-                f"pairing is not a character in its first argument: {viol}")
-    return rows
+    err = qz - Poly.make(nv, t, {mono(a, k + j): rows[a][j] for a in range(k) for j in range(n)})
+    viol = integrality_violation(err, t)
+    if viol is None:
+        return rows
+    zs = {a: Poly.var(nv, t, a) for a in range(k)}
+    firsts = [err.substitute({**zs, **{k + i: Poly.const(nv, t, Fraction(int(i == j)))
+                                       for i in range(n)}}, nv) for j in range(n)]  # E(z, e_j)
+    second = err - sum((y * e for y, e in zip(ys, firsts)), Poly.zero(nv, t))
+    for slot, part in [("second", second)] + [("first", e) for e in firsts]:
+        if part_viol := integrality_violation(part, t):
+            raise CocycleError(f"pairing is not a character in its {slot} argument: {part_viol}")
+    raise CocycleError(f"pairing is not a bicharacter: {viol}")  # unreachable, see above
 
 
 def central_parametrization(lattice):
@@ -283,6 +282,15 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
     unknown are recorded and skipped — this never changes the rank of the
     solution lattice, only its (finite) index.
     """
+    prepared = []  # per form, computed once: its constant congruence and its symbol terms
+    for form in forms:
+        const_row = [kn.const for kn in form]
+        const = (((const_row, 1), _render_form(const_row, None, gen_names))
+                 if any(x.denominator != 1 for x in const_row) else None)
+        rows = {s: [kn.coeff(s) for kn in form]
+                for s in dict.fromkeys(s for kn in form for s in kn.symbol_names())}
+        prepared.append((const, [(symbol(ctx.table, s), row, _render_form(row, s, gen_names))
+                                 for s, row in rows.items() if any(row)]))
     leaves = []
     stack = [ctx]
     while stack:
@@ -291,40 +299,29 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
             raise BudgetExceeded(case_budget)
         eqs, congs, conds, skipped = [], [], [], []
         pending_split = None
-        for form in forms:
-            names = []
-            for kn in form:
-                for s in kn.symbol_names():
-                    if s not in names:
-                        names.append(s)
-            const_row = [kn.const for kn in form]
-            if any(x.denominator != 1 for x in const_row):
-                congs.append((const_row, 1))
-                conds.append(_render_form(const_row, None, gen_names))
-            for s in names:
-                row = [kn.coeff(s) for kn in form]
-                if not any(row):
-                    continue
-                cls = cur.classify(symbol(cur.table, s))
+        for const, terms in prepared:
+            if const:
+                congs.append(const[0])
+                conds.append(const[1])
+            for x, row, text in terms:
+                cls = cur.classify(x)
                 if cls.kind == IRRATIONAL:
                     eqs.append(row)
-                    conds.append(_render_form(row, s, gen_names) + " = 0 forced (irrational factor)")
+                    conds.append(text + " = 0 forced (irrational factor)")
                 elif cls.kind in (INTEGER, RATIONAL):
                     if cls.denominator is None:
-                        skipped.append(_render_form(row, s, gen_names)
-                                       + " (rational factor, denominator unknown; "
-                                         "congruence skipped, rank unaffected)")
+                        skipped.append(text + " (rational factor, denominator unknown; "
+                                              "congruence skipped, rank unaffected)")
                     else:
                         congs.append((row, cls.denominator))
-                        conds.append(_render_form(row, s, gen_names)
-                                     + f" = 0 (mod {cls.denominator})")
+                        conds.append(text + f" = 0 (mod {cls.denominator})")
                 else:
-                    pending_split = s
+                    pending_split = x
                     break
-            if pending_split:
+            if pending_split is not None:
                 break
-        if pending_split:
-            rat, irr = cur.split(symbol(cur.table, pending_split))
+        if pending_split is not None:
+            rat, irr = cur.split(pending_split)
             for child in (rat, irr):
                 if child is not None:
                     stack.append(child)

@@ -23,10 +23,9 @@ A problem file has up to four sections introduced by bracketed headers:
     [tf]
     density 2/5 3/5           # rational interval certificate for d_pi*covol
     homogeneous true
-    h_h2 1
 
-Blank lines and '#' comments are ignored.  Every diagnostic carries the
-1-based line number.
+Blank lines and '#' comments are ignored.  Every diagnostic about a line
+carries its 1-based line number.
 """
 
 from __future__ import annotations
@@ -41,9 +40,11 @@ from .timefreq import DensityDatum
 
 
 class ProblemError(Exception):
+    """An input error; line_no 0 means the error belongs to no line."""
+
     def __init__(self, line_no, message):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
 @dataclass
@@ -54,7 +55,6 @@ class Problem:
     context: object
     density: DensityDatum | None = None
     homogeneous: bool = False
-    h_h2: int | None = None
     path: str = "<string>"
 
 
@@ -259,10 +259,6 @@ def _parse_tf(lines, problem):
             if len(parts) != 2 or parts[1] not in ("true", "false"):
                 raise ProblemError(i, "homogeneous needs true or false")
             problem.homogeneous = parts[1] == "true"
-        elif key == "h_h2":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ProblemError(i, "h_h2 needs a nonnegative integer")
-            problem.h_h2 = int(parts[1])
         else:
             raise ProblemError(i, f"unknown tf line {key!r}")
 

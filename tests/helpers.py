@@ -1,9 +1,13 @@
-"""Helpers that only the tests need: integer-matrix checks and brute-force
-group-law operations on a GroupPresentation."""
+"""Helpers that only the tests need: integer-matrix checks, brute-force
+group-law operations on a GroupPresentation, and a slot-by-slot reference
+for the pairing rows."""
 
 import itertools
+from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
+from cocycle_lab.cocycles import CocycleError, antisym, integrality_violation
+from cocycle_lab.poly import Poly
 
 
 def mat_mul(a, b):
@@ -53,3 +57,47 @@ def box(g, radius):
     coordinates in their residue range."""
     ranges = [range(-radius, radius + 1) if m == 0 else range(m) for m in g.moduli]
     return itertools.product(*ranges)
+
+
+def pairing_rows_two_slot(c, gens):
+    """Reference for cocycles._pairing_rows: rows[a][j] = Q~(v_a, e_j), after
+    checking the character property in each slot on its own, with g(z) =
+    sum_a z_a v_a:
+      Q~(g(z), y) = sum_j y_j Q~(g(z), e_j)   (second slot, checked first)
+      Q~(g(z), e_j) = sum_a z_a Q~(v_a, e_j)  (first slot, j = 1..n)
+    """
+    n = c.n
+    t = c.table
+    k = len(gens)
+    q = antisym(c)
+    nv = k + n  # z variables then y variables
+    gz = []
+    for i in range(n):
+        gz.append(Poly.make(nv, t, {tuple(1 if v == a else 0 for v in range(nv)): Fraction(gens[a][i])
+                                    for a in range(k) if gens[a][i]}))
+    mapping = {i: gz[i] for i in range(n)}
+    mapping.update({n + i: Poly.var(nv, t, k + i) for i in range(n)})
+    qz = q.substitute(mapping, nv)
+    qzj = []
+    for j in range(n):
+        sub = {a: Poly.var(nv, t, a) for a in range(k)}
+        sub.update({k + i: Poly.const(nv, t, Fraction(1 if i == j else 0)) for i in range(n)})
+        qzj.append(qz.substitute(sub, nv))
+    lin = Poly.zero(nv, t)
+    for j in range(n):
+        lin = lin + Poly.var(nv, t, k + j) * qzj[j]
+    viol = integrality_violation(qz - lin, t)
+    if viol:
+        raise CocycleError(
+            f"pairing is not a character in its second argument: {viol}")
+    rows = [[q.eval(tuple(gens[a]) + tuple(1 if i == j else 0 for i in range(n)))
+             for j in range(n)] for a in range(k)]
+    for j in range(n):
+        lin = Poly.zero(nv, t)
+        for a in range(k):
+            lin = lin + Poly.var(nv, t, a).scale(rows[a][j])
+        viol = integrality_violation(qzj[j] - lin, t)
+        if viol:
+            raise CocycleError(
+                f"pairing is not a character in its first argument: {viol}")
+    return rows

@@ -258,6 +258,21 @@ def test_case_budget_below_one_is_a_usage_error(value, monkeypatch, capsys):
     assert "COCYCLE_LAB_CASE_BUDGET must be a positive integer" in err
 
 
+def test_errors_without_a_line_carry_no_line_prefix(tmp_path, capsys):
+    code, out, err = run(["verdict", fixture("g3"), "--case-budget", "0"], capsys)
+    assert code == 1 and "line 0" not in err
+    assert err == "error: --case-budget must be a positive integer, got 0\n"
+    f = tmp_path / "no-group.problem"
+    f.write_text("[cocycle]\n")
+    code, out, err = run(["verdict", str(f)], capsys)
+    assert code == 1 and err == "error: missing [group] section\n"
+    with pytest.raises(ProblemError) as e:
+        parse_problem("[cocycle]\n")
+    assert e.value.line_no == 0
+    with pytest.raises(ProblemError, match="^line 4: unknown tf line 'h_h2'$"):
+        parse_problem("[group]\nbuilder g3\n[tf]\nh_h2 4\n[cocycle]\n")
+
+
 def test_case_budget_env_override(monkeypatch):
     monkeypatch.setenv("COCYCLE_LAB_CASE_BUDGET", "7")
     assert cli._default_budget() == 7

@@ -4,9 +4,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import groups, zlinalg as zl
-from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, antisym,
+from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, _pairing_rows, antisym,
                                   coboundary, cocycle_defect, induce_gamma,
                                   is_cohomologous, phase_from_monomials,
                                   phi_map, phi_surjective, product_split,
@@ -17,7 +18,7 @@ from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly
 
-from helpers import commutator
+from helpers import commutator, pairing_rows_two_slot
 
 
 def theta_table():
@@ -266,6 +267,73 @@ def test_twisted_center_leaves_match_brute_force_membership():
                 if not center.contains(cand):
                     continue
                 assert leaf.lattice.contains(cand) == classify_membership(c, leaf.ctx, cand)
+
+
+def test_pairing_not_a_character_in_second_argument():
+    g = groups.abelian((0,))
+    t = SymbolTable()
+    c = Cocycle(g, t, Poly.make(2, t, {(2, 1): Fraction(1, 3)}))  # 1/3 g1^2 h1
+    with pytest.raises(CocycleError) as err:
+        twisted_center(c, empty_context(t))
+    assert str(err.value) == ("pairing is not a character in its second argument: "
+                              "rational part is not integer-valued")
+
+
+def test_pairing_not_a_character_in_first_argument():
+    g = groups.abelian((0,))
+    t = SymbolTable()
+    c = Cocycle(g, t, Poly.zero(2, t), Poly.make(2, t, {(2, 1): Fraction(1, 3)}))
+    with pytest.raises(CocycleError) as err:
+        twisted_center(c, empty_context(t))
+    assert str(err.value) == ("pairing is not a character in its first argument: "
+                              "rational part is not integer-valued")
+
+
+PAIRING_TABLE = SymbolTable(thetas=("theta",), xis=(("xi", 0), ("tau", 3)))
+
+
+@st.composite
+def pairing_problems(draw):
+    """A phase and an optional correction on Z^n (n = 1..3), with rational,
+    torsion-symbol and free-symbol coefficients, bilinear or not, and
+    generators of a subgroup."""
+    n = draw(st.integers(1, 3))
+    t = PAIRING_TABLE
+
+    def poly():
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            if draw(st.booleans()):  # bilinear: one g and one h coordinate
+                e = [0] * (2 * n)
+                e[draw(st.integers(0, n - 1))] = 1
+                e[n + draw(st.integers(0, n - 1))] = 1
+            else:
+                e = draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n))
+            q = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3, 6))))
+            name = draw(st.sampled_from((None, "theta", "xi", "tau")))
+            terms.append((tuple(e), KNumber.make(t, q) if name is None else symbol(t, name, q)))
+        return Poly.make(2 * n, t, terms)
+
+    phase = poly()
+    correction = poly() if draw(st.booleans()) else None
+    gens = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=n))
+    return Cocycle(groups.abelian((0,) * n), t, phase, correction), [tuple(v) for v in gens]
+
+
+def pairing_outcome(rows_of, c, gens):
+    try:
+        return rows_of(c, gens)
+    except CocycleError as e:
+        return str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing_problems())
+def test_pairing_rows_match_the_two_slot_reference(problem):
+    c, gens = problem
+    assert (pairing_outcome(_pairing_rows, c, gens)
+            == pairing_outcome(pairing_rows_two_slot, c, gens))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   decide_torus, decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
+from cocycle_lab.problem import parse_problem
 
 from test_cocycles import g3_cocycle, heis_cocycle, theta_table
 
@@ -294,3 +297,69 @@ def test_simplicity_not_determined_beyond_central_fc():
     verdict, branches, notes = decide_simplicity(trivial_cocycle(g))
     assert verdict == SIMPLE_UNKNOWN
     assert branches == ()
+
+
+# ---------------------------------------------------------------------------
+# pinned parametric case splits (no shipped fixture declares a `param`)
+
+
+CHAIN_Z5 = """[symbols]
+x1 param
+x2 param
+x3 param
+x4 param
+
+[group]
+builder abelian 0 0 0 0 0
+names a1 a2 a3 a4 a5
+
+[cocycle]
+2 x1 * g:a3 * h:a1
+-1 x2 * g:a1 * h:a5
+3 x3 * g:a5 * h:a2
+-2 x4 * g:a2 * h:a4
+"""
+
+# theta is forced to vanish, t gives congruences mod 3, the params split and
+# then skip their congruences, and the 1/2 term is a constant congruence
+MIXED_SYMBOLS = """[symbols]
+theta irrational
+t rational 3
+x param
+y param
+
+[group]
+builder abelian 0 0 0 0 2
+names a1 a2 a3 a4 a5
+
+[cocycle]
+theta * g:a1 * h:a2
+t * g:a2 * h:a3
+2 x * g:a3 * h:a4
+y * g:a4 * h:a1
+1/2 * g:a1 * h:a5
+"""
+
+
+def sha256_of(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("text, z_stable, simple, trace_sha, simple_sha", [
+    (CHAIN_Z5, NOT_ZSTABLE, SIMPLE_UNKNOWN,
+     "d9fc6c41d3b3918acc4a02acc8511db37d64b8ce83a65649dbeec1b20a84d25f",
+     "ed03935504d503686bc4cc2af7788dc842a58481088039b232e886a0d03ecc03"),
+    (MIXED_SYMBOLS, UNDECIDED, SIMPLE_UNKNOWN,
+     "14017a6a8e13267accb45ed6abd4c059ffe26bf7c7c64285ae1493289eb13ad6",
+     "77f704ecdd122a2a1623136288bff96aff167b4d47202080cfd14bfaf1464dd3"),
+], ids=["chain-z5", "mixed-symbols"])
+def test_parametric_case_splits_reproduce_recorded_hashes(text, z_stable, simple,
+                                                          trace_sha, simple_sha):
+    p = parse_problem(text)
+    v = decide(p.cocycle, p.context)
+    assert v.z_stable == z_stable
+    assert sha256_of(v.certificate.to_dict()) == trace_sha
+    verdict, branches, notes = decide_simplicity(p.cocycle, p.context)
+    assert verdict == simple
+    assert sha256_of({"simple": verdict, "notes": list(notes),
+                      "branches": [b.to_dict() for b in branches]}) == simple_sha
