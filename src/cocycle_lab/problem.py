@@ -155,6 +155,8 @@ def _parse_group(lines):
                 built = _BUILDERS[parts[1]](args)
             except (TypeError, ValueError) as e:
                 raise ProblemError(i, f"builder failed: {e}")
+        elif key in ("moduli", "bilinear") and built is not None:
+            raise ProblemError(i, "builder cannot be mixed with raw lines or repeated")
         elif key == "moduli":
             try:
                 moduli = tuple(int(a) for a in parts[1:])
@@ -179,7 +181,7 @@ def _parse_group(lines):
         raise ProblemError(lines[0][0] if lines else 0,
                            "group section needs a builder or moduli")
     if names is None:
-        names = tuple(f"x{k}" for k in range(len(moduli)))
+        names = groups.abelian(moduli).names  # the x1..xn default
     if len(names) != len(moduli):
         raise ProblemError(lines[0][0], "names and moduli lengths differ")
     entries = []

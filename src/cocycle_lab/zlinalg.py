@@ -397,8 +397,8 @@ def zero_lattice(moduli):
 
 
 def clear_denominators(row):
-    d = math.lcm(*(Fraction(x).denominator for x in row))
-    return [int(Fraction(x) * d) for x in row], d
+    d = math.lcm(*(x.denominator for x in row))  # int and Fraction both have one
+    return [x.numerator * (d // x.denominator) for x in row], d
 
 
 def solve_mixed_system(moduli, equalities, congruences):

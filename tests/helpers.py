@@ -1,12 +1,13 @@
 """Helpers that only the tests need: integer-matrix checks, brute-force
-group-law operations on a GroupPresentation, and a slot-by-slot reference
-for the pairing rows."""
+group-law operations on a GroupPresentation, an unabridged cocycle validator
+and a slot-by-slot reference for the pairing rows."""
 
 import itertools
 from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import CocycleError, antisym, integrality_violation
+from cocycle_lab.cocycles import (CocycleError, antisym, cocycle_defect,
+                                  integrality_violation)
 from cocycle_lab.poly import Poly
 
 
@@ -101,3 +102,46 @@ def pairing_rows_two_slot(c, gens):
             raise CocycleError(
                 f"pairing is not a character in its first argument: {viol}")
     return rows
+
+
+def validate_cocycle_reference(c):
+    """Reference for cocycles.validate_cocycle: every check on every input,
+    with no bilinear shortcut."""
+    n = c.n
+    t = c.table
+    if c.phase.max_degree() > 3:
+        return "phase degree exceeds the supported bound (3 per variable)"
+    # normalization sigma(g, e) = sigma(e, g) = 1
+    zero = [Poly.zero(n, t)] * n
+    gvars = [Poly.var(n, t, i) for i in range(n)]
+    mapping_ge = {i: gvars[i] for i in range(n)}
+    mapping_ge.update({n + i: zero[i] for i in range(n)})
+    viol = integrality_violation(c.phase.substitute(mapping_ge, n), t)
+    if viol:
+        return f"normalization Q(g, e) not in Z: {viol}"
+    mapping_eg = {i: zero[i] for i in range(n)}
+    mapping_eg.update({n + i: gvars[i] for i in range(n)})
+    viol = integrality_violation(c.phase.substitute(mapping_eg, n), t)
+    if viol:
+        return f"normalization Q(e, g) not in Z: {viol}"
+    # well-definedness modulo the torsion moduli, in each argument slot
+    for arg in (0, 1):
+        for i in range(n):
+            m = c.group.moduli[i]
+            if not m:
+                continue
+            mapping = {}
+            for v in range(2 * n):
+                p = Poly.var(2 * n, t, v)
+                if v == arg * n + i:
+                    p = p + Poly.const(2 * n, t, Fraction(m))
+                mapping[v] = p
+            shifted = c.phase.substitute(mapping, 2 * n)
+            viol = integrality_violation(shifted - c.phase, t)
+            if viol:
+                return (f"phase is not well defined modulo {m} on coordinate "
+                        f"{c.group.names[i]} (argument {arg + 1}): {viol}")
+    viol = integrality_violation(cocycle_defect(c), t)
+    if viol:
+        return f"cocycle identity fails: {viol}"
+    return None

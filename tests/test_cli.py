@@ -86,6 +86,25 @@ def test_parse_errors_carry_line_numbers(text, line, fragment):
     assert fragment in str(e.value)
 
 
+@pytest.mark.parametrize("raw", ["bilinear z x y 1", "moduli 0 0 0"])
+def test_raw_group_line_after_builder_is_rejected(raw):
+    with pytest.raises(ProblemError) as e:
+        parse_problem(f"[group]\nbuilder abelian 0 0 0\nnames x y z\n{raw}\n[cocycle]\n")
+    assert e.value.line_no == 4
+    assert "builder cannot be mixed with raw lines or repeated" in str(e.value)
+
+
+def test_raw_presentation_names_default_to_x1_x2():
+    p = parse_problem("[group]\nmoduli 0 0 0\nbilinear x3 x1 x2 1\n[cocycle]\n1 * g:x1 * h:x2\n")
+    assert p.group.names == ("x1", "x2", "x3")
+    assert p.group.bilinear == ((2, 0, 1, 1),)
+    assert p.cocycle.phase.terms[0][0] == (1, 0, 0, 0, 1, 0)
+    with pytest.raises(ProblemError) as e:
+        parse_problem("[group]\nmoduli 0 0\n[cocycle]\n1 * g:x0 * h:x2\n")
+    assert e.value.line_no == 4
+    assert "unknown coordinate" in str(e.value)
+
+
 def test_missing_sections_rejected():
     with pytest.raises(ProblemError):
         parse_problem("[group]\nbuilder g3\n")

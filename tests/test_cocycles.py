@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from cocycle_lab import groups, zlinalg as zl
 from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, _pairing_rows, antisym,
@@ -18,7 +18,7 @@ from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly
 
-from helpers import commutator, pairing_rows_two_slot
+from helpers import commutator, pairing_rows_two_slot, validate_cocycle_reference
 
 
 def theta_table():
@@ -292,6 +292,19 @@ def test_pairing_not_a_character_in_first_argument():
 PAIRING_TABLE = SymbolTable(thetas=("theta",), xis=(("xi", 0), ("tau", 3)))
 
 
+def draw_coefficient(draw, t):
+    q = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3, 6))))
+    name = draw(st.sampled_from((None, "theta", "xi", "tau")))
+    return KNumber.make(t, q) if name is None else symbol(t, name, q)
+
+
+def draw_bilinear_exps(draw, n):
+    e = [0] * (2 * n)
+    e[draw(st.integers(0, n - 1))] = 1
+    e[n + draw(st.integers(0, n - 1))] = 1
+    return tuple(e)
+
+
 @st.composite
 def pairing_problems(draw):
     """A phase and an optional correction on Z^n (n = 1..3), with rational,
@@ -304,14 +317,10 @@ def pairing_problems(draw):
         terms = []
         for _ in range(draw(st.integers(0, 3))):
             if draw(st.booleans()):  # bilinear: one g and one h coordinate
-                e = [0] * (2 * n)
-                e[draw(st.integers(0, n - 1))] = 1
-                e[n + draw(st.integers(0, n - 1))] = 1
+                e = draw_bilinear_exps(draw, n)
             else:
                 e = draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n))
-            q = Fraction(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3, 6))))
-            name = draw(st.sampled_from((None, "theta", "xi", "tau")))
-            terms.append((tuple(e), KNumber.make(t, q) if name is None else symbol(t, name, q)))
+            terms.append((tuple(e), draw_coefficient(draw, t)))
         return Poly.make(2 * n, t, terms)
 
     phase = poly()
@@ -334,6 +343,96 @@ def test_pairing_rows_match_the_two_slot_reference(problem):
     c, gens = problem
     assert (pairing_outcome(_pairing_rows, c, gens)
             == pairing_outcome(pairing_rows_two_slot, c, gens))
+
+
+@st.composite
+def bicharacter_problems(draw):
+    """A phase and an optional correction on Z^n (n = 1..3) whose pairing is
+    a bicharacter by construction: bilinear terms, symmetric pairs
+    p(g, h) + p(h, g) (they cancel in the antisymmetrization) and
+    integer-coefficient monomials; the correction has an integer constant
+    term.  Coefficients are rational, torsion-symbol or free-symbol."""
+    n = draw(st.integers(1, 3))
+    t = PAIRING_TABLE
+
+    def exps():
+        return tuple(draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n)))
+
+    terms = [(draw_bilinear_exps(draw, n), draw_coefficient(draw, t))
+             for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(0, 2))):
+        e, coef = exps(), draw_coefficient(draw, t)
+        terms += [(e, coef), (e[n:] + e[:n], coef)]
+    terms += [(exps(), KNumber.make(t, draw(st.integers(-2, 2))))
+              for _ in range(draw(st.integers(0, 2)))]
+    correction = None
+    if draw(st.booleans()):
+        correction = Poly.make(2 * n, t, [((0,) * (2 * n), KNumber.make(t, draw(st.integers(-2, 2))))]
+                               + [(draw_bilinear_exps(draw, n), draw_coefficient(draw, t))
+                                  for _ in range(draw(st.integers(0, 2)))])
+    gens = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                         min_size=1, max_size=n))
+    c = Cocycle(groups.abelian((0,) * n), t, Poly.make(2 * n, t, terms), correction)
+    return c, [tuple(v) for v in gens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bicharacter_problems())
+def test_pairing_rows_are_the_antisymmetrization_at_unit_points(problem):
+    c, gens = problem
+    q = antisym(c)
+    n = c.n
+    assert _pairing_rows(c, gens) == [[q.eval(v + tuple(int(i == j) for i in range(n)))
+                                       for j in range(n)] for v in gens]
+
+
+@st.composite
+def validation_problems(draw):
+    """A phase on n = 1..3 coordinates with moduli from {0, 2, 3}, with or
+    without a bilinear carry; bidegree-(1, 1) monomials mixed with g-only,
+    h-only and higher-degree ones, with rational, torsion-symbol and
+    free-symbol coefficients."""
+    n = draw(st.integers(1, 3))
+    t = PAIRING_TABLE
+    moduli = draw(st.lists(st.sampled_from((0, 2, 3)), min_size=n, max_size=n))
+    carry = ()
+    if n > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        i, j = (draw(st.sampled_from([v for v in range(n) if v != k])) for _ in "ij")
+        moduli[i] = moduli[j] = 0  # a torsion coordinate cannot feed the law
+        carry = ((k, i, j, draw(st.sampled_from((-1, 1, 2)))),)
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.sampled_from(("gh", "gh", "g", "h", "any")))
+        if shape == "gh":
+            e = draw_bilinear_exps(draw, n)
+        elif shape == "any":
+            e = tuple(draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n)))
+        else:
+            e = [0] * (2 * n)
+            e[(n if shape == "h" else 0) + draw(st.integers(0, n - 1))] = draw(st.integers(1, 2))
+        terms.append((tuple(e), draw_coefficient(draw, t)))
+    return Cocycle(groups.GroupPresentation(tuple(moduli), carry), t, Poly.make(2 * n, t, terms))
+
+
+def is_bilinear_on_carry_free(c):
+    n = c.n
+    return not c.group.bilinear and all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in c.phase.terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(validation_problems())
+@example(phase_from_monomials(groups.abelian((2,)), PAIRING_TABLE, [(Fraction(1, 3), (1,), (1,))]))
+def test_validate_cocycle_matches_the_unabridged_reference(c):
+    assert validate_cocycle(c) == validate_cocycle_reference(c)
+
+
+def test_validation_strategy_reaches_torsion_failures_on_the_bilinear_path():
+    c = find(validation_problems(),
+             lambda c: is_bilinear_on_carry_free(c) and c.phase.terms
+             and "well defined modulo" in (validate_cocycle_reference(c) or ""),
+             settings=settings(max_examples=2000, database=None))
+    assert "well defined modulo" in validate_cocycle(c)
 
 
 # ---------------------------------------------------------------------------

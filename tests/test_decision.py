@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocycle_lab import groups, zlinalg as zl
+from cocycle_lab import cocycles, groups, zlinalg as zl
 from cocycle_lab.cocycles import (CocycleError, phase_from_monomials,
                                   trivial_cocycle, twist_by_coboundary)
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
@@ -16,8 +16,9 @@ from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   decide_torus, decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
-from cocycle_lab.problem import parse_problem
+from cocycle_lab.problem import load_problem, parse_problem
 
+from test_cli import fixture
 from test_cocycles import g3_cocycle, heis_cocycle, theta_table
 
 
@@ -363,3 +364,20 @@ def test_parametric_case_splits_reproduce_recorded_hashes(text, z_stable, simple
     assert verdict == simple
     assert sha256_of({"simple": verdict, "notes": list(notes),
                       "branches": [b.to_dict() for b in branches]}) == simple_sha
+
+
+@pytest.mark.parametrize("p, defects", [
+    (parse_problem(CHAIN_Z5), False),
+    (load_problem(fixture("torus2")), False),
+    (load_problem(fixture("heis-1-2")), True),
+], ids=["chain-z5", "torus2", "heis-1-2"])
+def test_bilinear_phases_without_carry_skip_the_cocycle_identity(p, defects, monkeypatch):
+    """Every validation on a carry-free group with a bidegree-(1, 1) phase,
+    push-downs included, takes validate_cocycle's bilinear shortcut; a group
+    with a carry still builds the cocycle defect."""
+    calls = []
+    real = cocycles.cocycle_defect
+    monkeypatch.setattr(cocycles, "cocycle_defect", lambda c: calls.append(c) or real(c))
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert bool(calls) == defects
