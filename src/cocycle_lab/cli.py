@@ -58,6 +58,9 @@ def _apply_ctx_assertions(problem, assertions):
         else:
             raise ProblemError(0, f"--ctx status must be irrational, rational "
                                   f"or integral, got {status!r}")
+    if assertions and not ctx.is_consistent():
+        raise ProblemError(0, f"--ctx assertions {', '.join(assertions)} contradict "
+                              f"the declared symbols or each other")
     problem.context = ctx
 
 

@@ -187,16 +187,15 @@ def validate_cocycle(c):
 
 
 def antisym(c):
-    """Q~(g,h) with sigma~ = e^{2 pi i Q~}; includes the induced-cocycle carry
-    correction, so the result is exact (mod Z) on commuting argument pairs."""
+    """Q~(g,h) = Q(g,h) - Q(h,g) with sigma~ = e^{2 pi i Q~}; includes the
+    induced-cocycle carry correction, so the result is exact (mod Z) on
+    commuting argument pairs.  Q(h,g) is a renaming, not a substitution: each
+    exponent tuple swaps its g and h halves, all in one Poly.make."""
     n = c.n
-    mapping = {i: Poly.var(2 * n, c.table, n + i) for i in range(n)}
-    mapping.update({n + i: Poly.var(2 * n, c.table, i) for i in range(n)})
-    swapped = c.phase.substitute(mapping, 2 * n)
-    out = c.phase - swapped
+    terms = list(c.phase.terms) + [(e[n:] + e[:n], -k) for e, k in c.phase.terms]
     if c.correction is not None:
-        out = out + c.correction
-    return out
+        terms += c.correction.terms
+    return Poly.make(2 * n, c.table, terms)
 
 
 def _pairing_rows(c, gens):
@@ -235,15 +234,26 @@ def _pairing_rows(c, gens):
                for i in range(n)}
     mapping.update({n + i: ys[i] for i in range(n)})
     qz = q.substitute(mapping, nv)  # Q~(g(z), y) in variables (z, y)
-    rows = [[KNumber.make(t)] * n for _ in range(k)]
+    rows = [[None] * n for _ in range(k)]  # None: no term fed the entry yet
+    err = dict(qz.terms)  # E's terms: qz's, minus rows[a][j] at z_a y_j below
     for exps, coef in qz.terms:
         za = [a for a in range(k) if exps[a]]
         yj = [j for j in range(n) if exps[k + j]]
         if len(za) <= 1 and len(yj) <= 1:
             for a in za or range(k):
                 for j in yj or range(n):
-                    rows[a][j] = rows[a][j] + coef
-    err = qz - Poly.make(nv, t, {mono(a, k + j): rows[a][j] for a in range(k) for j in range(n)})
+                    r = rows[a][j]
+                    rows[a][j] = coef if r is None else r + coef
+    for a in range(k):
+        for j in range(n):
+            r = rows[a][j]
+            if r is None:
+                rows[a][j] = KNumber.make(t)
+            elif err.get(e := mono(a, k + j)) == r:
+                del err[e]  # the common case: E has no z_a y_j term
+            else:
+                err[e] = err[e] - r if e in err else -r
+    err = Poly.make(nv, t, err)
     viol = integrality_violation(err, t)
     if viol is None:
         return rows

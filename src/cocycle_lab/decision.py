@@ -162,6 +162,15 @@ def _require_cocycle(c):
 
 
 def _decide_node(c, ctx, level, case_budget):
+    """One level of the recursion.  Provenance of the terminal rules: the
+    paper's abstract proves Z-stable iff nowhere scattered (Thiel-Vilalta,
+    "Nowhere scattered C*-algebras", arXiv:2112.09877) and characterizes that
+    by the group and the 2-cocycle, read here as in the module docstring.
+    - finite group -> NotZStable: every subgroup has finite index, so the
+      characterization fails (the algebra is finite-dimensional);
+    - finite index over the twisted center -> NotZStable: it fails here;
+    - finite twisted center in an infinite group -> ZStable: the index is
+      infinite and the characterization's iteration ends here."""
     g = c.group
     if g.is_finite():
         return TraceNode(level, g, (), NOT_ZSTABLE,
@@ -457,7 +466,10 @@ def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 
     Supported exactly when FC(G) equals the center: then the twisted FC-group
     is the twisted center, and simplicity holds iff it is trivial in a leaf.
-    Returns (verdict, branches, notes)."""
+    Provenance: the criterion "simple iff the twisted FC-group is trivial" of
+    Kleppner, "Multipliers on abelian groups", Math. Ann. 158 (1965), and
+    Packer, "Twisted group C*-algebras corresponding to nilpotent discrete
+    groups", Math. Scand. 64 (1989).  Returns (verdict, branches, notes)."""
     ctx = ctx or empty_context(c.table)
     g = c.group
     notes = [KLEPPNER_CONVENTION]

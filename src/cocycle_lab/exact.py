@@ -8,7 +8,8 @@ optionally carrying a torsion order m meaning m*xi is an integer).
 A RationalityContext records which symbol combinations are asserted to be
 rational, integral, or irrational; classify() decides the status of a value
 from those facts by exact linear algebra, and split() performs the binary
-rational/irrational case split when the status is genuinely open.
+rational/irrational case split when the status is genuinely open; each child
+extends its parent's echelons and classifications by its one new fact.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from functools import cached_property
 from . import zlinalg as zl
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 INTEGER = "integer"
 RATIONAL = "rational"
@@ -194,9 +197,20 @@ class Classification:
 
 @dataclass(frozen=True)
 class RationalityContext:
-    """Immutable set of facts.  Echelons, spans and classify() results are cached
-    per instance and only read, never extended; assume_*() builds a fresh
-    instance, so a child never reads its parent's caches."""
+    """Immutable set of facts; echelons, spans, consistency and classify()
+    results are cached per instance.  assume_*() fills a child's caches from
+    the parent's computed parts (never the parent itself) plus the new fact x:
+    the relation echelon is shared; the fact parts gain x's; a rational or
+    integral child adds x to a copy of the span (reduced row-echelon form is
+    unique, so reduce() answers equal a rebuild's); an irrational child keeps
+    the span, gains x's residual, and is consistent iff the parent is and x
+    is neither constant nor in the span.  A rational or irrational child's
+    classify() memo starts with the parent's INTEGER/RATIONAL entries, since
+    (c, v), the integral facts and span membership (the span only grows) are
+    unchanged; an irrational child also keeps IRRATIONAL ones (same span, more
+    residuals), but a rational child cannot: a new theta pivot can leave a
+    pure-theta residual undetermined.  UNDETERMINED entries are never kept,
+    and an integral child starts empty: its denominators can change."""
 
     table: SymbolTable
     rational: tuple = ()  # KNumbers asserted to lie in Q
@@ -215,7 +229,7 @@ class RationalityContext:
 
     def _vec(self, x):
         coeffs = dict(x.coeffs)
-        return [coeffs.get(n, Fraction(0)) for n in self.table.names]
+        return [coeffs.get(n, _ZERO) for n in self.table.names]
 
     @cached_property
     def _relation_echelon(self):
@@ -239,6 +253,8 @@ class RationalityContext:
         return ech, perm, bad
 
     def _reduce_relations(self, x):
+        if not self.table.relations:
+            return x.const, self._vec(x)
         ech, perm, _ = self._relation_echelon
         w = self._vec(x)
         r = ech.reduce([w[i] for i in perm] + [Fraction(x.const)])
@@ -281,6 +297,10 @@ class RationalityContext:
     # -- public API -------------------------------------------------------
 
     def is_consistent(self):
+        return self._consistent
+
+    @cached_property
+    def _consistent(self):
         ech, _, bad = self._relation_echelon
         if bad:
             return False
@@ -290,7 +310,7 @@ class RationalityContext:
         # the rational span must not contain a nonzero pure-theta vector:
         # find combinations of span basis rows with zero xi-part
         rows = [row for _, row in span.rows]
-        if rows:
+        if rows and ntheta:
             xi_cols = list(range(ntheta, len(names)))
             # integer matrix of xi-parts of the basis rows
             den = math.lcm(*(row[j].denominator for row in rows for j in xi_cols))
@@ -360,16 +380,39 @@ class RationalityContext:
         return Classification(RATIONAL, None)
 
     def assume_rational(self, x, note=None):
-        return replace(self, rational=self.rational + (x,),
-                       assumptions=self.assumptions + ((note or f"{x} rational"),))
+        return self._extend("rational", x, note or f"{x} rational")
 
     def assume_integral(self, x, note=None):
-        return replace(self, integral=self.integral + (x,),
-                       assumptions=self.assumptions + ((note or f"{x} integral"),))
+        return self._extend("integral", x, note or f"{x} integral")
 
     def assume_irrational(self, x, note=None):
-        return replace(self, irrational=self.irrational + (x,),
-                       assumptions=self.assumptions + ((note or f"{x} irrational"),))
+        return self._extend("irrational", x, note or f"{x} irrational")
+
+    def _extend(self, kind, x, note):
+        """Child with one more fact x of the given kind, its caches filled
+        from this context's (see the class docstring)."""
+        child = replace(self, **{kind: getattr(self, kind) + (x,)},
+                        assumptions=self.assumptions + (note,))
+        (c, v), (rat, integ) = self._reduce_relations(x), self._fact_parts
+        slots = child.__dict__  # where cached_property keeps its values
+        slots["_relation_echelon"] = self._relation_echelon
+        if kind == "irrational":
+            residual = self._span.reduce(v)
+            slots.update(_span=self._span, _consistent=self._consistent and any(residual),
+                         _irrational_residuals=self._irrational_residuals + (residual,))
+        else:
+            if kind == "rational":
+                rat += ((v, c),) if any(v) else ()
+            else:  # integral facts precede the torsion axioms
+                integ = integ[:len(self.integral)] + ((v, c),) + integ[len(self.integral):]
+            slots["_span"] = span = zl.QEchelon()
+            span.rows = list(self._span.rows)  # add() replaces rows, never edits one
+            span.add(v)
+        slots["_fact_parts"] = (rat, integ)
+        if kind != "integral":
+            keep = (INTEGER, RATIONAL, IRRATIONAL) if kind == "irrational" else (INTEGER, RATIONAL)
+            child._classified.update(kv for kv in self._classified.items() if kv[1].kind in keep)
+        return child
 
     def split(self, x):
         """Binary rational/irrational case split on x.

@@ -1,12 +1,13 @@
 """Helpers that only the tests need: integer-matrix checks, brute-force
-group-law operations on a GroupPresentation, an unabridged cocycle validator
-and a slot-by-slot reference for the pairing rows."""
+group-law operations on a GroupPresentation, an unabridged cocycle validator,
+the antisymmetrization by substitution and a slot-by-slot reference for the
+pairing rows."""
 
 import itertools
 from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import (CocycleError, antisym, cocycle_defect,
+from cocycle_lab.cocycles import (CocycleError, cocycle_defect,
                                   integrality_violation)
 from cocycle_lab.poly import Poly
 
@@ -60,6 +61,19 @@ def box(g, radius):
     return itertools.product(*ranges)
 
 
+def antisym_reference(c):
+    """Reference for cocycles.antisym: Q(h, g) by substituting g and h for
+    each other, then Q~ = Q(g, h) - Q(h, g) + correction."""
+    n = c.n
+    mapping = {i: Poly.var(2 * n, c.table, n + i) for i in range(n)}
+    mapping.update({n + i: Poly.var(2 * n, c.table, i) for i in range(n)})
+    swapped = c.phase.substitute(mapping, 2 * n)
+    out = c.phase - swapped
+    if c.correction is not None:
+        out = out + c.correction
+    return out
+
+
 def pairing_rows_two_slot(c, gens):
     """Reference for cocycles._pairing_rows: rows[a][j] = Q~(v_a, e_j), after
     checking the character property in each slot on its own, with g(z) =
@@ -70,7 +84,7 @@ def pairing_rows_two_slot(c, gens):
     n = c.n
     t = c.table
     k = len(gens)
-    q = antisym(c)
+    q = antisym_reference(c)
     nv = k + n  # z variables then y variables
     gz = []
     for i in range(n):

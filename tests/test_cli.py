@@ -1,3 +1,4 @@
+import ast
 import glob
 import hashlib
 import json
@@ -127,6 +128,15 @@ def test_fixture_corpus_is_complete():
             "z-times-h3-rat-irr", "z-times-h3-rat-rat"} <= names
 
 
+def test_sources_parse_as_python_3_10():
+    """pyproject.toml promises requires-python >= 3.10."""
+    sources = glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py"))
+    assert sources
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+
+
 def test_fixtures_reproduce_recorded_verdicts_and_trace_hashes():
     with open(os.path.join(FIXTURES, "expected.json")) as fh:
         expected = json.load(fh)
@@ -221,6 +231,27 @@ t * g:x1 * h:x2
     assert code == 0 and "Z-stable: no" in out  # rational branch dominates
     code, out, _ = run(["verdict", str(f), "--ctx", "t=irrational"], capsys)
     assert code == 0 and "Z-stable: yes" in out
+
+
+@pytest.mark.parametrize("symbols, assertions", [
+    (None, ["theta=rational"]),  # torus2 declares theta irrational
+    ("x param", ["x=rational", "x=irrational"]),
+    ("t rational 3", ["t=irrational"]),  # 3t is an integer
+], ids=["declared-irrational", "both-ways", "torsion"])
+def test_contradictory_ctx_assertions_are_input_errors(tmp_path, capsys, symbols, assertions):
+    if symbols is None:
+        f = fixture("torus2")
+    else:
+        name = symbols.split()[0]
+        f = tmp_path / "ctx.problem"
+        f.write_text(f"[symbols]\n{symbols}\n\n[group]\nbuilder abelian 0 0\n\n"
+                     f"[cocycle]\n{name} * g:x1 * h:x2\n")
+    argv = ["verdict", str(f)]
+    for a in assertions:
+        argv += ["--ctx", a]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and not out
+    assert "contradict" in err and all(a in err for a in assertions)
 
 
 def test_tf_requires_density(tmp_path, capsys):

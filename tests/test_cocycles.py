@@ -18,7 +18,8 @@ from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly
 
-from helpers import commutator, pairing_rows_two_slot, validate_cocycle_reference
+from helpers import (antisym_reference, commutator, pairing_rows_two_slot,
+                     validate_cocycle_reference)
 
 
 def theta_table():
@@ -328,6 +329,13 @@ def pairing_problems(draw):
     gens = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
                          min_size=1, max_size=n))
     return Cocycle(groups.abelian((0,) * n), t, phase, correction), [tuple(v) for v in gens]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing_problems())
+def test_antisym_renaming_matches_the_swap_substitution(problem):
+    c, _ = problem
+    assert antisym(c) == antisym_reference(c)
 
 
 def pairing_outcome(rows_of, c, gens):

@@ -2,11 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cocycle_lab import cocycles, groups, zlinalg as zl
+from cocycle_lab import cocycles, exact, groups, zlinalg as zl
 from cocycle_lab.cocycles import (CocycleError, phase_from_monomials,
                                   trivial_cocycle, twist_by_coboundary)
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
@@ -381,3 +382,27 @@ def test_bilinear_phases_without_carry_skip_the_cocycle_identity(p, defects, mon
     decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
     assert bool(calls) == defects
+
+
+def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
+    """On the chain Z^5 with 4 params every split child starts from its
+    parent's settled classifications and extended span, so few values are
+    classified anew and no consistency check searches a kernel."""
+    p = parse_problem(CHAIN_Z5)
+    classified, kernels = [], []
+    real_classify = exact.RationalityContext._classify
+    monkeypatch.setattr(exact.RationalityContext, "_classify",
+                        lambda self, x: classified.append(x) or real_classify(self, x))
+    real_kernel = zl.kernel_int
+
+    def kernel_int(mat):
+        # exact calls kernel_int only from the consistency check
+        if sys._getframe(1).f_globals["__name__"] == exact.__name__:
+            kernels.append(mat)
+        return real_kernel(mat)
+
+    monkeypatch.setattr(zl, "kernel_int", kernel_int)
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert len(classified) <= 147  # 249 when every child classified from empty
+    assert kernels == []  # 52 when the pure-theta search ran without thetas

@@ -285,3 +285,73 @@ def test_split_children_do_not_share_the_parent_memo(ctx, x):
         assert irr.classify(x).kind == IRRATIONAL
     assert ctx.classify(x).kind == UNDETERMINED
     assert fresh_copy(ctx).classify(x).kind == UNDETERMINED
+
+
+# extended children: a child made by assume_*() or split() fills its caches
+# from its parent's.  Tables with two thetas, free and torsion parameters and
+# relations (which the parser cannot write), including one that pins a theta.
+EXTENSION_TABLES = [
+    SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
+    SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("zeta", 0), ("eta", 2)),
+                relations=((Fraction(1, 2), (("xi", 1), ("phi", -1))),)),  # xi = phi - 1/2
+    SymbolTable(thetas=("theta",), xis=(("xi", 0), ("zeta", 0), ("eta", 3)),
+                relations=((0, (("zeta", 2), ("eta", -1), ("theta", 1))),)),  # 2 zeta = eta - theta
+    SymbolTable(thetas=("theta",), xis=(("xi", 0),),
+                relations=((Fraction(1, 3), (("theta", 1),)),)),  # theta = -1/3
+]
+KINDS = ("rational", "integral", "irrational")
+COEFFS = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))
+CONSTS = st.sampled_from((0, 1, -1, Fraction(1, 2), Fraction(-2, 3)))
+
+
+def table_values(table):
+    return st.builds(lambda c, cs: KNumber.make(table, c, dict(zip(table.names, cs))),
+                     CONSTS, st.tuples(*[COEFFS] * len(table.names)))
+
+
+EXTENSION_VALUES = [(t, table_values(t)) for t in EXTENSION_TABLES]
+
+
+@st.composite
+def extension_chains(draw):
+    """A table, then up to 4 steps (an assume_*() or a split() kept on one
+    side), each with values the parent classifies first and probes."""
+    table, values = draw(st.sampled_from(EXTENSION_VALUES))
+    steps = draw(st.lists(st.tuples(st.sampled_from(("assume", "split")),
+                                    st.sampled_from(KINDS), values,
+                                    st.lists(values, max_size=3), st.lists(values, max_size=3)),
+                          min_size=1, max_size=4))
+    return table, steps
+
+
+def fresh_child(ctx, kind, x):
+    facts = {k: getattr(ctx, k) for k in KINDS}
+    facts[kind] += (x,)
+    return RationalityContext(ctx.table, **facts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(extension_chains())
+def test_extended_children_agree_with_fresh_contexts(chain):
+    table, steps = chain
+    ctx = empty_context(table)
+    for how, kind, x, warm, probes in steps:
+        warm = warm + [x, x.scale(Fraction(1, 2)), x + Fraction(1, 3)]
+        parent = [ctx.classify(y) for y in warm]
+        if how == "split" and kind != "integral":
+            rat, irr = ctx.split(x)
+            for got, k in ((rat, "rational"), (irr, "irrational")):
+                assert (got is None) == (not fresh_child(ctx, k, x).is_consistent())
+            child = rat if kind == "rational" else irr
+        else:
+            child = None
+        if child is None:  # keep going from an inconsistent child too
+            child = getattr(ctx, "assume_" + kind)(x)
+        fresh = fresh_copy(child)
+        assert child.is_consistent() == fresh.is_consistent()
+        ys = warm + probes + list(child.rational + child.integral + child.irrational)
+        assert [child.classify(y) for y in ys] == [fresh.classify(y) for y in ys]
+        # the parent is left as it was
+        assert [ctx.classify(y) for y in warm] == parent
+        assert [ctx.classify(y) for y in probes] == [fresh_copy(ctx).classify(y) for y in probes]
+        ctx = child
