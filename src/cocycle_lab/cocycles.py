@@ -116,27 +116,25 @@ def _law_polys(group, table, nv, first, second):
     return out
 
 
-def _vars(nv, table, offset, n):
-    return [Poly.var(nv, table, offset + i) for i in range(n)]
-
-
 def cocycle_defect(c):
-    """D(g,h,k) = Q(g,h) + Q(g*h, k) - Q(h,k) - Q(g, h*k) in 3n variables."""
+    """D(g,h,k) = Q(g,h) + Q(g*h, k) - Q(h,k) - Q(g, h*k) in 3n variables.
+
+    Q(g,h) and Q(h,k) are renamings: each exponent tuple is padded with n
+    zeros on the right or on the left.  Only Q(g*h, k) and Q(g, h*k) go
+    through substitute; the four signed parts are summed in one Poly.make."""
     n = c.n
     nv = 3 * n
     t = c.table
-    g = _vars(nv, t, 0, n)
-    h = _vars(nv, t, n, n)
-    k = _vars(nv, t, 2 * n, n)
+    pad = (0,) * n
     gh = _law_polys(c.group, t, nv, 0, n)
     hk = _law_polys(c.group, t, nv, n, 2 * n)
-
-    def q(xs, ys):
-        mapping = {i: xs[i] for i in range(n)}
-        mapping.update({n + i: ys[i] for i in range(n)})
-        return c.phase.substitute(mapping, nv)
-
-    return q(g, h) + q(gh, k) - q(h, k) - q(g, hk)
+    g = [Poly.var(nv, t, i) for i in range(n)]
+    k = [Poly.var(nv, t, 2 * n + i) for i in range(n)]
+    gh_k = c.phase.substitute(dict(enumerate(gh + k)), nv)
+    g_hk = c.phase.substitute(dict(enumerate(g + hk)), nv)
+    terms = [(e + pad, q) for e, q in c.phase.terms] + list(gh_k.terms)
+    terms += [(pad + e, -q) for e, q in c.phase.terms] + [(e, -q) for e, q in g_hk.terms]
+    return Poly.make(nv, t, terms)
 
 
 def validate_cocycle(c):
@@ -153,10 +151,11 @@ def validate_cocycle(c):
     if c.phase.max_degree() > 3:
         return "phase degree exceeds the supported bound (3 per variable)"
     bilinear = not c.group.bilinear and all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in c.phase.terms)
-    if not bilinear:  # normalization sigma(g, e) = sigma(e, g) = 1
-        gvars, zero = _vars(n, t, 0, n), [Poly.zero(n, t)] * n
-        for label, first, second in (("Q(g, e)", gvars, zero), ("Q(e, g)", zero, gvars)):
-            viol = integrality_violation(c.phase.substitute(dict(enumerate(first + second)), n), t)
+    if not bilinear:  # normalization sigma(g, e) = sigma(e, g) = 1, read off by restriction
+        for label, kept, zero in (("Q(g, e)", slice(0, n), slice(n, None)),
+                                  ("Q(e, g)", slice(n, None), slice(0, n))):
+            restricted = Poly.make(n, t, [(e[kept], q) for e, q in c.phase.terms if not any(e[zero])])
+            viol = integrality_violation(restricted, t)
             if viol:
                 return f"normalization {label} not in Z: {viol}"
     # well-definedness modulo the torsion moduli, in each argument slot

@@ -85,16 +85,23 @@ class KNumber:
 
     @staticmethod
     def make(table, const=0, coeffs=None):
-        const = Fraction(const)
-        items = []
-        if coeffs:
-            seen = {}
-            for n, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if n not in table.names:
-                    raise ValueError(f"unknown symbol {n!r}")
-                seen[n] = seen.get(n, Fraction(0)) + Fraction(c)
-            items = [(n, c) for n, c in seen.items() if c]
-            items.sort(key=lambda p: table.index(p[0]))
+        """Canonical KNumber; Fractions are taken as they are, anything else
+        is converted once."""
+        if type(const) is not Fraction:
+            const = Fraction(const)
+        if not coeffs:
+            return KNumber(table, const, ())
+        names = table.names
+        seen = {}
+        for n, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            if n not in names:
+                raise ValueError(f"unknown symbol {n!r}")
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            seen[n] = seen[n] + c if n in seen else c
+        items = [(n, c) for n, c in seen.items() if c]
+        if len(items) > 1:
+            items.sort(key=lambda p: names.index(p[0]))
         return KNumber(table, const, tuple(items))
 
     def _check(self, other):
@@ -105,6 +112,8 @@ class KNumber:
         if isinstance(other, (int, Fraction)):
             return KNumber(self.table, self.const + other, self.coeffs)
         self._check(other)
+        if not other.coeffs or not self.coeffs:
+            return KNumber(self.table, self.const + other.const, self.coeffs or other.coeffs)
         d = dict(self.coeffs)
         for n, c in other.coeffs:
             d[n] = d.get(n, Fraction(0)) + c
@@ -124,9 +133,10 @@ class KNumber:
         return (-self) + other
 
     def scale(self, q):
-        q = Fraction(q)
-        if q == 0:
-            return KNumber(self.table, Fraction(0), ())
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        if not q:
+            return KNumber(self.table, _ZERO, ())
         return KNumber(self.table, self.const * q, tuple((n, c * q) for n, c in self.coeffs))
 
     def __mul__(self, other):

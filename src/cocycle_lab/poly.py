@@ -15,6 +15,8 @@ from functools import lru_cache
 
 from .exact import KNumber
 
+_ONE = Fraction(1)
+
 
 @dataclass(frozen=True)
 class Poly:
@@ -26,13 +28,14 @@ class Poly:
     def make(nv, table, terms):
         acc = {}
         for exps, c in (terms.items() if isinstance(terms, dict) else terms):
-            exps = tuple(map(int, exps))
+            if type(exps) is not tuple:
+                exps = tuple(map(int, exps))
             if len(exps) != nv or min(exps, default=0) < 0:
                 raise ValueError("bad exponent vector")
             if not isinstance(c, KNumber):
                 c = KNumber.make(table, c)
             acc[exps] = acc[exps] + c if exps in acc else c
-        items = tuple(sorted((e, c) for e, c in acc.items() if not c.is_zero()))
+        items = tuple(sorted((e, c) for e, c in acc.items() if c.const or c.coeffs))
         return Poly(nv, table, items)
 
     @staticmethod
@@ -47,7 +50,7 @@ class Poly:
     def var(nv, table, i):
         e = [0] * nv
         e[i] = 1
-        return Poly.make(nv, table, {tuple(e): Fraction(1)})
+        return Poly(nv, table, ((tuple(e), KNumber(table, _ONE, ())),))
 
     def is_zero(self):
         return not self.terms
@@ -83,30 +86,53 @@ class Poly:
         return Poly.make(self.nv, self.table, _times(dict(self.terms), dict(other.terms)))
 
     def substitute(self, mapping, nv):
-        """Replace variable i by mapping[i], a Poly in the nv *target* variables;
-        variables absent from the mapping must not occur.
+        """Replace variable i by mapping[i], a Poly in the nv *target* variables
+        with rational coefficients; variables absent from the mapping must not
+        occur, and a mapped polynomial with a symbol raises ValueError.
 
-        Each monomial is expanded from cached powers of the mapped polynomials,
-        kept as {exps: KNumber} dicts; the sum is canonicalized once."""
+        The image of each monomial is expanded in rational scalars (Python
+        ints while they are integral) from cached powers of the mapped
+        polynomials; each output coefficient is then assembled once as the sum
+        of q * c over the input coefficients c, one accumulator for the
+        rational part and one per symbol."""
         powers = {}
 
         def power(i, e):
             if (i, e) not in powers:
-                powers[(i, e)] = (dict(mapping[i].terms) if e == 1
-                                  else _times(power(i, e - 1), power(i, 1)))
+                if e > 1:
+                    powers[(i, e)] = _times(power(i, e - 1), power(i, 1))
+                elif i not in mapping:
+                    raise ValueError(f"variable {i} has no substitution")
+                else:
+                    powers[(i, 1)] = _scalars(mapping[i], nv, self.table)
             return powers[(i, e)]
 
-        acc = {}
+        one = {(0,) * nv: 1}
+        consts, syms = {}, {}  # target exps -> rational part, -> {symbol: coefficient}
         for exps, c in self.terms:
-            term = {(0,) * nv: c}
+            image = one  # the monomial's image, {target exps: scalar}
             for i, e in enumerate(exps):
                 if e:
-                    if i not in mapping:
-                        raise ValueError(f"variable {i} has no substitution")
-                    term = _times(term, power(i, e))
-            for te, tc in term.items():
-                acc[te] = acc[te] + tc if te in acc else tc
-        return Poly.make(nv, self.table, acc)
+                    image = power(i, e) if image is one else _times(image, power(i, e))
+            c0 = _scalar(c.const)
+            cs = [(n, _scalar(cn)) for n, cn in c.coeffs]
+            for te, q in image.items():
+                if c0:
+                    consts[te] = consts.get(te, 0) + q * c0
+                if cs:
+                    acc = syms.setdefault(te, {})
+                    for n, cn in cs:
+                        acc[n] = acc.get(n, 0) + q * cn
+        names = self.table.names
+        items = []
+        for te in consts.keys() | syms.keys():
+            coeffs = [(n, _fraction(v)) for n, v in syms.get(te, {}).items() if v]
+            if len(coeffs) > 1:
+                coeffs.sort(key=lambda p: names.index(p[0]))
+            const = consts.get(te, 0)
+            if const or coeffs:
+                items.append((te, KNumber(self.table, _fraction(const), tuple(coeffs))))
+        return Poly(nv, self.table, tuple(sorted(items)))
 
     def compose_linear(self, matrix, tgt_nv):
         """Substitute variable i by the linear form sum matrix[i][j] * y_j."""
@@ -156,7 +182,7 @@ class Poly:
 
 
 def _times(a, b):
-    """Product of two {exps: KNumber} dicts."""
+    """Product of two {exps: coefficient} dicts, over KNumbers or scalars."""
     out = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
@@ -164,6 +190,29 @@ def _times(a, b):
             c = c1 * c2  # symbol-times-symbol products raise here
             out[e] = out[e] + c if e in out else c
     return out
+
+
+def _scalars(p, nv, table):
+    """p's terms as {exps: int or Fraction}; p must have rational coefficients."""
+    if p.nv != nv:
+        raise ValueError("variable count mismatch")
+    if p.table is not table and p.table != table:
+        raise ValueError("symbol-table mismatch")
+    out = {}
+    for e, c in p.terms:
+        if c.coeffs:
+            raise ValueError("a substituted polynomial must have rational coefficients")
+        out[e] = _scalar(c.const)
+    return out
+
+
+def _scalar(q):
+    """A Fraction as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _fraction(x):
+    return x if type(x) is Fraction else Fraction(x)
 
 
 @lru_cache(maxsize=None)

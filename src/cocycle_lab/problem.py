@@ -118,14 +118,14 @@ def _parse_symbols(lines):
                 raise ProblemError(i, "irrational takes no arguments")
             thetas.append(name)
         elif status == "rational":
-            if len(parts) != 3 or not parts[2].isdigit() or int(parts[2]) < 1:
+            if len(parts) != 3 or not parts[2].isdecimal() or int(parts[2]) < 1:
                 raise ProblemError(i, "rational needs a positive integer "
                                       "denominator: <name> rational <den>")
             xis.append((name, int(parts[2])))
         elif status == "param":
             if len(parts) == 2:
                 xis.append((name, 0))
-            elif len(parts) == 3 and parts[2].isdigit():
+            elif len(parts) == 3 and parts[2].isdecimal():
                 xis.append((name, int(parts[2])))
             else:
                 raise ProblemError(i, "param takes an optional integer order")
@@ -220,7 +220,7 @@ def _parse_monomial(line, i, group, table):
                 raise ProblemError(i, f"unknown coordinate {name!r}")
             e = 1
             if exp:
-                if not exp.isdigit() or int(exp) < 1:
+                if not exp.isdecimal() or int(exp) < 1:
                     raise ProblemError(i, f"bad exponent {exp!r}")
                 e = int(exp)
             (gex if slot == "g" else hex_)[j] += e

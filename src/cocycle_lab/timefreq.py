@@ -124,12 +124,24 @@ class MultiwindowBound:
     notes: tuple = (MULTIWINDOW_CONVENTION,)
 
 
+# f(n) and f(n) + 1 are reported in full, and Python converts an int of more
+# than 4300 decimal digits to a string only when its default limit is lifted.
+# A value of at most this many bits stays below 10^4300, so it prints.
+MAX_F_DIGITS = 4300
+_MAX_F_BITS = (10 ** MAX_F_DIGITS).bit_length() - 1
+
+
 def multiwindow_f(n):
+    """The recursion f(1) = 1, f(k+1) = 9^k (k+1) (f(k) + 1) - 1; it stops
+    with ValueError as soon as f(n) would be too large to print."""
     if n < 1:
         raise ValueError("multiwindow recursion needs n >= 1")
     v = 1
     for k in range(1, n):
         v = 9 ** k * (k + 1) * (v + 1) - 1
+        if v.bit_length() > _MAX_F_BITS:
+            raise ValueError(f"f({n}) has more than {MAX_F_DIGITS} decimal digits "
+                             f"and cannot be printed")
     return v
 
 

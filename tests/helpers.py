@@ -1,13 +1,15 @@
 """Helpers that only the tests need: integer-matrix checks, brute-force
-group-law operations on a GroupPresentation, an unabridged cocycle validator,
-the antisymmetrization by substitution and a slot-by-slot reference for the
+group-law operations on a GroupPresentation, and references for the engine's
+kernels that share none of their shortcuts: substitution by KNumber products,
+the cocycle defect by four substitutions, an unabridged cocycle validator, the
+antisymmetrization by substitution and a slot-by-slot reference for the
 pairing rows."""
 
 import itertools
 from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import (CocycleError, cocycle_defect,
+from cocycle_lab.cocycles import (CocycleError, _law_polys,
                                   integrality_violation)
 from cocycle_lab.poly import Poly
 
@@ -61,13 +63,65 @@ def box(g, radius):
     return itertools.product(*ranges)
 
 
+def _knumber_product(a, b):
+    """Product of two {exps: KNumber} dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple([x + y for x, y in zip(e1, e2)])
+            c = c1 * c2  # symbol-times-symbol products raise here
+            out[e] = out[e] + c if e in out else c
+    return out
+
+
+def substitute_reference(p, mapping, nv):
+    """Reference for Poly.substitute: variable i becomes mapping[i], a Poly in
+    nv variables; every monomial is expanded by KNumber products from cached
+    powers of the mapped polynomials, and the sum is canonicalized once."""
+    powers = {}
+
+    def power(i, e):
+        if (i, e) not in powers:
+            powers[(i, e)] = (dict(mapping[i].terms) if e == 1
+                              else _knumber_product(power(i, e - 1), power(i, 1)))
+        return powers[(i, e)]
+
+    acc = {}
+    for exps, c in p.terms:
+        term = {(0,) * nv: c}
+        for i, e in enumerate(exps):
+            if e:
+                if i not in mapping:
+                    raise ValueError(f"variable {i} has no substitution")
+                term = _knumber_product(term, power(i, e))
+        for te, tc in term.items():
+            acc[te] = acc[te] + tc if te in acc else tc
+    return Poly.make(nv, p.table, acc)
+
+
+def cocycle_defect_reference(c):
+    """Reference for cocycles.cocycle_defect: the four phases of
+    D(g,h,k) = Q(g,h) + Q(g*h, k) - Q(h,k) - Q(g, h*k) by substitution."""
+    n = c.n
+    nv = 3 * n
+    t = c.table
+    g, h, k = ([Poly.var(nv, t, offset + i) for i in range(n)] for offset in (0, n, 2 * n))
+    gh = _law_polys(c.group, t, nv, 0, n)
+    hk = _law_polys(c.group, t, nv, n, 2 * n)
+
+    def q(xs, ys):
+        return substitute_reference(c.phase, dict(enumerate(xs + ys)), nv)
+
+    return q(g, h) + q(gh, k) - q(h, k) - q(g, hk)
+
+
 def antisym_reference(c):
     """Reference for cocycles.antisym: Q(h, g) by substituting g and h for
     each other, then Q~ = Q(g, h) - Q(h, g) + correction."""
     n = c.n
     mapping = {i: Poly.var(2 * n, c.table, n + i) for i in range(n)}
     mapping.update({n + i: Poly.var(2 * n, c.table, i) for i in range(n)})
-    swapped = c.phase.substitute(mapping, 2 * n)
+    swapped = substitute_reference(c.phase, mapping, 2 * n)
     out = c.phase - swapped
     if c.correction is not None:
         out = out + c.correction
@@ -92,12 +146,12 @@ def pairing_rows_two_slot(c, gens):
                                     for a in range(k) if gens[a][i]}))
     mapping = {i: gz[i] for i in range(n)}
     mapping.update({n + i: Poly.var(nv, t, k + i) for i in range(n)})
-    qz = q.substitute(mapping, nv)
+    qz = substitute_reference(q, mapping, nv)
     qzj = []
     for j in range(n):
         sub = {a: Poly.var(nv, t, a) for a in range(k)}
         sub.update({k + i: Poly.const(nv, t, Fraction(1 if i == j else 0)) for i in range(n)})
-        qzj.append(qz.substitute(sub, nv))
+        qzj.append(substitute_reference(qz, sub, nv))
     lin = Poly.zero(nv, t)
     for j in range(n):
         lin = lin + Poly.var(nv, t, k + j) * qzj[j]
@@ -130,12 +184,12 @@ def validate_cocycle_reference(c):
     gvars = [Poly.var(n, t, i) for i in range(n)]
     mapping_ge = {i: gvars[i] for i in range(n)}
     mapping_ge.update({n + i: zero[i] for i in range(n)})
-    viol = integrality_violation(c.phase.substitute(mapping_ge, n), t)
+    viol = integrality_violation(substitute_reference(c.phase, mapping_ge, n), t)
     if viol:
         return f"normalization Q(g, e) not in Z: {viol}"
     mapping_eg = {i: zero[i] for i in range(n)}
     mapping_eg.update({n + i: gvars[i] for i in range(n)})
-    viol = integrality_violation(c.phase.substitute(mapping_eg, n), t)
+    viol = integrality_violation(substitute_reference(c.phase, mapping_eg, n), t)
     if viol:
         return f"normalization Q(e, g) not in Z: {viol}"
     # well-definedness modulo the torsion moduli, in each argument slot
@@ -150,12 +204,12 @@ def validate_cocycle_reference(c):
                 if v == arg * n + i:
                     p = p + Poly.const(2 * n, t, Fraction(m))
                 mapping[v] = p
-            shifted = c.phase.substitute(mapping, 2 * n)
+            shifted = substitute_reference(c.phase, mapping, 2 * n)
             viol = integrality_violation(shifted - c.phase, t)
             if viol:
                 return (f"phase is not well defined modulo {m} on coordinate "
                         f"{c.group.names[i]} (argument {arg + 1}): {viol}")
-    viol = integrality_violation(cocycle_defect(c), t)
+    viol = integrality_violation(cocycle_defect_reference(c), t)
     if viol:
         return f"cocycle identity fails: {viol}"
     return None

@@ -79,6 +79,12 @@ builder abelian 0
      3, "declared twice"),
     ("[group]\nmoduli 0 0\nbilinear z x y 1\n[cocycle]\n", 3, "unknown coordinate name"),
     ("[group]\nbuilder abelian 0\n[cocycle]\n[tf]\ndensity 1/2\n", 5, "density needs"),
+    # superscript digits pass str.isdigit() but are no integer literal
+    ("[group]\nbuilder abelian 0\n[cocycle]\n1 * g:x1^\u00b2 * h:x1\n", 4, "bad exponent '\u00b2'"),
+    ("[symbols]\na rational \u00b2\n[group]\nbuilder abelian 0\n[cocycle]\n", 2,
+     "rational needs a positive integer denominator"),
+    ("[symbols]\na param \u00b2\n[group]\nbuilder abelian 0\n[cocycle]\n", 2,
+     "param takes an optional integer order"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ProblemError) as e:
@@ -211,8 +217,36 @@ def test_json_report_reparses_and_matches_engine(capsys):
 def test_bound_command_prints_recursion_value(capsys):
     _, out, _ = run(["bound", "4", "--json"], capsys)
     doc = json.loads(out)
-    assert doc["m"] == 25509167
-    assert doc["windows"] == 25509168
+    assert doc == {
+        "schema_version": 1, "command": "bound", "input": None, "exit_code": 0,
+        "n": 4, "m": 25509167, "windows": 25509168,
+        "notes": ["recursion f(n+1) = 9^n (n+1) (f(n)+1) - 1 applied for all n >= 1 "
+                  "with f(1) = 1"]}
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["bound", "100"], 100),
+    (["bound", "50", "50", "--json"], 100),
+    (["bound", "100000000"], 100000000),  # returns at once: the recursion stops early
+])
+def test_bound_too_large_to_print_is_an_input_error(argv, n, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and not out
+    assert err == f"error: f({n}) has more than 4300 decimal digits and cannot be printed\n"
+
+
+def test_bound_prints_the_largest_printable_value(capsys):
+    code, out, _ = run(["bound", "93", "--json"], capsys)
+    assert code == 0
+    assert len(str(json.loads(out)["m"])) == 4227
+
+
+def test_bad_exponent_reports_its_line(tmp_path, capsys):
+    f = tmp_path / "superscript.problem"
+    f.write_text("[group]\nbuilder abelian 0\n[cocycle]\n1 * g:x1^\u00b2 * h:x1\n")
+    code, out, err = run(["verdict", str(f)], capsys)
+    assert code == 1 and not out
+    assert err == "error: line 4: bad exponent '\u00b2'\n"
 
 
 def test_ctx_flag_resolves_parameter(tmp_path, capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, find, given, settings, strategies as st
+from hypothesis import assume, example, find, given, settings, strategies as st
 
 from cocycle_lab import groups, zlinalg as zl
 from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, _pairing_rows, antisym,
@@ -18,8 +18,8 @@ from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly
 
-from helpers import (antisym_reference, commutator, pairing_rows_two_slot,
-                     validate_cocycle_reference)
+from helpers import (antisym_reference, cocycle_defect_reference, commutator,
+                     pairing_rows_two_slot, validate_cocycle_reference)
 
 
 def theta_table():
@@ -441,6 +441,58 @@ def test_validation_strategy_reaches_torsion_failures_on_the_bilinear_path():
              and "well defined modulo" in (validate_cocycle_reference(c) or ""),
              settings=settings(max_examples=2000, database=None))
     assert "well defined modulo" in validate_cocycle(c)
+
+
+@st.composite
+def defect_problems(draw):
+    """A phase with exponents up to 2 and rational, torsion-symbol and
+    free-symbol coefficients on a random 2-step presentation of n = 1..4
+    coordinates: each coordinate feeds the law, receives carries or neither;
+    up to three carries; moduli from {0, 2, 3} on the non-feeding ones."""
+    n = draw(st.integers(1, 4))
+    t = PAIRING_TABLE
+    roles = draw(st.lists(st.sampled_from(("feed", "receive", "none")), min_size=n, max_size=n))
+    feed = [i for i in range(n) if roles[i] == "feed"]
+    receive = [i for i in range(n) if roles[i] == "receive"]
+    carries = []
+    if feed and receive:
+        for _ in range(draw(st.integers(0, 3))):
+            carries.append((draw(st.sampled_from(receive)), draw(st.sampled_from(feed)),
+                            draw(st.sampled_from(feed)), draw(st.sampled_from((-2, -1, 1, 3)))))
+    moduli = [0 if roles[i] == "feed" else draw(st.sampled_from((0, 2, 3))) for i in range(n)]
+    terms = [(tuple(draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n))),
+              draw_coefficient(draw, t)) for _ in range(draw(st.integers(0, 4)))]
+    group = groups.GroupPresentation(tuple(moduli), tuple(carries))
+    return Cocycle(group, t, Poly.make(2 * n, t, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(defect_problems())
+def test_cocycle_defect_by_renaming_matches_four_substitutions(c):
+    assert cocycle_defect(c) == cocycle_defect_reference(c)
+
+
+@st.composite
+def normalization_failures(draw):
+    """A validation problem plus one g-only or h-only term whose coefficient
+    is not integral: the normalization check sees it unless another term
+    cancels it."""
+    c = draw(validation_problems())
+    n = c.n
+    e = [0] * (2 * n)
+    e[draw(st.sampled_from((0, n))) + draw(st.integers(0, n - 1))] = draw(st.integers(1, 2))
+    t = c.table
+    coef = draw(st.sampled_from((KNumber.make(t, Fraction(1, 2)), KNumber.make(t, Fraction(-1, 3)),
+                                 symbol(t, "theta"), symbol(t, "xi"), symbol(t, "tau"))))
+    return replace(c, phase=c.phase + Poly.make(2 * n, t, [(tuple(e), coef)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normalization_failures())
+def test_normalization_by_restriction_matches_the_substitution_reference(c):
+    want = validate_cocycle_reference(c)
+    assume(want is not None and want.startswith("normalization"))
+    assert validate_cocycle(c) == want
 
 
 # ---------------------------------------------------------------------------

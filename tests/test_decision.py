@@ -19,7 +19,7 @@ from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
 from cocycle_lab.problem import load_problem, parse_problem
 
-from test_cli import fixture
+from test_cli import all_fixtures, fixture
 from test_cocycles import g3_cocycle, heis_cocycle, theta_table
 
 
@@ -406,3 +406,24 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     decide_simplicity(p.cocycle, p.context)
     assert len(classified) <= 147  # 249 when every child classified from empty
     assert kernels == []  # 52 when the pure-theta search ran without thetas
+
+
+def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
+    """validate_cocycle reads Q(g, e), Q(e, g), Q(g, h) and Q(h, k) by
+    renaming or restriction, so on g3 (no torsion) only Q(g*h, k) and
+    Q(g, h*k) are substitutions (6 when all six phases were); one pass of
+    decide and decide_simplicity over the ten shipped fixtures stays within
+    102 substitutions (170 when all six were)."""
+    calls = []
+    real = Poly.substitute
+    monkeypatch.setattr(Poly, "substitute",
+                        lambda self, mapping, nv: calls.append(nv) or real(self, mapping, nv))
+    problems = [load_problem(f) for f in all_fixtures()]
+    cocycles.validate_cocycle(load_problem(fixture("g3")).cocycle)
+    assert len(calls) == 2
+    calls.clear()
+    for p in problems:
+        decide(p.cocycle, p.context)
+        decide_simplicity(p.cocycle, p.context)
+    assert len(problems) == 10
+    assert len(calls) <= 102

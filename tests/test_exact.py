@@ -355,3 +355,50 @@ def test_extended_children_agree_with_fresh_contexts(chain):
         assert [ctx.classify(y) for y in warm] == parent
         assert [ctx.classify(y) for y in probes] == [fresh_copy(ctx).classify(y) for y in probes]
         ctx = child
+
+
+# canonical constructors: inputs of any scalar type, outputs always canonical
+scalars = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+raw_coeffs = st.lists(st.tuples(st.sampled_from(U.names), scalars), max_size=6)
+
+
+def model(const, coeffs):
+    """Value of make(U, const, coeffs) as (Fraction, {name: nonzero Fraction})."""
+    out = {}
+    for n, c in coeffs:
+        out[n] = out.get(n, 0) + Fraction(c)
+    return Fraction(const), {n: c for n, c in out.items() if c}
+
+
+def assert_canonical(x, value):
+    assert type(x.const) is Fraction
+    assert all(type(c) is Fraction and c for _, c in x.coeffs)
+    order = [U.names.index(n) for n, _ in x.coeffs]
+    assert order == sorted(set(order))  # table order, each symbol once
+    assert (x.const, dict(x.coeffs)) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, raw_coeffs, st.booleans(), scalars, raw_coeffs, scalars)
+def test_constructors_and_arithmetic_stay_canonical(c1, k1, as_dict, c2, k2, q):
+    a = KNumber.make(U, c1, model(0, k1)[1] if as_dict else k1)
+    b = KNumber.make(U, c2, k2)
+    va, vb = model(c1, k1), model(c2, k2)
+    assert_canonical(a, va)
+    assert_canonical(b, vb)
+
+    def lin(u, su, v, sv):
+        names = set(u[1]) | set(v[1])
+        coeffs = {n: su * u[1].get(n, 0) + sv * v[1].get(n, 0) for n in names}
+        return su * u[0] + sv * v[0], {n: c for n, c in coeffs.items() if c}
+
+    zero = (Fraction(0), {})
+    assert_canonical(a + b, lin(va, 1, vb, 1))
+    assert_canonical(a - b, lin(va, 1, vb, -1))
+    assert_canonical(a + q, lin(va, 1, (Fraction(q), {}), 1))
+    assert_canonical(q - a, lin((Fraction(q), {}), 1, va, -1))
+    assert_canonical(a.scale(q), lin(va, Fraction(q), zero, 0))
+    assert_canonical(a * q, lin(va, Fraction(q), zero, 0))
+    rational_b = KNumber.make(U, c2)
+    assert_canonical(a * rational_b, lin(va, Fraction(c2), zero, 0))
+    assert_canonical(rational_b * a, lin(va, Fraction(c2), zero, 0))

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cocycle_lab import groups
 from cocycle_lab.cocycles import _law_polys
 from cocycle_lab.exact import KNumber, SymbolTable, knum
 from cocycle_lab.poly import Poly, binomial_coefficients, is_integer_valued
+
+from helpers import substitute_reference
 
 T = SymbolTable(thetas=("th",), xis=(("xi", 3),))
 
@@ -116,10 +118,51 @@ def test_substitute_group_laws_commute_with_eval(data):
     assert_substitution_commutes_with_eval(p, dict(enumerate(law)), 2 * n, pt)
 
 
+@st.composite
+def substitution_problems(draw):
+    """A polynomial in nv = 0..3 variables with exponents up to 3 and rational,
+    theta and torsion-symbol coefficients, and a mapping of some of its
+    variables to rational polynomials in mv = 0..3 variables."""
+    nv, mv = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    sym = st.sampled_from((0, 0, 1, -2, Fraction(1, 2)))  # absent half the time
+    coef = st.builds(lambda c, th, xi: knum(T, c, th=th, xi=xi),
+                     st.fractions(-3, 3, max_denominator=3), sym, sym)
+    p = Poly.make(nv, T, draw(st.lists(st.tuples(
+        st.tuples(*[st.integers(0, 3)] * nv), coef), max_size=5)))
+    image = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * mv),
+                               st.fractions(-3, 3, max_denominator=3)), max_size=3)
+    kept = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
+    mapping = {i: Poly.make(mv, T, draw(image)) for i in range(nv) if kept[i]}
+    return p, mapping, mv
+
+
+def substitution_outcome(substitute, p, mapping, mv):
+    try:
+        return substitute(p, mapping, mv)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=500, deadline=None)
+@given(substitution_problems())
+@example((Poly.make(2, T, [((0, 0), knum(T, 0, xi=1)), ((0, 1), knum(T, 0, th=1))]),
+          {1: Poly.const(0, T, 1)}, 0))  # xi reaches the output term before th
+def test_substitute_matches_the_knumber_product_reference(problem):
+    p, mapping, mv = problem
+    assert (substitution_outcome(Poly.substitute, p, mapping, mv)
+            == substitution_outcome(substitute_reference, p, mapping, mv))
+
+
 def test_substitute_keeps_rejecting_symbol_products():
     p = Poly.make(1, T, {(1,): knum(T, 0, th=1)})
     with pytest.raises(ValueError):
         p.substitute({0: p}, 1)
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), [1], (1, -1), [0, -2]])
+def test_make_rejects_wrong_length_or_negative_exponents(exps):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        Poly.make(2, T, [(exps, Fraction(1))])
 
 
 def test_compose_linear_matches_matrix_action():

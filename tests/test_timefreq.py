@@ -39,6 +39,15 @@ def test_multiwindow_bound_reports_window_count():
     assert any("n >= 1" in n for n in out.notes)
 
 
+def test_multiwindow_stops_once_the_value_cannot_be_printed():
+    assert len(str(multiwindow_f(93))) == 4227  # below Python's 4300-digit limit
+    for n in (94, 100, 10 ** 8):  # 10**8 steps would never finish
+        with pytest.raises(ValueError, match=rf"^f\({n}\) has more than 4300 decimal digits"):
+            multiwindow_f(n)
+    with pytest.raises(ValueError, match=r"^f\(100\) "):
+        multiwindow_bound(50, 50)
+
+
 def test_multiwindow_bound_rejects_zero():
     with pytest.raises(ValueError):
         multiwindow_bound(0, 0)
