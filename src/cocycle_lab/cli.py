@@ -76,7 +76,7 @@ def _lattice_lines(lattice, names):
     return out
 
 
-def _render_trace(node, names_hint=None, indent=0):
+def _render_trace(node, indent=0):
     pad = "  " * indent
     lines = [f"{pad}level {node.level}: moduli {tuple(node.group.moduli)} "
              f"-> {node.verdict}"]
@@ -88,7 +88,7 @@ def _render_trace(node, names_hint=None, indent=0):
         for note in b.notes:
             lines.append(f"{pad}    note: {note}")
         if b.child:
-            lines.extend(_render_trace(b.child, None, indent + 2))
+            lines.extend(_render_trace(b.child, indent + 2))
     return lines
 
 
@@ -108,13 +108,14 @@ def _load(args):
     problem = load_problem(args.file)
     _apply_ctx_assertions(problem, args.ctx)
     viol = validate_cocycle(problem.cocycle)
-    if viol is not None and args.command != "validate":
+    if viol is not None:
         raise ProblemError(0, f"cocycle invalid: {viol}")
     return problem
 
 
 def cmd_validate(args):
     problem = load_problem(args.file)
+    _apply_ctx_assertions(problem, args.ctx)
     viol = validate_cocycle(problem.cocycle)
     if viol is None:
         return _emit(args, ["ok: well-defined normalized 2-cocycle"],
@@ -169,10 +170,6 @@ def cmd_quotient(args):
     return _emit(args, lines, {"quotients": data}, code)
 
 
-def _verdict_payload(v):
-    return {"verdict": v.to_dict()}
-
-
 def _verdict_lines(v, with_trace):
     yes = {ZSTABLE: "yes", NOT_ZSTABLE: "no", UNDECIDED: "undecided"}
     lines = [f"Z-stable: {yes[v.z_stable]}",
@@ -190,7 +187,7 @@ def _verdict_lines(v, with_trace):
 
 def _finish_verdict(args, v):
     code = OK if v.z_stable in (ZSTABLE, NOT_ZSTABLE) else UNDECIDED_EXIT
-    return _emit(args, _verdict_lines(v, args.trace), _verdict_payload(v), code)
+    return _emit(args, _verdict_lines(v, args.trace), {"verdict": v.to_dict()}, code)
 
 
 def cmd_verdict(args):
@@ -207,7 +204,7 @@ def cmd_decompose(args):
     v = decide(p.cocycle, p.context, args.case_budget)
     lines = _render_trace(v.certificate)
     code = OK if v.z_stable != UNDECIDED else UNDECIDED_EXIT
-    return _emit(args, lines, _verdict_payload(v), code)
+    return _emit(args, lines, {"verdict": v.to_dict()}, code)
 
 
 def cmd_simplicity(args):

@@ -11,13 +11,13 @@ purely polynomial phase cannot express; see induce_gamma.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import zlinalg as zl
-from .exact import (INTEGER, IRRATIONAL, RATIONAL, UNDETERMINED, KNumber,
-                    RationalityContext, SymbolTable, symbol)
-from .groups import GroupPresentation, Morphism, QuotientData
+from .exact import (INTEGER, IRRATIONAL, RATIONAL, KNumber, RationalityContext,
+                    SymbolTable, symbol)
+from .groups import GroupPresentation, Morphism
 from .poly import Poly, is_integer_valued
 
 
@@ -40,15 +40,6 @@ class Cocycle:
     def n(self):
         return self.group.n
 
-    def value(self, a, b):
-        """Phase Q(a, b) as a KNumber (mod Z is the physical content)."""
-        return self.phase.eval(tuple(a) + tuple(b))
-
-
-def trivial_cocycle(group, table=None):
-    table = table or SymbolTable()
-    return Cocycle(group, table, Poly.zero(2 * group.n, table))
-
 
 def phase_from_monomials(group, table, monomials):
     """monomials: iterable of (coefficient, g-exponents, h-exponents)."""
@@ -63,14 +54,10 @@ def phase_from_monomials(group, table, monomials):
 # the shared "vanishes mod Z" test for polynomials with symbolic coefficients
 
 
-def phase_is_integral(p, table):
-    """True iff the polynomial takes values in Z for every integer point and
-    every admissible assignment of the symbols (free symbols range over R;
-    a torsion symbol of order m ranges over (1/m)Z)."""
-    return integrality_violation(p, table) is None
-
-
 def integrality_violation(p, table):
+    """None iff the polynomial takes values in Z for every integer point and
+    every admissible assignment of the symbols (free symbols range over R;
+    a torsion symbol of order m ranges over (1/m)Z); otherwise the reason."""
     for name in p.used_symbols():
         comp = p.symbol_component(name)
         m = table.torsion_order(name)
@@ -92,28 +79,21 @@ def integrality_violation(p, table):
 # group-law substitution helpers
 
 
+def _mono(nv, *vs):
+    """Exponent tuple, in nv variables, of the product of the variables vs."""
+    e = [0] * nv
+    for v in vs:
+        e[v] += 1
+    return tuple(e)
+
+
 def _law_polys(group, table, nv, first, second):
     """Polynomials (in nv variables) for the coordinates of x*y where x sits
     at variable offset ``first`` and y at offset ``second``."""
-    n = group.n
-    out = []
-    for k in range(n):
-        terms = {}
-        e = [0] * nv
-        e[first + k] = 1
-        terms[tuple(e)] = Fraction(1)
-        e = [0] * nv
-        e[second + k] = 1
-        terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + 1
-        for k2, i, j, c in group.bilinear:
-            if k2 == k:
-                e = [0] * nv
-                e[first + i] += 1
-                e[second + j] += 1
-                key = tuple(e)
-                terms[key] = terms.get(key, Fraction(0)) + c
-        out.append(Poly.make(nv, table, terms))
-    return out
+    return [Poly.make(nv, table, [(_mono(nv, first + k), 1), (_mono(nv, second + k), 1)]
+                      + [(_mono(nv, first + i, second + j), c)
+                         for k2, i, j, c in group.bilinear if k2 == k])
+            for k in range(group.n)]
 
 
 def cocycle_defect(c):
@@ -224,12 +204,8 @@ def _pairing_rows(c, gens):
     k = len(gens)
     q = antisym(c)
     nv = k + n  # z variables then y variables
-
-    def mono(*vs):
-        return tuple(int(v in vs) for v in range(nv))
-
     ys = [Poly.var(nv, t, k + j) for j in range(n)]
-    mapping = {i: Poly.make(nv, t, {mono(a): Fraction(gens[a][i]) for a in range(k) if gens[a][i]})
+    mapping = {i: Poly.make(nv, t, {_mono(nv, a): Fraction(gens[a][i]) for a in range(k) if gens[a][i]})
                for i in range(n)}
     mapping.update({n + i: ys[i] for i in range(n)})
     qz = q.substitute(mapping, nv)  # Q~(g(z), y) in variables (z, y)
@@ -248,7 +224,7 @@ def _pairing_rows(c, gens):
             r = rows[a][j]
             if r is None:
                 rows[a][j] = KNumber.make(t)
-            elif err.get(e := mono(a, k + j)) == r:
+            elif err.get(e := _mono(nv, a, k + j)) == r:
                 del err[e]  # the common case: E has no z_a y_j term
             else:
                 err[e] = err[e] - r if e in err else -r
@@ -442,34 +418,7 @@ def _gen_names(gens, group):
 
 
 # ---------------------------------------------------------------------------
-# coboundaries and pull-backs
-
-
-def coboundary(group, table, phi):
-    """Phase of the coboundary of e^{2 pi i phi}: (d phi)(g,h) = phi(g*h) - phi(g) - phi(h).
-
-    phi is a Poly in n variables with phi(e) in Z."""
-    n = group.n
-    ec = phi.eval((0,) * n)
-    if not (ec.is_constant() and ec.const.denominator == 1):
-        raise CocycleError("phi(e) must be an integer phase")
-    nv = 2 * n
-    gh = _law_polys(group, table, nv, 0, n)
-    pg = phi.substitute({i: Poly.var(nv, table, i) for i in range(n)}, nv)
-    ph = phi.substitute({i: Poly.var(nv, table, n + i) for i in range(n)}, nv)
-    pgh = phi.substitute({i: gh[i] for i in range(n)}, nv)
-    return pgh - pg - ph
-
-
-def is_cohomologous(c1, c2, phi):
-    """True iff Q1 - Q2 - d(phi) vanishes mod Z identically."""
-    d = coboundary(c1.group, c1.table, phi)
-    return phase_is_integral(c1.phase - c2.phase - d, c1.table)
-
-
-def twist_by_coboundary(c, phi):
-    d = coboundary(c.group, c.table, phi)
-    return replace(c, phase=c.phase + d)
+# pull-backs
 
 
 def pull_back(c, morphism):
@@ -530,8 +479,7 @@ def _coords_in_parametrization(vec, gens, zmods, ambient_moduli):
     sol = zl.solve_int(mat, list(vec))
     if sol is None:
         raise CocycleError("element is not in the subgroup")
-    out = [sol[a] % zmods[a] if zmods[a] else sol[a] for a in range(k)]
-    return out
+    return [sol[a] % zmods[a] if zmods[a] else sol[a] for a in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +571,7 @@ def induce_gamma(c, qd, prefix="gamma"):
         kn = gamma_phase_of(vec, qd, table, struct, names_by_factor)
         if kn.is_zero():
             continue
-        e = [0] * (2 * nq)
-        e[i] += 1
-        e[nq + j] += 1
-        terms.append((tuple(e), kn))
+        terms.append((_mono(2 * nq, i, nq + j), kn))
     phase = phase + Poly.make(2 * nq, table, terms)
 
     # carry corrections: for a torsion coordinate k of the quotient with
@@ -645,14 +590,8 @@ def induce_gamma(c, qd, prefix="gamma"):
         for k2, a, b, coef in q.bilinear:
             if k2 != t or not coef:
                 continue
-            e = [0] * (2 * nq)
-            e[a] += 1
-            e[nq + b] += 1
-            kterms.append((tuple(e), KNumber.make(table, Fraction(coef, d)) * kn))
-            e = [0] * (2 * nq)
-            e[b] += 1
-            e[nq + a] += 1
-            kterms.append((tuple(e), KNumber.make(table, Fraction(-coef, d)) * kn))
+            kterms.append((_mono(2 * nq, a, nq + b), KNumber.make(table, Fraction(coef, d)) * kn))
+            kterms.append((_mono(2 * nq, b, nq + a), KNumber.make(table, Fraction(-coef, d)) * kn))
         corr = corr + Poly.make(2 * nq, table, kterms)
     # no validator run here: the gamma phase of a torsion quotient has a
     # non-polynomial floor remainder, absorbed into ``correction`` for the
@@ -678,10 +617,8 @@ def phi_map(c, d_lattice, ctx, case_budget=256):
         return [CaseLeaf(ctx, c.group.full_lattice(), ("D is trivial",))], [], []
     rows = _pairing_rows(c, gens)
     # condition on g (full coordinates): Q~(d_a, g) in Z for all a
-    forms = []
-    for a in range(len(gens)):
-        forms.append([rows[a][j] for j in range(c.n)])
-    leaves = condition_lattice(ctx, forms, c.group.moduli, c.group.names, case_budget)
+    leaves = condition_lattice(ctx, [list(row) for row in rows], c.group.moduli, c.group.names,
+                               case_budget)
     return leaves, rows, zmods
 
 
@@ -723,30 +660,25 @@ def product_split(c, n1):
     n = c.n
     n2 = n - n1
     t = c.table
-    nv = 2 * n
 
-    def block_subst(x1_on, x2_on, y1_on, y2_on):
-        mapping = {}
-        for i in range(n):
-            on = (x1_on if i < n1 else x2_on)
-            mapping[i] = Poly.var(nv, t, i) if on else Poly.zero(nv, t)
-        for i in range(n):
-            on = (y1_on if i < n1 else y2_on)
-            mapping[n + i] = Poly.var(nv, t, n + i) if on else Poly.zero(nv, t)
-        return c.phase.substitute(mapping, nv)
+    def restrict(*zero):
+        # the substitution of 0 for the variables in the given blocks keeps
+        # exactly the terms whose exponents there are all 0
+        return Poly(2 * n, t, tuple((e, q) for e, q in c.phase.terms
+                                    if not any(e[i] for z in zero for i in z)))
 
-    q11 = block_subst(True, False, True, False)
-    q22 = block_subst(False, True, False, True)
-    cross = block_subst(False, True, True, False)  # Q((0,g2),(h1,0))
+    g1v, g2v = range(n1), range(n1, n)
+    h1v, h2v = range(n, n + n1), range(n + n1, 2 * n)
+    q11 = restrict(g2v, h2v)
+    q22 = restrict(g1v, h1v)
+    cross = restrict(g1v, h2v)  # Q((0,g2),(h1,0))
     # f must be bilinear in (g2, h1): every term must have total degree 1 in
     # each block
     for exps, _ in cross.terms:
-        d2 = sum(exps[n1:n])
-        d1 = sum(exps[n + 0:n + n1])
-        if (d1, d2) != (1, 1):
+        if (sum(exps[n:n + n1]), sum(exps[n1:n])) != (1, 1):
             return None
     resid = c.phase - q11 - q22 - cross
-    if not phase_is_integral(resid, t):
+    if integrality_violation(resid, t) is not None:
         return None
     g1 = GroupPresentation(c.group.moduli[:n1],
                            tuple(e for e in c.group.bilinear if e[0] < n1),

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass, replace
 
 from . import groups, zlinalg as zl
-from .cocycles import (BudgetExceeded, Cocycle, CocycleError, induce_gamma,
-                       phase_is_integral, phi_map, phi_surjective,
+from .cocycles import (BudgetExceeded, CocycleError, induce_gamma,
+                       integrality_violation, phi_map, phi_surjective,
                        product_split, push_to_quotient, restrict_to_lattice,
                        twisted_center, validate_cocycle)
-from .exact import INTEGER, empty_context
-from .poly import Poly
+from .exact import INTEGER, KNumber, empty_context
 
 ZSTABLE = "ZStable"
 NOT_ZSTABLE = "NotZStable"
@@ -123,8 +122,7 @@ def _combine(branch_verdicts):
 
 
 def _leaf_label(leaf):
-    parts = list(leaf.ctx.assumptions)
-    return "; ".join(parts) if parts else "unconditional"
+    return "; ".join(leaf.ctx.assumptions) or "unconditional"
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +142,7 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     if node.verdict != UNDECIDED:
         return Verdict(z_stable=node.verdict, certificate=node)
     try:
-        out = _two_step(c, None, ctx, case_budget)
+        out = _two_step(c, ctx, case_budget)
     except (CocycleError, ValueError, BudgetExceeded):
         out = None
     if isinstance(out, Verdict) and out.z_stable != UNDECIDED:
@@ -177,9 +175,7 @@ def _decide_node(c, ctx, level, case_budget):
                          ("group is finite: index over the twisted center is finite",))
     try:
         leaves = twisted_center(c, ctx, case_budget)
-    except BudgetExceeded as e:
-        return TraceNode(level, g, (), UNDECIDED, (f"undecided: {e}",))
-    except CocycleError as e:
+    except (BudgetExceeded, CocycleError) as e:
         return TraceNode(level, g, (), UNDECIDED, (f"undecided: {e}",))
     branches = []
     for leaf in leaves:
@@ -226,45 +222,8 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     return Verdict(z_stable=node.verdict, certificate=node)
 
 
-def decide_torus(theta, table, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
-    """Non-commutative torus verdict from an alternating KNumber matrix:
-    builds the phase sum_{i<j} Theta[i][j] g_i h_j on Z^n (whose
-    antisymmetrization is exactly Theta) and delegates to the abelian rule."""
-    n = len(theta)
-    for i in range(n):
-        if len(theta[i]) != n:
-            raise ValueError("Theta must be square")
-        if not theta[i][i].is_zero():
-            raise ValueError("Theta must be alternating (nonzero diagonal)")
-        for j in range(n):
-            if not (theta[i][j] + theta[j][i]).is_zero():
-                raise ValueError("Theta must be alternating")
-    g = groups.abelian((0,) * n)
-    terms = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if theta[i][j].is_zero():
-                continue
-            e = [0] * (2 * n)
-            e[i] = 1
-            e[n + j] = 1
-            terms.append((tuple(e), theta[i][j]))
-    c = Cocycle(g, table, Poly.make(2 * n, table, terms))
-    return decide_abelian(c, ctx, case_budget)
-
-
 # ---------------------------------------------------------------------------
 # 2-step shortcut and generalized Heisenberg groups
-
-
-def commutator_subgroup(g):
-    gens = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            vec = tuple(g.b(k, i, j) - g.b(k, j, i) for k in range(g.n))
-            if any(vec):
-                gens.append(vec)
-    return zl.SubgroupLattice(g.moduli, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -272,26 +231,31 @@ class Inapplicable:
     reason: str
 
 
-def decide_two_step(c, d_in_quotient=None, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
+def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Single-quotient criterion for 2-step groups.
 
-    Requires a central subgroup D of G/Z(G,sigma) inside the image of the
-    center with (i) the commutator subgroup of the quotient contained in D,
-    (ii) the pushed-down cocycle trivial on D x D, (iii) the pairing
-    phi_D surjective.  Then Z-stability holds iff [M : Z(M, Res omega_gamma)]
-    is infinite for all gamma, with M = ker(phi_D).
+    Takes D = the image of the center Z(G) in the quotient Q = G/Z(G,sigma).
+    The criterion asks for (i) the commutator subgroup [Q,Q] inside D, D
+    central in Q, (ii) the pushed-down cocycle trivial on D x D and (iii) the
+    pairing phi_D surjective.  Then Z-stability holds iff
+    [M : Z(M, Res omega_gamma)] is infinite for all gamma, with M = ker(phi_D).
 
-    Returns a Verdict, or Inapplicable when a hypothesis fails.
+    (i) and the centrality of D hold for this D and are not checked: the
+    projection p: G -> Q is a surjective homomorphism, so [Q,Q] = p([G,G]),
+    and [G,G] lies in Z(G) because G is 2-step, so [Q,Q] lies in p(Z(G)) = D;
+    and for z in Z(G) and any q = p(g), p(z) q = p(zg) = p(gz) = q p(z).
+
+    Returns a Verdict, or Inapplicable when (ii) or (iii) fails.
     """
     ctx = ctx or empty_context(c.table)
     _require_cocycle(c)
-    return _two_step(c, d_in_quotient, ctx, case_budget)
+    return _two_step(c, ctx, case_budget)
 
 
-def _two_step(c, d_in_quotient, ctx, case_budget):
+def _two_step(c, ctx, case_budget):
     branches = []
     for leaf in twisted_center(c, ctx, case_budget):
-        out = _two_step_leaf(c, leaf, d_in_quotient, case_budget)
+        out = _two_step_leaf(c, leaf, case_budget)
         if isinstance(out, Inapplicable):
             return out
         branches.append(out)
@@ -300,7 +264,7 @@ def _two_step(c, d_in_quotient, ctx, case_budget):
     return Verdict(z_stable=node.verdict, certificate=node)
 
 
-def _two_step_leaf(c, leaf, d_in_quotient, case_budget):
+def _two_step_leaf(c, leaf, case_budget):
     g = c.group
     if g.is_finite() or leaf.lattice.index() is not math.inf:
         return Branch.from_leaf(leaf, NOT_ZSTABLE, leaf.conditions +
@@ -311,29 +275,14 @@ def _two_step_leaf(c, leaf, d_in_quotient, case_budget):
     except (CocycleError, ValueError) as e:
         return Inapplicable(f"quotient construction failed: {e}")
     quo = qd.group
-    if d_in_quotient is None:
-        cols = [tuple(qd.projection.apply_raw(list(col)))
-                for col in g.center().hnf_basis]
-        dlat = zl.SubgroupLattice(quo.moduli, tuple(cols))
-    else:
-        dlat = d_in_quotient
-    # (i) commutator subgroup of the quotient sits inside D
-    comm = commutator_subgroup(quo)
-    for col in comm.hnf_basis:
-        if not dlat.contains(list(col)):
-            return Inapplicable("hypothesis (i) fails: commutator subgroup of the "
-                                "quotient is not contained in D")
-    # D central in the quotient
-    center_q = quo.center()
-    for col in dlat.gens:
-        if not center_q.contains(list(col)):
-            return Inapplicable("D is not central in the quotient")
+    dlat = zl.SubgroupLattice(quo.moduli, tuple(tuple(qd.projection.apply_raw(list(col)))
+                                                for col in g.center().hnf_basis))
     # (ii) the pushed-down cocycle is trivial on D x D
     try:
         rw, _, _, _ = restrict_to_lattice(w, dlat)
     except CocycleError as e:
         return Inapplicable(f"hypothesis (ii) not checkable: {e}")
-    if not phase_is_integral(rw.phase, w.table):
+    if integrality_violation(rw.phase, w.table) is not None:
         return Inapplicable("hypothesis (ii) fails: the cocycle is not trivial on D x D")
     # (iii) surjectivity of the pairing
     try:
@@ -371,7 +320,7 @@ def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     if len(recv) > 1:
         raise ValueError("decide_heisenberg expects a Heisenberg-shaped presentation "
                          "(a single receiving coordinate)")
-    out = decide_two_step(c, None, ctx, case_budget)
+    out = decide_two_step(c, ctx, case_budget)
     if isinstance(out, Inapplicable):
         raise CocycleError(f"Heisenberg criterion inapplicable: {out.reason}")
     return out
@@ -398,42 +347,28 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     must have a Z-stable factor (contrapositive: two rational factors sink the
     product).  Anything else: inapplicable.
     """
-    ctx = ctx or empty_context(c.table)
     g = c.group
+    if not 0 < n1 < g.n:
+        raise ValueError(f"n1 must lie in 1..{g.n - 1} so that both factors have a "
+                         f"coordinate, got {n1}")
+    ctx = ctx or empty_context(c.table)
     if not g.is_abelian():
         return ProductRuleOutcome(False, reason="product rules cover abelian factors only")
     split = product_split(c, n1)
     if split is None:
         return ProductRuleOutcome(False, reason="cocycle is not in product form")
     s1, s2, fmat = split
-    n2 = g.n - n1
+    fcols = [list(col) for col in zip(*fmat)]  # fcols[j1][i2] = f(e_j1, e_i2)
+    zero = KNumber.make(c.table)
 
-    def f_trivial_against(vec2, cctx):
-        # f(h1, g2) with g2 = vec2, for every generator h1
-        for j1 in range(n1):
-            val = sum((fmat[i2][j1] * vec2[i2] for i2 in range(n2)),
-                      fmat[0][j1].scale(0))
-            if cctx.classify(val).kind != INTEGER:
-                return False
-        return True
+    def f_vanishes(rows, leaves, skip=0):
+        # row . col[skip:] is an integer for every row and every lattice
+        # generator col of every leaf, classified in the leaf's context
+        return all(leaf.ctx.classify(sum((r * x for r, x in zip(row, col[skip:])), zero)).kind == INTEGER
+                   for leaf in leaves for col in leaf.lattice.hnf_basis for row in rows)
 
-    def f_trivial_first_slot(vec1, cctx):
-        for i2 in range(n2):
-            val = sum((fmat[i2][j1] * vec1[j1] for j1 in range(n1)),
-                      fmat[i2][0].scale(0))
-            if cctx.classify(val).kind != INTEGER:
-                return False
-        return True
-
-    # forward rule
-    forward_ok = True
-    for leaf in twisted_center(c, ctx, case_budget):
-        for col in leaf.lattice.hnf_basis:
-            if not f_trivial_against([col[n1 + i] for i in range(n2)], leaf.ctx):
-                forward_ok = False
-                break
-        if not forward_ok:
-            break
+    # forward rule: f(., g2) trivial on the g2 part of the product's twisted center
+    forward_ok = f_vanishes(fcols, twisted_center(c, ctx, case_budget), n1)
     v1 = decide_abelian(s1, ctx, case_budget)
     if forward_ok and v1.z_stable == ZSTABLE:
         return ProductRuleOutcome(True, ZSTABLE,
@@ -441,15 +376,8 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
                                   "twisted center of the product")
     # converse rule (contrapositive)
     v2 = decide_abelian(s2, ctx, case_budget)
-    converse_ok = True
-    for leaf in twisted_center(s1, ctx, case_budget):
-        for col in leaf.lattice.hnf_basis:
-            if not f_trivial_first_slot(list(col), leaf.ctx):
-                converse_ok = False
-    for leaf in twisted_center(s2, ctx, case_budget):
-        for col in leaf.lattice.hnf_basis:
-            if not f_trivial_against(list(col), leaf.ctx):
-                converse_ok = False
+    converse_ok = (f_vanishes(fmat, twisted_center(s1, ctx, case_budget))
+                   and f_vanishes(fcols, twisted_center(s2, ctx, case_budget)))
     if converse_ok and v1.z_stable == NOT_ZSTABLE and v2.z_stable == NOT_ZSTABLE:
         return ProductRuleOutcome(True, NOT_ZSTABLE,
                                   "both factors rational and f vanishes against "

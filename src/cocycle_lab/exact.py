@@ -21,8 +21,6 @@ from functools import cached_property
 
 from . import zlinalg as zl
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 INTEGER = "integer"
@@ -60,9 +58,6 @@ class SymbolTable:
     def names(self):
         return tuple(self.thetas) + tuple(n for n, _ in self.xis)
 
-    def is_theta(self, name):
-        return name in self.thetas
-
     def torsion_order(self, name):
         for n, m in self.xis:
             if n == name:
@@ -72,9 +67,6 @@ class SymbolTable:
     def with_xis(self, new_xis):
         """Extended table with additional parameter symbols appended."""
         return SymbolTable(self.thetas, self.xis + tuple(new_xis), self.relations)
-
-    def index(self, name):
-        return self.names.index(name)
 
 
 @dataclass(frozen=True)
@@ -125,8 +117,6 @@ class KNumber:
         return KNumber(self.table, -self.const, tuple((n, -c) for n, c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -199,10 +189,6 @@ def symbol(table, name, q=1):
 class Classification:
     kind: str
     denominator: int | None = None  # for integer/rational: m with m*x in Z (if known)
-    residual: tuple | None = None  # canonical open symbol part, for splitting
-
-    def is_rational(self):
-        return self.kind in (INTEGER, RATIONAL)
 
 
 @dataclass(frozen=True)
@@ -362,7 +348,7 @@ class RationalityContext:
                 q = _collinear(residual, fres)
                 if q is not None and q != 0:
                     return Classification(IRRATIONAL)
-            return Classification(UNDETERMINED, residual=tuple(residual))
+            return Classification(UNDETERMINED)
         # rational: try for a denominator bound from the integral facts alone
         _, integ = self._fact_parts
         ivecs = [u for u, _ in integ if any(u)]

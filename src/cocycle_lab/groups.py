@@ -156,14 +156,11 @@ class QuotientData:
     torsion_lifts: tuple  # per quotient coord: d_k * lift(e_k) in N, or None
 
 
-def quotient_by_central(g, sub, section_shift=None):
+def quotient_by_central(g, sub):
     """Quotient of g by a central subgroup given as a SubgroupLattice.
 
     Returns QuotientData with a multiplicative projection and a linear section
-    (section(e) = e, projection o section = id).  ``section_shift`` optionally
-    maps kept-coordinate index -> element of the subgroup, added to that
-    section basis vector; this produces an alternate valid section for
-    invariance testing.
+    (section(e) = e, projection o section = id).
 
     The subgroup must avoid the feeding coordinates; quotients that collapse
     feeding coordinates would leave the 2-step coordinate model and are
@@ -215,11 +212,6 @@ def quotient_by_central(g, sub, section_shift=None):
     quo = GroupPresentation(tuple(new_moduli_full[k] for k in kept), tuple(entries), names)
     proj = Morphism(g, quo, tuple(tuple(u[k]) for k in kept))
     sec_cols = [[p[i][k] for i in range(n)] for k in kept]
-    if section_shift:
-        for t, shift in section_shift.items():
-            if not sub.contains(list(shift)):
-                raise ValueError("section shift must lie in the subgroup")
-            sec_cols[t] = [x + s for x, s in zip(sec_cols[t], shift)]
     sec = Morphism(quo, g, tuple(tuple(sec_cols[t][i] for t in range(len(kept)))
                                  for i in range(n)))
     lifts = []
@@ -237,57 +229,20 @@ def quotient_by_central(g, sub, section_shift=None):
 # builders
 
 
-def abelian(moduli, names=()):
-    return GroupPresentation(tuple(moduli), (), tuple(names))
+def abelian(moduli):
+    return GroupPresentation(tuple(moduli))
 
 
-def heisenberg(b, names=()):
-    """Generalized discrete Heisenberg group H(B) = Z x Z^m x Z^m with
-    (r,s,t)(r',s',t') = (r + r' + t B s'^T, s + s', t + t').
-
-    Returns (presentation, iso) where iso is the coordinate change to the
-    diagonal form H(d_1..d_n) x Z^{2(m-n)} (identity when B is diagonal)."""
-    m = len(b)
-    for row in b:
-        if len(row) != m:
-            raise ValueError("B must be square")
-    n = 1 + 2 * m
-    entries = []
-    for i in range(m):
-        for j in range(m):
-            if b[i][j]:
-                # r-coordinate 0; s block 1..m; t block m+1..2m
-                entries.append((0, 1 + m + i, 1 + j, b[i][j]))
-    if not names:
-        names = ("r",) + tuple(f"s{i+1}" for i in range(m)) + tuple(f"t{i+1}" for i in range(m))
-    pres = GroupPresentation((0,) * n, tuple(entries), tuple(names))
-    uu, dd, vv = zl.snf([row[:] for row in b])
-    diag = [dd[i][i] for i in range(m)]
-    # t B s'^T = (t U^-1) D (V^-1 s'^T): new s = V^T-inverse action, new t = t U^-1
-    uinv = zl.inverse_unimodular(uu)
-    vinv = zl.inverse_unimodular(vv)
-    dpres = heisenberg_diag(diag)
-    rows = [[0] * n for _ in range(n)]
-    rows[0][0] = 1
-    for i in range(m):
-        for j in range(m):
-            rows[1 + i][1 + j] = vinv[i][j]  # s-hat = V^-1 applied from the left? see below
-            rows[1 + m + i][1 + m + j] = uinv[j][i]  # t-hat = t U^-1 (row vector)
-    iso = Morphism(pres, dpres[0], tuple(tuple(r) for r in rows))
-    return pres, iso
-
-
-def heisenberg_diag(ds, names=()):
+def heisenberg_diag(ds):
+    """Generalized discrete Heisenberg group H(d_1..d_m) = Z x Z^m x Z^m with
+    (r,s,t)(r',s',t') = (r + r' + sum_i d_i t_i s'_i, s + s', t + t')."""
     m = len(ds)
-    b = [[ds[i] if i == j else 0 for j in range(m)] for i in range(m)]
     entries = []
     for i in range(m):
         if ds[i]:
             entries.append((0, 1 + m + i, 1 + i, ds[i]))
-    if not names:
-        names = ("r",) + tuple(f"s{i+1}" for i in range(m)) + tuple(f"t{i+1}" for i in range(m))
-    pres = GroupPresentation((0,) * (1 + 2 * m), tuple(entries), tuple(names))
-    return pres, None
+    names = ("r",) + tuple(f"s{i+1}" for i in range(m)) + tuple(f"t{i+1}" for i in range(m))
+    return GroupPresentation((0,) * (1 + 2 * m), tuple(entries), names)
 
 
 def g3():
@@ -296,15 +251,6 @@ def g3():
     entries = ((3, 0, 1, 1), (4, 0, 2, 1), (5, 1, 2, 1))
     return GroupPresentation((0,) * 6, entries,
                              ("r1", "r2", "r3", "r12", "r13", "r23"))
-
-
-def direct_product(g1, g2):
-    n1 = g1.n
-    entries = list(g1.bilinear)
-    for k, i, j, c in g2.bilinear:
-        entries.append((k + n1, i + n1, j + n1, c))
-    names = tuple(g1.names) + tuple(n if n not in g1.names else f"{n}'" for n in g2.names)
-    return GroupPresentation(g1.moduli + g2.moduli, tuple(entries), names)
 
 
 def z_times_h3():

@@ -30,7 +30,7 @@ carries its 1-based line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups
@@ -55,12 +55,11 @@ class Problem:
     context: object
     density: DensityDatum | None = None
     homogeneous: bool = False
-    path: str = "<string>"
 
 
 _BUILDERS = {
     "abelian": lambda args: groups.abelian(tuple(args)),
-    "heisenberg_diag": lambda args: groups.heisenberg_diag(tuple(args))[0],
+    "heisenberg_diag": lambda args: groups.heisenberg_diag(tuple(args)),
     "g3": lambda args: groups.g3(),
     "z_times_h3": lambda args: groups.z_times_h3(),
 }
@@ -158,6 +157,8 @@ def _parse_group(lines):
         elif key in ("moduli", "bilinear") and built is not None:
             raise ProblemError(i, "builder cannot be mixed with raw lines or repeated")
         elif key == "moduli":
+            if moduli is not None:
+                raise ProblemError(i, "repeated moduli line")
             try:
                 moduli = tuple(int(a) for a in parts[1:])
             except ValueError:
@@ -165,7 +166,12 @@ def _parse_group(lines):
             if not moduli or any(m < 0 for m in moduli):
                 raise ProblemError(i, "moduli must be nonnegative (0 = infinite)")
         elif key == "names":
+            if names is not None:
+                raise ProblemError(i, "repeated names line")
             names = tuple(parts[1:])
+            for k, name in enumerate(names):
+                if name in names[:k]:
+                    raise ProblemError(i, f"duplicate coordinate name {name!r}")
         elif key == "bilinear":
             bilinear.append((i, parts[1:]))
         else:
@@ -265,7 +271,7 @@ def _parse_tf(lines, problem):
             raise ProblemError(i, f"unknown tf line {key!r}")
 
 
-def parse_problem(text, path="<string>"):
+def parse_problem(text):
     sections = _sections(text)
     if "group" not in sections:
         raise ProblemError(0, "missing [group] section")
@@ -277,7 +283,7 @@ def parse_problem(text, path="<string>"):
             for i, line in sections["cocycle"]]
     cocycle = phase_from_monomials(group, table, mono)
     problem = Problem(group=group, table=table, cocycle=cocycle,
-                      context=empty_context(table), path=path)
+                      context=empty_context(table))
     if "tf" in sections:
         _parse_tf(sections["tf"], problem)
     return problem
@@ -285,4 +291,4 @@ def parse_problem(text, path="<string>"):
 
 def load_problem(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read(), path=path)
+        return parse_problem(fh.read())

@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import groups
-from .cocycles import Cocycle, phase_from_monomials
-from .exact import SymbolTable, empty_context, symbol
-
 YES = "yes"
 NO_BY_NECESSITY = "no-by-necessity"
 UNDECIDED_TF = "undecided"
@@ -24,11 +20,9 @@ UNDECIDED_TF = "undecided"
 @dataclass(frozen=True)
 class DensityDatum:
     """Certified value of d_pi * covol(Gamma): an exact rational interval
-    [lower, upper] containing the real number, optionally labelled by a
-    symbolic expression for reports."""
+    [lower, upper] containing the real number."""
     lower: Fraction
     upper: Fraction
-    symbolic: str = ""
 
     def __post_init__(self):
         lo, up = Fraction(self.lower), Fraction(self.upper)
@@ -158,46 +152,3 @@ def multiwindow_bound(h_h2, h_g):
         m, m + 1,
         f"there exist eta_1, ..., eta_{m + 1} smooth windows forming a "
         f"multiwindow frame (m = f({n}) = {m})")
-
-
-# ---------------------------------------------------------------------------
-# the Z x H3(Z) family
-
-
-GABOR_COVOL = "alpha * beta^4"
-
-
-def gabor_family(t1="free", t2="free"):
-    """The standard family on Z x H3(Z): coordinates (k1, k2, k3, k4), phase
-    -t1 k1 l3 + t2 k4 l2 + t2 k4^2 l3 / 2 with t1 = alpha*beta and
-    t2 = beta^3.
-
-    Each parameter status is 'irrational' (declared as an axiomatically
-    irrational symbol), 'free' (rationality left open; verdicts split on it),
-    or a positive integer a, meaning the parameter is rational with minimal
-    denominator a (a*t integral).
-
-    Returns (cocycle, context, covol_note).  The covolume of the concrete
-    lattice is alpha * beta^4; verdicts additionally need a user-supplied
-    rational interval certificate for d_pi * covol.
-    """
-    thetas, xis = [], []
-    for name, status in (("t1", t1), ("t2", t2)):
-        if status == "irrational":
-            thetas.append(name)
-        elif status == "free":
-            xis.append((name, 0))
-        elif isinstance(status, int) and status >= 1:
-            xis.append((name, status))
-        else:
-            raise ValueError("parameter status must be 'irrational', 'free', or "
-                             "a positive integer denominator")
-    g = groups.z_times_h3()
-    table = SymbolTable(thetas=tuple(thetas), xis=tuple(xis))
-    s1, s2 = symbol(table, "t1"), symbol(table, "t2")
-    c = phase_from_monomials(g, table, [
-        (-s1, (1, 0, 0, 0), (0, 0, 1, 0)),
-        (s2, (0, 0, 0, 1), (0, 1, 0, 0)),
-        (s2.scale(Fraction(1, 2)), (0, 0, 0, 2), (0, 0, 1, 0)),
-    ])
-    return c, empty_context(table), GABOR_COVOL

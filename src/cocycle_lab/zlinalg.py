@@ -334,17 +334,10 @@ class SubgroupLattice:
         return len(self.moduli)
 
     def contains(self, v):
-        v = [x for x in v]
-        return member(self.hnf_basis, v)
-
-    def reduce(self, v):
-        return reduce_mod_columns(self.hnf_basis, list(v))
-
-    def key(self):
-        return (self.moduli, self.hnf_basis)
+        return member(self.hnf_basis, list(v))
 
     def same_subgroup(self, other):
-        return self.key() == other.key()
+        return (self.moduli, self.hnf_basis) == (other.moduli, other.hnf_basis)
 
     def index(self):
         """[ambient : self] as an int, or math.inf."""

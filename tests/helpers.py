@@ -1,16 +1,19 @@
 """Helpers that only the tests need: integer-matrix checks, brute-force
-group-law operations on a GroupPresentation, and references for the engine's
-kernels that share none of their shortcuts: substitution by KNumber products,
-the cocycle defect by four substitutions, an unabridged cocycle validator, the
-antisymmetrization by substitution and a slot-by-slot reference for the
-pairing rows."""
+group-law operations on a GroupPresentation, inputs for the invariance
+oracles (coboundary twists, shifted quotient sections), and references for
+the engine's kernels that share none of their shortcuts: substitution by
+KNumber products, the cocycle defect by four substitutions, an unabridged
+cocycle validator, the antisymmetrization by substitution and a slot-by-slot
+reference for the pairing rows."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
 from cocycle_lab.cocycles import (CocycleError, _law_polys,
                                   integrality_violation)
+from cocycle_lab.groups import Morphism
 from cocycle_lab.poly import Poly
 
 
@@ -61,6 +64,35 @@ def box(g, radius):
     coordinates in their residue range."""
     ranges = [range(-radius, radius + 1) if m == 0 else range(m) for m in g.moduli]
     return itertools.product(*ranges)
+
+
+def twist_by_coboundary(c, phi):
+    """c times the coboundary of e^{2 pi i phi}: the phase gains
+    (d phi)(g, h) = phi(g*h) - phi(g) - phi(h), with phi a Poly in n
+    variables and phi(e) an integer."""
+    n = c.n
+    nv = 2 * n
+    t = c.table
+    gh = _law_polys(c.group, t, nv, 0, n)
+    pg = phi.substitute({i: Poly.var(nv, t, i) for i in range(n)}, nv)
+    ph = phi.substitute({i: Poly.var(nv, t, n + i) for i in range(n)}, nv)
+    pgh = phi.substitute(dict(enumerate(gh)), nv)
+    return replace(c, phase=c.phase + pgh - pg - ph)
+
+
+def shifted_section(qd, shift):
+    """QuotientData with another linear section: shift maps a quotient
+    coordinate t to an element of the subgroup N that is added to the lift
+    of e_t; the torsion lifts d_t * lift(e_t) follow the new section."""
+    cols = [list(col) for col in zip(*qd.section.matrix)]  # cols[t] = lift of e_t
+    for t, s in shift.items():
+        if not qd.subgroup.contains(list(s)):
+            raise ValueError("section shift must lie in the subgroup")
+        cols[t] = [x + y for x, y in zip(cols[t], s)]
+    section = Morphism(qd.group, qd.section.target, tuple(zip(*cols)))
+    lifts = tuple(tuple(d * x for x in col) if d else None
+                  for d, col in zip(qd.group.moduli, cols))
+    return replace(qd, section=section, torsion_lifts=lifts)
 
 
 def _knumber_product(a, b):

@@ -13,25 +13,24 @@ from fractions import Fraction
 from cocycle_lab import groups, zlinalg as zl
 from cocycle_lab.cocycles import (Cocycle, CocycleError, antisym, cocycle_defect,
                                   induce_gamma, phase_from_monomials,
-                                  push_to_quotient, twist_by_coboundary,
-                                  twisted_center, validate_cocycle)
+                                  push_to_quotient, twisted_center,
+                                  validate_cocycle)
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_YES,
-                                  UNDECIDED, ZSTABLE, decide,
-                                  decide_heisenberg, decide_simplicity,
-                                  decide_torus)
+                                  UNDECIDED, ZSTABLE, decide, decide_abelian,
+                                  decide_heisenberg, decide_simplicity)
 from cocycle_lab.exact import (KNumber, SymbolTable, empty_context, knum,
                                symbol)
 from cocycle_lab.poly import Poly
 from cocycle_lab.problem import load_problem
 from cocycle_lab.timefreq import (NO_BY_NECESSITY, UNDECIDED_TF, YES,
-                                  DensityDatum, frame_verdict, gabor_family,
+                                  DensityDatum, frame_verdict,
                                   multiwindow_bound, multiwindow_f)
 
-from helpers import det, mat_mul
+from helpers import det, mat_mul, shifted_section, twist_by_coboundary
 from test_cli import FIXTURES, fixture
 from test_cocycles import (g3_cocycle, heis_cocycle, knumber_is_integral,
                            rand_phase, theta_table)
-from test_decision import trace_depth, walk
+from test_decision import torus, trace_depth, walk
 
 ALL_FIXTURES = ("torus2", "torus2-rational", "h3-trivial", "g3", "heis-1-2",
                 "heis-1-3", "z-times-h3-irr-irr", "z-times-h3-rat-irr",
@@ -55,19 +54,14 @@ def branch_labels(node):
 def test_acceptance_1_torus():
     start = time.monotonic()
     t = theta_table()
-    th = knum(t, 0, theta=1)
-    mat = [[KNumber.make(t, 0), th], [-th, KNumber.make(t, 0)]]
-    v = decide_torus(mat, t, theta_ctx(t))
+    v = decide_abelian(torus(t, 2, {(0, 1): knum(t, 0, theta=1)}), theta_ctx(t))
     assert v.z_stable == ZSTABLE
 
     for q in (2, 3, 5):
         for p in (1, q - 1):
             if math.gcd(p, q) != 1:
                 continue
-            tab = SymbolTable()
-            r = KNumber.make(tab, Fraction(p, q))
-            zero = KNumber.make(tab, 0)
-            v = decide_torus([[zero, r], [-r, zero]], tab)
+            v = decide_abelian(torus(SymbolTable(), 2, {(0, 1): Fraction(p, q)}))
             assert v.z_stable == NOT_ZSTABLE
             [branch] = v.certificate.branches
             assert branch.index == q * q
@@ -161,26 +155,32 @@ def test_acceptance_3_heisenberg():
 # 4. the Z x H3(Z) family in all four parameter assignments
 
 
+def gabor(name):
+    """Cocycle and context of a shipped Z x H3(Z) fixture."""
+    p = load_problem(fixture(f"z-times-h3-{name}"))
+    return p.cocycle, p.context
+
+
 def test_acceptance_4_gabor():
     start = time.monotonic()
-    c, ctx, _ = gabor_family("irrational", "irrational")
+    c, ctx = gabor("irr-irr")
     [leaf] = twisted_center(c, ctx)
     assert leaf.lattice.is_trivial()
     assert decide_simplicity(c, ctx)[0] == SIMPLE_YES
     assert decide(c, ctx).z_stable == ZSTABLE
 
-    c, ctx, _ = gabor_family(5, "irrational")
+    c, ctx = gabor("rat-irr")  # t1 rational 5
     [leaf] = twisted_center(c, ctx)
     assert leaf.lattice.hnf_basis == ((5, 0, 0, 0),)
     assert decide_simplicity(c, ctx)[0] == SIMPLE_NO
     assert decide(c, ctx).z_stable == ZSTABLE
 
-    c, ctx, _ = gabor_family("irrational", 4)
+    c, ctx = gabor("irr-rat")  # t2 rational 4
     [leaf] = twisted_center(c, ctx)
     assert leaf.lattice.hnf_basis == ((0, 4, 0, 0),)
     assert decide_simplicity(c, ctx)[0] == SIMPLE_NO
 
-    c, ctx, _ = gabor_family(3, 4)
+    c, ctx = gabor("rat-rat")  # t1 rational 3, t2 rational 4
     [leaf] = twisted_center(c, ctx)
     assert leaf.lattice.hnf_basis == ((3, 0, 0, 0), (0, 4, 0, 0))
     assert decide_simplicity(c, ctx)[0] == SIMPLE_NO
@@ -426,10 +426,8 @@ def test_acceptance_8_invariance():
         p = load_problem(fixture(name))
         leaves = twisted_center(p.cocycle, p.context)
         leaf = next(lf for lf in leaves if not lf.lattice.is_trivial())
-        shift = {coord: leaf.lattice.hnf_basis[0]}
         qd1 = groups.quotient_by_central(p.cocycle.group, leaf.lattice)
-        qd2 = groups.quotient_by_central(p.cocycle.group, leaf.lattice,
-                                         section_shift=shift)
+        qd2 = shifted_section(qd1, {coord: leaf.lattice.hnf_basis[0]})
         w1 = induce_gamma(push_to_quotient(p.cocycle, qd1), qd1)
         w2 = induce_gamma(push_to_quotient(p.cocycle, qd2), qd2)
         v1 = decide(w1)

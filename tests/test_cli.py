@@ -85,6 +85,13 @@ builder abelian 0
      "rational needs a positive integer denominator"),
     ("[symbols]\na param \u00b2\n[group]\nbuilder abelian 0\n[cocycle]\n", 2,
      "param takes an optional integer order"),
+    # one name for two coordinates, and a second moduli or names line
+    ("[group]\nmoduli 0 0\nnames x x\n[cocycle]\n1 * g:x * h:x\n", 3,
+     "duplicate coordinate name 'x'"),
+    ("[group]\nbuilder abelian 0 0\nnames a a\n[cocycle]\n", 3, "duplicate coordinate name 'a'"),
+    ("[group]\nmoduli 0 0\nnames a b\nnames c d\n[cocycle]\n1 * g:a * h:b\n", 4,
+     "repeated names line"),
+    ("[group]\nmoduli 0 0\nmoduli 0 0\n[cocycle]\n", 3, "repeated moduli line"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ProblemError) as e:
@@ -181,6 +188,8 @@ EXIT_MATRIX = [
     (["verdict", "no-such-file.problem"], 1),
     (["heisenberg", fixture("g3")], 1),             # wrong shape is an input error
     (["torus", fixture("torus2-rational")], 0),
+    (["validate", fixture("g3"), "--ctx", "nope=rational"], 1),
+    (["product", fixture("torus2"), "--n1", "1"], 2),  # g1 h2 is no product form
 ]
 
 
@@ -286,6 +295,21 @@ def test_contradictory_ctx_assertions_are_input_errors(tmp_path, capsys, symbols
     code, out, err = run(argv, capsys)
     assert code == 1 and not out
     assert "contradict" in err and all(a in err for a in assertions)
+
+
+TORUS = "[group]\nbuilder abelian 0 0\n[cocycle]\n1 * g:x1 * h:x2\n"
+
+
+@pytest.mark.parametrize("text, n1", [
+    (TORUS, "-1"), (TORUS, "2"), (TORUS, "5"), ("[group]\nbuilder g3\n[cocycle]\n", "0"),
+])
+def test_product_split_point_outside_1_to_n_minus_1_is_an_input_error(tmp_path, capsys,
+                                                                       text, n1):
+    f = tmp_path / "product.problem"
+    f.write_text(text)
+    code, out, err = run(["product", str(f), "--n1", n1], capsys)
+    assert code == 1 and not out
+    assert err.startswith("error: n1 must lie in 1..") and err.endswith(f", got {n1}\n")
 
 
 def test_tf_requires_density(tmp_path, capsys):

@@ -8,18 +8,18 @@ from hypothesis import assume, example, find, given, settings, strategies as st
 
 from cocycle_lab import groups, zlinalg as zl
 from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, _pairing_rows, antisym,
-                                  coboundary, cocycle_defect, induce_gamma,
-                                  is_cohomologous, phase_from_monomials,
-                                  phi_map, phi_surjective, product_split,
-                                  pull_back, push_to_quotient,
-                                  trivial_cocycle, twist_by_coboundary,
-                                  twisted_center, validate_cocycle)
+                                  cocycle_defect, induce_gamma,
+                                  phase_from_monomials, phi_map,
+                                  phi_surjective, product_split, pull_back,
+                                  push_to_quotient, twisted_center,
+                                  validate_cocycle)
 from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly
 
 from helpers import (antisym_reference, cocycle_defect_reference, commutator,
-                     pairing_rows_two_slot, validate_cocycle_reference)
+                     pairing_rows_two_slot, shifted_section, twist_by_coboundary,
+                     validate_cocycle_reference)
 
 
 def theta_table():
@@ -51,7 +51,7 @@ def g3_cocycle(table=None):
 def heis_cocycle(d2, p, table=None):
     """Phase (p/d2)(s1' r + t1 s1'(s1'-1)/2) + theta s2' t2 on H(1, d2);
     coordinates (r, s1, s2, t1, t2)."""
-    g, _ = groups.heisenberg_diag((1, d2))
+    g = groups.heisenberg_diag((1, d2))
     t = table or theta_table()
     q = Fraction(p, d2)
     mono = [
@@ -84,7 +84,7 @@ def knumber_is_integral(kn, table):
 
 def test_trivial_cocycle_is_valid():
     g = groups.g3()
-    assert validate_cocycle(trivial_cocycle(g)) is None
+    assert validate_cocycle(phase_from_monomials(g, SymbolTable(), [])) is None
 
 
 def test_g3_cocycle_is_valid():
@@ -96,7 +96,7 @@ def test_heisenberg_cocycle_is_valid():
 
 
 def test_normalization_violation_detected():
-    g, _ = groups.heisenberg_diag((1,))
+    g = groups.heisenberg_diag((1,))
     t = theta_table()
     c = phase_from_monomials(g, t, [(knum(t, 0, theta=1), (1, 0, 0), (0, 0, 0))])
     rep = validate_cocycle(c)
@@ -163,7 +163,7 @@ def test_validator_agrees_with_pointwise_defect_oracle():
 
 def test_defect_of_valid_cocycles_is_integral_on_random_points():
     rng = random.Random(22)
-    for c in (g3_cocycle(), heis_cocycle(3, 1), trivial_cocycle(groups.z_times_h3())):
+    for c in (g3_cocycle(), heis_cocycle(3, 1), phase_from_monomials(groups.z_times_h3(), SymbolTable(), [])):
         d = cocycle_defect(c)
         for _ in range(500):
             pt = tuple(rng.randint(-10, 10) for _ in range(3 * c.n))
@@ -205,7 +205,7 @@ def leaf_lattices(leaves):
 
 def test_twisted_center_of_trivial_cocycle_is_center():
     g = groups.g3()
-    c = trivial_cocycle(g)
+    c = phase_from_monomials(g, SymbolTable(), [])
     leaves = twisted_center(c, empty_context(c.table))
     assert len(leaves) == 1
     assert leaves[0].lattice.same_subgroup(g.center())
@@ -515,11 +515,15 @@ def rand_phi(rng, g, t):
 def test_coboundary_twists_stay_valid_and_cohomologous():
     rng = random.Random(31)
     for base in (g3_cocycle(), heis_cocycle(3, 1)):
+        g = base.group
         for _ in range(10):
-            phi = rand_phi(rng, base.group, base.table)
+            phi = rand_phi(rng, g, base.table)
             twisted = twist_by_coboundary(base, phi)
             assert validate_cocycle(twisted) is None
-            assert is_cohomologous(twisted, base, phi)
+            for _ in range(20):
+                x, y = (tuple(rng.randint(-3, 3) for _ in range(g.n)) for _ in "xy")
+                diff = twisted.phase.eval(x + y) - base.phase.eval(x + y)
+                assert diff == phi.eval(g.multiply(x, y)) - phi.eval(x) - phi.eval(y)
 
 
 def test_twisted_center_invariant_under_coboundary():
@@ -586,7 +590,7 @@ def test_inflation_of_pushdown_is_cohomologous_to_original():
     for _ in range(200):
         x = [rng.randint(0, 2), *(rng.randint(-4, 4) for _ in range(n - 1))]
         y = [rng.randint(0, 2), *(rng.randint(-4, 4) for _ in range(n - 1))]
-        diff = c.value(x, y) - back.value(x, y)
+        diff = c.phase.eval(tuple(x + y)) - back.phase.eval(tuple(x + y))
         assert knumber_is_integral(diff, c.table)
 
 
@@ -632,8 +636,7 @@ def test_induced_antisym_matches_closed_form_heisenberg_formula():
 def test_section_choice_does_not_change_downstream_twisted_centers():
     c, ctx, leaf, qd = heis_quotient()
     # alternative section: lift [r,s,t] to (r + d2*s1, s, t)
-    qd2 = groups.quotient_by_central(c.group, leaf.lattice,
-                                     section_shift={1: (3, 0, 0, 0, 0)})
+    qd2 = shifted_section(qd, {1: (3, 0, 0, 0, 0)})
     w1 = induce_gamma(push_to_quotient(c, qd), qd)
     w2 = induce_gamma(push_to_quotient(c, qd2), qd2)
     l1 = twisted_center(w1, ctx)

@@ -8,17 +8,17 @@ from fractions import Fraction
 import pytest
 
 from cocycle_lab import cocycles, exact, groups, zlinalg as zl
-from cocycle_lab.cocycles import (CocycleError, phase_from_monomials,
-                                  trivial_cocycle, twist_by_coboundary)
+from cocycle_lab.cocycles import CocycleError, phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   SIMPLE_YES, UNDECIDED, ZSTABLE, Inapplicable,
                                   decide, decide_abelian, decide_heisenberg,
                                   decide_product, decide_simplicity,
-                                  decide_torus, decide_two_step)
+                                  decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
 from cocycle_lab.problem import load_problem, parse_problem
 
+from helpers import box, commutator, twist_by_coboundary
 from test_cli import all_fixtures, fixture
 from test_cocycles import g3_cocycle, heis_cocycle, theta_table
 
@@ -40,8 +40,8 @@ def walk(node):
 
 
 def test_heisenberg_trivial_cocycle_is_rational():
-    g, _ = groups.heisenberg([[1]])
-    v = decide(trivial_cocycle(g))
+    g = groups.heisenberg_diag((1,))
+    v = decide(phase_from_monomials(g, SymbolTable(), []))
     assert v.z_stable == NOT_ZSTABLE
     assert v.pure == NOT_ZSTABLE and v.nowhere_scattered == NOT_ZSTABLE
 
@@ -54,31 +54,31 @@ def test_free_two_step_theta_phase_is_zstable():
 
 
 def test_zstable_flags_agree():
-    for c in (g3_cocycle(), trivial_cocycle(groups.abelian((0, 0)))):
+    for c in (g3_cocycle(), phase_from_monomials(groups.abelian((0, 0)), SymbolTable(), [])):
         v = decide(c)
         assert v.pure == v.z_stable == v.nowhere_scattered
 
 
 def test_integer_lattice_trivial_cocycle_is_rational():
-    v = decide(trivial_cocycle(groups.abelian((0,))))
+    v = decide(phase_from_monomials(groups.abelian((0,)), SymbolTable(), []))
     assert v.z_stable == NOT_ZSTABLE
 
 
 def test_finite_group_is_always_rational():
-    v = decide(trivial_cocycle(groups.abelian((2, 4))))
+    v = decide(phase_from_monomials(groups.abelian((2, 4)), SymbolTable(), []))
     assert v.z_stable == NOT_ZSTABLE
     assert "finite" in v.certificate.notes[0]
 
 
 def test_recursion_depth_bounded_by_free_rank():
-    for c in (g3_cocycle(), heis_cocycle(3, 2), trivial_cocycle(groups.g3())):
+    for c in (g3_cocycle(), heis_cocycle(3, 2), phase_from_monomials(groups.g3(), SymbolTable(), [])):
         v = decide(c)
         hirsch = sum(1 for m in c.group.moduli if m == 0)
         assert trace_depth(v.certificate) <= hirsch + 1
 
 
 def test_node_verdicts_are_conjunctions_of_branches():
-    for c in (g3_cocycle(), heis_cocycle(2, 1), trivial_cocycle(groups.g3())):
+    for c in (g3_cocycle(), heis_cocycle(2, 1), phase_from_monomials(groups.g3(), SymbolTable(), [])):
         v = decide(c)
         for node in walk(v.certificate):
             if not node.branches:
@@ -116,16 +116,26 @@ def theta_entry():
     return t, knum(t, 0, theta=1), KNumber.make(t, 0)
 
 
+def torus(t, n, upper):
+    """The phase sum Theta[i][j] g_i h_j on Z^n over the entries (i, j) ->
+    Theta[i][j], i < j, of an alternating matrix: its antisymmetrization is
+    Theta."""
+    def unit(i):
+        return tuple(int(k == i) for k in range(n))
+
+    return phase_from_monomials(groups.abelian((0,) * n), t,
+                                [(x, unit(i), unit(j)) for (i, j), x in upper.items()])
+
+
 def test_irrational_rotation_torus_is_zstable():
-    t, th, z = theta_entry()
-    v = decide_torus([[z, th], [-th, z]], t)
+    t, th, _ = theta_entry()
+    v = decide_abelian(torus(t, 2, {(0, 1): th}))
     assert v.z_stable == ZSTABLE
 
 
 def test_rational_rotation_torus_has_finite_index():
-    t, th, z = theta_entry()
-    q = KNumber.make(t, Fraction(2, 5))
-    v = decide_torus([[z, q], [-q, z]], t)
+    t, _, _ = theta_entry()
+    v = decide_abelian(torus(t, 2, {(0, 1): KNumber.make(t, Fraction(2, 5))}))
     assert v.z_stable == NOT_ZSTABLE
     # brute-force oracle: {g : (2/5)g_i integral} = (5Z)^2, index 25
     pts = [g for g in itertools.product(range(5), repeat=2)
@@ -137,34 +147,22 @@ def test_rational_rotation_torus_has_finite_index():
 
 def test_mixed_torus_is_zstable_by_infinite_index():
     # one irrational block is enough: the twisted center loses free rank
-    t, th, z = theta_entry()
-    q = KNumber.make(t, Fraction(2, 5))
-    v = decide_torus([[z, th, z, z], [-th, z, z, z],
-                      [z, z, z, q], [z, z, -q, z]], t)
+    t, th, _ = theta_entry()
+    v = decide_abelian(torus(t, 4, {(0, 1): th, (2, 3): KNumber.make(t, Fraction(2, 5))}))
     assert v.z_stable == ZSTABLE
 
 
 def test_fully_rational_four_torus_is_not_zstable():
-    t, _, z = theta_entry()
-    q = KNumber.make(t, Fraction(1, 2))
-    p = KNumber.make(t, Fraction(1, 3))
-    v = decide_torus([[z, q, z, z], [-q, z, z, z],
-                      [z, z, z, p], [z, z, -p, z]], t)
+    t, _, _ = theta_entry()
+    v = decide_abelian(torus(t, 4, {(0, 1): KNumber.make(t, Fraction(1, 2)),
+                                    (2, 3): KNumber.make(t, Fraction(1, 3))}))
     assert v.z_stable == NOT_ZSTABLE
     assert v.certificate.branches[0].index == 4 * 9
 
 
-def test_torus_requires_alternating_matrix():
-    t, th, z = theta_entry()
-    with pytest.raises(ValueError):
-        decide_torus([[z, th], [th, z]], t)
-    with pytest.raises(ValueError):
-        decide_torus([[th, z], [z, th.scale(-1)]], t)
-
-
 def test_abelian_rule_rejects_nonabelian_groups():
     with pytest.raises(ValueError):
-        decide_abelian(trivial_cocycle(groups.g3()))
+        decide_abelian(phase_from_monomials(groups.g3(), SymbolTable(), []))
 
 
 def test_abelian_splits_on_undetermined_parameter():
@@ -188,8 +186,8 @@ def test_heisenberg_with_torsion_and_theta_is_zstable():
 
 
 def test_heisenberg_trivial_cocycle_via_shortcut():
-    g, _ = groups.heisenberg_diag((1, 3))
-    assert decide_heisenberg(trivial_cocycle(g)).z_stable == NOT_ZSTABLE
+    g = groups.heisenberg_diag((1, 3))
+    assert decide_heisenberg(phase_from_monomials(g, SymbolTable(), [])).z_stable == NOT_ZSTABLE
 
 
 def test_shortcut_and_recursion_agree():
@@ -212,10 +210,35 @@ def test_shortcut_verdict_is_coboundary_invariant():
 
 
 def test_two_step_reports_hypothesis_failures():
-    out = decide_two_step(heis_cocycle(3, 2),
-                          d_in_quotient=zl.SubgroupLattice((3, 0, 0, 0), ()))
-    assert isinstance(out, Inapplicable)
-    assert "commutator" in out.reason
+    # torus2: theta * g1 * h2 is not trivial on D x D with D = Z^2;
+    # g3: D = the image of the center is free, so phi_D cannot be surjective
+    for name, fragment in (("torus2", "hypothesis (ii) fails"),
+                           ("g3", "hypothesis (iii) fails or is undetermined: D has a free factor")):
+        p = load_problem(fixture(name))
+        out = decide_two_step(p.cocycle, p.context)
+        assert isinstance(out, Inapplicable)
+        assert out.reason.startswith(fragment), out.reason
+
+
+def test_two_step_quotients_satisfy_the_unchecked_hypotheses():
+    """decide_two_step takes D = p(Z(G)) in Q = G/Z(G, sigma) and does not
+    check that D contains [Q, Q] or that D is central: both follow from p
+    being a surjective homomorphism of a 2-step group.  Brute force on the
+    quotient of every shipped fixture's twisted-center leaves."""
+    nonabelian = 0
+    for path in all_fixtures():
+        p = load_problem(path)
+        for leaf in twisted_center(p.cocycle, p.context):
+            if leaf.lattice.index() is math.inf:
+                qd = groups.quotient_by_central(p.group, leaf.lattice)
+                quo = qd.group
+                d = zl.SubgroupLattice(quo.moduli, tuple(qd.projection.apply_raw(list(col))
+                                                         for col in p.group.center().hnf_basis))
+                assert all(quo.center().contains(list(col)) for col in d.gens)
+                for a, b in itertools.product(list(box(quo, 1)), repeat=2):
+                    assert d.contains(list(commutator(quo, a, b)))
+                nonabelian += not quo.is_abelian()
+    assert nonabelian == 7  # g3, heis-1-2, heis-1-3 and four z-times-h3 quotients
 
 
 def test_heisenberg_shortcut_rejects_multiple_receiving_coords():
@@ -241,7 +264,7 @@ def test_product_forward_rule_applies():
 
 def test_product_converse_rule_applies():
     t = theta_table()
-    c = trivial_cocycle(groups.abelian((0, 0, 0, 0)), t)
+    c = phase_from_monomials(groups.abelian((0, 0, 0, 0)), t, [])
     out = decide_product(c, 2)
     assert out.applicable and out.verdict == NOT_ZSTABLE
 
@@ -257,9 +280,17 @@ def test_product_rules_stay_silent_on_irrational_coupling():
 
 
 def test_product_rules_require_abelian_factors():
-    g = groups.direct_product(groups.g3(), groups.abelian((0,)))
-    out = decide_product(trivial_cocycle(g), 6)
+    g = groups.GroupPresentation((0,) * 7, groups.g3().bilinear)  # G(3) x Z
+    out = decide_product(phase_from_monomials(g, SymbolTable(), []), 6)
     assert not out.applicable
+
+
+@pytest.mark.parametrize("n1", [-1, 0, 4, 5])
+def test_product_split_point_outside_1_to_n_minus_1_is_rejected(n1):
+    t, th, _ = theta_entry()
+    c = product_fixture([(th, (1, 0, 0, 0), (0, 1, 0, 0))], t)
+    with pytest.raises(ValueError, match=rf"^n1 must lie in 1\.\.3 .*, got {n1}$"):
+        decide_product(c, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +308,8 @@ def test_simplicity_of_irrational_rotation_algebra():
 def test_simplicity_fails_with_nontrivial_twisted_center():
     verdict, _, _ = decide_simplicity(heis_cocycle(3, 2))
     assert verdict == SIMPLE_NO
-    verdict, _, _ = decide_simplicity(trivial_cocycle(groups.abelian((0, 0)),
-                                                      theta_table()))
+    verdict, _, _ = decide_simplicity(phase_from_monomials(groups.abelian((0, 0)),
+                                                           theta_table(), []))
     assert verdict == SIMPLE_NO
 
 
@@ -296,7 +327,7 @@ def test_simplicity_not_determined_beyond_central_fc():
     # finite, so FC(G) strictly contains the center and the supported
     # criterion does not apply
     g = groups.GroupPresentation((0, 0, 2), ((2, 0, 1, 1),), ("x", "y", "z"))
-    verdict, branches, notes = decide_simplicity(trivial_cocycle(g))
+    verdict, branches, notes = decide_simplicity(phase_from_monomials(g, SymbolTable(), []))
     assert verdict == SIMPLE_UNKNOWN
     assert branches == ()
 

@@ -6,7 +6,7 @@ import pytest
 from cocycle_lab import groups as gr
 from cocycle_lab import zlinalg as zl
 
-from helpers import box, commutator, det
+from helpers import box, commutator, shifted_section
 
 
 def small_box(g, radius=2):
@@ -36,8 +36,16 @@ def rand_presentation(rng, max_n=4):
     return gr.GroupPresentation(tuple(moduli), tuple(entries))
 
 
+def heisenberg_b(b):
+    """H(B) = Z x Z^m x Z^m with (r,s,t)(r',s',t') = (r + r' + t B s'^T,
+    s + s', t + t'), for any square integer matrix B."""
+    m = len(b)
+    entries = [(0, 1 + m + i, 1 + j, b[i][j]) for i in range(m) for j in range(m)]
+    return gr.GroupPresentation((0,) * (1 + 2 * m), tuple(entries))
+
+
 def test_h1_law():
-    h, _ = gr.heisenberg([[1]])
+    h = gr.heisenberg_diag([1])
     assert h.multiply((1, 1, 1), (1, 1, 1)) == (3, 2, 2)
 
 
@@ -57,7 +65,7 @@ def test_z_times_h3_law():
 
 def test_inverse_axiom():
     rng = random.Random(3)
-    for g in [gr.g3(), gr.z_times_h3(), gr.heisenberg([[1, 2], [0, 3]])[0]]:
+    for g in [gr.g3(), gr.z_times_h3(), heisenberg_b([[1, 2], [0, 3]])]:
         for _ in range(30):
             a = tuple(rng.randint(-4, 4) for _ in range(g.n))
             a = g.reduce(a)
@@ -67,8 +75,8 @@ def test_inverse_axiom():
 
 def test_associativity_on_boxes():
     rng = random.Random(7)
-    builders = [gr.g3(), gr.z_times_h3(), gr.heisenberg([[1]])[0],
-                gr.heisenberg_diag([1, 2])[0]]
+    builders = [gr.g3(), gr.z_times_h3(), gr.heisenberg_diag([1]),
+                gr.heisenberg_diag([1, 2]), heisenberg_b([[2, 4], [6, 8]])]
     for _ in range(20):
         builders.append(rand_presentation(rng, max_n=3))
     for g in builders:
@@ -82,7 +90,7 @@ def test_associativity_on_boxes():
 
 def test_commutator_central_and_formula():
     rng = random.Random(11)
-    for g in [gr.g3(), gr.z_times_h3(), gr.heisenberg([[2, 1], [1, 1]])[0]]:
+    for g in [gr.g3(), gr.z_times_h3(), heisenberg_b([[2, 1], [1, 1]])]:
         center = g.center()
         for _ in range(40):
             a = g.reduce(tuple(rng.randint(-3, 3) for _ in range(g.n)))
@@ -104,7 +112,7 @@ def test_center_known_groups():
         (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1)))
     assert c.same_subgroup(expected)
 
-    h, _ = gr.heisenberg_diag([1, 2])
+    h = gr.heisenberg_diag([1, 2])
     c = h.center()
     expected = zl.SubgroupLattice(h.moduli, ((1, 0, 0, 0, 0),))
     assert c.same_subgroup(expected)
@@ -182,7 +190,7 @@ def test_quotient_g3_by_r23_axis():
 
 def test_quotient_with_torsion_result():
     # H(1,d2) / (d2 Z x 0 x 0): first coordinate becomes Z/d2
-    h, _ = gr.heisenberg_diag([1, 3])
+    h = gr.heisenberg_diag([1, 3])
     n = zl.SubgroupLattice(h.moduli, ((3, 0, 0, 0, 0),))
     qd = gr.quotient_by_central(h, n)
     assert sorted(qd.group.moduli) == [0, 0, 0, 0, 3]
@@ -248,32 +256,11 @@ def test_quotient_hirsch_additive():
 
 
 def test_alternate_section():
-    h, _ = gr.heisenberg_diag([1, 3])
+    h = gr.heisenberg_diag([1, 3])
     n = zl.SubgroupLattice(h.moduli, ((3, 0, 0, 0, 0),))
-    qd = gr.quotient_by_central(h, n, section_shift={0: (3, 0, 0, 0, 0)})
+    qd = shifted_section(gr.quotient_by_central(h, n), {0: (3, 0, 0, 0, 0)})
     rng = random.Random(31)
     for _ in range(40):
         x = qd.group.reduce(tuple(rng.randint(-4, 4) for _ in range(5)))
         assert qd.projection.apply(qd.section.apply(x)) == x
     assert qd.section.apply(qd.group.identity()) == h.identity()
-
-
-def test_heisenberg_snf_iso():
-    b = [[2, 4], [6, 8]]
-    pres, iso = gr.heisenberg(b)
-    rng = random.Random(37)
-    for _ in range(80):
-        a = tuple(rng.randint(-3, 3) for _ in range(5))
-        c = tuple(rng.randint(-3, 3) for _ in range(5))
-        assert iso.apply(pres.multiply(a, c)) == iso.target.multiply(iso.apply(a), iso.apply(c))
-    # iso matrix is unimodular (a genuine isomorphism)
-    assert abs(det([list(r) for r in iso.matrix])) == 1
-
-
-def test_direct_product():
-    g = gr.direct_product(gr.abelian((0,)), gr.heisenberg([[1]])[0])
-    assert g.n == 4
-    a = (1, 1, 1, 1)
-    b = (1, 1, 1, 1)
-    # product law acts factor-wise
-    assert g.multiply(a, b) == (2, 3, 2, 2)

@@ -109,7 +109,7 @@ def test_substitute_linear_maps_commute_with_eval(data):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_substitute_group_laws_commute_with_eval(data):
-    group = data.draw(st.sampled_from([groups.heisenberg_diag((2,))[0], groups.g3(),
+    group = data.draw(st.sampled_from([groups.heisenberg_diag((2,)), groups.g3(),
                                        groups.z_times_h3()]))
     n = group.n
     p = data.draw(sparse_polys(n))

@@ -1,0 +1,69 @@
+"""Every public function, class or method defined in src/cocycle_lab must be
+named in src/ outside its own definition, or in the README's Python example:
+library code that only tests call belongs in tests/helpers.py."""
+
+import ast
+import glob
+import os
+import re
+
+from cocycle_lab import cli
+
+SRC = os.path.dirname(cli.__file__)
+README = os.path.join(SRC, os.pardir, os.pardir, "README.md")
+
+# the reference group law and evaluation the tests compare the engine against
+ALLOWED = {
+    "GroupPresentation.multiply": "brute-force group law for the oracles",
+    "GroupPresentation.inverse": "brute-force commutators and inverse axioms",
+    "GroupPresentation.identity": "identity element for the group-law oracles",
+    "Morphism.apply": "reduced image, to check projection and section pointwise",
+    "Poly.eval": "pointwise evaluation for the phase and defect oracles",
+}
+
+
+def identifier_nodes(tree):
+    """(identifier, node) for every name and attribute name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+
+
+def public_definitions(tree):
+    """(qualified name, node) of the public module-level functions and
+    classes and of the public methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_definition_has_a_caller_in_src_or_the_readme():
+    trees = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees.append(ast.parse(fh.read(), filename=path))
+    uses = {}
+    for tree in trees:
+        for name, node in identifier_nodes(tree):
+            uses.setdefault(name, []).append(node)
+    with open(README, encoding="utf-8") as fh:
+        example = "\n".join(re.findall(r"```python\n(.*?)```", fh.read(), re.S))
+    readme_names = {name for name, _ in identifier_nodes(ast.parse(example))}
+    assert {"decide", "phase_from_monomials"} <= readme_names
+    defined, unused = set(), []
+    for tree in trees:
+        for qual, node in public_definitions(tree):
+            defined.add(qual)
+            name = qual.rsplit(".", 1)[-1]
+            own = set(ast.walk(node))
+            if (qual not in ALLOWED and name not in readme_names
+                    and all(use in own for use in uses.get(name, ()))):
+                unused.append(qual)
+    assert unused == []
+    assert set(ALLOWED) <= defined

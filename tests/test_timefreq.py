@@ -6,9 +6,12 @@ import pytest
 from cocycle_lab.cocycles import twisted_center, validate_cocycle
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_YES, ZSTABLE,
                                   decide, decide_simplicity)
-from cocycle_lab.timefreq import (GABOR_COVOL, NO_BY_NECESSITY, UNDECIDED_TF,
-                                  YES, DensityDatum, FrameVerdict, frame_verdict,
-                                  gabor_family, multiwindow_bound, multiwindow_f)
+from cocycle_lab.problem import load_problem, parse_problem
+from cocycle_lab.timefreq import (NO_BY_NECESSITY, UNDECIDED_TF, YES, DensityDatum,
+                                  FrameVerdict, frame_verdict, multiwindow_bound,
+                                  multiwindow_f)
+
+from test_cli import fixture
 
 
 # ---------------------------------------------------------------------------
@@ -109,50 +112,70 @@ def test_shrinking_interval_never_flips_yes_to_undecided():
 # the Z x H3(Z) family
 
 
+IRR, FREE = "irrational", "param"
+
+
+def gabor(t1, t2):
+    """The z-times-h3 fixture family with the given [symbols] statuses of t1
+    and t2 (an int a stands for 'rational a')."""
+    with open(fixture("z-times-h3-irr-irr"), encoding="utf-8") as fh:
+        text = fh.read()
+    for name, status in (("t1", t1), ("t2", t2)):
+        text = text.replace(f"{name} irrational", f"{name} {status}" if status in (IRR, FREE)
+                            else f"{name} rational {status}")
+    p = parse_problem(text)
+    return p.cocycle, p.context
+
+
 def center_of(c, ctx):
     leaves = twisted_center(c, ctx)
     assert len(leaves) == 1
     return leaves[0].lattice
 
 
+def test_gabor_family_is_the_shipped_fixtures():
+    for name, t1, t2 in (("irr-irr", IRR, IRR), ("rat-irr", 5, IRR), ("irr-rat", IRR, 4),
+                         ("rat-rat", 3, 4)):
+        shipped = load_problem(fixture(f"z-times-h3-{name}"))
+        assert gabor(t1, t2) == (shipped.cocycle, shipped.context)
+
+
 def test_gabor_cocycle_is_valid_in_all_assignments():
-    for t1, t2 in itertools.product(("irrational", 5, "free"), repeat=2):
-        c, ctx, _ = gabor_family(t1, t2)
+    for t1, t2 in itertools.product((IRR, 5, FREE), repeat=2):
+        c, ctx = gabor(t1, t2)
         assert validate_cocycle(c) is None
 
 
 def test_gabor_twisted_center_matches_known_displays():
     # {(k1, k2, 0, 0) : t1 k1 and t2 k2 integral} in each assignment
-    c, ctx, _ = gabor_family("irrational", "irrational")
+    c, ctx = gabor(IRR, IRR)
     assert center_of(c, ctx).is_trivial()
-    c, ctx, _ = gabor_family(5, "irrational")
+    c, ctx = gabor(5, IRR)
     assert center_of(c, ctx).hnf_basis == ((5, 0, 0, 0),)
-    c, ctx, _ = gabor_family("irrational", 4)
+    c, ctx = gabor(IRR, 4)
     assert center_of(c, ctx).hnf_basis == ((0, 4, 0, 0),)
-    c, ctx, _ = gabor_family(3, 4)
+    c, ctx = gabor(3, 4)
     assert center_of(c, ctx).hnf_basis == ((3, 0, 0, 0), (0, 4, 0, 0))
 
 
 def test_gabor_simplicity_iff_both_irrational():
-    combos = [("irrational", "irrational"), (5, "irrational"),
-              ("irrational", 4), (3, 4)]
-    for t1, t2 in combos:
-        c, ctx, _ = gabor_family(t1, t2)
+    for t1, t2 in ((IRR, IRR), (5, IRR), (IRR, 4), (3, 4)):
+        c, ctx = gabor(t1, t2)
         verdict, _, _ = decide_simplicity(c, ctx)
-        expected = SIMPLE_YES if t1 == t2 == "irrational" else SIMPLE_NO
+        expected = SIMPLE_YES if t1 == t2 == IRR else SIMPLE_NO
         assert verdict == expected
 
 
 def test_gabor_nonrational_whenever_t2_is_irrational():
     # including rational t1, where the quotient is Z/a x H3(Z) and the induced
     # cocycle picks up no character dependence
-    for t1 in ("irrational", 2, 5):
-        c, ctx, _ = gabor_family(t1, "irrational")
+    for t1 in (IRR, 2, 5):
+        c, ctx = gabor(t1, IRR)
         assert decide(c, ctx).z_stable == ZSTABLE
 
 
 def test_gabor_both_rational_is_not_zstable():
-    c, ctx, _ = gabor_family(3, 4)
+    c, ctx = gabor(3, 4)
     v = decide(c, ctx)
     assert v.z_stable == NOT_ZSTABLE
 
@@ -162,7 +185,7 @@ def test_gabor_both_rational_level_two_oracle():
     # (invariant-factor form): elements with 4 | k3, k4 are central there, and
     # on the character branch where the induced phase is rational the twisted
     # center keeps full free rank 2, certifying a finite-index (rational) point
-    c, ctx, _ = gabor_family(3, 4)
+    c, ctx = gabor(3, 4)
     v = decide(c, ctx)
     level1 = [b.child for b in v.certificate.branches if b.child]
     assert len(level1) == 1
@@ -176,30 +199,18 @@ def test_gabor_both_rational_level_two_oracle():
 
 
 def test_gabor_free_parameters_split():
-    c, ctx, _ = gabor_family("free", "irrational")
+    c, ctx = gabor(FREE, IRR)
     leaves = twisted_center(c, ctx)
     assert len(leaves) >= 2
     lattices = {lf.lattice.hnf_basis for lf in leaves}
     assert () in lattices  # irrational branch: trivial twisted center
 
 
-def test_gabor_rejects_bad_status():
-    with pytest.raises(ValueError):
-        gabor_family("sometimes", 2)
-    with pytest.raises(ValueError):
-        gabor_family(0, 2)
-
-
-def test_gabor_covolume_expression():
-    _, _, covol = gabor_family("irrational", "irrational")
-    assert covol == GABOR_COVOL == "alpha * beta^4"
-
-
 def test_gabor_center_membership_brute_force():
     # oracle: g is in the twisted center iff it commutes with everything and
     # the antisymmetrized phase against every generator is integral; check on
     # a box for the (3, 4) assignment
-    c, ctx, _ = gabor_family(3, 4)
+    c, ctx = gabor(3, 4)
     lat = center_of(c, ctx)
     from cocycle_lab.cocycles import antisym
     from cocycle_lab.exact import INTEGER

@@ -143,7 +143,7 @@ def brute_index(lat):
     import itertools
 
     for v in itertools.product(span, repeat=n):
-        seen.add(tuple(lat.reduce(list(v))))
+        seen.add(tuple(zl.reduce_mod_columns(lat.hnf_basis, list(v))))
     return len(seen)
 
 
@@ -169,7 +169,7 @@ def test_index_with_torsion():
 
     reps = set()
     for a, b in itertools.product(range(8), range(4)):
-        reps.add(tuple(lat.reduce([a, b])))
+        reps.add(tuple(zl.reduce_mod_columns(lat.hnf_basis, [a, b])))
     assert lat.index() == len(reps)
 
 
