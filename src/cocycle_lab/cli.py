@@ -13,10 +13,9 @@ import os
 import sys
 
 from . import decision, groups
-from .cocycles import (BudgetExceeded, CocycleError, push_to_quotient,
-                       twisted_center, validate_cocycle)
-from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, _leaf_label, decide,
-                       decide_abelian, decide_heisenberg, decide_product,
+from .cocycles import BudgetExceeded, CocycleError, push_to_quotient
+from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
+                       decide, decide_abelian, decide_heisenberg, decide_product,
                        decide_simplicity)
 from .exact import symbol
 from .problem import ProblemError, load_problem
@@ -104,19 +103,24 @@ def _emit(args, human_lines, payload, code):
     return code
 
 
-def _load(args):
+def _parse(args):
+    """The problem and the one Analysis that every verdict of the command
+    shares."""
     problem = load_problem(args.file)
     _apply_ctx_assertions(problem, args.ctx)
-    viol = validate_cocycle(problem.cocycle)
-    if viol is not None:
-        raise ProblemError(0, f"cocycle invalid: {viol}")
-    return problem
+    return problem, Analysis(problem.cocycle, problem.context, args.case_budget)
+
+
+def _load(args):
+    p, a = _parse(args)
+    if a.violation is not None:
+        raise ProblemError(0, f"cocycle invalid: {a.violation}")
+    return p, a
 
 
 def cmd_validate(args):
-    problem = load_problem(args.file)
-    _apply_ctx_assertions(problem, args.ctx)
-    viol = validate_cocycle(problem.cocycle)
+    _, a = _parse(args)
+    viol = a.violation
     if viol is None:
         return _emit(args, ["ok: well-defined normalized 2-cocycle"],
                      {"valid": True}, OK)
@@ -125,7 +129,7 @@ def cmd_validate(args):
 
 
 def cmd_center(args):
-    p = _load(args)
+    p, _ = _load(args)
     lat = p.group.center()
     lines = ["center of the group:"] + _lattice_lines(lat, p.group.names)
     return _emit(args, lines,
@@ -133,10 +137,9 @@ def cmd_center(args):
 
 
 def cmd_twisted_center(args):
-    p = _load(args)
-    leaves = twisted_center(p.cocycle, p.context, args.case_budget)
+    p, a = _load(args)
     lines, data = [], []
-    for leaf in leaves:
+    for leaf in a.leaves:
         lines.append(f"case [{_leaf_label(leaf)}]:")
         lines.extend(_lattice_lines(leaf.lattice, p.group.names))
         for cond in leaf.conditions:
@@ -149,10 +152,9 @@ def cmd_twisted_center(args):
 
 
 def cmd_quotient(args):
-    p = _load(args)
-    leaves = twisted_center(p.cocycle, p.context, args.case_budget)
+    p, a = _load(args)
     lines, data, code = [], [], OK
-    for leaf in leaves:
+    for leaf in a.leaves:
         label = _leaf_label(leaf)
         try:
             qd = groups.quotient_by_central(p.group, leaf.lattice)
@@ -191,26 +193,24 @@ def _finish_verdict(args, v):
 
 
 def cmd_verdict(args):
-    p = _load(args)
-    v = decide(p.cocycle, p.context, args.case_budget)
-    simple, branches, notes = decide_simplicity(p.cocycle, p.context,
-                                                args.case_budget)
+    _, a = _load(args)
+    v = decide(a)
+    simple, branches, notes = decide_simplicity(a)
     v = decision.Verdict(v.z_stable, simple, v.certificate, notes)
     return _finish_verdict(args, v)
 
 
 def cmd_decompose(args):
-    p = _load(args)
-    v = decide(p.cocycle, p.context, args.case_budget)
+    _, a = _load(args)
+    v = decide(a)
     lines = _render_trace(v.certificate)
     code = OK if v.z_stable != UNDECIDED else UNDECIDED_EXIT
     return _emit(args, lines, {"verdict": v.to_dict()}, code)
 
 
 def cmd_simplicity(args):
-    p = _load(args)
-    simple, branches, notes = decide_simplicity(p.cocycle, p.context,
-                                                args.case_budget)
+    _, a = _load(args)
+    simple, branches, notes = decide_simplicity(a)
     lines = [f"simple: {simple}"] + [f"note: {n}" for n in notes]
     for b in branches:
         lines.append(f"case [{b.label}] -> {b.verdict}")
@@ -221,21 +221,20 @@ def cmd_simplicity(args):
 
 
 def cmd_torus(args):
-    p = _load(args)
+    p, a = _load(args)
     if not p.group.is_abelian():
         raise ProblemError(0, "torus criterion needs an abelian group")
-    return _finish_verdict(args, decide_abelian(p.cocycle, p.context, args.case_budget))
+    return _finish_verdict(args, decide_abelian(a))
 
 
 def cmd_heisenberg(args):
-    p = _load(args)
-    v = decide_heisenberg(p.cocycle, p.context, args.case_budget)
-    return _finish_verdict(args, v)
+    _, a = _load(args)
+    return _finish_verdict(args, decide_heisenberg(a))
 
 
 def cmd_product(args):
-    p = _load(args)
-    out = decide_product(p.cocycle, args.n1, p.context, args.case_budget)
+    _, a = _load(args)
+    out = decide_product(a, args.n1)
     if not out.applicable:
         lines = [f"product rules inapplicable: {out.reason}"]
         return _emit(args, lines, {"applicable": False, "reason": out.reason},
@@ -246,10 +245,10 @@ def cmd_product(args):
 
 
 def cmd_tf(args):
-    p = _load(args)
+    p, a = _load(args)
     if p.density is None:
         raise ProblemError(0, "tf verdict needs a density line in the [tf] section")
-    v = decide(p.cocycle, p.context, args.case_budget)
+    v = decide(a)
     if v.z_stable == UNDECIDED:
         return _emit(args, ["undecided: non-rationality of the cocycle could "
                             "not be determined"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import groups, zlinalg as zl
 from .cocycles import (BudgetExceeded, CocycleError, induce_gamma,
@@ -129,6 +130,36 @@ def _leaf_label(leaf):
 # the general recursion
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """The level-0 facts of a cocycle in a rationality context: whether it is
+    a 2-cocycle, and its twisted center's case leaves.  Each is computed on
+    first read and then shared by every verdict handed this value; an error
+    is not kept, so a second read raises it again.
+
+    Every verdict function takes a Cocycle, with an optional context and
+    case budget, or an Analysis, which carries its own."""
+    cocycle: object
+    ctx: object
+    case_budget: int = DEFAULT_CASE_BUDGET
+
+    @cached_property
+    def violation(self):
+        return validate_cocycle(self.cocycle)
+
+    @cached_property
+    def leaves(self):
+        return twisted_center(self.cocycle, self.ctx, self.case_budget)
+
+
+def _analysis(c, ctx, case_budget):
+    if not isinstance(c, Analysis):
+        return Analysis(c, ctx or empty_context(c.table), case_budget)
+    if ctx is not None or case_budget != DEFAULT_CASE_BUDGET:
+        raise ValueError("an Analysis carries its own context and case budget")
+    return c
+
+
 def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Non-rationality verdict by the recursive quotient-by-twisted-center
     decomposition; the certificate tree records every case leaf.
@@ -136,13 +167,13 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     When the recursion leaves cases unresolved (a quotient outside the
     supported constructions, or the case budget), the single-quotient
     criterion for 2-step groups is tried as a fallback before giving up."""
-    ctx = ctx or empty_context(c.table)
-    _require_cocycle(c)
-    node = _decide_node(c, ctx, 0, case_budget)
+    a = _analysis(c, ctx, case_budget)
+    _require_cocycle(a)
+    node = _decide_node(a, 0)
     if node.verdict != UNDECIDED:
         return Verdict(z_stable=node.verdict, certificate=node)
     try:
-        out = _two_step(c, ctx, case_budget)
+        out = decide_two_step(a)
     except (CocycleError, ValueError, BudgetExceeded):
         out = None
     if isinstance(out, Verdict) and out.z_stable != UNDECIDED:
@@ -153,13 +184,12 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     return Verdict(z_stable=UNDECIDED, certificate=node)
 
 
-def _require_cocycle(c):
-    viol = validate_cocycle(c)
-    if viol:
-        raise CocycleError(f"input is not a 2-cocycle: {viol}")
+def _require_cocycle(a):
+    if a.violation:
+        raise CocycleError(f"input is not a 2-cocycle: {a.violation}")
 
 
-def _decide_node(c, ctx, level, case_budget):
+def _decide_node(a, level):
     """One level of the recursion.  Provenance of the terminal rules: the
     paper's abstract proves Z-stable iff nowhere scattered (Thiel-Vilalta,
     "Nowhere scattered C*-algebras", arXiv:2112.09877) and characterizes that
@@ -169,12 +199,13 @@ def _decide_node(c, ctx, level, case_budget):
     - finite index over the twisted center -> NotZStable: it fails here;
     - finite twisted center in an infinite group -> ZStable: the index is
       infinite and the characterization's iteration ends here."""
+    c = a.cocycle
     g = c.group
     if g.is_finite():
         return TraceNode(level, g, (), NOT_ZSTABLE,
                          ("group is finite: index over the twisted center is finite",))
     try:
-        leaves = twisted_center(c, ctx, case_budget)
+        leaves = a.leaves
     except (BudgetExceeded, CocycleError) as e:
         return TraceNode(level, g, (), UNDECIDED, (f"undecided: {e}",))
     branches = []
@@ -193,7 +224,7 @@ def _decide_node(c, ctx, level, case_budget):
             qd = groups.quotient_by_central(g, leaf.lattice)
             w = push_to_quotient(c, qd)
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
-            child = _decide_node(wg, leaf.ctx, level + 1, case_budget)
+            child = _decide_node(Analysis(wg, leaf.ctx, a.case_budget), level + 1)
             branches.append(Branch.from_leaf(leaf, child.verdict, notes, idx, child))
         except (CocycleError, ValueError) as e:
             branches.append(Branch.from_leaf(leaf, UNDECIDED, notes + (f"undecided: {e}",),
@@ -208,16 +239,16 @@ def _decide_node(c, ctx, level, case_budget):
 def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Single-level rule for abelian groups: Z-stable iff the twisted center
     has infinite index in every case leaf."""
-    if not c.group.is_abelian():
+    a = _analysis(c, ctx, case_budget)
+    if not a.cocycle.group.is_abelian():
         raise ValueError("decide_abelian requires an abelian presentation")
-    ctx = ctx or empty_context(c.table)
-    _require_cocycle(c)
+    _require_cocycle(a)
     branches = []
-    for leaf in twisted_center(c, ctx, case_budget):
+    for leaf in a.leaves:
         idx = leaf.lattice.index()
         branches.append(Branch.from_leaf(leaf, ZSTABLE if idx is math.inf else NOT_ZSTABLE,
                                          index=idx))
-    node = TraceNode(0, c.group, tuple(branches),
+    node = TraceNode(0, a.cocycle.group, tuple(branches),
                      _combine([b.verdict for b in branches]))
     return Verdict(z_stable=node.verdict, certificate=node)
 
@@ -247,19 +278,15 @@ def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 
     Returns a Verdict, or Inapplicable when (ii) or (iii) fails.
     """
-    ctx = ctx or empty_context(c.table)
-    _require_cocycle(c)
-    return _two_step(c, ctx, case_budget)
-
-
-def _two_step(c, ctx, case_budget):
+    a = _analysis(c, ctx, case_budget)
+    _require_cocycle(a)
     branches = []
-    for leaf in twisted_center(c, ctx, case_budget):
-        out = _two_step_leaf(c, leaf, case_budget)
+    for leaf in a.leaves:
+        out = _two_step_leaf(a.cocycle, leaf, a.case_budget)
         if isinstance(out, Inapplicable):
             return out
         branches.append(out)
-    node = TraceNode(0, c.group, tuple(branches),
+    node = TraceNode(0, a.cocycle.group, tuple(branches),
                      _combine([b.verdict for b in branches]))
     return Verdict(z_stable=node.verdict, certificate=node)
 
@@ -315,12 +342,11 @@ def _two_step_leaf(c, leaf, case_budget):
 
 def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Generalized Heisenberg shortcut: D = Z(H)/Z(H,sigma)."""
-    g = c.group
-    recv = g.receiving_coords()
-    if len(recv) > 1:
+    a = _analysis(c, ctx, case_budget)
+    if len(a.cocycle.group.receiving_coords()) > 1:
         raise ValueError("decide_heisenberg expects a Heisenberg-shaped presentation "
                          "(a single receiving coordinate)")
-    out = decide_two_step(c, ctx, case_budget)
+    out = decide_two_step(a)
     if isinstance(out, Inapplicable):
         raise CocycleError(f"Heisenberg criterion inapplicable: {out.reason}")
     return out
@@ -347,17 +373,19 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     must have a Z-stable factor (contrapositive: two rational factors sink the
     product).  Anything else: inapplicable.
     """
+    a = _analysis(c, ctx, case_budget)
+    c = a.cocycle
     g = c.group
     if not 0 < n1 < g.n:
         raise ValueError(f"n1 must lie in 1..{g.n - 1} so that both factors have a "
                          f"coordinate, got {n1}")
-    ctx = ctx or empty_context(c.table)
     if not g.is_abelian():
         return ProductRuleOutcome(False, reason="product rules cover abelian factors only")
     split = product_split(c, n1)
     if split is None:
         return ProductRuleOutcome(False, reason="cocycle is not in product form")
     s1, s2, fmat = split
+    a1, a2 = Analysis(s1, a.ctx, a.case_budget), Analysis(s2, a.ctx, a.case_budget)
     fcols = [list(col) for col in zip(*fmat)]  # fcols[j1][i2] = f(e_j1, e_i2)
     zero = KNumber.make(c.table)
 
@@ -368,16 +396,15 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
                    for leaf in leaves for col in leaf.lattice.hnf_basis for row in rows)
 
     # forward rule: f(., g2) trivial on the g2 part of the product's twisted center
-    forward_ok = f_vanishes(fcols, twisted_center(c, ctx, case_budget), n1)
-    v1 = decide_abelian(s1, ctx, case_budget)
+    forward_ok = f_vanishes(fcols, a.leaves, n1)
+    v1 = decide_abelian(a1)
     if forward_ok and v1.z_stable == ZSTABLE:
         return ProductRuleOutcome(True, ZSTABLE,
                                   "first factor Z-stable and f vanishes against the "
                                   "twisted center of the product")
     # converse rule (contrapositive)
-    v2 = decide_abelian(s2, ctx, case_budget)
-    converse_ok = (f_vanishes(fmat, twisted_center(s1, ctx, case_budget))
-                   and f_vanishes(fcols, twisted_center(s2, ctx, case_budget)))
+    v2 = decide_abelian(a2)
+    converse_ok = f_vanishes(fmat, a1.leaves) and f_vanishes(fcols, a2.leaves)
     if converse_ok and v1.z_stable == NOT_ZSTABLE and v2.z_stable == NOT_ZSTABLE:
         return ProductRuleOutcome(True, NOT_ZSTABLE,
                                   "both factors rational and f vanishes against "
@@ -397,9 +424,10 @@ def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     Provenance: the criterion "simple iff the twisted FC-group is trivial" of
     Kleppner, "Multipliers on abelian groups", Math. Ann. 158 (1965), and
     Packer, "Twisted group C*-algebras corresponding to nilpotent discrete
-    groups", Math. Scand. 64 (1989).  Returns (verdict, branches, notes)."""
-    ctx = ctx or empty_context(c.table)
-    g = c.group
+    groups", Math. Scand. 64 (1989).  Returns (verdict, branches, notes).
+    The cocycle is not validated here."""
+    a = _analysis(c, ctx, case_budget)
+    g = a.cocycle.group
     notes = [KLEPPNER_CONVENTION]
     fc = g.fc_center()
     if not fc.same_subgroup(g.center()):
@@ -407,7 +435,7 @@ def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
                      "above is not evaluated on non-central elements")
         return SIMPLE_UNKNOWN, (), tuple(notes)
     branches = []
-    for leaf in twisted_center(c, ctx, case_budget):
+    for leaf in a.leaves:
         branches.append(Branch.from_leaf(
             leaf, SIMPLE_YES if leaf.lattice.is_trivial() else SIMPLE_NO))
     verdicts = {b.verdict for b in branches}

@@ -2,14 +2,14 @@
 
 A KNumber is c0 + sum(c_j * sym_j) over Fraction coefficients.  Symbols come
 in two flavors: thetas (declared irrational, axiomatically Q-linearly
-independent modulo the declared relations) and xis (free parameters,
-optionally carrying a torsion order m meaning m*xi is an integer).
+independent together with 1) and xis (free parameters, optionally carrying a
+torsion order m meaning m*xi is an integer).
 
 A RationalityContext records which symbol combinations are asserted to be
 rational, integral, or irrational; classify() decides the status of a value
 from those facts by exact linear algebra, and split() performs the binary
 rational/irrational case split when the status is genuinely open; each child
-extends its parent's echelons and classifications by its one new fact.
+extends its parent's span and classifications by its one new fact.
 """
 
 from __future__ import annotations
@@ -29,20 +29,10 @@ IRRATIONAL = "irrational"
 UNDETERMINED = "undetermined"
 
 
-def _canon_relation(const, items):
-    items = tuple((n, Fraction(c)) for n, c in items if c)
-    lead = items[0][1] if items else Fraction(const)
-    if lead < 0:
-        const = -const
-        items = tuple((n, -c) for n, c in items)
-    return (Fraction(const), items)
-
-
 @dataclass(frozen=True)
 class SymbolTable:
     thetas: tuple = ()
     xis: tuple = ()  # (name, torsion order); order 0 = no torsion axiom
-    relations: tuple = ()  # (const, ((name, coeff), ...)) identically zero
 
     def __post_init__(self):
         names = list(self.thetas) + [n for n, _ in self.xis]
@@ -51,8 +41,6 @@ class SymbolTable:
         for _, m in self.xis:
             if m < 0:
                 raise ValueError("torsion order must be >= 0")
-        object.__setattr__(self, "relations",
-                           tuple(_canon_relation(c, items) for c, items in self.relations))
 
     @cached_property
     def names(self):
@@ -66,7 +54,7 @@ class SymbolTable:
 
     def with_xis(self, new_xis):
         """Extended table with additional parameter symbols appended."""
-        return SymbolTable(self.thetas, self.xis + tuple(new_xis), self.relations)
+        return SymbolTable(self.thetas, self.xis + tuple(new_xis))
 
 
 @dataclass(frozen=True)
@@ -193,14 +181,14 @@ class Classification:
 
 @dataclass(frozen=True)
 class RationalityContext:
-    """Immutable set of facts; echelons, spans, consistency and classify()
-    results are cached per instance.  assume_*() fills a child's caches from
-    the parent's computed parts (never the parent itself) plus the new fact x:
-    the relation echelon is shared; the fact parts gain x's; a rational or
-    integral child adds x to a copy of the span (reduced row-echelon form is
-    unique, so reduce() answers equal a rebuild's); an irrational child keeps
-    the span, gains x's residual, and is consistent iff the parent is and x
-    is neither constant nor in the span.  A rational or irrational child's
+    """Immutable set of facts; fact parts, the span, consistency and
+    classify() results are cached per instance.  assume_*() fills a child's
+    caches from the parent's computed parts (never the parent itself) plus
+    the new fact x: the fact parts gain x's; a rational or integral child
+    adds x to a copy of the span (reduced row-echelon form is unique, so
+    reduce() answers equal a rebuild's); an irrational child keeps the span,
+    gains x's residual, and is consistent iff the parent is and x is neither
+    constant nor in the span.  A rational or irrational child's
     classify() memo starts with the parent's INTEGER/RATIONAL entries, since
     (c, v), the integral facts and span membership (the span only grows) are
     unchanged; an irrational child also keeps IRRATIONAL ones (same span, more
@@ -228,53 +216,19 @@ class RationalityContext:
         return [coeffs.get(n, _ZERO) for n in self.table.names]
 
     @cached_property
-    def _relation_echelon(self):
-        """Echelon over (symbols..., const); relations are identically zero.
-
-        Column order is (xis..., thetas..., const): pivots land on parameter
-        symbols first, so relations rewrite parameters in terms of thetas and
-        rationals — forced irrationality stays visible on theta coordinates —
-        and the constant is never used as a pivot."""
-        names = self.table.names
-        ntheta = len(self.table.thetas)
-        perm = list(range(ntheta, len(names))) + list(range(ntheta))  # xi-first
-        ech = zl.QEchelon()
-        for const, items in self.table.relations:
-            w = [Fraction(0)] * len(names)
-            for n, c in items:
-                w[names.index(n)] += c
-            ech.add([w[i] for i in perm] + [Fraction(const)])
-        # a relation reducing to a pure nonzero constant is contradictory
-        bad = any(piv == len(names) for piv, _ in ech.rows)
-        return ech, perm, bad
-
-    def _reduce_relations(self, x):
-        if not self.table.relations:
-            return x.const, self._vec(x)
-        ech, perm, _ = self._relation_echelon
-        w = self._vec(x)
-        r = ech.reduce([w[i] for i in perm] + [Fraction(x.const)])
-        out = [Fraction(0)] * len(perm)
-        for pos, i in enumerate(perm):
-            out[i] = r[pos]
-        return r[-1], out
-
-    @cached_property
     def _fact_parts(self):
-        """Relation-reduced (symbol part, constant) of rational and integral facts,
-        torsion axioms included among the integral facts."""
+        """(symbol vector, constant) of rational and integral facts, torsion
+        axioms included among the integral facts."""
         rat, integ = [], []
         for f in self.rational:
-            c, v = self._reduce_relations(f)
+            v = self._vec(f)
             if any(v):
-                rat.append((v, c))
+                rat.append((v, f.const))
         for f in self.integral:
-            c, v = self._reduce_relations(f)
-            integ.append((v, c))
+            integ.append((self._vec(f), f.const))
         for n, m in self.table.xis:
             if m:
-                c, v = self._reduce_relations(symbol(self.table, n, m))
-                integ.append((v, c))
+                integ.append((self._vec(symbol(self.table, n, m)), _ZERO))
         return tuple(rat), tuple(integ)
 
     @cached_property
@@ -287,8 +241,7 @@ class RationalityContext:
 
     @cached_property
     def _irrational_residuals(self):
-        return tuple(self._span.reduce(self._reduce_relations(f)[1])
-                     for f in self.irrational)
+        return tuple(self._span.reduce(self._vec(f)) for f in self.irrational)
 
     # -- public API -------------------------------------------------------
 
@@ -297,9 +250,6 @@ class RationalityContext:
 
     @cached_property
     def _consistent(self):
-        ech, _, bad = self._relation_echelon
-        if bad:
-            return False
         names = self.table.names
         ntheta = len(self.table.thetas)
         span = self._span
@@ -318,7 +268,7 @@ class RationalityContext:
                     return False
         implicit = [symbol(self.table, n) for n in self.table.thetas]
         for f in list(self.irrational) + implicit:
-            _, v = self._reduce_relations(f)
+            v = self._vec(f)
             if not any(v):
                 return False  # declared irrational but constant
             if span.contains(v):
@@ -333,7 +283,7 @@ class RationalityContext:
         return cls
 
     def _classify(self, x):
-        c, v = self._reduce_relations(x)
+        c, v = x.const, self._vec(x)
         names = self.table.names
         ntheta = len(self.table.thetas)
         if not any(v):
@@ -389,9 +339,9 @@ class RationalityContext:
         from this context's (see the class docstring)."""
         child = replace(self, **{kind: getattr(self, kind) + (x,)},
                         assumptions=self.assumptions + (note,))
-        (c, v), (rat, integ) = self._reduce_relations(x), self._fact_parts
+        c, v = x.const, self._vec(x)
+        rat, integ = self._fact_parts
         slots = child.__dict__  # where cached_property keeps its values
-        slots["_relation_echelon"] = self._relation_echelon
         if kind == "irrational":
             residual = self._span.reduce(v)
             slots.update(_span=self._span, _consistent=self._consistent and any(residual),

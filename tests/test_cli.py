@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from cocycle_lab import cli
+from cocycle_lab import cli, cocycles, decision
 from cocycle_lab.cocycles import validate_cocycle
 from cocycle_lab.decision import decide
 from cocycle_lab.problem import ProblemError, load_problem, parse_problem
@@ -386,3 +386,70 @@ def test_case_budget_env_override(monkeypatch):
     assert cli._default_budget() == 7
     monkeypatch.delenv("COCYCLE_LAB_CASE_BUDGET")
     assert cli._default_budget() == 256
+
+
+# ---------------------------------------------------------------------------
+# one level-0 analysis per command: counted calls
+
+
+def record_calls(monkeypatch):
+    """First argument of every validate_cocycle and twisted_center call,
+    whichever module's binding of the function the caller used."""
+    seen = {"validate_cocycle": [], "twisted_center": []}
+    for name, calls in seen.items():
+        orig = getattr(cocycles, name)
+
+        def counted(*args, _orig=orig, _calls=calls, **kwargs):
+            _calls.append(args[0])
+            return _orig(*args, **kwargs)
+
+        for mod in (cocycles, decision, cli):
+            if getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return seen
+
+
+def file_command_argv(command, path):
+    return [command, "--json", path] + (["--n1", "1"] if command == "product" else [])
+
+
+@pytest.mark.parametrize("command", sorted(cli._FILE_COMMANDS))
+def test_file_commands_validate_their_input_at_most_once(command, monkeypatch, capsys):
+    monkeypatch.delenv("COCYCLE_LAB_CASE_BUDGET", raising=False)
+    seen = record_calls(monkeypatch)
+    loaded = []
+
+    def load(path):
+        loaded.append(load_problem(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_problem", load)
+    for path in all_fixtures():
+        seen["validate_cocycle"].clear()
+        run(file_command_argv(command, path), capsys)
+        inputs = [c for c in seen["validate_cocycle"] if c is loaded[-1].cocycle]
+        assert len(inputs) <= 1, os.path.basename(path)
+
+
+def test_verdict_shares_the_level_0_analysis(monkeypatch, capsys):
+    """decide and decide_simplicity read one twisted center, the fallback
+    reuses it, and the input is validated once; the other validations are
+    the push-downs'."""
+    monkeypatch.delenv("COCYCLE_LAB_CASE_BUDGET", raising=False)
+    seen = record_calls(monkeypatch)
+    for path in all_fixtures():
+        run(file_command_argv("verdict", path), capsys)
+    assert len(all_fixtures()) == 10
+    assert (len(seen["validate_cocycle"]), len(seen["twisted_center"])) == (20, 19)
+
+
+def test_product_computes_each_twisted_center_once(tmp_path, monkeypatch, capsys):
+    """The product's, and each factor's once, shared by the factor's verdict
+    and the converse rule."""
+    f = tmp_path / "z3.problem"
+    f.write_text("[symbols]\ntheta irrational\n[group]\nbuilder abelian 0 0 0\n"
+                 "[cocycle]\ntheta * g:x2 * h:x3\n")
+    seen = record_calls(monkeypatch)
+    code, _, _ = run(["product", str(f), "--n1", "1"], capsys)
+    assert code == 2  # the first factor is rational, the second is not
+    assert len(seen["twisted_center"]) == 3

@@ -10,8 +10,8 @@ import pytest
 from cocycle_lab import cocycles, exact, groups, zlinalg as zl
 from cocycle_lab.cocycles import CocycleError, phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
-                                  SIMPLE_YES, UNDECIDED, ZSTABLE, Inapplicable,
-                                  decide, decide_abelian, decide_heisenberg,
+                                  SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis,
+                                  Inapplicable, decide, decide_abelian, decide_heisenberg,
                                   decide_product, decide_simplicity,
                                   decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
@@ -105,6 +105,21 @@ def test_invalid_cocycle_is_rejected():
     bad = phase_from_monomials(g, t, [(KNumber.make(t, Fraction(1, 3)), (1, 0), (0, 1))])
     with pytest.raises(CocycleError):
         decide(bad)
+    with pytest.raises(CocycleError, match="^input is not a 2-cocycle: "):
+        decide_abelian(Analysis(bad, empty_context(t)))
+
+
+def test_one_analysis_serves_every_verdict():
+    p = load_problem(fixture("heis-1-2"))  # decided by the fallback
+    a = Analysis(p.cocycle, p.context)
+    assert decide(a).to_dict() == decide(p.cocycle, p.context).to_dict()
+    simple, branches, notes = decide_simplicity(a)
+    want = decide_simplicity(p.cocycle, p.context)
+    assert (simple, [b.to_dict() for b in branches], notes) == (
+        want[0], [b.to_dict() for b in want[1]], want[2])
+    for extra in ({"ctx": p.context}, {"case_budget": 8}):
+        with pytest.raises(ValueError, match="carries its own context"):
+            decide(a, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -157,21 +157,6 @@ def test_consistency_irrational_in_span():
     assert not ctx.is_consistent()
 
 
-def test_relations_pin_symbols():
-    # relation: 2*xi - theta = 0, i.e. theta = 2*xi
-    t = SymbolTable(thetas=("theta",), xis=(("xi", 0),), relations=(((0), (("xi", 2), ("theta", -1))),))
-    ctx = empty_context(t)
-    # xi = theta/2 is forced irrational by the theta axiom
-    assert ctx.classify(symbol(t, "xi")).kind == IRRATIONAL
-    assert ctx.classify(symbol(t, "theta") - symbol(t, "xi", 2)).kind == INTEGER
-
-
-def test_relation_pinning_theta_rational_is_inconsistent():
-    t = SymbolTable(thetas=("theta",), relations=((Fraction(-1, 2), (("theta", 1),)),))
-    ctx = empty_context(t)
-    assert not ctx.is_consistent()
-
-
 def test_rebase_to_extended_table():
     x = knum(T, 1, theta=2)
     t2 = T.with_xis((("gamma1", 5),))
@@ -288,16 +273,13 @@ def test_split_children_do_not_share_the_parent_memo(ctx, x):
 
 
 # extended children: a child made by assume_*() or split() fills its caches
-# from its parent's.  Tables with two thetas, free and torsion parameters and
-# relations (which the parser cannot write), including one that pins a theta.
+# from its parent's.  Tables with one to three thetas, free parameters, and
+# torsion parameters before, between or after the free ones.
 EXTENSION_TABLES = [
     SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
-    SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("zeta", 0), ("eta", 2)),
-                relations=((Fraction(1, 2), (("xi", 1), ("phi", -1))),)),  # xi = phi - 1/2
-    SymbolTable(thetas=("theta",), xis=(("xi", 0), ("zeta", 0), ("eta", 3)),
-                relations=((0, (("zeta", 2), ("eta", -1), ("theta", 1))),)),  # 2 zeta = eta - theta
-    SymbolTable(thetas=("theta",), xis=(("xi", 0),),
-                relations=((Fraction(1, 3), (("theta", 1),)),)),  # theta = -1/3
+    SymbolTable(thetas=("theta", "phi"), xis=(("eta", 2), ("xi", 0), ("zeta", 0))),
+    SymbolTable(thetas=("theta",), xis=(("xi", 0), ("eta", 2), ("zeta", 0), ("mu", 6))),
+    SymbolTable(thetas=("theta", "phi", "psi"), xis=(("xi", 0), ("eta", 4))),
 ]
 KINDS = ("rational", "integral", "irrational")
 COEFFS = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))
