@@ -1,7 +1,8 @@
 """Command-line frontend.
 
-Exit codes: 0 = decided, 2 = undecided (case budget, indecisive certificate,
-or an honestly undecided verdict), 1 = input or usage error.
+Exit codes: 0 = decided, 2 = undecided (case budget, a valid presentation of
+an unsupported shape, indecisive certificate, or an honestly undecided
+verdict), 1 = input or usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import decision, groups
-from .cocycles import BudgetExceeded, CocycleError, push_to_quotient
+from .cocycles import BudgetExceeded, CocycleError, UnsupportedShape, push_to_quotient
 from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
                        decide, decide_abelian, decide_heisenberg, decide_product,
                        decide_simplicity)
@@ -337,7 +338,7 @@ def main(argv=None):
     except (ProblemError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    except BudgetExceeded as e:
+    except (BudgetExceeded, UnsupportedShape) as e:
         print(f"undecided: {e}", file=sys.stderr)
         return UNDECIDED_EXIT
     except (CocycleError, ValueError) as e:

@@ -25,6 +25,10 @@ class CocycleError(ValueError):
     pass
 
 
+class UnsupportedShape(CocycleError):
+    """A valid input whose presentation shape the engine does not handle."""
+
+
 @dataclass(frozen=True)
 class Cocycle:
     group: GroupPresentation
@@ -242,26 +246,6 @@ def _pairing_rows(c, gens):
     raise CocycleError(f"pairing is not a bicharacter: {viol}")  # unreachable, see above
 
 
-def central_parametrization(lattice):
-    """Generators (ambient vectors) and torsion moduli presenting the subgroup
-    as Z^k / diag(moduli); coordinates there parametrize it faithfully."""
-    basis = [list(col) for col in lattice.hnf_basis]
-    if not basis:
-        return [], []
-    struct = lattice.subgroup_structure()
-    p = zl.inverse_unimodular([list(r) for r in struct.coords])
-    k = len(basis)
-    gens, mods = [], []
-    for tcol in range(k):
-        m = struct.moduli[tcol]
-        if m == 1:
-            continue
-        vec = [sum(p[a][tcol] * basis[a][i] for a in range(k)) for i in range(len(basis[0]))]
-        gens.append(tuple(vec))
-        mods.append(m)
-    return gens, mods
-
-
 @dataclass(frozen=True)
 class CaseLeaf:
     ctx: RationalityContext
@@ -377,16 +361,16 @@ def twisted_center(c, ctx, case_budget=256):
     ctx = _rebase_ctx(ctx, c.table)
     center = c.group.center()
     _check_additive(c.group, center)
-    gens, zmods = central_parametrization(center)
-    if not gens:
+    par = center.parametrization
+    if not par.gens:
         empty = zl.zero_lattice(c.group.moduli)
         return [CaseLeaf(ctx, empty, ("center is trivial",))]
-    rows = _pairing_rows(c, gens)  # also verifies the character property
+    rows = _pairing_rows(c, par.gens)  # also verifies the character property
     # condition per group generator j: sum_a z_a * Q~(v_a, e_j) in Z
-    forms = [[rows[a][j] for a in range(len(gens))] for j in range(c.n)]
-    gen_names = _gen_names(gens, c.group)
-    leaves = condition_lattice(ctx, forms, zmods, gen_names, case_budget)
-    return _map_leaves_to_ambient(leaves, gens, c.group.moduli)
+    forms = [[row[j] for row in rows] for j in range(c.n)]
+    gen_names = _gen_names(par.gens, c.group)
+    leaves = condition_lattice(ctx, forms, par.moduli, gen_names, case_budget)
+    return _map_leaves_to_ambient(leaves, par.gens, c.group.moduli)
 
 
 def _check_additive(group, lattice):
@@ -401,7 +385,7 @@ def _check_additive(group, lattice):
                            for kk, i, j, c in group.bilinear if kk == k)
                 m = group.moduli[k]
                 if corr % m if m else corr:
-                    raise CocycleError(
+                    raise UnsupportedShape(
                         "subgroup elements do not multiply coordinate-wise; "
                         "unsupported presentation shape")
 
@@ -434,52 +418,30 @@ def pull_back(c, morphism):
 
 def restrict_to_lattice(c, lattice):
     """Restrict to a subgroup given as a SubgroupLattice; coordinates of the
-    result are the parametrization coordinates of the lattice."""
-    gens, zmods = central_parametrization(lattice)
-    sub = sub_presentation(c.group, gens, zmods)
-    emb = Morphism(sub, c.group, tuple(tuple(v[i] for v in gens) for i in range(c.n)))
-    return pull_back(c, emb), emb, gens, zmods
+    result are the lattice's parameters."""
+    par = lattice.parametrization
+    sub = sub_presentation(c.group, par)
+    emb = Morphism(sub, c.group, tuple(tuple(v[i] for v in par.gens) for i in range(c.n)))
+    return pull_back(c, emb)
 
 
-def sub_presentation(group, gens, zmods):
-    """Presentation of the subgroup generated by ``gens`` (with torsion moduli
-    zmods) in its own coordinates.  Supported when products of generators stay
-    in the generated lattice, which holds for the kernels and centers handled
-    here; the bilinear tensor is transported via one fixed solution."""
-    k = len(gens)
-    n = group.n
-    lat = zl.SubgroupLattice(group.moduli, tuple(tuple(v) for v in gens))
+def sub_presentation(group, par):
+    """Presentation of a subgroup, given by its parametrization, in its own
+    coordinates.  Supported when products of generators stay in the
+    subgroup, which holds for the kernels and centers handled here; the
+    bilinear tensor is transported through the parameters of each carry."""
     entries = []
-    for a in range(k):
-        for b in range(k):
-            corr = [0] * n
-            for kk, i, j, c in group.bilinear:
-                corr[kk] += c * gens[a][i] * gens[b][j]
-            if not any(corr):
-                continue
-            if not lat.contains(corr):
-                raise CocycleError("subgroup is not closed under the group law")
-            coeffs = _coords_in_parametrization(corr, gens, zmods, group.moduli)
-            for t, val in enumerate(coeffs):
-                if val:
-                    entries.append((t, a, b, val))
-    return GroupPresentation(tuple(zmods), tuple(entries))
-
-
-def _coords_in_parametrization(vec, gens, zmods, ambient_moduli):
-    """Express vec (in ambient coordinates) in the generator coordinates,
-    solving modulo the ambient torsion."""
-    n = len(ambient_moduli)
-    k = len(gens)
-    cols = [list(g) for g in gens]
-    for i, m in enumerate(ambient_moduli):
-        if m:
-            cols.append([m if t == i else 0 for t in range(n)])
-    mat = [[col[i] for col in cols] for i in range(n)]
-    sol = zl.solve_int(mat, list(vec))
-    if sol is None:
-        raise CocycleError("element is not in the subgroup")
-    return [sol[a] % zmods[a] if zmods[a] else sol[a] for a in range(k)]
+    for (a, ga), (b, gb) in itertools.product(enumerate(par.gens), repeat=2):
+        corr = [0] * group.n
+        for kk, i, j, c in group.bilinear:
+            corr[kk] += c * ga[i] * gb[j]
+        if not any(corr):
+            continue
+        coeffs = par.coordinates(corr)
+        if coeffs is None:
+            raise CocycleError("subgroup is not closed under the group law")
+        entries += [(t, a, b, val) for t, val in enumerate(coeffs) if val]
+    return GroupPresentation(par.moduli, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -498,36 +460,14 @@ def push_to_quotient(c, qd):
     return out
 
 
-def gamma_symbols(qd, prefix="gamma"):
-    """Fresh parameter symbols, one per invariant factor of N."""
-    struct = qd.subgroup.subgroup_structure()
-    new = []
-    stripped = []
-    for m in struct.moduli:
-        if m == 1:
-            stripped.append(None)
-            continue
-        name = f"{prefix}{len(new)+1}"
-        new.append((name, m if m else 0))
-        stripped.append(name)
-    return new, stripped, struct
-
-
-def gamma_phase_of(element, qd, table, struct, names_by_factor):
-    """gamma(element) as a KNumber phase: sum xi_t * u_t over the invariant
-    factor coordinates u of the element inside N."""
-    basis = [list(col) for col in qd.subgroup.hnf_basis]
-    coeffs = zl.solve_rational(basis, list(element)) if basis else None
-    if coeffs is None or any(x.denominator != 1 for x in coeffs):
+def gamma_phase_of(element, par, table, names):
+    """gamma(element) as a KNumber phase: sum xi_t * u_t over the parameters
+    u of the element inside N, with xi_t the symbol names[t]."""
+    u = par.coordinates(element)
+    if u is None:
         raise CocycleError("section defect left the subgroup (section inconsistency)")
-    u = [sum(struct.coords[t][a] * int(coeffs[a]) for a in range(len(coeffs)))
-         for t in range(len(coeffs))]
     acc = KNumber.make(table, 0)
-    for t, name in enumerate(names_by_factor):
-        if name is None:
-            continue
-        m = struct.moduli[t]
-        val = u[t] % m if m else u[t]
+    for name, val in zip(names, u):
         if val:
             acc = acc + symbol(table, name, val)
     return acc
@@ -544,7 +484,9 @@ def induce_gamma(c, qd, prefix="gamma"):
     g_top = qd.projection.source
     q = qd.group
     nq = q.n
-    new_syms, names_by_factor, struct = gamma_symbols(qd, prefix)
+    par = qd.subgroup.parametrization
+    new_syms = [(f"{prefix}{t + 1}", m) for t, m in enumerate(par.moduli)]
+    names = [name for name, _ in new_syms]
     table = c.table.with_xis(new_syms)
     phase = c.phase.rebase(table)
     corr = c.correction.rebase(table) if c.correction is not None else Poly.zero(2 * nq, table)
@@ -568,7 +510,7 @@ def induce_gamma(c, qd, prefix="gamma"):
             dcoef[(i, j)] = vec
     terms = []
     for (i, j), vec in dcoef.items():
-        kn = gamma_phase_of(vec, qd, table, struct, names_by_factor)
+        kn = gamma_phase_of(vec, par, table, names)
         if kn.is_zero():
             continue
         terms.append((_mono(2 * nq, i, nq + j), kn))
@@ -583,7 +525,7 @@ def induce_gamma(c, qd, prefix="gamma"):
         if not d:
             continue
         lift = qd.torsion_lifts[t]
-        kn = gamma_phase_of(list(lift), qd, table, struct, names_by_factor)
+        kn = gamma_phase_of(lift, par, table, names)
         if kn.is_zero():
             continue
         kterms = []
@@ -605,21 +547,18 @@ def induce_gamma(c, qd, prefix="gamma"):
 
 def phi_map(c, d_lattice, ctx, case_budget=256):
     """M = ker(phi_D) as a case tree, plus the pairing rows for surjectivity
-    checks: phi_D(g)(d) = sigma~(d, g)."""
+    checks: phi_D(g)(d) = sigma~(d, g).  D must be central; that is not
+    checked here, and decide_two_step proves it for the D it passes."""
     ctx = _rebase_ctx(ctx, c.table)
-    center = c.group.center()
-    for col in d_lattice.gens:
-        if not center.contains(list(col)):
-            raise CocycleError("D must be a central subgroup")
     _check_additive(c.group, d_lattice)
-    gens, zmods = central_parametrization(d_lattice)
-    if not gens:
-        return [CaseLeaf(ctx, c.group.full_lattice(), ("D is trivial",))], [], []
-    rows = _pairing_rows(c, gens)
+    par = d_lattice.parametrization
+    if not par.gens:
+        return [CaseLeaf(ctx, c.group.full_lattice(), ("D is trivial",))], [], ()
+    rows = _pairing_rows(c, par.gens)
     # condition on g (full coordinates): Q~(d_a, g) in Z for all a
     leaves = condition_lattice(ctx, [list(row) for row in rows], c.group.moduli, c.group.names,
                                case_budget)
-    return leaves, rows, zmods
+    return leaves, rows, par.moduli
 
 
 def phi_surjective(rows, zmods, group, ctx):

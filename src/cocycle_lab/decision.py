@@ -134,8 +134,9 @@ def _leaf_label(leaf):
 class Analysis:
     """The level-0 facts of a cocycle in a rationality context: whether it is
     a 2-cocycle, and its twisted center's case leaves.  Each is computed on
-    first read and then shared by every verdict handed this value; an error
-    is not kept, so a second read raises it again.
+    first read and then shared by every verdict handed this value.  A
+    BudgetExceeded or CocycleError from the twisted center is kept too, and
+    every read of ``leaves`` raises it again without recomputing.
 
     Every verdict function takes a Cocycle, with an optional context and
     case budget, or an Analysis, which carries its own."""
@@ -148,8 +149,18 @@ class Analysis:
         return validate_cocycle(self.cocycle)
 
     @cached_property
+    def _leaves_or_error(self):
+        try:
+            return twisted_center(self.cocycle, self.ctx, self.case_budget), None
+        except (BudgetExceeded, CocycleError) as e:
+            return None, e
+
+    @property
     def leaves(self):
-        return twisted_center(self.cocycle, self.ctx, self.case_budget)
+        leaves, error = self._leaves_or_error
+        if error:
+            raise error
+        return leaves
 
 
 def _analysis(c, ctx, case_budget):
@@ -306,7 +317,7 @@ def _two_step_leaf(c, leaf, case_budget):
                                                 for col in g.center().hnf_basis))
     # (ii) the pushed-down cocycle is trivial on D x D
     try:
-        rw, _, _, _ = restrict_to_lattice(w, dlat)
+        rw = restrict_to_lattice(w, dlat)
     except CocycleError as e:
         return Inapplicable(f"hypothesis (ii) not checkable: {e}")
     if integrality_violation(rw.phase, w.table) is not None:
@@ -324,7 +335,7 @@ def _two_step_leaf(c, leaf, case_budget):
     subbranches = []
     for mleaf in mleaves:
         try:
-            rm, _, _, _ = restrict_to_lattice(wg, mleaf.lattice)
+            rm = restrict_to_lattice(wg, mleaf.lattice)
             inner = twisted_center(rm, mleaf.ctx, case_budget)
         except (CocycleError, BudgetExceeded) as e:
             subbranches.append(Branch.from_leaf(mleaf, UNDECIDED, (f"undecided: {e}",)))

@@ -3,8 +3,10 @@
 Matrices are lists of rows of Python ints (arbitrary precision).  Subgroups
 of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
-includes the torsion generators m_i * e_i.  Work over Q (solving, unimodular
-inverses) goes through one reduced row-echelon form, QEchelon.
+includes the torsion generators m_i * e_i, and one Smith form of a subgroup's
+relations (``SubgroupLattice.parametrization``) says what the subgroup is and
+reads an element's coordinates in it.  Work over Q goes through one reduced
+row-echelon form, QEchelon.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -107,16 +110,24 @@ def kernel_int(a):
 
 
 def snf(a):
-    """Smith normal form: U*a*V = D with D diagonal, d1 | d2 | ..., U,V unimodular."""
+    """Smith normal form: U*a*V = D with D diagonal, d1 | d2 | ..., U,V unimodular.
+
+    Returns (U, D, V, U^-1).  Each row operation on U is mirrored on U^-1 as
+    the inverse column operation (Cohen, GTM 138, 2.4): a row swap becomes the
+    same column swap, row_i -= q*row_j becomes col_j += q*col_i, and a row
+    negation the same column negation."""
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     u = identity(rows)
+    ui = identity(rows)
     v = identity(cols)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        for row in ui:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in m:
@@ -127,6 +138,8 @@ def snf(a):
     def addmul_row(i, j, q):  # row_i -= q*row_j
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for row in ui:
+            row[j] += q * row[i]
 
     def addmul_col(i, j, q):  # col_i -= q*col_j
         for row in m:
@@ -174,8 +187,10 @@ def snf(a):
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
             u[t] = [-x for x in u[t]]
+            for row in ui:
+                row[t] = -row[t]
         t += 1
-    return u, m, v
+    return u, m, v, ui
 
 
 def solve_int(a, b):
@@ -258,37 +273,6 @@ def solve_rational(cols, v):
     return [-x for x in r[n:]]
 
 
-def inverse_unimodular(u):
-    """Integer inverse of a square integer matrix, read off the RREF of (u | I)."""
-    n = len(u)
-    ech = QEchelon()
-    for i, row in enumerate(u):
-        ech.add(list(row) + [1 if t == i else 0 for t in range(n)])
-    if [piv for piv, _ in ech.rows] != list(range(n)):
-        raise ValueError("matrix is singular")
-    inv = [row[n:] for _, row in ech.rows]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
-
-
-def reduce_mod_columns(hcols, v):
-    """Canonical representative of v modulo the column span of an HNF basis."""
-    r = list(v)
-    for col in hcols:
-        piv = next((i for i, x in enumerate(col) if x != 0), None)
-        if piv is None:
-            continue
-        q = r[piv] // col[piv]
-        if q:
-            r = [x - q * c for x, c in zip(r, col)]
-    return r
-
-
-def member(hcols, v):
-    return not any(reduce_mod_columns(hcols, v))
-
-
 @dataclass(frozen=True)
 class QuotientStructure:
     """ambient/sub as Z^free_rank x prod Z/d_i, with coordinate map y = coords*x."""
@@ -297,6 +281,47 @@ class QuotientStructure:
     factors: tuple  # invariant factors > 1
     coords: tuple  # rows of the full unimodular coordinate map U
     moduli: tuple  # modulus per U-coordinate (1 entries mean the coord dies)
+    inverse: tuple  # rows of U^-1; its columns lift the U-coordinates back
+
+
+@dataclass(frozen=True)
+class Parametrization:
+    """A subgroup as Z^k / diag(moduli): parameter t maps to gens[t].
+
+    With the subgroup's HNF basis B and the Smith form U*R*V = D of the
+    relations R among B's columns, gens are the columns of B*U^-1 whose
+    invariant factor is not 1, and an element with coordinates c in B has
+    parameters U*c, reduced modulo each modulus (unique, since the map
+    Z^k / diag(moduli) -> subgroup is an isomorphism)."""
+
+    basis: tuple  # the subgroup's HNF basis
+    gens: tuple
+    moduli: tuple  # 0 marks a free parameter
+    rows: tuple  # the rows of U that the kept parameters read
+
+    def coordinates(self, v):
+        """Parameters of v, or None when v lies outside the subgroup."""
+        c = _echelon_coordinates(self.basis, v)
+        if c is None:
+            return None
+        ys = (sum(r * x for r, x in zip(row, c)) for row in self.rows)
+        return tuple(y % m if m else y for y, m in zip(ys, self.moduli))
+
+
+def _echelon_coordinates(hcols, v):
+    """Integer coefficients of v in the column-echelon basis hcols, found by
+    back-substitution down the pivots, or None when v is not in its span."""
+    r = list(v)
+    out = []
+    for col in hcols:
+        piv = next(i for i, x in enumerate(col) if x)
+        q, rem = divmod(r[piv], col[piv])
+        if rem:
+            return None
+        if q:
+            r = [x - q * c for x, c in zip(r, col)]
+        out.append(q)
+    return None if any(r) else out
 
 
 @dataclass(frozen=True)
@@ -333,8 +358,12 @@ class SubgroupLattice:
     def n(self):
         return len(self.moduli)
 
+    def coordinates(self, v):
+        """Integer coordinates of v in the HNF basis, or None when v is outside."""
+        return _echelon_coordinates(self.hnf_basis, v)
+
     def contains(self, v):
-        return member(self.hnf_basis, list(v))
+        return self.coordinates(v) is not None
 
     def same_subgroup(self, other):
         return (self.moduli, self.hnf_basis) == (other.moduli, other.hnf_basis)
@@ -350,18 +379,22 @@ class SubgroupLattice:
         """Invariant factors and free rank of ambient/self."""
         return _structure([list(c) for c in self.hnf_basis], self.n)
 
-    def subgroup_structure(self):
-        """Invariant factors and free rank of the subgroup itself.
-
-        Generators are the HNF basis columns; relations express the ambient
-        torsion lattice in terms of them (inside the basis span by construction)."""
-        basis = [list(c) for c in self.hnf_basis]
-        rel_cols = [[int(x) for x in solve_rational(basis, [m * (j == i) for j in range(self.n)])]
+    @cached_property
+    def parametrization(self):
+        """The subgroup itself as Z^k / diag(moduli).  Its relations are the
+        ambient torsion generators, which lie in the basis by construction."""
+        basis = self.hnf_basis
+        rel_cols = [self.coordinates([m * (j == i) for j in range(self.n)])
                     for i, m in enumerate(self.moduli) if m]
-        return _structure(rel_cols, len(basis))
+        q = _structure(rel_cols, len(basis))
+        kept = [t for t, m in enumerate(q.moduli) if m != 1]
+        gens = tuple(tuple(sum(q.inverse[a][t] * col[i] for a, col in enumerate(basis))
+                           for i in range(self.n)) for t in kept)
+        return Parametrization(basis, gens, tuple(q.moduli[t] for t in kept),
+                               tuple(q.coords[t] for t in kept))
 
     def is_finite(self):
-        return self.subgroup_structure().free_rank == 0
+        return 0 not in self.parametrization.moduli
 
     def is_trivial(self):
         zero = SubgroupLattice(self.moduli, ())
@@ -370,13 +403,14 @@ class SubgroupLattice:
 
 def _structure(rel_cols, k):
     """Z^k modulo the span of ``rel_cols``, read off a Smith normal form."""
-    u, d, _ = snf(transpose(rel_cols) if rel_cols else [[0] for _ in range(k)])
+    u, d, _, ui = snf(transpose(rel_cols) if rel_cols else [[0] for _ in range(k)])
     diag = [abs(d[i][i]) if i < len(d[0]) else 0 for i in range(k)]
     return QuotientStructure(
         free_rank=diag.count(0),
         factors=tuple(x for x in diag if x > 1),
         coords=tuple(tuple(r) for r in u),
         moduli=tuple(diag),
+        inverse=tuple(tuple(r) for r in ui),
     )
 
 

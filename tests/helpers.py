@@ -1,10 +1,10 @@
-"""Helpers that only the tests need: integer-matrix checks, brute-force
-group-law operations on a GroupPresentation, inputs for the invariance
-oracles (coboundary twists, shifted quotient sections), and references for
-the engine's kernels that share none of their shortcuts: substitution by
-KNumber products, the cocycle defect by four substitutions, an unabridged
-cocycle validator, the antisymmetrization by substitution and a slot-by-slot
-reference for the pairing rows."""
+"""Helpers that only the tests need: integer-matrix checks, the coset oracle
+for HNF bases, brute-force group-law operations on a GroupPresentation,
+inputs for the invariance oracles (coboundary twists, shifted quotient
+sections), and references for the engine's kernels that share none of their
+shortcuts: substitution by KNumber products, the cocycle defect by four
+substitutions, an unabridged cocycle validator, the antisymmetrization by
+substitution and a slot-by-slot reference for the pairing rows."""
 
 import itertools
 from dataclasses import replace
@@ -52,6 +52,20 @@ def rank_int(a):
     if not a or not a[0]:
         return 0
     return len(zl.row_hnf(a))
+
+
+def reduce_mod_columns(hcols, v):
+    """Canonical representative of v modulo the column span of an HNF basis:
+    the coset oracle for index and membership tests."""
+    r = list(v)
+    for col in hcols:
+        piv = next((i for i, x in enumerate(col) if x != 0), None)
+        if piv is None:
+            continue
+        q = r[piv] // col[piv]
+        if q:
+            r = [x - q * c for x, c in zip(r, col)]
+    return r
 
 
 def commutator(g, a, b):
@@ -245,3 +259,4 @@ def validate_cocycle_reference(c):
     if viol:
         return f"cocycle identity fails: {viol}"
     return None
+

@@ -352,7 +352,7 @@ def test_acceptance_7_oracles():
         h, vv = zl.col_hnf(a, with_transform=True)
         assert abs(det(vv)) == 1
         assert mat_mul(a, vv) == h
-        u, d, v = zl.snf(a)
+        u, d, v, _ = zl.snf(a)
         assert abs(det(u)) == 1 and abs(det(v)) == 1
         assert mat_mul(mat_mul(u, a), v) == d
         diag = [d[i][i] for i in range(min(rows, cols))]

@@ -199,6 +199,26 @@ def test_exit_code_matrix(argv, want, capsys):
     assert code == want
 
 
+# valid, but z receives x*y + y*x, so the center's basis does not multiply
+# coordinate-wise and the twisted center is outside the supported shapes
+SYMMETRIC_CARRY = ("[group]\nmoduli 0 0 0\nnames x y z\nbilinear z x y 1\n"
+                   "bilinear z y x 1\n\n[cocycle]\n")
+
+
+@pytest.mark.parametrize("command, want", [
+    ("validate", 0), ("center", 0), ("twisted-center", 2), ("quotient", 2),
+    ("decompose", 2), ("verdict", 2), ("simplicity", 2), ("torus", 2), ("heisenberg", 2),
+])
+def test_unsupported_shape_is_undecided_not_an_input_error(tmp_path, capsys, command, want):
+    f = tmp_path / "carry.problem"
+    f.write_text(SYMMETRIC_CARRY)
+    code, _, err = run([command, str(f)], capsys)
+    assert code == want
+    if want == 2 and command != "decompose":  # decompose prints its undecided trace
+        assert err == ("undecided: subgroup elements do not multiply coordinate-wise; "
+                       "unsupported presentation shape\n")
+
+
 def test_verdict_output_mentions_all_three_flags(capsys):
     _, out, _ = run(["verdict", fixture("g3"), "--trace"], capsys)
     assert "Z-stable: yes" in out
@@ -453,3 +473,15 @@ def test_product_computes_each_twisted_center_once(tmp_path, monkeypatch, capsys
     code, _, _ = run(["product", str(f), "--n1", "1"], capsys)
     assert code == 2  # the first factor is rational, the second is not
     assert len(seen["twisted_center"]) == 3
+
+
+def test_case_budget_overrun_computes_the_twisted_center_once(tmp_path, monkeypatch, capsys):
+    """The Analysis keeps the level-0 BudgetExceeded: decide, its fallback and
+    decide_simplicity all read the one failed twisted center."""
+    f = tmp_path / "z3-params.problem"
+    f.write_text("[symbols]\na param\nb param\n[group]\nbuilder abelian 0 0 0\n"
+                 "[cocycle]\na * g:x1 * h:x2\nb * g:x2 * h:x3\n")
+    seen = record_calls(monkeypatch)
+    code, out, err = run(["verdict", str(f), "--case-budget", "1"], capsys)
+    assert (code, out, err) == (2, "", "undecided: case budget of 1 leaves exceeded\n")
+    assert len(seen["twisted_center"]) == 1

@@ -6,7 +6,7 @@ import pytest
 from cocycle_lab import groups as gr
 from cocycle_lab import zlinalg as zl
 
-from helpers import box, commutator, shifted_section
+from helpers import box, commutator, reduce_mod_columns, shifted_section
 
 
 def small_box(g, radius=2):
@@ -250,7 +250,7 @@ def test_quotient_hirsch_additive():
         if any(col[i] for col in n.hnf_basis for i in g.feeding_coords()):
             continue
         qd = gr.quotient_by_central(g, n)
-        h_n = n.subgroup_structure().free_rank
+        h_n = n.parametrization.moduli.count(0)
         assert g.hirsch() == h_n + qd.group.hirsch()
         done += 1
 
@@ -264,3 +264,41 @@ def test_alternate_section():
         x = qd.group.reduce(tuple(rng.randint(-4, 4) for _ in range(5)))
         assert qd.projection.apply(qd.section.apply(x)) == x
     assert qd.section.apply(qd.group.identity()) == h.identity()
+
+
+def test_parametrization_presents_the_subgroup():
+    """The parameters are an isomorphism Z^k / diag(moduli) -> subgroup."""
+    rng = random.Random(41)
+    for _ in range(150):
+        g = rand_presentation(rng)
+        gens = tuple(tuple(rng.randint(-4, 4) for _ in range(g.n))
+                     for _ in range(rng.randint(0, 3)))
+        lat = zl.SubgroupLattice(g.moduli, gens)
+        par = lat.parametrization
+        assert zl.SubgroupLattice(g.moduli, par.gens).same_subgroup(lat)
+        for gen, m in zip(par.gens, par.moduli):  # m * gen lies in the torsion lattice
+            assert all((m * x) % mi == 0 if mi else m * x == 0 for x, mi in zip(gen, g.moduli))
+        for _ in range(10):
+            x = [rng.randint(-6, 6) for _ in par.gens]
+            v = [sum(a * gen[i] for a, gen in zip(x, par.gens)) for i in range(g.n)]
+            assert par.coordinates(v) == tuple(a % m if m else a for a, m in zip(x, par.moduli))
+            w = [rng.randint(-6, 6) for _ in range(g.n)]
+            outside = any(reduce_mod_columns(lat.hnf_basis, w))
+            assert (par.coordinates(w) is None) == outside
+
+
+def test_subgroups_avoiding_the_feeding_coordinates_are_central():
+    """quotient_by_central checks only that the HNF basis avoids the feeding
+    coordinates; that alone makes the subgroup central."""
+    rng = random.Random(43)
+    for _ in range(60):
+        g = rand_presentation(rng)
+        feeding = g.feeding_coords()
+        gens = tuple(tuple(0 if i in feeding else rng.randint(-3, 3) for i in range(g.n))
+                     for _ in range(rng.randint(1, 3)))
+        lat = zl.SubgroupLattice(g.moduli, gens)
+        assert not any(col[i] for col in lat.hnf_basis for i in feeding)
+        for col in lat.hnf_basis:
+            x = g.reduce(col)
+            assert all(g.multiply(x, y) == g.multiply(y, x) for y in small_box(g, 1))
+            assert g.center().contains(col)

@@ -1,9 +1,12 @@
 """Every public function, class or method defined in src/cocycle_lab must be
 named in src/ outside its own definition, or in the README's Python example:
-library code that only tests call belongs in tests/helpers.py."""
+library code that only tests call belongs in tests/helpers.py.  The README's
+module map names only what each module defines."""
 
 import ast
 import glob
+import importlib
+import inspect
 import os
 import re
 
@@ -67,3 +70,28 @@ def test_every_public_definition_has_a_caller_in_src_or_the_readme():
                 unused.append(qual)
     assert unused == []
     assert set(ALLOWED) <= defined
+
+
+def resolves(mod, dotted):
+    """Whether a dotted name is an attribute of the module or of one of the
+    classes it defines."""
+    owners = [mod] + [c for c in vars(mod).values()
+                      if inspect.isclass(c) and c.__module__ == mod.__name__]
+    for obj in owners:
+        for part in dotted.split("."):
+            obj = getattr(obj, part, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_readme_module_map_names_only_what_each_module_defines():
+    with open(README, encoding="utf-8") as fh:
+        rows = re.findall(r"^\| (`.*?) +\| (.*) \|$", fh.read(), re.M)
+    assert len(rows) == 8
+    stale = []
+    for mod_cell, contents in rows:
+        mods = [importlib.import_module(f"cocycle_lab.{m}") for m in re.findall(r"`(\w+)`", mod_cell)]
+        stale += [(mod_cell, name) for name in re.findall(r"`([A-Za-z_][\w.]*)`", contents)
+                  if not any(resolves(mod, name) for mod in mods)]
+    assert stale == []

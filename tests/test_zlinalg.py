@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import zlinalg as zl
 
-from helpers import det, mat_mul, rank_int
+from helpers import det, mat_mul, rank_int, reduce_mod_columns
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -20,7 +20,7 @@ def test_row_hnf_small_known():
 
 
 def test_snf_known():
-    u, d, v = zl.snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    _, d, _, _ = zl.snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     diag = [d[i][i] for i in range(3)]
     assert diag == [2, 2, 156]
 
@@ -70,7 +70,7 @@ def test_snf_properties_random():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
-        u, d, v = zl.snf(a)
+        u, d, v, _ = zl.snf(a)
         assert abs(det(u)) == 1
         assert abs(det(v)) == 1
         assert mat_mul(mat_mul(u, a), v) == d
@@ -143,7 +143,7 @@ def brute_index(lat):
     import itertools
 
     for v in itertools.product(span, repeat=n):
-        seen.add(tuple(zl.reduce_mod_columns(lat.hnf_basis, list(v))))
+        seen.add(tuple(reduce_mod_columns(lat.hnf_basis, list(v))))
     return len(seen)
 
 
@@ -169,7 +169,7 @@ def test_index_with_torsion():
 
     reps = set()
     for a, b in itertools.product(range(8), range(4)):
-        reps.add(tuple(zl.reduce_mod_columns(lat.hnf_basis, [a, b])))
+        reps.add(tuple(reduce_mod_columns(lat.hnf_basis, [a, b])))
     assert lat.index() == len(reps)
 
 
@@ -187,12 +187,13 @@ def test_quotient_structure_known():
 
 def test_subgroup_structure():
     lat = zl.SubgroupLattice((0, 0), ((2, 0), (0, 3)))
-    s = lat.subgroup_structure()
-    assert s.free_rank == 2 and s.factors == ()
+    assert lat.parametrization.moduli == (0, 0)
+    assert not lat.is_finite()
     # inside Z x Z/4: subgroup gen by (0,2) is Z/2
     lat = zl.SubgroupLattice((0, 4), ((0, 2),))
-    s = lat.subgroup_structure()
-    assert s.free_rank == 0 and s.factors == (2,)
+    par = lat.parametrization
+    assert par.moduli == (2,) and par.gens == ((0, 2),)
+    assert par.coordinates([0, 6]) == (1,) and par.coordinates([0, 1]) is None
     assert lat.is_finite()
 
 
@@ -307,30 +308,22 @@ def test_solve_rational_matches_sympy():
         assert (zl.solve_rational(cols, w) is not None) == inside
 
 
-def test_inverse_unimodular_of_elementary_products():
+def test_snf_and_kernel_match_sympy():
+    """|diag D| are sympy's invariant factors, U*a*V = D, the returned U^-1
+    is U's integer inverse, and the kernel has sympy's nullspace rank."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
     rng = random.Random(61)
-    for _ in range(100):
-        n = rng.randint(1, 5)
-        u = zl.identity(n)
-        for _ in range(rng.randint(0, 8)):
-            i, j = rng.randrange(n), rng.randrange(n)
-            op = rng.randrange(3)
-            if op == 0 and i != j:
-                q = rng.randint(-3, 3)
-                u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-            elif op == 1:
-                u[i], u[j] = u[j], u[i]
-            else:
-                u[i] = [-x for x in u[i]]
-        inv = zl.inverse_unimodular(u)
-        assert mat_mul(inv, u) == zl.identity(n)
-        assert all(type(x) is int for row in inv for x in row)
-
-
-@pytest.mark.parametrize("u", [[[1, 1], [1, 1]], [[2, 0], [0, 1]], [[0, 0], [0, 0]]])
-def test_inverse_unimodular_rejects_singular_and_non_unimodular(u):
-    with pytest.raises(ValueError):
-        zl.inverse_unimodular(u)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(rng, rows, cols, -4, 4)
+        u, d, v, ui = zl.snf(a)
+        diag = [abs(d[i][i]) for i in range(min(rows, cols))]
+        assert diag == [int(x) for x in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)]
+        assert mat_mul(mat_mul(u, a), v) == d
+        assert all(type(x) is int for row in ui for x in row)
+        assert mat_mul(ui, u) == zl.identity(rows)
+        assert len(zl.kernel_int(a)) == len(sympy.Matrix(a).nullspace())
 
 
 def test_det_matches_fraction_elimination():
