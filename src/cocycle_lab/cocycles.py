@@ -594,11 +594,13 @@ def phi_surjective(rows, zmods, group, ctx):
 def product_split(c, n1):
     """Split sigma on a direct product G1 x G2 into (sigma1, sigma2, f) with
     sigma(g,h) = sigma1(g1,h1) sigma2(g2,h2) f(h1,g2); f must be a
-    bihomomorphism and the reassembly must equal sigma mod Z, otherwise
-    not-product-form (None)."""
+    bihomomorphism, the group law must not mix the factors and the
+    reassembly must equal sigma mod Z, otherwise not-product-form (None)."""
     n = c.n
     n2 = n - n1
     t = c.table
+    if any(len({x < n1 for x in e[:3]}) > 1 for e in c.group.bilinear):
+        return None
 
     def restrict(*zero):
         # the substitution of 0 for the variables in the given blocks keeps

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import groups, zlinalg as zl
-from .cocycles import (BudgetExceeded, CocycleError, induce_gamma,
-                       integrality_violation, phi_map, phi_surjective,
-                       product_split, push_to_quotient, restrict_to_lattice,
-                       twisted_center, validate_cocycle)
+from .cocycles import (BudgetExceeded, CocycleError, UnsupportedShape,
+                       induce_gamma, integrality_violation, phi_map,
+                       phi_surjective, product_split, push_to_quotient,
+                       restrict_to_lattice, twisted_center, validate_cocycle)
 from .exact import INTEGER, KNumber, empty_context
 
 ZSTABLE = "ZStable"
@@ -47,15 +47,13 @@ class Branch:
     notes: tuple = ()
 
     @staticmethod
-    def from_leaf(leaf, verdict, notes=None, index=None, child=None):
-        """Branch of a case leaf.  Notes default to the leaf's conditions and
-        skipped congruences, the index to that of the leaf's lattice."""
+    def from_leaf(leaf, verdict, notes=None, child=None):
+        """Branch of a case leaf, with the index of the leaf's lattice.  Notes
+        default to the leaf's conditions and skipped congruences."""
         if notes is None:
             notes = leaf.conditions + leaf.skipped
-        if index is None:
-            index = leaf.lattice.index()
-        return Branch(_leaf_label(leaf), leaf.ctx.assumptions, leaf.lattice, index,
-                      verdict, child, notes)
+        return Branch(_leaf_label(leaf), leaf.ctx.assumptions, leaf.lattice,
+                      leaf.lattice.index(), verdict, child, notes)
 
     def to_dict(self):
         return {
@@ -120,6 +118,18 @@ def _combine(branch_verdicts):
     if any(v == UNDECIDED for v in branch_verdicts):
         return UNDECIDED
     return ZSTABLE
+
+
+def _node(level, group, branches, notes=()):
+    """Trace node whose verdict combines its branches'."""
+    return TraceNode(level, group, tuple(branches),
+                     _combine([b.verdict for b in branches]), notes)
+
+
+def _index_branch(leaf):
+    """The single-level rule: ZStable iff the twisted center has infinite index."""
+    return Branch.from_leaf(leaf, ZSTABLE if leaf.lattice.index() is math.inf
+                            else NOT_ZSTABLE)
 
 
 def _leaf_label(leaf):
@@ -221,26 +231,24 @@ def _decide_node(a, level):
         return TraceNode(level, g, (), UNDECIDED, (f"undecided: {e}",))
     branches = []
     for leaf in leaves:
-        idx = leaf.lattice.index()
         notes = leaf.conditions + leaf.skipped
-        if idx is not math.inf:
+        if leaf.lattice.index() is not math.inf:
             branches.append(Branch.from_leaf(leaf, NOT_ZSTABLE, notes + (
-                "rational point: the twisted center has finite index",), idx))
+                "rational point: the twisted center has finite index",)))
             continue
         if leaf.lattice.is_finite():
             branches.append(Branch.from_leaf(leaf, ZSTABLE, notes + (
-                "twisted center finite while the group is infinite",), idx))
+                "twisted center finite while the group is infinite",)))
             continue
         try:
             qd = groups.quotient_by_central(g, leaf.lattice)
             w = push_to_quotient(c, qd)
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
             child = _decide_node(Analysis(wg, leaf.ctx, a.case_budget), level + 1)
-            branches.append(Branch.from_leaf(leaf, child.verdict, notes, idx, child))
+            branches.append(Branch.from_leaf(leaf, child.verdict, notes, child))
         except (CocycleError, ValueError) as e:
-            branches.append(Branch.from_leaf(leaf, UNDECIDED, notes + (f"undecided: {e}",),
-                                             idx))
-    return TraceNode(level, g, tuple(branches), _combine([b.verdict for b in branches]))
+            branches.append(Branch.from_leaf(leaf, UNDECIDED, notes + (f"undecided: {e}",)))
+    return _node(level, g, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +262,7 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     if not a.cocycle.group.is_abelian():
         raise ValueError("decide_abelian requires an abelian presentation")
     _require_cocycle(a)
-    branches = []
-    for leaf in a.leaves:
-        idx = leaf.lattice.index()
-        branches.append(Branch.from_leaf(leaf, ZSTABLE if idx is math.inf else NOT_ZSTABLE,
-                                         index=idx))
-    node = TraceNode(0, a.cocycle.group, tuple(branches),
-                     _combine([b.verdict for b in branches]))
+    node = _node(0, a.cocycle.group, [_index_branch(leaf) for leaf in a.leaves])
     return Verdict(z_stable=node.verdict, certificate=node)
 
 
@@ -297,8 +299,7 @@ def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
         if isinstance(out, Inapplicable):
             return out
         branches.append(out)
-    node = TraceNode(0, a.cocycle.group, tuple(branches),
-                     _combine([b.verdict for b in branches]))
+    node = _node(0, a.cocycle.group, branches)
     return Verdict(z_stable=node.verdict, certificate=node)
 
 
@@ -340,23 +341,19 @@ def _two_step_leaf(c, leaf, case_budget):
         except (CocycleError, BudgetExceeded) as e:
             subbranches.append(Branch.from_leaf(mleaf, UNDECIDED, (f"undecided: {e}",)))
             continue
-        for il in inner:
-            idx = il.lattice.index()
-            subbranches.append(Branch.from_leaf(il, ZSTABLE if idx is math.inf else NOT_ZSTABLE,
-                                                index=idx))
-    child = TraceNode(1, quo, tuple(subbranches),
-                      _combine([b.verdict for b in subbranches]),
-                      notes=("M = ker(phi_D); condition: [M : Z(M, Res omega_gamma)] "
-                             "infinite for all gamma",))
-    return Branch.from_leaf(leaf, child.verdict, leaf.conditions, math.inf, child)
+        subbranches.extend(_index_branch(il) for il in inner)
+    child = _node(1, quo, subbranches,
+                  ("M = ker(phi_D); condition: [M : Z(M, Res omega_gamma)] "
+                   "infinite for all gamma",))
+    return Branch.from_leaf(leaf, child.verdict, leaf.conditions, child)
 
 
 def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Generalized Heisenberg shortcut: D = Z(H)/Z(H,sigma)."""
     a = _analysis(c, ctx, case_budget)
     if len(a.cocycle.group.receiving_coords()) > 1:
-        raise ValueError("decide_heisenberg expects a Heisenberg-shaped presentation "
-                         "(a single receiving coordinate)")
+        raise UnsupportedShape("decide_heisenberg expects a Heisenberg-shaped "
+                               "presentation (a single receiving coordinate)")
     out = decide_two_step(a)
     if isinstance(out, Inapplicable):
         raise CocycleError(f"Heisenberg criterion inapplicable: {out.reason}")

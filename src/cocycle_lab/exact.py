@@ -284,7 +284,6 @@ class RationalityContext:
 
     def _classify(self, x):
         c, v = x.const, self._vec(x)
-        names = self.table.names
         ntheta = len(self.table.thetas)
         if not any(v):
             den = c.denominator
@@ -299,30 +298,20 @@ class RationalityContext:
                 if q is not None and q != 0:
                     return Classification(IRRATIONAL)
             return Classification(UNDETERMINED)
-        # rational: try for a denominator bound from the integral facts alone
-        _, integ = self._fact_parts
-        ivecs = [u for u, _ in integ if any(u)]
-        iconsts = [b for u, b in integ if any(u)]
-        D = math.lcm(c.denominator, *(x_.denominator for x_ in v),
-                     *(x_.denominator for u, b in integ for x_ in (*u, b)))
-        if ivecs:
-            cols = [[int(x_ * D) for x_ in u] for u in ivecs]
-            mat = [[col[i] for col in cols] for i in range(len(names))]
-            target = [int(x_ * D) for x_ in v]
-            sol = zl.solve_int(mat, target)
-            if sol is not None:
-                # x = c + sum(sol_j * (z_j - b_j)) with z_j integers
-                off = c - sum(Fraction(s) * b for s, b in zip(sol, iconsts))
-                den = off.denominator
-                return Classification(INTEGER if den == 1 else RATIONAL, den)
-            m = zl.denominator_in_lattice(zl.transpose(zl.col_hnf(mat)), target)
+        # rational: the integral facts u_j.sym + b_j in Z bound its
+        # denominator.  If m*v = sum(n_j * u_j) with n_j integers, then
+        # m*x = m*c - sum(n_j * b_j) + (an integer), so the least m with m*x
+        # provably integral is the least m with m*(v, c) in the lattice
+        # spanned by the (u_j, b_j) and (0, 1), all scaled by D to integers.
+        integ = [(u, b) for u, b in self._fact_parts[1] if any(u)]
+        if integ:
+            D = math.lcm(c.denominator, *(x_.denominator for x_ in v),
+                         *(x_.denominator for u, b in integ for x_ in (*u, b)))
+            gens = [[int(x_ * D) for x_ in (*u, b)] for u, b in integ]
+            gens.append([0] * len(v) + [D])
+            m = zl.denominator_in_lattice(zl.row_hnf(gens), [int(x_ * D) for x_ in (*v, c)])
             if m is not None:
-                # m*v = sum(n_j * u_j) with n_j integers, so
-                # m*x = m*c - sum(n_j * b_j) + (an integer)
-                sol2 = zl.solve_int(mat, [m * t for t in target])
-                off = m * c - sum(Fraction(s) * b for s, b in zip(sol2, iconsts))
-                den = m * off.denominator
-                return Classification(INTEGER if den == 1 else RATIONAL, den)
+                return Classification(INTEGER if m == 1 else RATIONAL, m)
         return Classification(RATIONAL, None)
 
     def assume_rational(self, x, note=None):

@@ -174,7 +174,7 @@ def quotient_by_central(g, sub):
         if any(col[i] for i in feeding):
             raise ValueError("quotient collapses a coordinate that feeds the group law; "
                              "unsupported presentation shape")
-    q = sub.quotient_structure()
+    q = sub.quotient_structure
     u = [list(r) for r in q.coords]
     p = q.inverse
     n = g.n

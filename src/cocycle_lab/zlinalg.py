@@ -3,10 +3,13 @@
 Matrices are lists of rows of Python ints (arbitrary precision).  Subgroups
 of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
-includes the torsion generators m_i * e_i, and one Smith form of a subgroup's
-relations (``SubgroupLattice.parametrization``) says what the subgroup is and
-reads an element's coordinates in it.  Work over Q goes through one reduced
-row-echelon form, QEchelon.
+includes the torsion generators m_i * e_i.  A vector is written in a lattice
+by one back-substitution down the HNF pivots, over Z (``coordinates``) or
+over Q (``denominator_in_lattice``).  Each subgroup computes at most two
+Smith forms, once each: of the quotient (``quotient_structure``, which gives
+the index) and of the subgroup's relations (``parametrization``, which says
+what the subgroup is and reads an element's coordinates in it).  Work over Q
+goes through one reduced row-echelon form, QEchelon.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ def identity(n):
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def row_hnf(a, with_transform=False):
@@ -193,31 +192,6 @@ def snf(a):
     return u, m, v, ui
 
 
-def solve_int(a, b):
-    """One integer solution x of a*x = b, or None."""
-    if not a:
-        return None
-    h, v = col_hnf(a, with_transform=True)
-    ht = transpose(h) if h else []
-    ncols = len(v[0]) if v else 0
-    y = [0] * ncols
-    r = [x for x in b]
-    # columns of h are echelon: match pivots top-down
-    for j in range(len(ht)):
-        col = ht[j]
-        piv = next((i for i, x in enumerate(col) if x != 0), None)
-        if piv is None:
-            continue
-        if r[piv] % col[piv] != 0:
-            return None
-        q = r[piv] // col[piv]
-        y[j] = q
-        r = [x - q * c for x, c in zip(r, col)]
-    if any(r):
-        return None
-    return mat_vec(v, y)
-
-
 class QEchelon:
     """Span over Q in reduced row-echelon form.
 
@@ -255,32 +229,12 @@ class QEchelon:
         return not any(self.reduce(v))
 
 
-def solve_rational(cols, v):
-    """Coefficients expressing v as a Q-combination of the given columns, or None.
-
-    ``cols`` must be Q-linearly independent (e.g. nonzero HNF columns).
-    Reducing (v | 0) against the rows (col_j | e_j) leaves (0 | -coefficients)."""
-    if not cols:
-        return None if any(v) else []
-    n = len(cols[0])
-    k = len(cols)
-    ech = QEchelon()
-    for j, col in enumerate(cols):
-        ech.add(list(col) + [1 if t == j else 0 for t in range(k)])
-    r = ech.reduce(list(v) + [0] * k)
-    if any(r[:n]):
-        return None
-    return [-x for x in r[n:]]
-
-
 @dataclass(frozen=True)
 class QuotientStructure:
-    """ambient/sub as Z^free_rank x prod Z/d_i, with coordinate map y = coords*x."""
+    """ambient/sub as prod Z/moduli_i, with coordinate map y = coords*x."""
 
-    free_rank: int
-    factors: tuple  # invariant factors > 1
     coords: tuple  # rows of the full unimodular coordinate map U
-    moduli: tuple  # modulus per U-coordinate (1 entries mean the coord dies)
+    moduli: tuple  # modulus per U-coordinate: 0 is free, 1 means the coord dies
     inverse: tuple  # rows of U^-1; its columns lift the U-coordinates back
 
 
@@ -308,16 +262,21 @@ class Parametrization:
         return tuple(y % m if m else y for y, m in zip(ys, self.moduli))
 
 
-def _echelon_coordinates(hcols, v):
-    """Integer coefficients of v in the column-echelon basis hcols, found by
-    back-substitution down the pivots, or None when v is not in its span."""
+def _echelon_coordinates(hcols, v, over_q=False):
+    """Coefficients of v in the column-echelon basis hcols, found by
+    back-substitution down the pivots: integers, or None when v is not in
+    the basis's Z-span; with ``over_q`` rationals, or None when v is not in
+    its Q-span."""
     r = list(v)
     out = []
     for col in hcols:
         piv = next(i for i, x in enumerate(col) if x)
-        q, rem = divmod(r[piv], col[piv])
-        if rem:
-            return None
+        if over_q:
+            q = Fraction(r[piv], col[piv])
+        else:
+            q, rem = divmod(r[piv], col[piv])
+            if rem:
+                return None
         if q:
             r = [x - q * c for x, c in zip(r, col)]
         out.append(q)
@@ -370,13 +329,12 @@ class SubgroupLattice:
 
     def index(self):
         """[ambient : self] as an int, or math.inf."""
-        q = self.quotient_structure()
-        if q.free_rank:
-            return math.inf
-        return math.prod(q.factors)
+        moduli = self.quotient_structure.moduli
+        return math.inf if 0 in moduli else math.prod(moduli)
 
+    @cached_property
     def quotient_structure(self):
-        """Invariant factors and free rank of ambient/self."""
+        """ambient/self, read off one Smith form of the HNF basis."""
         return _structure([list(c) for c in self.hnf_basis], self.n)
 
     @cached_property
@@ -397,8 +355,9 @@ class SubgroupLattice:
         return 0 not in self.parametrization.moduli
 
     def is_trivial(self):
-        zero = SubgroupLattice(self.moduli, ())
-        return self.hnf_basis == zero.hnf_basis
+        """Whether the basis is just the torsion generators m_i * e_i."""
+        return self.hnf_basis == tuple(tuple(m * (j == i) for j in range(self.n))
+                                       for i, m in enumerate(self.moduli) if m)
 
 
 def _structure(rel_cols, k):
@@ -406,8 +365,6 @@ def _structure(rel_cols, k):
     u, d, _, ui = snf(transpose(rel_cols) if rel_cols else [[0] for _ in range(k)])
     diag = [abs(d[i][i]) if i < len(d[0]) else 0 for i in range(k)]
     return QuotientStructure(
-        free_rank=diag.count(0),
-        factors=tuple(x for x in diag if x > 1),
         coords=tuple(tuple(r) for r in u),
         moduli=tuple(diag),
         inverse=tuple(tuple(r) for r in ui),
@@ -484,8 +441,7 @@ def solve_mixed_system(moduli, equalities, congruences):
 
 
 def denominator_in_lattice(hcols, v):
-    """Minimal m >= 1 with m*v in the column span, or None if v is outside the Q-span."""
-    sol = solve_rational([list(c) for c in hcols], v)
-    if sol is None:
-        return None
-    return math.lcm(*(c.denominator for c in sol))
+    """Least m >= 1 with m*v in the span of the column-echelon basis hcols,
+    or None when v is outside its Q-span."""
+    c = _echelon_coordinates(hcols, v, over_q=True)
+    return None if c is None else math.lcm(*(q.denominator for q in c))

@@ -186,7 +186,7 @@ EXIT_MATRIX = [
     (["tf", fixture("z-times-h3-rat-rat")], 2),     # frame side stays undecided
     (["bound", "4"], 0),
     (["verdict", "no-such-file.problem"], 1),
-    (["heisenberg", fixture("g3")], 1),             # wrong shape is an input error
+    (["heisenberg", fixture("g3")], 2),             # a valid input of another shape
     (["torus", fixture("torus2-rational")], 0),
     (["validate", fixture("g3"), "--ctx", "nope=rational"], 1),
     (["product", fixture("torus2"), "--n1", "1"], 2),  # g1 h2 is no product form
@@ -315,6 +315,16 @@ def test_contradictory_ctx_assertions_are_input_errors(tmp_path, capsys, symbols
     code, out, err = run(argv, capsys)
     assert code == 1 and not out
     assert "contradict" in err and all(a in err for a in assertions)
+
+
+@pytest.mark.parametrize("n1", ["1", "2"])
+def test_product_rules_reject_a_law_that_mixes_the_factors(tmp_path, capsys, n1):
+    """z receives x*y, so no split point makes the group a direct product."""
+    f = tmp_path / "carry.problem"
+    f.write_text(SYMMETRIC_CARRY)
+    code, out, err = run(["product", str(f), "--n1", n1], capsys)
+    assert (code, out, err) == (2, "product rules inapplicable: cocycle is not in "
+                                   "product form\n", "")
 
 
 TORUS = "[group]\nbuilder abelian 0 0\n[cocycle]\n1 * g:x1 * h:x2\n"

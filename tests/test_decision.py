@@ -257,7 +257,7 @@ def test_two_step_quotients_satisfy_the_unchecked_hypotheses():
 
 
 def test_heisenberg_shortcut_rejects_multiple_receiving_coords():
-    with pytest.raises(ValueError):
+    with pytest.raises(cocycles.UnsupportedShape):
         decide_heisenberg(g3_cocycle())
 
 
@@ -452,6 +452,27 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     decide_simplicity(p.cocycle, p.context)
     assert len(classified) <= 147  # 249 when every child classified from empty
     assert kernels == []  # 52 when the pure-theta search ran without thetas
+
+
+def test_decide_computes_each_leaf_quotient_smith_form_once(monkeypatch):
+    """On heis-1-2 the recursion and then the two-step fallback read every
+    level-0 leaf's index and quotient by it; the quotient's Smith form is
+    computed once per lattice (4 times when each read recomputed it)."""
+    p = load_problem(fixture("heis-1-2"))
+    a = Analysis(p.cocycle, p.context)
+    leaves = a.leaves
+    calls = []
+    real = zl._structure
+
+    def structure(rel_cols, k):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "quotient_structure":
+            calls.append(caller.f_locals["self"])
+        return real(rel_cols, k)
+
+    monkeypatch.setattr(zl, "_structure", structure)
+    decide(a)
+    assert leaves and all(sum(lat is leaf.lattice for lat in calls) == 1 for leaf in leaves)
 
 
 def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -108,6 +109,35 @@ def test_classify_integral_fact():
     c = ctx.classify(symbol(T, "xi") + Fraction(1, 2))
     # 2*xi in Z, so xi + 1/2 in (1/2)Z
     assert c.kind == RATIONAL and c.denominator == 2
+    # a fact with a constant: xi + 1/3 in Z puts xi in -1/3 + Z
+    ctx = empty_context(T).assume_integral(symbol(T, "xi") + Fraction(1, 3))
+    assert ctx.classify(symbol(T, "xi") + Fraction(4, 3)).kind == INTEGER
+    c = ctx.classify(symbol(T, "xi", 2))
+    assert c.kind == RATIONAL and c.denominator == 3
+
+
+def test_classify_with_torsion_and_integral_facts_matches_closed_form():
+    """When every parameter xi_i has m_i * xi_i in Z, by its torsion order or
+    by an integral fact, and nothing else is known, xi_i ranges over
+    (1/m_i)Z independently, so c + sum(v_i * xi_i) has least denominator
+    lcm(den c, den(v_i / m_i))."""
+    rng = random.Random(71)
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        ms = [rng.randint(1, 6) for _ in range(k)]
+        by_fact = [rng.random() < 0.5 for _ in range(k)]
+        table = SymbolTable(xis=tuple((f"x{i}", 0 if f else m)
+                                      for i, (m, f) in enumerate(zip(ms, by_fact))))
+        ctx = empty_context(table)
+        for i, (m, f) in enumerate(zip(ms, by_fact)):
+            if f:
+                ctx = ctx.assume_integral(symbol(table, f"x{i}", m))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        vs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)]
+        x = knum(table, c, **{f"x{i}": v for i, v in enumerate(vs)})
+        den = math.lcm(c.denominator, *((v / m).denominator for v, m in zip(vs, ms)))
+        got = ctx.classify(x)
+        assert (got.kind, got.denominator) == (INTEGER if den == 1 else RATIONAL, den)
 
 
 def test_classify_mixed_theta_xi():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import zlinalg as zl
 
-from helpers import det, mat_mul, rank_int, reduce_mod_columns
+from helpers import det, mat_mul, mat_vec, rank_int, reduce_mod_columns
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -95,7 +96,7 @@ def test_kernel_int_random():
         a = rand_matrix(rng, rows, cols, -5, 5)
         ker = zl.kernel_int(a)
         for col in ker:
-            assert not any(zl.mat_vec(a, col))
+            assert not any(mat_vec(a, col))
         # rank-nullity over Q
         assert len(ker) == cols - rank_int(a)
 
@@ -112,27 +113,38 @@ def test_kernel_is_saturated():
         lat = zl.SubgroupLattice((0,) * 4, tuple(tuple(c) for c in ker))
         for _ in range(20):
             v = [rng.randint(-8, 8) for _ in range(4)]
-            if not any(zl.mat_vec(a, v)):
+            if not any(mat_vec(a, v)):
                 assert lat.contains(v)
 
 
-def test_solve_int_random():
+def test_membership_matches_residues_mod_det():
+    """A full-rank L contains d*Z^n, d = |det|, so v lies in L iff v mod d is
+    a sum of generators mod d; the coordinates rebuild v from the HNF basis."""
     rng = random.Random(23)
-    for _ in range(200):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        a = rand_matrix(rng, rows, cols, -5, 5)
-        x0 = [rng.randint(-4, 4) for _ in range(cols)]
-        b = zl.mat_vec(a, x0)
-        x = zl.solve_int(a, b)
-        assert x is not None
-        assert zl.mat_vec(a, x) == b
+    checked = 0
+    while checked < 40:
+        n = rng.randint(1, 3)
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        d = abs(det(gens))
+        if not 0 < d <= 12:
+            continue
+        checked += 1
+        residues = {tuple(sum(x * g[i] for x, g in zip(xs, gens)) % d for i in range(n))
+                    for xs in itertools.product(range(d), repeat=n)}
+        lat = zl.SubgroupLattice((0,) * n, tuple(map(tuple, gens)))
+        for v in itertools.product(range(-5, 6), repeat=n):
+            c = lat.coordinates(v)
+            assert (c is not None) == (tuple(x % d for x in v) in residues)
+            if c is not None:
+                assert mat_vec(zl.transpose(lat.hnf_basis), c) == list(v)
 
 
-def test_solve_int_unsolvable():
-    assert zl.solve_int([[2]], [1]) is None
-    assert zl.solve_int([[2, 4]], [3]) is None
-    assert zl.solve_int([[1, 0], [0, 0]], [0, 1]) is None
+def test_membership_small_known():
+    # the integer systems 2x = 1, 2x + 4y = 3 and (x, 0) = (0, 1) have no solution
+    assert not zl.SubgroupLattice((0,), ((2,),)).contains([1])
+    assert not zl.SubgroupLattice((0,), ((2,), (4,))).contains([3])
+    assert not zl.SubgroupLattice((0, 0), ((1, 0),)).contains([0, 1])
+    assert zl.SubgroupLattice((0,), ((4,), (6,))).contains([2])
 
 
 def brute_index(lat):
@@ -176,13 +188,10 @@ def test_index_with_torsion():
 def test_quotient_structure_known():
     # Z^2 / <(2,0),(0,3)> = Z/2 x Z/3 = Z/6
     lat = zl.SubgroupLattice((0, 0), ((2, 0), (0, 3)))
-    q = lat.quotient_structure()
-    assert q.free_rank == 0
-    assert q.factors == (6,) or set(q.factors) == {2, 3}
+    assert lat.quotient_structure.moduli == (1, 6) and lat.index() == 6
     # Z^3 / <(1,0,0)> = Z^2
     lat = zl.SubgroupLattice((0, 0, 0), ((1, 0, 0),))
-    q = lat.quotient_structure()
-    assert q.free_rank == 2 and q.factors == ()
+    assert lat.quotient_structure.moduli == (1, 0, 0) and lat.index() is math.inf
 
 
 def test_subgroup_structure():
@@ -287,25 +296,59 @@ def test_qechelon_rows_match_sympy_rref():
         assert ech.contains([x - y for x, y in zip(v, r)])
 
 
-def test_solve_rational_matches_sympy():
+def test_denominator_matches_sympy_and_brute_force():
+    """The least m with m*v in the lattice is the lcm of the denominators of
+    v's rational coefficients in the HNF basis (sympy's solve), and the first
+    of m = 1, 2, ... whose m*v the lattice contains."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(59)
-    checked = 0
-    while checked < 80:
-        n, k = rng.randint(1, 5), rng.randint(1, 4)
-        cols = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(k)]
-        m = sympy.Matrix(cols).T
-        if m.rank() != k:
+    for _ in range(80):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        gens = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(k))
+        lat = zl.SubgroupLattice((0,) * n, gens)
+        basis = lat.hnf_basis
+        if not basis:
             continue
-        checked += 1
-        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(k)]
-        v = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(n)]
-        sol, params = m.gauss_jordan_solve(sympy.Matrix(v))
-        assert params.shape[0] == 0
-        assert zl.solve_rational(cols, v) == [Fraction(int(x.p), int(x.q)) for x in sol]
-        w = [rng.randint(-6, 6) for _ in range(n)]
-        inside = m.rank() == m.row_join(sympy.Matrix(w)).rank()
-        assert (zl.solve_rational(cols, w) is not None) == inside
+        if rng.random() < 0.5:
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+            v = [sum(c * col[i] for c, col in zip(coeffs, basis)) for i in range(n)]
+        else:
+            v = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
+        got = zl.denominator_in_lattice(basis, v)
+        rhs = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in v])
+        try:
+            sol, _ = sympy.Matrix(basis).T.gauss_jordan_solve(rhs)
+        except ValueError:  # no rational solution
+            sol = None
+        assert got == (None if sol is None else math.lcm(*(int(x.q) for x in sol)))
+
+        def inside(m):
+            w = [m * x for x in v]
+            return all(x.denominator == 1 for x in w) and lat.contains([int(x) for x in w])
+
+        if got is None:
+            assert not any(inside(m) for m in range(1, 50))
+        else:
+            assert inside(got) and not any(inside(m) for m in range(1, got))
+
+
+def test_hnf_spans_the_lattice_of_sympys_hnf():
+    """sympy's hermite_normal_form, in another convention, spans the same
+    lattice: each basis lies in the other's integer span."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    rng = random.Random(67)
+    for _ in range(100):
+        n, k = rng.randint(1, 4), rng.randint(1, 5)
+        gens = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(k)]
+        lat = zl.SubgroupLattice((0,) * n, tuple(map(tuple, gens)))
+        h = hermite_normal_form(sympy.Matrix(gens).T)
+        theirs = [[int(x) for x in h.col(j)] for j in range(h.cols)]
+        assert len(theirs) == len(lat.hnf_basis)
+        assert all(lat.contains(col) for col in theirs)
+        for col in lat.hnf_basis:
+            sol, params = h.gauss_jordan_solve(sympy.Matrix(col))
+            assert params.shape[0] == 0 and all(x.is_integer for x in sol)
 
 
 def test_snf_and_kernel_match_sympy():
@@ -357,12 +400,31 @@ def test_hnf_idempotent(rows):
     assert zl.row_hnf(h) == h
 
 
+def member_2x2(a, v):
+    """Whether v is an integer combination of the columns of the 2x2 matrix a:
+    by Cramer's rule, or, when det a = 0, along the one primitive direction p
+    the columns span, where the lattice is gcd(s_j) * Z * p for columns s_j * p."""
+    d = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    if d:
+        return ((v[0] * a[1][1] - v[1] * a[0][1]) % d == 0
+                and (a[0][0] * v[1] - a[1][0] * v[0]) % d == 0)
+    cols = [c for c in zip(*a) if any(c)]
+    if not cols:
+        return not any(v)
+    g = math.gcd(*cols[0])
+    p = (cols[0][0] // g, cols[0][1] // g)
+    norm = p[0] ** 2 + p[1] ** 2
+    s = [(c[0] * p[0] + c[1] * p[1]) // norm for c in cols]
+    if v[0] * p[1] - v[1] * p[0]:
+        return False
+    return (v[0] * p[0] + v[1] * p[1]) // norm % math.gcd(*s) == 0
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.lists(st.integers(-10, 10), min_size=2, max_size=2), min_size=2, max_size=2),
     st.lists(st.integers(-10, 10), min_size=2, max_size=2),
 )
-def test_membership_consistent_with_solve(a, v):
+def test_membership_matches_cramer(a, v):
     lat = zl.SubgroupLattice((0, 0), tuple(tuple(col) for col in zip(*a)))
-    has = zl.solve_int(a, v) is not None
-    assert lat.contains(v) == has
+    assert lat.contains(v) == member_2x2(a, v)
