@@ -186,10 +186,11 @@ EXIT_MATRIX = [
     (["tf", fixture("z-times-h3-rat-rat")], 2),     # frame side stays undecided
     (["bound", "4"], 0),
     (["verdict", "no-such-file.problem"], 1),
-    (["heisenberg", fixture("g3")], 2),             # a valid input of another shape
+    (["heisenberg", fixture("heis-1-2"), "--ctx", "nope=rational"], 1),
     (["torus", fixture("torus2-rational")], 0),
     (["validate", fixture("g3"), "--ctx", "nope=rational"], 1),
     (["product", fixture("torus2"), "--n1", "1"], 2),  # g1 h2 is no product form
+    (["heisenberg", fixture("g3")], 2),             # a valid input of another shape
 ]
 
 
