@@ -335,7 +335,7 @@ def main(argv=None):
         args.case_budget = (_default_budget() if args.case_budget is None else
                             _positive_budget(args.case_budget, "--case-budget"))
         return _FILE_COMMANDS[args.command](args)
-    except (ProblemError, FileNotFoundError) as e:
+    except ProblemError as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except (BudgetExceeded, UnsupportedShape) as e:

@@ -11,12 +11,11 @@ purely polynomial phase cannot express; see induce_gamma.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import zlinalg as zl
-from .exact import (INTEGER, IRRATIONAL, RATIONAL, KNumber, RationalityContext,
-                    SymbolTable, symbol)
+from ._value import Value
+from .exact import INTEGER, IRRATIONAL, RATIONAL, KNumber, RationalityContext, symbol
 from .groups import GroupPresentation, Morphism
 from .poly import Poly, is_integer_valued
 
@@ -29,16 +28,17 @@ class UnsupportedShape(CocycleError):
     """A valid input whose presentation shape the engine does not handle."""
 
 
-@dataclass(frozen=True)
-class Cocycle:
-    group: GroupPresentation
-    table: SymbolTable
-    phase: Poly  # in 2n variables: g_1..g_n, h_1..h_n
-    correction: Poly | None = None  # added to the antisymmetrization on commuting pairs
+class Cocycle(Value):
+    __slots__ = _fields = ("group", "table", "phase", "correction")
 
-    def __post_init__(self):
-        if self.phase.nv != 2 * self.group.n:
+    def __init__(self, group, table, phase, correction=None):
+        if phase.nv != 2 * group.n:
             raise ValueError("phase variable count must be 2 * (group coordinates)")
+        object.__setattr__(self, "group", group)  # GroupPresentation
+        object.__setattr__(self, "table", table)  # SymbolTable
+        object.__setattr__(self, "phase", phase)  # Poly in 2n variables: g_1..g_n, h_1..h_n
+        # Poly | None, added to the antisymmetrization on commuting pairs
+        object.__setattr__(self, "correction", correction)
 
     @property
     def n(self):
@@ -246,12 +246,15 @@ def _pairing_rows(c, gens):
     raise CocycleError(f"pairing is not a bicharacter: {viol}")  # unreachable, see above
 
 
-@dataclass(frozen=True)
-class CaseLeaf:
-    ctx: RationalityContext
-    lattice: zl.SubgroupLattice
-    conditions: tuple = ()  # human-readable "form in Z" strings
-    skipped: tuple = ()  # conditions dropped for lack of a denominator bound
+class CaseLeaf(Value):
+    __slots__ = _fields = ("ctx", "lattice", "conditions", "skipped")
+
+    def __init__(self, ctx, lattice, conditions=(), skipped=()):
+        object.__setattr__(self, "ctx", ctx)  # RationalityContext
+        object.__setattr__(self, "lattice", lattice)  # SubgroupLattice
+        object.__setattr__(self, "conditions", conditions)  # human-readable "form in Z" strings
+        # conditions dropped for lack of a denominator bound
+        object.__setattr__(self, "skipped", skipped)
 
 
 def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
@@ -335,10 +338,9 @@ def _render_form(row, sym, gen_names):
 def _rebase_ctx(ctx, table):
     if ctx.table == table:
         return ctx
-    return replace(ctx, table=table,
-                   rational=tuple(x.rebase(table) for x in ctx.rational),
-                   integral=tuple(x.rebase(table) for x in ctx.integral),
-                   irrational=tuple(x.rebase(table) for x in ctx.irrational))
+    return RationalityContext(table, tuple(x.rebase(table) for x in ctx.rational),
+                              tuple(x.rebase(table) for x in ctx.integral),
+                              tuple(x.rebase(table) for x in ctx.irrational), ctx.assumptions)
 
 
 def _map_leaves_to_ambient(leaves, gens, ambient_moduli):
@@ -351,7 +353,7 @@ def _map_leaves_to_ambient(leaves, gens, ambient_moduli):
             if any(vec):
                 cols.append(tuple(vec))
         lat = zl.SubgroupLattice(tuple(ambient_moduli), tuple(cols))
-        out.append(replace(leaf, lattice=lat))
+        out.append(CaseLeaf(leaf.ctx, lat, leaf.conditions, leaf.skipped))
     return out
 
 
@@ -491,8 +493,7 @@ def induce_gamma(c, qd, prefix="gamma"):
     phase = c.phase.rebase(table)
     corr = c.correction.rebase(table) if c.correction is not None else Poly.zero(2 * nq, table)
     if not new_syms:
-        return replace(c, table=table, phase=phase,
-                       correction=corr if not corr.is_zero() else None)
+        return Cocycle(c.group, table, phase, corr if not corr.is_zero() else None)
     p = [list(row) for row in qd.section.matrix]  # n x nq
 
     # defect delta(x, y) = B_G(Px, Py) - P B_Q(x, y), coordinate vectors of

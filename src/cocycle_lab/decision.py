@@ -10,10 +10,10 @@ so a single flag drives all three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from . import groups, zlinalg as zl
+from ._value import Value
 from .cocycles import (BudgetExceeded, CocycleError, UnsupportedShape,
                        induce_gamma, integrality_violation, phi_map,
                        phi_surjective, product_split, push_to_quotient,
@@ -36,15 +36,18 @@ KLEPPNER_CONVENTION = (
     "FC(G) equals the center, where the centralizer is all of G")
 
 
-@dataclass(frozen=True)
-class Branch:
-    label: str
-    assumptions: tuple
-    lattice: object  # SubgroupLattice or None
-    index: object  # int | math.inf | None
-    verdict: str
-    child: object = None  # TraceNode | None
-    notes: tuple = ()
+class Branch(Value):
+    __slots__ = _fields = ("label", "assumptions", "lattice", "index", "verdict", "child",
+                           "notes")
+
+    def __init__(self, label, assumptions, lattice, index, verdict, child=None, notes=()):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "lattice", lattice)  # SubgroupLattice or None
+        object.__setattr__(self, "index", index)  # int | math.inf | None
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "child", child)  # TraceNode | None
+        object.__setattr__(self, "notes", notes)
 
     @staticmethod
     def from_leaf(leaf, verdict, notes=None, child=None):
@@ -67,13 +70,15 @@ class Branch:
         }
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    level: int
-    group: object
-    branches: tuple
-    verdict: str
-    notes: tuple = ()
+class TraceNode(Value):
+    __slots__ = _fields = ("level", "group", "branches", "verdict", "notes")
+
+    def __init__(self, level, group, branches, verdict, notes=()):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "branches", branches)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "notes", notes)
 
     def to_dict(self):
         return {
@@ -85,12 +90,14 @@ class TraceNode:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
-    z_stable: str  # ZSTABLE | NOT_ZSTABLE | UNDECIDED
-    simple: str = SIMPLE_UNKNOWN
-    certificate: TraceNode = None
-    notes: tuple = ()
+class Verdict(Value):
+    __slots__ = _fields = ("z_stable", "simple", "certificate", "notes")
+
+    def __init__(self, z_stable, simple=SIMPLE_UNKNOWN, certificate=None, notes=()):
+        object.__setattr__(self, "z_stable", z_stable)  # ZSTABLE | NOT_ZSTABLE | UNDECIDED
+        object.__setattr__(self, "simple", simple)
+        object.__setattr__(self, "certificate", certificate)  # TraceNode | None
+        object.__setattr__(self, "notes", notes)
 
     @property
     def nowhere_scattered(self):
@@ -140,8 +147,7 @@ def _leaf_label(leaf):
 # the general recursion
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Value):
     """The level-0 facts of a cocycle in a rationality context: whether it is
     a 2-cocycle, and its twisted center's case leaves.  Each is computed on
     first read and then shared by every verdict handed this value.  A
@@ -150,9 +156,13 @@ class Analysis:
 
     Every verdict function takes a Cocycle, with an optional context and
     case budget, or an Analysis, which carries its own."""
-    cocycle: object
-    ctx: object
-    case_budget: int = DEFAULT_CASE_BUDGET
+
+    _fields = ("cocycle", "ctx", "case_budget")
+
+    def __init__(self, cocycle, ctx, case_budget=DEFAULT_CASE_BUDGET):
+        object.__setattr__(self, "cocycle", cocycle)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "case_budget", case_budget)
 
     @cached_property
     def violation(self):
@@ -198,7 +208,8 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     except (CocycleError, ValueError, BudgetExceeded):
         out = None
     if isinstance(out, Verdict) and out.z_stable != UNDECIDED:
-        cert = replace(out.certificate, notes=out.certificate.notes + (
+        t = out.certificate
+        cert = TraceNode(t.level, t.group, t.branches, t.verdict, t.notes + (
             "generic recursion left cases unresolved; verdict from the "
             "single-quotient criterion",))
         return Verdict(z_stable=out.z_stable, certificate=cert)
@@ -243,6 +254,7 @@ def _decide_node(a, level):
         try:
             qd = groups.quotient_by_central(g, leaf.lattice)
             w = push_to_quotient(c, qd)
+            # problem files may not declare these names (problem._induced_name)
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
             child = _decide_node(Analysis(wg, leaf.ctx, a.case_budget), level + 1)
             branches.append(Branch.from_leaf(leaf, child.verdict, notes, child))
@@ -270,9 +282,11 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 # 2-step shortcut and generalized Heisenberg groups
 
 
-@dataclass(frozen=True)
-class Inapplicable:
-    reason: str
+class Inapplicable(Value):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason):
+        object.__setattr__(self, "reason", reason)
 
 
 def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
@@ -364,11 +378,13 @@ def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 # products
 
 
-@dataclass(frozen=True)
-class ProductRuleOutcome:
-    applicable: bool
-    verdict: str = UNDECIDED
-    reason: str = ""
+class ProductRuleOutcome(Value):
+    __slots__ = _fields = ("applicable", "verdict", "reason")
+
+    def __init__(self, applicable, verdict=UNDECIDED, reason=""):
+        object.__setattr__(self, "applicable", applicable)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "reason", reason)
 
 
 def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):

@@ -15,11 +15,11 @@ extends its parent's span and classifications by its one new fact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
 from . import zlinalg as zl
+from ._value import Value
 
 _ZERO = Fraction(0)
 
@@ -29,18 +29,19 @@ IRRATIONAL = "irrational"
 UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class SymbolTable:
-    thetas: tuple = ()
-    xis: tuple = ()  # (name, torsion order); order 0 = no torsion axiom
+class SymbolTable(Value):
+    _fields = ("thetas", "xis")
 
-    def __post_init__(self):
-        names = list(self.thetas) + [n for n, _ in self.xis]
+    def __init__(self, thetas=(), xis=()):
+        # xis: (name, torsion order) pairs; order 0 = no torsion axiom
+        names = list(thetas) + [n for n, _ in xis]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
-        for _, m in self.xis:
+        for _, m in xis:
             if m < 0:
                 raise ValueError("torsion order must be >= 0")
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "xis", xis)
 
     @cached_property
     def names(self):
@@ -57,11 +58,21 @@ class SymbolTable:
         return SymbolTable(self.thetas, self.xis + tuple(new_xis))
 
 
-@dataclass(frozen=True)
-class KNumber:
-    table: SymbolTable
-    const: Fraction
-    coeffs: tuple  # sorted (name, Fraction) pairs, no zeros
+class KNumber(Value):
+    __slots__ = _fields = ("table", "const", "coeffs")
+
+    def __init__(self, table, const, coeffs):
+        object.__setattr__(self, "table", table)  # SymbolTable
+        object.__setattr__(self, "const", const)  # Fraction
+        object.__setattr__(self, "coeffs", coeffs)  # sorted (name, Fraction) pairs, no zeros
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.table, self.const, self.coeffs) == (other.table, other.const, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.table, self.const, self.coeffs))
 
     @staticmethod
     def make(table, const=0, coeffs=None):
@@ -173,14 +184,24 @@ def symbol(table, name, q=1):
     return KNumber.make(table, 0, {name: q})
 
 
-@dataclass(frozen=True)
-class Classification:
-    kind: str
-    denominator: int | None = None  # for integer/rational: m with m*x in Z (if known)
+class Classification(Value):
+    __slots__ = _fields = ("kind", "denominator")
+
+    def __init__(self, kind, denominator=None):
+        object.__setattr__(self, "kind", kind)
+        # for integer/rational: m with m*x in Z (if known)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.denominator) == (other.kind, other.denominator)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.denominator))
 
 
-@dataclass(frozen=True)
-class RationalityContext:
+class RationalityContext(Value):
     """Immutable set of facts; fact parts, the span, consistency and
     classify() results are cached per instance.  assume_*() fills a child's
     caches from the parent's computed parts (never the parent itself) plus
@@ -196,18 +217,20 @@ class RationalityContext:
     pure-theta residual undetermined.  UNDETERMINED entries are never kept,
     and an integral child starts empty: its denominators can change."""
 
-    table: SymbolTable
-    rational: tuple = ()  # KNumbers asserted to lie in Q
-    integral: tuple = ()  # KNumbers asserted to lie in Z
-    irrational: tuple = ()  # KNumbers asserted to lie outside Q
-    assumptions: tuple = ()  # human-readable trail of split() choices
-    _classified: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)  # classify() memo
+    _fields = ("table", "rational", "integral", "irrational", "assumptions")
 
-    def __post_init__(self):
-        for f in self.rational + self.integral + self.irrational:
-            if f.table != self.table:
+    def __init__(self, table, rational=(), integral=(), irrational=(), assumptions=()):
+        # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
+        # outside Q; assumptions: human-readable trail of split() choices
+        for f in rational + integral + irrational:
+            if f.table != table:
                 raise ValueError("fact does not belong to this symbol table")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "rational", rational)
+        object.__setattr__(self, "integral", integral)
+        object.__setattr__(self, "irrational", irrational)
+        object.__setattr__(self, "assumptions", assumptions)
+        object.__setattr__(self, "_classified", {})  # classify() memo
 
     # -- internal vector views -------------------------------------------
 
@@ -326,8 +349,10 @@ class RationalityContext:
     def _extend(self, kind, x, note):
         """Child with one more fact x of the given kind, its caches filled
         from this context's (see the class docstring)."""
-        child = replace(self, **{kind: getattr(self, kind) + (x,)},
-                        assumptions=self.assumptions + (note,))
+        facts = {"rational": self.rational, "integral": self.integral,
+                 "irrational": self.irrational}
+        facts[kind] += (x,)
+        child = RationalityContext(self.table, assumptions=self.assumptions + (note,), **facts)
         c, v = x.const, self._vec(x)
         rat, integ = self._fact_parts
         slots = child.__dict__  # where cached_property keeps its values

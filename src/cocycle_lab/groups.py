@@ -10,9 +10,8 @@ everything reachable from them by central quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import zlinalg as zl
+from ._value import Value
 
 
 def _canon_bilinear(entries):
@@ -23,18 +22,19 @@ def _canon_bilinear(entries):
     return tuple(sorted((k, i, j, c) for (k, i, j), c in acc.items() if c))
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
-    moduli: tuple  # per-coordinate torsion order, 0 = free
-    bilinear: tuple = ()  # sparse ((k, i, j, coeff), ...)
-    names: tuple = ()  # coordinate names for display; generated if empty
+class GroupPresentation(Value):
+    __slots__ = _fields = ("moduli", "bilinear", "names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bilinear", _canon_bilinear(self.bilinear))
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
-        n = self.n
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"x{i+1}" for i in range(n)))
+    def __init__(self, moduli, bilinear=(), names=()):
+        # moduli: per-coordinate torsion order, 0 = free; bilinear: sparse
+        # ((k, i, j, coeff), ...); names: coordinate names for display,
+        # generated if empty
+        bilinear = _canon_bilinear(bilinear)
+        moduli = tuple(int(m) for m in moduli)
+        n = len(moduli)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "bilinear", bilinear)
+        object.__setattr__(self, "names", names or tuple(f"x{i+1}" for i in range(n)))
         if len(self.names) != n:
             raise ValueError("coordinate name count mismatch")
         for k, i, j, _ in self.bilinear:
@@ -132,11 +132,14 @@ class GroupPresentation:
         return zl.full_lattice(self.moduli)
 
 
-@dataclass(frozen=True)
-class Morphism:
-    source: GroupPresentation
-    target: GroupPresentation
-    matrix: tuple  # rows: target coordinates as Z-forms in source coordinates
+class Morphism(Value):
+    __slots__ = _fields = ("source", "target", "matrix")
+
+    def __init__(self, source, target, matrix):
+        object.__setattr__(self, "source", source)  # GroupPresentation
+        object.__setattr__(self, "target", target)  # GroupPresentation
+        # rows: target coordinates as Z-forms in source coordinates
+        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, x):
         y = [sum(r * v for r, v in zip(row, x)) for row in self.matrix]
@@ -147,13 +150,17 @@ class Morphism:
         return tuple(sum(r * v for r, v in zip(row, x)) for row in self.matrix)
 
 
-@dataclass(frozen=True)
-class QuotientData:
-    group: GroupPresentation  # G/N
-    projection: Morphism  # G -> G/N
-    section: Morphism  # G/N -> G, linear lift on canonical representatives
-    subgroup: zl.SubgroupLattice  # N
-    torsion_lifts: tuple  # per quotient coord: d_k * lift(e_k) in N, or None
+class QuotientData(Value):
+    __slots__ = _fields = ("group", "projection", "section", "subgroup", "torsion_lifts")
+
+    def __init__(self, group, projection, section, subgroup, torsion_lifts):
+        object.__setattr__(self, "group", group)  # G/N
+        object.__setattr__(self, "projection", projection)  # Morphism G -> G/N
+        # Morphism G/N -> G, linear lift on canonical representatives
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "subgroup", subgroup)  # SubgroupLattice N
+        # per quotient coord: d_k * lift(e_k) in N, or None
+        object.__setattr__(self, "torsion_lifts", torsion_lifts)
 
 
 def quotient_by_central(g, sub):

@@ -9,20 +9,31 @@ if and only if all its multi-binomial coefficients are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._value import Value
 from .exact import KNumber
 
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Poly:
-    nv: int
-    table: object  # SymbolTable of every coefficient
-    terms: tuple  # ((exps tuple, KNumber), ...) canonical: sorted, no zeros
+class Poly(Value):
+    __slots__ = _fields = ("nv", "table", "terms")
+
+    def __init__(self, nv, table, terms):
+        object.__setattr__(self, "nv", nv)
+        object.__setattr__(self, "table", table)  # SymbolTable of every coefficient
+        # ((exps tuple, KNumber), ...) canonical: sorted, no zeros
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nv, self.table, self.terms) == (other.nv, other.table, other.terms)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nv, self.table, self.terms))
 
     @staticmethod
     def make(nv, table, terms):

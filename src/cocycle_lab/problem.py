@@ -30,11 +30,11 @@ carries its 1-based line number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import groups
-from .cocycles import Cocycle, phase_from_monomials
+from ._value import Value
+from .cocycles import phase_from_monomials
 from .exact import KNumber, SymbolTable, empty_context, symbol
 from .timefreq import DensityDatum
 
@@ -47,14 +47,22 @@ class ProblemError(Exception):
         super().__init__(f"line {line_no}: {message}" if line_no else message)
 
 
-@dataclass
-class Problem:
-    group: object
-    table: SymbolTable
-    cocycle: Cocycle
-    context: object
-    density: DensityDatum | None = None
-    homogeneous: bool = False
+class Problem(Value):
+    """A parsed problem file.  Unlike the other value classes it is mutable,
+    and so unhashable."""
+
+    __slots__ = _fields = ("group", "table", "cocycle", "context", "density", "homogeneous")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, group, table, cocycle, context, density=None, homogeneous=False):
+        self.group = group
+        self.table = table  # SymbolTable
+        self.cocycle = cocycle  # Cocycle
+        self.context = context
+        self.density = density  # DensityDatum | None
+        self.homogeneous = homogeneous
 
 
 _BUILDERS = {
@@ -99,12 +107,26 @@ def _sections(text):
     return out
 
 
+def _induced_name(name):
+    """Whether name lies in the namespace of the symbols that the decision
+    recursion induces: gamma<level>_<i> and gammaM_<i>."""
+    if not name.startswith("gamma"):
+        return False
+    tag, sep, _ = name[len("gamma"):].partition("_")
+    return bool(sep) and (tag == "M" or tag.isdecimal())
+
+
 def _parse_symbols(lines):
     thetas, xis = [], []
     seen = set()
     for i, line in lines:
         parts = line.split()
         name = parts[0]
+        if not name.isidentifier():
+            raise ProblemError(i, f"symbol name {name!r} is not an identifier")
+        if _induced_name(name):
+            raise ProblemError(i, f"symbol name {name!r} is reserved: gamma<level>_<i> "
+                                  "and gammaM_<i> name the symbols the recursion induces")
         if name in seen:
             raise ProblemError(i, f"symbol {name} declared twice")
         seen.add(name)
@@ -290,5 +312,10 @@ def parse_problem(text):
 
 
 def load_problem(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+    """Parse the file at path; a file that cannot be read is a ProblemError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise ProblemError(0, str(e)) from e
+    return parse_problem(text)

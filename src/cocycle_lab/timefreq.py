@@ -9,23 +9,23 @@ exact rational interval certificates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Value
 
 YES = "yes"
 NO_BY_NECESSITY = "no-by-necessity"
 UNDECIDED_TF = "undecided"
 
 
-@dataclass(frozen=True)
-class DensityDatum:
+class DensityDatum(Value):
     """Certified value of d_pi * covol(Gamma): an exact rational interval
     [lower, upper] containing the real number."""
-    lower: Fraction
-    upper: Fraction
 
-    def __post_init__(self):
-        lo, up = Fraction(self.lower), Fraction(self.upper)
+    __slots__ = _fields = ("lower", "upper")
+
+    def __init__(self, lower, upper):
+        lo, up = Fraction(lower), Fraction(upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         if lo > up:
@@ -45,11 +45,14 @@ class DensityDatum:
             "comparison with 1; supply a tighter certificate")
 
 
-@dataclass(frozen=True)
-class FrameVerdict:
-    frame_exists_smooth: str  # yes | no-by-necessity | undecided
-    riesz_exists_smooth: str
-    rationale: tuple
+class FrameVerdict(Value):
+    __slots__ = _fields = ("frame_exists_smooth", "riesz_exists_smooth", "rationale")
+
+    def __init__(self, frame_exists_smooth, riesz_exists_smooth, rationale):
+        # each verdict is yes | no-by-necessity | undecided
+        object.__setattr__(self, "frame_exists_smooth", frame_exists_smooth)
+        object.__setattr__(self, "riesz_exists_smooth", riesz_exists_smooth)
+        object.__setattr__(self, "rationale", rationale)
 
     def to_dict(self):
         return {
@@ -110,12 +113,14 @@ MULTIWINDOW_CONVENTION = (
     "f(1) = 1")
 
 
-@dataclass(frozen=True)
-class MultiwindowBound:
-    m: int
-    windows: int
-    statement: str
-    notes: tuple = (MULTIWINDOW_CONVENTION,)
+class MultiwindowBound(Value):
+    __slots__ = _fields = ("m", "windows", "statement", "notes")
+
+    def __init__(self, m, windows, statement, notes=(MULTIWINDOW_CONVENTION,)):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "notes", notes)
 
 
 # f(n) and f(n) + 1 are reported in full, and Python converts an int of more

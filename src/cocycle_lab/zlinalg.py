@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+
+from ._value import Value
 
 
 def identity(n):
@@ -229,17 +230,21 @@ class QEchelon:
         return not any(self.reduce(v))
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
+class QuotientStructure(Value):
     """ambient/sub as prod Z/moduli_i, with coordinate map y = coords*x."""
 
-    coords: tuple  # rows of the full unimodular coordinate map U
-    moduli: tuple  # modulus per U-coordinate: 0 is free, 1 means the coord dies
-    inverse: tuple  # rows of U^-1; its columns lift the U-coordinates back
+    __slots__ = _fields = ("coords", "moduli", "inverse")
+
+    def __init__(self, coords, moduli, inverse):
+        # coords: rows of the full unimodular coordinate map U; moduli: modulus
+        # per U-coordinate, 0 is free, 1 means the coord dies; inverse: rows of
+        # U^-1, whose columns lift the U-coordinates back
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "inverse", inverse)
 
 
-@dataclass(frozen=True)
-class Parametrization:
+class Parametrization(Value):
     """A subgroup as Z^k / diag(moduli): parameter t maps to gens[t].
 
     With the subgroup's HNF basis B and the Smith form U*R*V = D of the
@@ -248,10 +253,13 @@ class Parametrization:
     parameters U*c, reduced modulo each modulus (unique, since the map
     Z^k / diag(moduli) -> subgroup is an isomorphism)."""
 
-    basis: tuple  # the subgroup's HNF basis
-    gens: tuple
-    moduli: tuple  # 0 marks a free parameter
-    rows: tuple  # the rows of U that the kept parameters read
+    __slots__ = _fields = ("basis", "gens", "moduli", "rows")
+
+    def __init__(self, basis, gens, moduli, rows):
+        object.__setattr__(self, "basis", basis)  # the subgroup's HNF basis
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "moduli", moduli)  # 0 marks a free parameter
+        object.__setattr__(self, "rows", rows)  # the rows of U that the kept parameters read
 
     def coordinates(self, v):
         """Parameters of v, or None when v lies outside the subgroup."""
@@ -283,26 +291,25 @@ def _echelon_coordinates(hcols, v, over_q=False):
     return None if any(r) else out
 
 
-@dataclass(frozen=True)
-class SubgroupLattice:
+class SubgroupLattice(Value):
     """Subgroup of Z^n / (moduli) given by generator columns, canonical via HNF.
 
     ``moduli[i] == 0`` marks a free coordinate; ``m > 0`` a Z/m coordinate.
     The HNF basis always contains the torsion generators m_i * e_i, so two
-    generating sets of the same subgroup yield identical bases.
+    generating sets of the same subgroup yield identical bases.  Equality and
+    the hash read the constructor fields, not ``hnf_basis``.
     """
 
-    moduli: tuple
-    gens: tuple  # tuple of generator columns (tuples of ints)
-    hnf_basis: tuple = field(init=False, compare=False)
+    _fields = ("moduli", "gens")
 
-    def __post_init__(self):
-        n = len(self.moduli)
-        cols = [list(c) for c in self.gens]
+    def __init__(self, moduli, gens):
+        # gens: tuple of generator columns (tuples of ints)
+        n = len(moduli)
+        cols = [list(c) for c in gens]
         for c in cols:
             if len(c) != n:
                 raise ValueError("generator length does not match ambient rank")
-        for i, m in enumerate(self.moduli):
+        for i, m in enumerate(moduli):
             if m:
                 cols.append([m if j == i else 0 for j in range(n)])
         if cols:
@@ -311,6 +318,8 @@ class SubgroupLattice:
             basis = tuple(tuple(c) for c in transpose(h) if any(c))
         else:
             basis = ()
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "hnf_basis", basis)
 
     @property

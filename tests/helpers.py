@@ -7,13 +7,12 @@ substitutions, an unabridged cocycle validator, the antisymmetrization by
 substitution and a slot-by-slot reference for the pairing rows."""
 
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import (CocycleError, _law_polys,
+from cocycle_lab.cocycles import (Cocycle, CocycleError, _law_polys,
                                   integrality_violation)
-from cocycle_lab.groups import Morphism
+from cocycle_lab.groups import Morphism, QuotientData
 from cocycle_lab.poly import Poly
 
 
@@ -95,7 +94,7 @@ def twist_by_coboundary(c, phi):
     pg = phi.substitute({i: Poly.var(nv, t, i) for i in range(n)}, nv)
     ph = phi.substitute({i: Poly.var(nv, t, n + i) for i in range(n)}, nv)
     pgh = phi.substitute(dict(enumerate(gh)), nv)
-    return replace(c, phase=c.phase + pgh - pg - ph)
+    return Cocycle(c.group, t, c.phase + pgh - pg - ph, c.correction)
 
 
 def shifted_section(qd, shift):
@@ -110,7 +109,7 @@ def shifted_section(qd, shift):
     section = Morphism(qd.group, qd.section.target, tuple(zip(*cols)))
     lifts = tuple(tuple(d * x for x in col) if d else None
                   for d, col in zip(qd.group.moduli, cols))
-    return replace(qd, section=section, torsion_lifts=lifts)
+    return QuotientData(qd.group, qd.projection, section, qd.subgroup, lifts)
 
 
 def _knumber_product(a, b):

@@ -119,6 +119,46 @@ def test_raw_presentation_names_default_to_x1_x2():
     assert "unknown coordinate" in str(e.value)
 
 
+HALF_AS_SYMBOL = "[symbols]\n1/2 irrational\n[group]\nmoduli 0 0\n[cocycle]\n1/2 * g:x1 * h:x2\n"
+
+
+def test_symbol_names_must_be_identifiers(tmp_path, capsys):
+    """Declared as a symbol, '1/2' would stop being the coefficient 1/2 and
+    turn a rational phase ("Z-stable: no") into an irrational one."""
+    with pytest.raises(ProblemError) as e:
+        parse_problem(HALF_AS_SYMBOL)
+    assert e.value.line_no == 2
+    f = tmp_path / "half.problem"
+    f.write_text(HALF_AS_SYMBOL)
+    code, out, err = run(["verdict", str(f)], capsys)
+    assert code == 1 and not out
+    assert err == "error: line 2: symbol name '1/2' is not an identifier\n"
+    f.write_text(HALF_AS_SYMBOL.replace("[symbols]\n1/2 irrational\n", ""))
+    code, out, _ = run(["verdict", str(f)], capsys)
+    assert code == 0 and out.startswith("Z-stable: no\n")
+
+
+def g3_with_symbol(line):
+    with open(fixture("g3"), encoding="utf-8") as fh:
+        return fh.read().replace("theta irrational\n", f"theta irrational\n{line}\n")
+
+
+@pytest.mark.parametrize("name", ["gamma1_1", "gamma12_3", "gammaM_1"])
+def test_induced_symbol_names_are_reserved(name):
+    """The recursion names its induced symbols gamma<level>_<i> (and the
+    single-quotient criterion gammaM_<i>); a declared one made g3 undecided."""
+    with pytest.raises(ProblemError) as e:
+        parse_problem(g3_with_symbol(f"{name} param"))
+    assert e.value.line_no == 4
+    assert f"symbol name {name!r} is reserved" in str(e.value)
+
+
+@pytest.mark.parametrize("name", ["gamma", "gamma1", "gamma_1", "gammaX_1"])
+def test_names_outside_the_induced_namespace_are_free(name):
+    p = parse_problem(g3_with_symbol(f"{name} param"))
+    assert decide(p.cocycle, p.context).z_stable == decision.ZSTABLE
+
+
 def test_missing_sections_rejected():
     with pytest.raises(ProblemError):
         parse_problem("[group]\nbuilder g3\n")
@@ -269,6 +309,12 @@ def test_bound_prints_the_largest_printable_value(capsys):
     code, out, _ = run(["bound", "93", "--json"], capsys)
     assert code == 0
     assert len(str(json.loads(out)["m"])) == 4227
+
+
+def test_unreadable_problem_path_is_an_input_error(tmp_path, capsys):
+    code, out, err = run(["verdict", str(tmp_path)], capsys)
+    assert code == 1 and not out
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
 
 
 def test_bad_exponent_reports_its_line(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -484,7 +483,7 @@ def normalization_failures(draw):
     t = c.table
     coef = draw(st.sampled_from((KNumber.make(t, Fraction(1, 2)), KNumber.make(t, Fraction(-1, 3)),
                                  symbol(t, "theta"), symbol(t, "xi"), symbol(t, "tau"))))
-    return replace(c, phase=c.phase + Poly.make(2 * n, t, [(tuple(e), coef)]))
+    return Cocycle(c.group, t, c.phase + Poly.make(2 * n, t, [(tuple(e), coef)]), c.correction)
 
 
 @settings(max_examples=200, deadline=None)
@@ -561,7 +560,8 @@ def test_pull_back_composes_and_fixes_identity():
         b = [[rng.randint(-2, 2) for _ in range(n2)] for _ in range(n3)]
         ba = [[sum(b[i][k] * a[k][j] for k in range(n2)) for j in range(n1)]
               for i in range(n3)]
-        c = replace(rand_phase(rng, g3, t), correction=rand_phase(rng, g3, t).phase)
+        base = rand_phase(rng, g3, t)
+        c = Cocycle(g3, t, base.phase, rand_phase(rng, g3, t).phase)
         step_b = pull_back(c, groups.Morphism(g2, g3, tuple(map(tuple, b))))
         two_steps = pull_back(step_b, groups.Morphism(g1, g2, tuple(map(tuple, a))))
         direct = pull_back(c, groups.Morphism(g1, g3, tuple(map(tuple, ba))))
