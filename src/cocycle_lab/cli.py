@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 = decided, 2 = undecided (case budget, a valid presentation of
-an unsupported shape, indecisive certificate, or an honestly undecided
-verdict), 1 = input or usage error.
+an unsupported shape or on which the rule asked for does not apply,
+indecisive certificate, or an honestly undecided verdict), 1 = input or
+usage error.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ purely polynomial phase cannot express; see induce_gamma.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import zlinalg as zl
@@ -25,7 +26,8 @@ class CocycleError(ValueError):
 
 
 class UnsupportedShape(CocycleError):
-    """A valid input whose presentation shape the engine does not handle."""
+    """A valid input whose presentation shape the engine, or the rule asked
+    for, does not handle."""
 
 
 class Cocycle(Value):
@@ -142,20 +144,18 @@ def validate_cocycle(c):
             viol = integrality_violation(restricted, t)
             if viol:
                 return f"normalization {label} not in Z: {viol}"
-    # well-definedness modulo the torsion moduli, in each argument slot
+    # well-definedness modulo the torsion moduli, in each argument slot:
+    # Q(g + m e_i, h) - Q(g, h) changes one variable x, and each term q x^d
+    # contributes q ((x + m)^d - x^d) = q sum_{j<d} C(d, j) m^(d-j) x^j
     for arg in (0, 1):
         for i in range(n):
             m = c.group.moduli[i]
             if not m:
                 continue
-            mapping = {}
-            for v in range(2 * n):
-                p = Poly.var(2 * n, t, v)
-                if v == arg * n + i:
-                    p = p + Poly.const(2 * n, t, Fraction(m))
-                mapping[v] = p
-            shifted = c.phase.substitute(mapping, 2 * n)
-            viol = integrality_violation(shifted - c.phase, t)
+            v = arg * n + i
+            shift = [(e[:v] + (j,) + e[v + 1:], q.scale(math.comb(e[v], j) * m ** (e[v] - j)))
+                     for e, q in c.phase.terms for j in range(e[v])]
+            viol = integrality_violation(Poly.make(2 * n, t, shift), t)
             if viol:
                 return (f"phase is not well defined modulo {m} on coordinate "
                         f"{c.group.names[i]} (argument {arg + 1}): {viol}")
@@ -202,11 +202,26 @@ def _pairing_rows(c, gens):
     when its variables all lie in {z_a, y_j} and 0 otherwise.  A monomial
     in z_a and y_j alone feeds only rows[a][j]; one in z_a alone, all of row
     a; one in y_j alone, all of column j; the constant term, every entry.
+
+    Bilinear shortcut: when every term of Q~ has degree exactly 1 in g and
+    exactly 1 in h, Q~(g, h) = sum_{i,j} q_ij g_i h_j, so
+      Q~(g(z), y) = sum_{a,j} z_a y_j sum_i v_a[i] q_ij.
+    Then rows[a][j] = sum_i v_a[i] q_ij is exactly qz's z_a y_j coefficient,
+    E is the zero polynomial, and the substitution and the integrality check
+    are skipped; the rows equal the general read-off's.
     """
     n = c.n
     t = c.table
     k = len(gens)
     q = antisym(c)
+    if all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in q.terms):
+        rows = [[KNumber.make(t)] * n for _ in range(k)]
+        for e, coef in q.terms:
+            i, j = e.index(1), e.index(1, n) - n
+            for a, v in enumerate(gens):
+                if v[i]:
+                    rows[a][j] = rows[a][j] + coef.scale(v[i])
+        return rows
     nv = k + n  # z variables then y variables
     ys = [Poly.var(nv, t, k + j) for j in range(n)]
     mapping = {i: Poly.make(nv, t, {_mono(nv, a): Fraction(gens[a][i]) for a in range(k) if gens[a][i]})
@@ -372,13 +387,18 @@ def twisted_center(c, ctx, case_budget=256):
     forms = [[row[j] for row in rows] for j in range(c.n)]
     gen_names = _gen_names(par.gens, c.group)
     leaves = condition_lattice(ctx, forms, par.moduli, gen_names, case_budget)
+    if par.moduli == c.group.moduli and par.gens == tuple(map(tuple, zl.identity(c.n))):
+        return leaves  # the parameters are the ambient coordinates
     return _map_leaves_to_ambient(leaves, par.gens, c.group.moduli)
 
 
 def _check_additive(group, lattice):
     """The parametrizations used here require subgroup elements to multiply
     coordinate-wise (mod torsion), i.e. the bilinear correction of any product
-    of basis elements must vanish modulo the coordinate moduli."""
+    of basis elements must vanish modulo the coordinate moduli.  A group
+    without bilinear entries has no correction."""
+    if not group.bilinear:
+        return
     basis = lattice.hnf_basis
     for va in basis:
         for vb in basis:

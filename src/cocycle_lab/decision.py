@@ -363,14 +363,15 @@ def _two_step_leaf(c, leaf, case_budget):
 
 
 def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
-    """Generalized Heisenberg shortcut: D = Z(H)/Z(H,sigma)."""
+    """Generalized Heisenberg shortcut: D = Z(H)/Z(H,sigma).  A valid input
+    on which the criterion does not apply raises UnsupportedShape."""
     a = _analysis(c, ctx, case_budget)
     if len(a.cocycle.group.receiving_coords()) > 1:
         raise UnsupportedShape("decide_heisenberg expects a Heisenberg-shaped "
                                "presentation (a single receiving coordinate)")
     out = decide_two_step(a)
     if isinstance(out, Inapplicable):
-        raise CocycleError(f"Heisenberg criterion inapplicable: {out.reason}")
+        raise UnsupportedShape(f"Heisenberg criterion inapplicable: {out.reason}")
     return out
 
 

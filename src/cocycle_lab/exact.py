@@ -213,7 +213,8 @@ class RationalityContext(Value):
     classify() memo starts with the parent's INTEGER/RATIONAL entries, since
     (c, v), the integral facts and span membership (the span only grows) are
     unchanged; an irrational child also keeps IRRATIONAL ones (same span, more
-    residuals), but a rational child cannot: a new theta pivot can leave a
+    residuals) and records x itself as IRRATIONAL when x's residual is
+    nonzero, but a rational child cannot: a new theta pivot can leave a
     pure-theta residual undetermined.  UNDETERMINED entries are never kept,
     and an integral child starts empty: its denominators can change."""
 
@@ -299,7 +300,7 @@ class RationalityContext(Value):
         return True
 
     def classify(self, x):
-        key = (x.const, x.coeffs)  # the only parts of x that _classify reads
+        key = _memo_key(x)
         cls = self._classified.get(key)
         if cls is None:
             cls = self._classified[key] = self._classify(x)
@@ -360,6 +361,8 @@ class RationalityContext(Value):
             residual = self._span.reduce(v)
             slots.update(_span=self._span, _consistent=self._consistent and any(residual),
                          _irrational_residuals=self._irrational_residuals + (residual,))
+            if any(residual):  # _classify finds x's own residual, or the theta axiom
+                child._classified[_memo_key(x)] = Classification(IRRATIONAL)
         else:
             if kind == "rational":
                 rat += ((v, c),) if any(v) else ()
@@ -383,6 +386,13 @@ class RationalityContext(Value):
         irr = self.assume_irrational(x)
         return (rat if rat.is_consistent() else None,
                 irr if irr.is_consistent() else None)
+
+
+def _memo_key(x):
+    """x's constant and coefficients, the only parts of x that _classify
+    reads, as integers: hashing a Fraction computes a modular inverse."""
+    return (x.const.numerator, x.const.denominator,
+            tuple([(n, c.numerator, c.denominator) for n, c in x.coeffs]))
 
 
 def _collinear(a, b):

@@ -5,11 +5,12 @@ of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
 includes the torsion generators m_i * e_i.  A vector is written in a lattice
 by one back-substitution down the HNF pivots, over Z (``coordinates``) or
-over Q (``denominator_in_lattice``).  Each subgroup computes at most two
-Smith forms, once each: of the quotient (``quotient_structure``, which gives
-the index) and of the subgroup's relations (``parametrization``, which says
-what the subgroup is and reads an element's coordinates in it).  Work over Q
-goes through one reduced row-echelon form, QEchelon.
+over Q (``denominator_in_lattice``).  The index and finiteness are read off
+the HNF basis.  Each subgroup computes at most two Smith forms, once each:
+of the quotient (``quotient_structure``, which a quotient group needs) and
+of the subgroup's relations (``parametrization``, which says what the
+subgroup is and reads an element's coordinates in it).  Work over Q goes
+through one reduced row-echelon form, QEchelon.
 """
 
 from __future__ import annotations
@@ -337,9 +338,17 @@ class SubgroupLattice(Value):
         return (self.moduli, self.hnf_basis) == (other.moduli, other.hnf_basis)
 
     def index(self):
-        """[ambient : self] as an int, or math.inf."""
-        moduli = self.quotient_structure.moduli
-        return math.inf if 0 in moduli else math.prod(moduli)
+        """[ambient : self] as an int, or math.inf, read off the HNF basis.
+
+        The basis contains the torsion generators, so it spans the preimage L
+        of the subgroup in Z^n and [Z^n/M : L/M] = [Z^n : L].  Its columns are
+        independent; with fewer than n of them the index is infinite, and
+        with n the basis is lower triangular, so [Z^n : L] = |det| is the
+        product of the pivots on its diagonal (Cohen, GTM 138, 2.4)."""
+        basis = self.hnf_basis
+        if len(basis) < self.n:
+            return math.inf
+        return math.prod(col[t] for t, col in enumerate(basis))
 
     @cached_property
     def quotient_structure(self):
@@ -361,7 +370,9 @@ class SubgroupLattice(Value):
                                tuple(q.coords[t] for t in kept))
 
     def is_finite(self):
-        return 0 not in self.parametrization.moduli
+        """L contains the torsion lattice M, so L/M is finite iff L has M's
+        rank: one basis column per nonzero modulus."""
+        return len(self.hnf_basis) == sum(1 for m in self.moduli if m)
 
     def is_trivial(self):
         """Whether the basis is just the torsion generators m_i * e_i."""

@@ -231,6 +231,12 @@ EXIT_MATRIX = [
     (["validate", fixture("g3"), "--ctx", "nope=rational"], 1),
     (["product", fixture("torus2"), "--n1", "1"], 2),  # g1 h2 is no product form
     (["heisenberg", fixture("g3")], 2),             # a valid input of another shape
+    # valid inputs on which the Heisenberg criterion does not apply
+    (["heisenberg", fixture("torus2")], 2),
+    (["heisenberg", fixture("z-times-h3-irr-irr")], 2),
+    (["heisenberg", fixture("z-times-h3-irr-rat")], 2),
+    (["heisenberg", fixture("z-times-h3-rat-irr")], 2),
+    (["heisenberg", fixture("z-times-h3-rat-rat")], 2),
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, find, given, settings, strategies as st
@@ -306,17 +307,20 @@ def draw_bilinear_exps(draw, n):
 
 
 @st.composite
-def pairing_problems(draw):
+def pairing_problems(draw, bilinear=None):
     """A phase and an optional correction on Z^n (n = 1..3), with rational,
     torsion-symbol and free-symbol coefficients, bilinear or not, and
-    generators of a subgroup."""
+    generators of a subgroup.  With ``bilinear`` every term has bidegree
+    (1, 1), so Q~ does too; by default about half the draws are such."""
     n = draw(st.integers(1, 3))
     t = PAIRING_TABLE
+    if bilinear is None:
+        bilinear = draw(st.booleans())
 
     def poly():
         terms = []
         for _ in range(draw(st.integers(0, 3))):
-            if draw(st.booleans()):  # bilinear: one g and one h coordinate
+            if bilinear or draw(st.booleans()):  # one g and one h coordinate
                 e = draw_bilinear_exps(draw, n)
             else:
                 e = draw(st.lists(st.integers(0, 2), min_size=2 * n, max_size=2 * n))
@@ -350,6 +354,27 @@ def test_pairing_rows_match_the_two_slot_reference(problem):
     c, gens = problem
     assert (pairing_outcome(_pairing_rows, c, gens)
             == pairing_outcome(pairing_rows_two_slot, c, gens))
+
+
+TORSION_AND_FREE = Cocycle(
+    groups.abelian((0, 0)), PAIRING_TABLE,
+    Poly.make(4, PAIRING_TABLE, [((1, 0, 0, 1), symbol(PAIRING_TABLE, "tau", Fraction(1, 3))),
+                                 ((0, 1, 1, 0), symbol(PAIRING_TABLE, "xi", 2))]),
+    Poly.make(4, PAIRING_TABLE, [((0, 1, 0, 1), symbol(PAIRING_TABLE, "theta", -1))]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairing_problems(bilinear=True))
+@example((TORSION_AND_FREE, [(1, 2), (0, 3)]))
+@example((Cocycle(TORSION_AND_FREE.group, PAIRING_TABLE, TORSION_AND_FREE.phase), [(2, -1)]))
+def test_bilinear_pairing_rows_make_no_substitution(problem):
+    """A bidegree-(1, 1) Q~ (torsion- and free-symbol coefficients, with and
+    without a correction) has its rows read off its terms: no substitution,
+    no error, and the rows of the two-slot reference."""
+    c, gens = problem
+    with mock.patch.object(Poly, "substitute", side_effect=AssertionError("substitute called")):
+        rows = _pairing_rows(c, gens)
+    assert rows == pairing_rows_two_slot(c, gens)
 
 
 @st.composite

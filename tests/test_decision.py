@@ -479,8 +479,9 @@ def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
     """validate_cocycle reads Q(g, e), Q(e, g), Q(g, h) and Q(h, k) by
     renaming or restriction, so on g3 (no torsion) only Q(g*h, k) and
     Q(g, h*k) are substitutions (6 when all six phases were); one pass of
-    decide and decide_simplicity over the ten shipped fixtures stays within
-    102 substitutions (170 when all six were)."""
+    decide and decide_simplicity over the ten shipped fixtures makes 76
+    substitutions (170 when all six were, 102 while the torsion slots and
+    the bilinear pairing rows substituted too)."""
     calls = []
     real = Poly.substitute
     monkeypatch.setattr(Poly, "substitute",
@@ -493,4 +494,40 @@ def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
         decide(p.cocycle, p.context)
         decide_simplicity(p.cocycle, p.context)
     assert len(problems) == 10
-    assert len(calls) <= 102
+    assert len(calls) == 76
+
+
+def stack_names(depth):
+    """Function names on the call stack, starting ``depth`` frames up."""
+    frame, names = sys._getframe(depth + 1), []
+    while frame:
+        names.append(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+def test_chain_z5_substitutes_only_to_push_down_and_indexes_without_smith_forms(monkeypatch):
+    """On the chain Z^5 with 4 params the pairing rows are read off the
+    bilinear Q~, so every Poly.substitute is a push-down's pull-back (26
+    when the rows were substituted too); index() and is_finite() read the
+    HNF basis, so no Smith form is computed under them (71 of 85 were)."""
+    p = parse_problem(CHAIN_Z5)
+    subs, smith = [], []
+    real_substitute, real_structure = Poly.substitute, zl._structure
+
+    def substitute(self, mapping, nv):
+        subs.append(stack_names(1))
+        return real_substitute(self, mapping, nv)
+
+    def structure(rel_cols, k):
+        smith.append(stack_names(1))
+        return real_structure(rel_cols, k)
+
+    monkeypatch.setattr(Poly, "substitute", substitute)
+    monkeypatch.setattr(zl, "_structure", structure)
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert len(subs) == 12 and all(s[:3] == ["compose_linear", "pull_back", "push_to_quotient"]
+                                   for s in subs)
+    assert len(smith) == 38
+    assert not [s for s in smith if {"index", "is_finite"} & set(s)]

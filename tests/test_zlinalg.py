@@ -428,3 +428,24 @@ def member_2x2(a, v):
 def test_membership_matches_cramer(a, v):
     lat = zl.SubgroupLattice((0, 0), tuple(tuple(col) for col in zip(*a)))
     assert lat.contains(v) == member_2x2(a, v)
+
+
+@st.composite
+def torsion_lattices(draw):
+    """A subgroup of Z^n / (moduli), n = 1..4, with at least one torsion
+    modulus, given by 0..n generators."""
+    n = draw(st.integers(1, 4))
+    moduli = draw(st.lists(st.sampled_from((0, 0, 2, 3, 4, 6)), min_size=n, max_size=n))
+    moduli[draw(st.integers(0, n - 1))] = draw(st.sampled_from((2, 3, 4, 6)))
+    gens = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * n), max_size=n))
+    return zl.SubgroupLattice(tuple(moduli), tuple(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(torsion_lattices())
+def test_index_and_finiteness_match_the_smith_form_reads(lat):
+    """index() and is_finite() read the HNF basis; the Smith forms of the
+    quotient and of the subgroup's relations must say the same."""
+    quotient = lat.quotient_structure.moduli
+    assert lat.index() == (math.inf if 0 in quotient else math.prod(quotient))
+    assert lat.is_finite() == (0 not in lat.parametrization.moduli)
