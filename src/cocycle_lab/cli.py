@@ -3,7 +3,8 @@
 Exit codes: 0 = decided, 2 = undecided (case budget, a valid presentation of
 an unsupported shape or on which the rule asked for does not apply,
 indecisive certificate, or an honestly undecided verdict), 1 = input or
-usage error.
+usage error, 3 = internal error: any other exception, reported as the one
+line "internal error: <Type>: <message>" on stderr, without a traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .timefreq import frame_verdict, multiwindow_bound
 
 SCHEMA_VERSION = 1
 
-OK, UNDECIDED_EXIT, INPUT_ERROR = 0, 2, 1
+OK, UNDECIDED_EXIT, INPUT_ERROR, INTERNAL_ERROR = 0, 2, 1, 3
 
 
 def _positive_budget(value, source):
@@ -345,6 +346,10 @@ def main(argv=None):
     except (CocycleError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as e:
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

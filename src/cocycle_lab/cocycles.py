@@ -281,15 +281,20 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
     components split the context.  Components whose denominator class is
     unknown are recorded and skipped — this never changes the rank of the
     solution lattice, only its (finite) index.
+
+    Each row is cleared to integers once, with the forms: a row r/d gives
+    the equation r.z = 0 and, under a denominator class m, the congruence
+    r.z = 0 (mod m*d), the integer rows solve_mixed_system takes.
     """
     prepared = []  # per form, computed once: its constant congruence and its symbol terms
     for form in forms:
         const_row = [kn.const for kn in form]
-        const = (((const_row, 1), _render_form(const_row, None, gen_names))
+        const = ((zl.clear_denominators(const_row), _render_form(const_row, None, gen_names))
                  if any(x.denominator != 1 for x in const_row) else None)
         rows = {s: [kn.coeff(s) for kn in form]
                 for s in dict.fromkeys(s for kn in form for s in kn.symbol_names())}
-        prepared.append((const, [(symbol(ctx.table, s), row, _render_form(row, s, gen_names))
+        prepared.append((const, [(symbol(ctx.table, s), zl.clear_denominators(row),
+                                  _render_form(row, s, gen_names))
                                  for s, row in rows.items() if any(row)]))
     leaves = []
     stack = [ctx]
@@ -303,7 +308,7 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
             if const:
                 congs.append(const[0])
                 conds.append(const[1])
-            for x, row, text in terms:
+            for x, (row, d), text in terms:
                 cls = cur.classify(x)
                 if cls.kind == IRRATIONAL:
                     eqs.append(row)
@@ -313,7 +318,7 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
                         skipped.append(text + " (rational factor, denominator unknown; "
                                               "congruence skipped, rank unaffected)")
                     else:
-                        congs.append((row, cls.denominator))
+                        congs.append((row, cls.denominator * d))
                         conds.append(text + f" = 0 (mod {cls.denominator})")
                 else:
                     pending_split = x
@@ -488,11 +493,7 @@ def gamma_phase_of(element, par, table, names):
     u = par.coordinates(element)
     if u is None:
         raise CocycleError("section defect left the subgroup (section inconsistency)")
-    acc = KNumber.make(table, 0)
-    for name, val in zip(names, u):
-        if val:
-            acc = acc + symbol(table, name, val)
-    return acc
+    return KNumber.make(table, 0, {name: val for name, val in zip(names, u) if val})
 
 
 def induce_gamma(c, qd, prefix="gamma"):
@@ -502,23 +503,26 @@ def induce_gamma(c, qd, prefix="gamma"):
     the torsion-coordinate carries that a polynomial cannot express are
     recorded in ``correction``, which restores exactness of the
     antisymmetrization on commuting pairs (the only place it is consumed).
+
+    The gamma terms are computed first.  When all of them vanish, c is
+    returned as it is, over its own table, so a recursion child keeps its
+    parent's table and twisted_center keeps the leaf's RationalityContext
+    (span, residuals and classify memo).  The induced symbols would occur in
+    no value and in no fact; each adds only its torsion axiom, a vector
+    supported on its own coordinate.  Such a vector cannot enter the
+    reduction of a value without that coordinate, cannot make the span hold
+    a pure-theta vector, and cannot help write a multiple of such a value as
+    an integer combination of the integral facts, so every classification
+    and every split is the same with or without them.
     """
     g_top = qd.projection.source
     q = qd.group
     nq = q.n
-    par = qd.subgroup.parametrization
-    new_syms = [(f"{prefix}{t + 1}", m) for t, m in enumerate(par.moduli)]
-    names = [name for name, _ in new_syms]
-    table = c.table.with_xis(new_syms)
-    phase = c.phase.rebase(table)
-    corr = c.correction.rebase(table) if c.correction is not None else Poly.zero(2 * nq, table)
-    if not new_syms:
-        return Cocycle(c.group, table, phase, corr if not corr.is_zero() else None)
-    p = [list(row) for row in qd.section.matrix]  # n x nq
+    p = qd.section.matrix  # n x nq
 
     # defect delta(x, y) = B_G(Px, Py) - P B_Q(x, y), coordinate vectors of
     # bilinear coefficients each lying in N
-    dcoef = {}
+    defects = []
     for (i, j) in itertools.product(range(nq), range(nq)):
         vec = [0] * g_top.n
         for k, a, b, coef in g_top.bilinear:
@@ -528,34 +532,33 @@ def induce_gamma(c, qd, prefix="gamma"):
                 for t in range(g_top.n):
                     vec[t] -= coef * p[t][k2]
         if any(vec):
-            dcoef[(i, j)] = vec
-    terms = []
-    for (i, j), vec in dcoef.items():
-        kn = gamma_phase_of(vec, par, table, names)
-        if kn.is_zero():
-            continue
-        terms.append((_mono(2 * nq, i, nq + j), kn))
-    phase = phase + Poly.make(2 * nq, table, terms)
-
+            defects.append((_mono(2 * nq, i, nq + j), vec))
     # carry corrections: for a torsion coordinate k of the quotient with
     # modulus d and lift n_k = d * P e_k, commuting pairs satisfy
     # Qtrue~ = Qpoly~ + (kappa_k(x,y)/d) * gamma(n_k) with kappa_k the
     # integer commutator coordinate
-    for t in range(nq):
-        d = q.moduli[t]
-        if not d:
-            continue
-        lift = qd.torsion_lifts[t]
-        kn = gamma_phase_of(lift, par, table, names)
-        if kn.is_zero():
-            continue
-        kterms = []
-        for k2, a, b, coef in q.bilinear:
-            if k2 != t or not coef:
-                continue
-            kterms.append((_mono(2 * nq, a, nq + b), KNumber.make(table, Fraction(coef, d)) * kn))
-            kterms.append((_mono(2 * nq, b, nq + a), KNumber.make(table, Fraction(-coef, d)) * kn))
-        corr = corr + Poly.make(2 * nq, table, kterms)
+    carries = [(k2, a, b, Fraction(coef, q.moduli[k2])) for k2, a, b, coef in q.bilinear
+               if q.moduli[k2]]
+    if not defects and not carries:
+        return c
+    par = qd.subgroup.parametrization
+    if not par.gens:
+        return c
+    new_syms = [(f"{prefix}{t + 1}", m) for t, m in enumerate(par.moduli)]
+    names = [name for name, _ in new_syms]
+    table = c.table.with_xis(new_syms)
+    gphase = Poly.make(2 * nq, table, [(e, gamma_phase_of(vec, par, table, names))
+                                       for e, vec in defects])
+    kterms = []
+    for k2, a, b, q_kd in carries:
+        kn = gamma_phase_of(qd.torsion_lifts[k2], par, table, names)
+        kterms.append((_mono(2 * nq, a, nq + b), kn.scale(q_kd)))
+        kterms.append((_mono(2 * nq, b, nq + a), kn.scale(-q_kd)))
+    gcorr = Poly.make(2 * nq, table, kterms)
+    if gphase.is_zero() and gcorr.is_zero():
+        return c
+    phase = c.phase.rebase(table) + gphase
+    corr = c.correction.rebase(table) + gcorr if c.correction is not None else gcorr
     # no validator run here: the gamma phase of a torsion quotient has a
     # non-polynomial floor remainder, absorbed into ``correction`` for the
     # commuting pairs that every downstream consumer pairs against

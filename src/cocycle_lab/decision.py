@@ -396,11 +396,16 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     Z-stability of the product.  Converse rule: if f is trivial against
     Z(G1, sigma1) x Z(G2, sigma2) in both slots, a product that is Z-stable
     must have a Z-stable factor (contrapositive: two rational factors sink the
-    product).  Anything else: inapplicable.
+    product).  Anything else, a group with fewer than two coordinates
+    included: inapplicable.  A split point n1 outside 1..n-1 on a group of
+    n >= 2 coordinates raises ValueError.
     """
     a = _analysis(c, ctx, case_budget)
     c = a.cocycle
     g = c.group
+    if g.n < 2:
+        return ProductRuleOutcome(False, reason=f"a product needs two coordinates, one per "
+                                                f"factor; the group has {g.n}")
     if not 0 < n1 < g.n:
         raise ValueError(f"n1 must lie in 1..{g.n - 1} so that both factors have a "
                          f"coordinate, got {n1}")

@@ -224,7 +224,7 @@ class RationalityContext(Value):
         # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
         # outside Q; assumptions: human-readable trail of split() choices
         for f in rational + integral + irrational:
-            if f.table != table:
+            if f.table is not table and f.table != table:
                 raise ValueError("fact does not belong to this symbol table")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "rational", rational)

@@ -98,8 +98,10 @@ class Poly(Value):
 
     def substitute(self, mapping, nv):
         """Replace variable i by mapping[i], a Poly in the nv *target* variables
-        with rational coefficients; variables absent from the mapping must not
-        occur, and a mapped polynomial with a symbol raises ValueError.
+        with rational coefficients, or such a polynomial already given as its
+        scalar terms {target exps: int or Fraction}; variables absent from the
+        mapping must not occur, and a mapped polynomial with a symbol raises
+        ValueError.
 
         The image of each monomial is expanded in rational scalars (Python
         ints while they are integral) from cached powers of the mapped
@@ -115,7 +117,8 @@ class Poly(Value):
                 elif i not in mapping:
                     raise ValueError(f"variable {i} has no substitution")
                 else:
-                    powers[(i, 1)] = _scalars(mapping[i], nv, self.table)
+                    m = mapping[i]
+                    powers[(i, 1)] = m if type(m) is dict else _scalars(m, nv, self.table)
             return powers[(i, e)]
 
         one = {(0,) * nv: 1}
@@ -146,15 +149,12 @@ class Poly(Value):
         return Poly(nv, self.table, tuple(sorted(items)))
 
     def compose_linear(self, matrix, tgt_nv):
-        """Substitute variable i by the linear form sum matrix[i][j] * y_j."""
-        mapping = {}
-        for i in range(self.nv):
-            row = matrix[i]
-            mapping[i] = Poly.make(tgt_nv, self.table,
-                                   {tuple(1 if t == j else 0 for t in range(tgt_nv)): row[j]
-                                    for j in range(tgt_nv) if row[j]})
-            if not row or not any(row):
-                mapping[i] = Poly.zero(tgt_nv, self.table)
+        """Substitute variable i by the linear form sum matrix[i][j] * y_j of
+        the integer matrix, each form handed to substitute as its scalar
+        terms {e_j: matrix[i][j]}."""
+        units = [tuple(int(t == j) for t in range(tgt_nv)) for j in range(tgt_nv)]
+        mapping = {i: {units[j]: x for j, x in enumerate(matrix[i]) if x}
+                   for i in range(self.nv)}
         return self.substitute(mapping, tgt_nv)
 
     def eval(self, point):

@@ -3,7 +3,9 @@
 Matrices are lists of rows of Python ints (arbitrary precision).  Subgroups
 of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
-includes the torsion generators m_i * e_i.  A vector is written in a lattice
+includes the torsion generators m_i * e_i.  ``solve_mixed_system`` takes
+integer rows only: a caller with rational conditions clears each row once
+(``clear_denominators``), not once per solve.  A vector is written in a lattice
 by one back-substitution down the HNF pivots, over Z (``coordinates``) or
 over Q (``denominator_in_lattice``).  The index and finiteness are read off
 the HNF basis.  Each subgroup computes at most two Smith forms, once each:
@@ -408,53 +410,42 @@ def clear_denominators(row):
 def solve_mixed_system(moduli, equalities, congruences):
     """Integer points with row.x = 0 for equalities and row.x = 0 (mod m) per congruence.
 
-    Rows may have Fraction entries; the result is a SubgroupLattice over the
-    given ambient moduli.  Equality rows must not touch torsion coordinates
-    (the condition would not be well defined on the quotient)."""
+    Rows are lists of ints; a caller with rational rows clears them first
+    (``clear_denominators``: r/d.x = 0 iff r.x = 0, and r/d.x = 0 (mod m) iff
+    r.x = 0 (mod m*d)).  The result is a SubgroupLattice over the given
+    ambient moduli.  Equality rows must not touch torsion coordinates (the
+    condition would not be well defined on the quotient).  Without
+    congruences the generators are the kernel basis of the equalities."""
     n = len(moduli)
     eq_rows = []
-    for row in equalities:
-        r, _ = clear_denominators(row)
+    for r in equalities:
         if not any(r):
             continue
         for i, m in enumerate(moduli):
             if m and r[i] != 0:
                 raise ValueError("equality row is not well defined modulo ambient torsion")
         eq_rows.append(r)
-    if eq_rows:
-        kern = kernel_int(eq_rows)
-    else:
-        kern = [ [1 if i == j else 0 for i in range(n)] for j in range(n)]
-    # torsion generators must satisfy the equalities; they do whenever the rows
-    # are well defined (coefficient divisible by the modulus => m*e_i maps to 0
-    # only if coefficient*m == 0; enforce by intersecting instead of assuming)
-    k = len(kern)
-    cong_rows = []
-    mods = []
-    for row, m in congruences:
+    kern = kernel_int(eq_rows) if eq_rows else identity(n)
+    for r, m in congruences:
         if m <= 0:
             raise ValueError("congruence modulus must be positive")
-        r, d = clear_denominators(row)
         for i, mi in enumerate(moduli):
-            if mi and (r[i] * mi) % (m * d) != 0:
+            if mi and (r[i] * mi) % m != 0:
                 raise ValueError("congruence row is not well defined modulo ambient torsion")
-        cong_rows.append(r)
-        mods.append(m * d)
     if not kern:
         return zero_lattice(tuple(moduli))
-    if cong_rows:
-        # rows in kernel coordinates
-        ck = [[sum(r[i] * kern[j][i] for i in range(n)) for j in range(k)] for r in cong_rows]
-        aug = [row[:] + [mods[i] if i == t else 0 for t in range(len(cong_rows))]
-               for i, row in enumerate(ck)]
-        # x solves ck*y ≡ 0 iff (y, z) in kernel of [ck | diag(mods)]
-        full = kernel_int(aug)
-        ys = [col[:k] for col in full]
-    else:
-        ys = [[1 if i == j else 0 for i in range(k)] for j in range(k)]
+    if not congruences:
+        return SubgroupLattice(tuple(moduli), tuple(map(tuple, kern)))
+    # x = sum_j y_j kern[j] solves the congruences iff (y, z) lies in the
+    # kernel of [ck | diag(mods)], with ck the rows in kernel coordinates
+    k = len(kern)
+    ncong = len(congruences)
+    aug = [[sum(r[i] * kern[j][i] for i in range(n)) for j in range(k)]
+           + [m if t == s else 0 for t in range(ncong)]
+           for s, (r, m) in enumerate(congruences)]
     gens = []
-    for y in ys:
-        g = [sum(kern[j][i] * y[j] for j in range(k)) for i in range(n)]
+    for col in kernel_int(aug):
+        g = [sum(kern[j][i] * col[j] for j in range(k)) for i in range(n)]
         if any(g):
             gens.append(tuple(g))
     return SubgroupLattice(tuple(moduli), tuple(gens))

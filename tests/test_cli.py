@@ -395,6 +395,35 @@ def test_product_split_point_outside_1_to_n_minus_1_is_an_input_error(tmp_path, 
     assert err.startswith("error: n1 must lie in 1..") and err.endswith(f", got {n1}\n")
 
 
+@pytest.mark.parametrize("builder, n", [("builder abelian 0", 1), ("builder abelian", 0)])
+def test_product_on_fewer_than_two_coordinates_is_inapplicable(tmp_path, capsys, builder, n):
+    """A split point needs a coordinate on each side, so --n1 has no valid
+    value; the rules do not apply (exit 2) rather than the range 1..n-1
+    being reported empty as an input error."""
+    f = tmp_path / "product.problem"
+    f.write_text(f"[group]\n{builder}\n[cocycle]\n")
+    code, out, err = run(["product", str(f), "--n1", "1"], capsys)
+    assert (code, out, err) == (2, "product rules inapplicable: a product needs two "
+                                   f"coordinates, one per factor; the group has {n}\n", "")
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (RuntimeError("engine\nfault"), 3, "internal error: RuntimeError: engine fault\n"),
+    (KeyError("k"), 3, "internal error: KeyError: 'k'\n"),
+    (ZeroDivisionError("division by zero"), 3,
+     "internal error: ZeroDivisionError: division by zero\n"),
+    (ValueError("bad"), 1, "error: bad\n"),  # the input-error mapping stays
+])
+def test_unmapped_exception_is_an_internal_error(capsys, monkeypatch, exc, code, err):
+    """An exception main does not map exits 3 with one stderr line and no
+    traceback."""
+    def decide(analysis):
+        raise exc
+
+    monkeypatch.setattr(cli, "decide", decide)
+    assert run(["verdict", fixture("g3")], capsys) == (code, "", err)
+
+
 def test_tf_requires_density(tmp_path, capsys):
     f = tmp_path / "nodensity.problem"
     f.write_text("[group]\nbuilder abelian 0\n\n[cocycle]\n")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocycle_lab import cocycles, exact, groups, zlinalg as zl
+from cocycle_lab import cocycles, decision, exact, groups, zlinalg as zl
 from cocycle_lab.cocycles import CocycleError, phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis,
@@ -450,8 +450,51 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     monkeypatch.setattr(zl, "kernel_int", kernel_int)
     decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
-    assert len(classified) <= 147  # 249 when every child classified from empty
+    # 93: a gamma-free child classifies in its leaf's own context (pinned
+    # at 147 while each child rebuilt it, 249 when every child classified
+    # from empty)
+    assert len(classified) <= 93
     assert kernels == []  # 52 when the pure-theta search ran without thetas
+
+
+def test_gamma_free_children_classify_in_their_leafs_context(monkeypatch):
+    """On the chain Z^5 with 4 params no push-down gains a gamma term, so
+    induce_gamma hands back the pushed cocycle over its parent's table and
+    each of the 12 level-1 children solves its conditions in its leaf's own
+    RationalityContext, span and classify memo included."""
+    p = parse_problem(CHAIN_Z5)
+    a = Analysis(p.cocycle, p.context)
+    parents = [leaf.ctx for leaf in a.leaves
+               if leaf.lattice.index() is math.inf and not leaf.lattice.is_finite()]
+    seen = []
+    real = cocycles.condition_lattice
+
+    def condition_lattice(ctx, *args):
+        seen.append(ctx)
+        return real(ctx, *args)
+
+    monkeypatch.setattr(cocycles, "condition_lattice", condition_lattice)
+    decide(a)
+    assert len(seen) == len(parents) == 12
+    assert all(child is leaf for child, leaf in zip(seen, parents))
+
+
+def test_children_with_gamma_terms_gain_their_gamma_symbols(monkeypatch):
+    """On heis-1-2 the push-down does gain gamma terms: the recursion's
+    child table gains gamma1_1 and the fallback's gammaM_1."""
+    p = load_problem(fixture("heis-1-2"))
+    induced = []
+    real = decision.induce_gamma
+
+    def induce_gamma(w, qd, prefix):
+        out = real(w, qd, prefix=prefix)
+        induced.append((prefix, w.table.names, out.table.names))
+        return out
+
+    monkeypatch.setattr(decision, "induce_gamma", induce_gamma)
+    decide(p.cocycle, p.context)
+    assert induced == [("gamma1_", ("theta",), ("theta", "gamma1_1")),
+                       ("gammaM_", ("theta",), ("theta", "gammaM_1"))]
 
 
 def test_decide_computes_each_leaf_quotient_smith_form_once(monkeypatch):
@@ -510,7 +553,9 @@ def test_chain_z5_substitutes_only_to_push_down_and_indexes_without_smith_forms(
     """On the chain Z^5 with 4 params the pairing rows are read off the
     bilinear Q~, so every Poly.substitute is a push-down's pull-back (26
     when the rows were substituted too); index() and is_finite() read the
-    HNF basis, so no Smith form is computed under them (71 of 85 were)."""
+    HNF basis, so no Smith form is computed under them (71 of 85 were), and
+    induce_gamma parametrizes no kernel when the law has no bilinear
+    entries (38 Smith forms when each of the 12 push-downs did)."""
     p = parse_problem(CHAIN_Z5)
     subs, smith = [], []
     real_substitute, real_structure = Poly.substitute, zl._structure
@@ -529,5 +574,5 @@ def test_chain_z5_substitutes_only_to_push_down_and_indexes_without_smith_forms(
     decide_simplicity(p.cocycle, p.context)
     assert len(subs) == 12 and all(s[:3] == ["compose_linear", "pull_back", "push_to_quotient"]
                                    for s in subs)
-    assert len(smith) == 38
+    assert len(smith) == 26
     assert not [s for s in smith if {"index", "is_finite"} & set(s)]

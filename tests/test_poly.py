@@ -221,3 +221,46 @@ def test_known_integer_valued_polynomials():
     assert is_integer_valued(choose3, 1)
     assert not is_integer_valued({(2,): Fraction(1, 2)}, 1)
     assert binomial_coefficients({(1,): Fraction(1)}, 1) == {(1,): Fraction(1)}
+
+
+def sympy_coefficient(sympy, c):
+    """The KNumber c as a linear form in the symbols of T."""
+    def rational(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    return rational(c.const) + sum(rational(q) * sympy.Symbol(n) for n, q in c.coeffs)
+
+
+def sympy_expr(sympy, p, xs):
+    """p as a sympy expression in the variables xs and the symbols of T."""
+    return sympy.Add(*(sympy_coefficient(sympy, c) * sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+                       for exps, c in p.terms))
+
+
+def assert_terms_match_sympy(sympy, got, expr, ys):
+    """got's terms equal those of sympy's expansion of expr in ys, one
+    coefficient (a linear form in the symbols of T) per exponent tuple."""
+    want = {e: c for e, c in sympy.Poly(sympy.expand(expr), *ys).as_dict().items() if c != 0}
+    mine = {e: sympy_coefficient(sympy, c) for e, c in got.terms}
+    assert mine == want
+
+
+def test_compose_linear_and_substitute_match_sympy_expansion():
+    """Poly.compose_linear on random phases with symbol coefficients and
+    random integer matrices, and Poly.substitute by random rational
+    polynomials, agree term by term with sympy's expansion."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(16)
+    for _ in range(30):
+        nv, mv = rng.randint(1, 3), rng.randint(1, 3)
+        xs, ys = sympy.symbols(f"x0:{nv}"), sympy.symbols(f"y0:{mv}")
+        p = rand_poly(rng, nv, symbols=True)
+        mat = [[rng.randint(-3, 3) for _ in range(mv)] for _ in range(nv)]
+        linear = {x: sum(a * y for a, y in zip(row, ys)) for x, row in zip(xs, mat)}
+        assert_terms_match_sympy(sympy, p.compose_linear(mat, mv),
+                                 sympy_expr(sympy, p, xs).subs(linear, simultaneous=True), ys)
+        p = rand_poly(rng, nv, deg=2, symbols=True)
+        mapping = {i: rand_poly(rng, mv, deg=2) for i in range(nv)}
+        images = {x: sympy_expr(sympy, mapping[i], ys) for i, x in enumerate(xs)}
+        assert_terms_match_sympy(sympy, p.substitute(mapping, mv),
+                                 sympy_expr(sympy, p, xs).subs(images, simultaneous=True), ys)

@@ -246,12 +246,17 @@ def test_mixed_system_vs_direct_check():
 
 
 def test_mixed_system_fraction_rows():
+    """solve_mixed_system takes integer rows; a rational row is cleared
+    first, and the cleared system has the rational one's solutions."""
     # x/2 + y/3 = 0 over Z^2  <=>  3x + 2y = 0
-    lat = zl.solve_mixed_system((0, 0), [[Fraction(1, 2), Fraction(1, 3)]], [])
+    row, d = zl.clear_denominators([Fraction(1, 2), Fraction(1, 3)])
+    assert (row, d) == ([3, 2], 6)
+    lat = zl.solve_mixed_system((0, 0), [row], [])
     assert lat.contains([2, -3])
     assert not lat.contains([1, 1])
-    # x/2 = 0 mod 1  <=>  x even
-    lat = zl.solve_mixed_system((0,), [], [([Fraction(1, 2)], 1)])
+    # x/2 = 0 mod 1  <=>  x = 0 mod 2
+    row, d = zl.clear_denominators([Fraction(1, 2)])
+    lat = zl.solve_mixed_system((0,), [], [(row, 1 * d)])
     assert lat.contains([2]) and not lat.contains([1])
 
 
