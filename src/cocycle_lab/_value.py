@@ -1,11 +1,14 @@
 """Base of the package's value classes.
 
-A subclass names its constructor fields, in order, in ``_fields`` and sets
-them in its own ``__init__`` with ``object.__setattr__``.  ``Value`` then
-compares, hashes and prints an instance by those fields, and refuses any
-later assignment or deletion.  ``functools.cached_property`` still works on
-a subclass without ``__slots__``: it writes the instance ``__dict__``
-directly.  Classes built in bulk define their own ``__eq__`` and
+A subclass names its constructor fields, in order, in ``_fields``, and the
+defaults of the optional ones in ``_defaults``.  ``Value.__init__`` binds
+positional and keyword arguments to those fields, sets them, and then runs
+the ``_check`` hook, which a subclass overrides to validate its fields or to
+set derived ones (with ``object.__setattr__``).  ``Value`` compares, hashes
+and prints an instance by its fields, and refuses any later assignment or
+deletion.  ``functools.cached_property`` still works on a subclass without
+``__slots__``: it writes the instance ``__dict__`` directly.  Classes built
+in bulk keep a constructor of their own and define their own ``__eq__`` and
 ``__hash__`` over an explicit field tuple.
 """
 
@@ -13,6 +16,35 @@ directly.  Classes built in bulk define their own ``__eq__`` and
 class Value:
     __slots__ = ()
     _fields = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        if len(args) != len(self._fields) or kwargs:
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        self._check()
+
+    def _bind(self, args, kwargs):
+        """The field values in order: args, then each remaining field from
+        kwargs or its default."""
+        cls = self.__class__.__qualname__
+        if len(args) > len(self._fields):
+            raise TypeError(f"{cls} takes {len(self._fields)} arguments, got {len(args)}")
+        out = list(args)
+        for name in self._fields[len(args):]:
+            if name in kwargs:
+                out.append(kwargs.pop(name))
+            elif name in self._defaults:
+                out.append(self._defaults[name])
+            else:
+                raise TypeError(f"{cls} is missing the argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls} got unexpected or repeated arguments {sorted(kwargs)}")
+        return out
+
+    def _check(self):
+        """Validate the fields or set derived ones; nothing by default."""
 
     def _values(self):
         return tuple([getattr(self, f) for f in self._fields])

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 from . import zlinalg as zl
 from ._value import Value
-from .exact import INTEGER, IRRATIONAL, RATIONAL, KNumber, RationalityContext, symbol
+from .exact import (IRRATIONAL, UNDETERMINED, KNumber, RationalityContext, _fraction_str,
+                    symbol)
 from .groups import GroupPresentation, Morphism
 from .poly import Poly, is_integer_valued
 
@@ -31,16 +32,15 @@ class UnsupportedShape(CocycleError):
 
 
 class Cocycle(Value):
+    # group: GroupPresentation; table: SymbolTable; phase: Poly in 2n
+    # variables g_1..g_n, h_1..h_n; correction: Poly | None, added to the
+    # antisymmetrization on commuting pairs
     __slots__ = _fields = ("group", "table", "phase", "correction")
+    _defaults = {"correction": None}
 
-    def __init__(self, group, table, phase, correction=None):
-        if phase.nv != 2 * group.n:
+    def _check(self):
+        if self.phase.nv != 2 * self.group.n:
             raise ValueError("phase variable count must be 2 * (group coordinates)")
-        object.__setattr__(self, "group", group)  # GroupPresentation
-        object.__setattr__(self, "table", table)  # SymbolTable
-        object.__setattr__(self, "phase", phase)  # Poly in 2n variables: g_1..g_n, h_1..h_n
-        # Poly | None, added to the antisymmetrization on commuting pairs
-        object.__setattr__(self, "correction", correction)
 
     @property
     def n(self):
@@ -224,7 +224,7 @@ def _pairing_rows(c, gens):
         return rows
     nv = k + n  # z variables then y variables
     ys = [Poly.var(nv, t, k + j) for j in range(n)]
-    mapping = {i: Poly.make(nv, t, {_mono(nv, a): Fraction(gens[a][i]) for a in range(k) if gens[a][i]})
+    mapping = {i: Poly.make(nv, t, {_mono(nv, a): gens[a][i] for a in range(k) if gens[a][i]})
                for i in range(n)}
     mapping.update({n + i: ys[i] for i in range(n)})
     qz = q.substitute(mapping, nv)  # Q~(g(z), y) in variables (z, y)
@@ -252,7 +252,7 @@ def _pairing_rows(c, gens):
     if viol is None:
         return rows
     zs = {a: Poly.var(nv, t, a) for a in range(k)}
-    firsts = [err.substitute({**zs, **{k + i: Poly.const(nv, t, Fraction(int(i == j)))
+    firsts = [err.substitute({**zs, **{k + i: Poly.const(nv, t, int(i == j))
                                        for i in range(n)}}, nv) for j in range(n)]  # E(z, e_j)
     second = err - sum((y * e for y, e in zip(ys, firsts)), Poly.zero(nv, t))
     for slot, part in [("second", second)] + [("first", e) for e in firsts]:
@@ -262,14 +262,11 @@ def _pairing_rows(c, gens):
 
 
 class CaseLeaf(Value):
+    # ctx: RationalityContext; lattice: SubgroupLattice; conditions:
+    # human-readable "form in Z" strings; skipped: conditions dropped for
+    # lack of a denominator bound
     __slots__ = _fields = ("ctx", "lattice", "conditions", "skipped")
-
-    def __init__(self, ctx, lattice, conditions=(), skipped=()):
-        object.__setattr__(self, "ctx", ctx)  # RationalityContext
-        object.__setattr__(self, "lattice", lattice)  # SubgroupLattice
-        object.__setattr__(self, "conditions", conditions)  # human-readable "form in Z" strings
-        # conditions dropped for lack of a denominator bound
-        object.__setattr__(self, "skipped", skipped)
+    _defaults = {"conditions": (), "skipped": ()}
 
 
 def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
@@ -282,58 +279,79 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
     unknown are recorded and skipped — this never changes the rank of the
     solution lattice, only its (finite) index.
 
-    Each row is cleared to integers once, with the forms: a row r/d gives
-    the equation r.z = 0 and, under a denominator class m, the congruence
-    r.z = 0 (mod m*d), the integer rows solve_mixed_system takes.
+    Each row is cleared to integers once, with the forms, from the integers
+    of its KNumbers: a row r/d gives the equation r.z = 0 and, under a
+    denominator class m, the congruence r.z = 0 (mod m*d), the integer rows
+    solve_mixed_system takes.
+
+    Each case node classifies each distinct symbol once, in the order the
+    forms and their terms first name it: every term's value is the unit
+    symbol, so its classification depends on the symbol and the node's
+    context alone.  The node splits on the first undetermined symbol in that
+    order, the first undetermined term in the walk over the forms; only a
+    node with none builds its conditions.
     """
     prepared = []  # per form, computed once: its constant congruence and its symbol terms
     for form in forms:
-        const_row = [kn.const for kn in form]
-        const = ((zl.clear_denominators(const_row), _render_form(const_row, None, gen_names))
-                 if any(x.denominator != 1 for x in const_row) else None)
-        rows = {s: [kn.coeff(s) for kn in form]
-                for s in dict.fromkeys(s for kn in form for s in kn.symbol_names())}
-        prepared.append((const, [(symbol(ctx.table, s), zl.clear_denominators(row),
-                                  _render_form(row, s, gen_names))
-                                 for s, row in rows.items() if any(row)]))
+        const_row, d = _cleared([(kn.ints[1], kn.ints[0]) for kn in form])
+        const = ((const_row, d), _render_form(const_row, d, None, gen_names)) if d != 1 else None
+        terms = []
+        parts = [(dict(kn.ints[2]), kn.ints[0]) for kn in form]
+        for s in dict.fromkeys(n for kn in form for n, _ in kn.ints[2]):
+            row, d = _cleared([(cs.get(s, 0), e) for cs, e in parts])
+            terms.append((s, (row, d), _render_form(row, d, s, gen_names)))
+        prepared.append((const, terms))
+    # each symbol name as its unit value, in the order the forms first name it
+    units = {s: symbol(ctx.table, s) for s in dict.fromkeys(s for _, terms in prepared
+                                                             for s, _, _ in terms)}
     leaves = []
     stack = [ctx]
     while stack:
         cur = stack.pop()
         if len(leaves) + len(stack) > case_budget:
             raise BudgetExceeded(case_budget)
-        eqs, congs, conds, skipped = [], [], [], []
-        pending_split = None
-        for const, terms in prepared:
-            if const:
-                congs.append(const[0])
-                conds.append(const[1])
-            for x, (row, d), text in terms:
-                cls = cur.classify(x)
-                if cls.kind == IRRATIONAL:
-                    eqs.append(row)
-                    conds.append(text + " = 0 forced (irrational factor)")
-                elif cls.kind in (INTEGER, RATIONAL):
-                    if cls.denominator is None:
-                        skipped.append(text + " (rational factor, denominator unknown; "
-                                              "congruence skipped, rank unaffected)")
-                    else:
-                        congs.append((row, cls.denominator * d))
-                        conds.append(text + f" = 0 (mod {cls.denominator})")
-                else:
-                    pending_split = x
-                    break
-            if pending_split is not None:
+        classes = {}  # symbol name -> its classification in cur
+        for s, x in units.items():
+            classes[s] = cls = cur.classify(x)
+            if cls.kind == UNDETERMINED:
+                stack.extend(child for child in cur.split(x) if child is not None)
                 break
-        if pending_split is not None:
-            rat, irr = cur.split(pending_split)
-            for child in (rat, irr):
-                if child is not None:
-                    stack.append(child)
-            continue
-        lat = zl.solve_mixed_system(tuple(zmoduli), eqs, congs)
-        leaves.append(CaseLeaf(cur, lat, tuple(conds), tuple(skipped)))
+        else:
+            leaves.append(_case_leaf(cur, prepared, classes, zmoduli))
     return leaves
+
+
+def _case_leaf(ctx, prepared, classes, zmoduli):
+    """The leaf of a node whose symbols are all classified: irrational
+    components give equations, rational ones congruences or, without a
+    denominator class, a skipped note."""
+    eqs, congs, conds, skipped = [], [], [], []
+    for const, terms in prepared:
+        if const:
+            congs.append(const[0])
+            conds.append(const[1])
+        for s, (row, d), text in terms:
+            cls = classes[s]
+            if cls.kind == IRRATIONAL:
+                eqs.append(row)
+                conds.append(text + " = 0 forced (irrational factor)")
+            elif cls.denominator is None:
+                skipped.append(text + " (rational factor, denominator unknown; "
+                                      "congruence skipped, rank unaffected)")
+            else:
+                congs.append((row, cls.denominator * d))
+                conds.append(text + f" = 0 (mod {cls.denominator})")
+    lat = zl.solve_mixed_system(tuple(zmoduli), eqs, congs)
+    return CaseLeaf(ctx, lat, tuple(conds), tuple(skipped))
+
+
+def _cleared(pairs):
+    """The rational row of (numerator, denominator) pairs as (r, d): the
+    integer row r and the least d > 0 with r/d equal to it."""
+    m = math.lcm(*(e for _, e in pairs))
+    row = [a * (m // e) for a, e in pairs]
+    g = math.gcd(m, *row)
+    return [x // g for x in row], m // g
 
 
 class BudgetExceeded(Exception):
@@ -342,12 +360,13 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-def _render_form(row, sym, gen_names):
+def _render_form(row, d, sym, gen_names):
+    """The rational row r/d as text, each coefficient as its Fraction prints."""
     parts = []
     for c, name in zip(row, gen_names):
         if not c:
             continue
-        coef = "" if c == 1 else f"{c}*"
+        coef = "" if c == d else f"{_fraction_str(c, d)}*"
         parts.append(f"{coef}{name}")
     body = " + ".join(parts) if parts else "0"
     if sym:

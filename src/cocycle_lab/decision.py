@@ -37,17 +37,11 @@ KLEPPNER_CONVENTION = (
 
 
 class Branch(Value):
+    # lattice: SubgroupLattice | None; index: int | math.inf | None;
+    # child: TraceNode | None
     __slots__ = _fields = ("label", "assumptions", "lattice", "index", "verdict", "child",
                            "notes")
-
-    def __init__(self, label, assumptions, lattice, index, verdict, child=None, notes=()):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "assumptions", assumptions)
-        object.__setattr__(self, "lattice", lattice)  # SubgroupLattice or None
-        object.__setattr__(self, "index", index)  # int | math.inf | None
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "child", child)  # TraceNode | None
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"child": None, "notes": ()}
 
     @staticmethod
     def from_leaf(leaf, verdict, notes=None, child=None):
@@ -72,13 +66,7 @@ class Branch(Value):
 
 class TraceNode(Value):
     __slots__ = _fields = ("level", "group", "branches", "verdict", "notes")
-
-    def __init__(self, level, group, branches, verdict, notes=()):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "branches", branches)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": ()}
 
     def to_dict(self):
         return {
@@ -91,13 +79,9 @@ class TraceNode(Value):
 
 
 class Verdict(Value):
+    # z_stable: ZSTABLE | NOT_ZSTABLE | UNDECIDED; certificate: TraceNode | None
     __slots__ = _fields = ("z_stable", "simple", "certificate", "notes")
-
-    def __init__(self, z_stable, simple=SIMPLE_UNKNOWN, certificate=None, notes=()):
-        object.__setattr__(self, "z_stable", z_stable)  # ZSTABLE | NOT_ZSTABLE | UNDECIDED
-        object.__setattr__(self, "simple", simple)
-        object.__setattr__(self, "certificate", certificate)  # TraceNode | None
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"simple": SIMPLE_UNKNOWN, "certificate": None, "notes": ()}
 
     @property
     def nowhere_scattered(self):
@@ -158,11 +142,7 @@ class Analysis(Value):
     case budget, or an Analysis, which carries its own."""
 
     _fields = ("cocycle", "ctx", "case_budget")
-
-    def __init__(self, cocycle, ctx, case_budget=DEFAULT_CASE_BUDGET):
-        object.__setattr__(self, "cocycle", cocycle)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "case_budget", case_budget)
+    _defaults = {"case_budget": DEFAULT_CASE_BUDGET}
 
     @cached_property
     def violation(self):
@@ -285,9 +265,6 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 class Inapplicable(Value):
     __slots__ = _fields = ("reason",)
 
-    def __init__(self, reason):
-        object.__setattr__(self, "reason", reason)
-
 
 def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Single-quotient criterion for 2-step groups.
@@ -381,11 +358,7 @@ def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 
 class ProductRuleOutcome(Value):
     __slots__ = _fields = ("applicable", "verdict", "reason")
-
-    def __init__(self, applicable, verdict=UNDECIDED, reason=""):
-        object.__setattr__(self, "applicable", applicable)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"verdict": UNDECIDED, "reason": ""}
 
 
 def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):

@@ -1,9 +1,16 @@
 """Exact scalars: rationals plus Q-linear combinations of named symbols.
 
-A KNumber is c0 + sum(c_j * sym_j) over Fraction coefficients.  Symbols come
-in two flavors: thetas (declared irrational, axiomatically Q-linearly
-independent together with 1) and xis (free parameters, optionally carrying a
-torsion order m meaning m*xi is an integer).
+A KNumber is (c + sum(a_j * sym_j)) / d in integers over one positive
+denominator d, stored as the tuple ``ints = (d, c, ((name, a_j), ...))``.  It
+is canonical: d, c and the a_j have no common factor, no a_j is zero and the
+names follow the symbol table's order, so equal values store equal tuples.
+That tuple is the value's equality and hash and the classify() memo key, and
+arithmetic works on it in integers; ``const``, ``coeffs`` and ``coeff()`` read
+Fractions off it for the cold paths.
+
+Symbols come in two flavors: thetas (declared irrational, axiomatically
+Q-linearly independent together with 1) and xis (free parameters, optionally
+carrying a torsion order m meaning m*xi is an integer).
 
 A RationalityContext records which symbol combinations are asserted to be
 rational, integral, or irrational; classify() decides the status of a value
@@ -21,8 +28,6 @@ from functools import cached_property
 from . import zlinalg as zl
 from ._value import Value
 
-_ZERO = Fraction(0)
-
 INTEGER = "integer"
 RATIONAL = "rational"
 IRRATIONAL = "irrational"
@@ -30,22 +35,24 @@ UNDETERMINED = "undetermined"
 
 
 class SymbolTable(Value):
+    # xis: (name, torsion order) pairs; order 0 = no torsion axiom
     _fields = ("thetas", "xis")
+    _defaults = {"thetas": (), "xis": ()}
 
-    def __init__(self, thetas=(), xis=()):
-        # xis: (name, torsion order) pairs; order 0 = no torsion axiom
-        names = list(thetas) + [n for n, _ in xis]
-        if len(set(names)) != len(names):
+    def _check(self):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate symbol names")
-        for _, m in xis:
-            if m < 0:
-                raise ValueError("torsion order must be >= 0")
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "xis", xis)
+        if any(m < 0 for _, m in self.xis):
+            raise ValueError("torsion order must be >= 0")
 
     @cached_property
     def names(self):
         return tuple(self.thetas) + tuple(n for n, _ in self.xis)
+
+    @cached_property
+    def order(self):
+        """Position of each name in ``names``."""
+        return {n: i for i, n in enumerate(self.names)}
 
     def torsion_order(self, name):
         for n, m in self.xis:
@@ -59,61 +66,82 @@ class SymbolTable(Value):
 
 
 class KNumber(Value):
-    __slots__ = _fields = ("table", "const", "coeffs")
+    """(c + sum(a_j * sym_j)) / d, stored as one tuple of integers
+    ``ints = (d, c, ((name, a_j), ...))``; see the module docstring."""
 
-    def __init__(self, table, const, coeffs):
+    __slots__ = _fields = ("table", "ints")
+
+    def __init__(self, table, ints):
         object.__setattr__(self, "table", table)  # SymbolTable
-        object.__setattr__(self, "const", const)  # Fraction
-        object.__setattr__(self, "coeffs", coeffs)  # sorted (name, Fraction) pairs, no zeros
+        object.__setattr__(self, "ints", ints)  # canonical (d, c, ((name, a), ...))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.table, self.const, self.coeffs) == (other.table, other.const, other.coeffs)
+            return self.ints == other.ints and (self.table is other.table or self.table == other.table)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.table, self.const, self.coeffs))
+        return hash((self.table, self.ints))
 
     @staticmethod
     def make(table, const=0, coeffs=None):
-        """Canonical KNumber; Fractions are taken as they are, anything else
-        is converted once."""
-        if type(const) is not Fraction:
-            const = Fraction(const)
-        if not coeffs:
-            return KNumber(table, const, ())
-        names = table.names
+        """Canonical KNumber from scalars of any type: ints and Fractions are
+        taken as they are, anything else is converted to a Fraction once."""
+        if not coeffs and type(const) is int:
+            return KNumber(table, (1, const, ()))
+        order = table.order
         seen = {}
-        for n, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-            if n not in names:
+        for n, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs or ()):
+            if n not in order:
                 raise ValueError(f"unknown symbol {n!r}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = _rational(c)
             seen[n] = seen[n] + c if n in seen else c
-        items = [(n, c) for n, c in seen.items() if c]
-        if len(items) > 1:
-            items.sort(key=lambda p: names.index(p[0]))
-        return KNumber(table, const, tuple(items))
+        items = sorted((p for p in seen.items() if p[1]), key=lambda p: order[p[0]])
+        row, d = zl.clear_denominators([_rational(const)] + [c for _, c in items])
+        return KNumber(table, (d, row[0], tuple(zip([n for n, _ in items], row[1:]))))
 
-    def _check(self, other):
+    @staticmethod
+    def from_ints(table, d, c, pairs):
+        """(c + sum(a * sym)) / d from integers: d > 0, pairs (name, a) in
+        table order with no zero a; reduced by the common factor."""
+        g = math.gcd(d, c, *[a for _, a in pairs])
+        if g == 1:
+            return KNumber(table, (d, c, tuple(pairs)))
+        return KNumber(table, (d // g, c // g, tuple([(n, a // g) for n, a in pairs])))
+
+    def _same_table(self, other):
         if self.table is not other.table and self.table != other.table:
             raise ValueError("symbol-table mismatch")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return KNumber(self.table, self.const + other, self.coeffs)
-        self._check(other)
-        if not other.coeffs or not self.coeffs:
-            return KNumber(self.table, self.const + other.const, self.coeffs or other.coeffs)
-        d = dict(self.coeffs)
-        for n, c in other.coeffs:
-            d[n] = d.get(n, Fraction(0)) + c
-        return KNumber.make(self.table, self.const + other.const, d)
+        d, c, cs = self.ints
+        if other.__class__ is not KNumber:
+            if type(other) is int:  # (c + other*d)/d keeps the common factor 1
+                return KNumber(self.table, (d, c + other * d, cs))
+            other = KNumber.make(self.table, other)
+        else:
+            self._same_table(other)
+        e, k, ks = other.ints
+        if d != e:  # bring both over lcm(d, e)
+            m = math.lcm(d, e)
+            f, g = m // d, m // e
+            d, c, k = m, c * f, k * g
+            cs = [(n, a * f) for n, a in cs]
+            ks = [(n, a * g) for n, a in ks]
+        if not ks or not cs:
+            return KNumber.from_ints(self.table, d, c + k, cs or ks)
+        acc = dict(cs)
+        for n, a in ks:
+            acc[n] = acc[n] + a if n in acc else a
+        order = self.table.order
+        pairs = sorted(((n, a) for n, a in acc.items() if a), key=lambda p: order[p[0]])
+        return KNumber.from_ints(self.table, d, c + k, pairs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return KNumber(self.table, -self.const, tuple((n, -c) for n, c in self.coeffs))
+        d, c, cs = self.ints
+        return KNumber(self.table, (d, -c, tuple([(n, -a) for n, a in cs])))
 
     def __sub__(self, other):
         return self + (-other)
@@ -122,58 +150,90 @@ class KNumber(Value):
         return (-self) + other
 
     def scale(self, q):
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        if not q:
-            return KNumber(self.table, _ZERO, ())
-        return KNumber(self.table, self.const * q, tuple((n, c * q) for n, c in self.coeffs))
+        if type(q) is not int:
+            q = _rational(q)
+        return self._times(q.numerator, q.denominator)
+
+    def _times(self, p, r):
+        """self * p / r for integers p and r > 0."""
+        if not p:
+            return KNumber(self.table, (1, 0, ()))
+        d, c, cs = self.ints
+        return KNumber.from_ints(self.table, d * r, c * p, [(n, a * p) for n, a in cs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not KNumber:
             return self.scale(other)
-        self._check(other)
-        if self.coeffs and other.coeffs:
+        self._same_table(other)
+        if self.ints[2] and other.ints[2]:
             raise ValueError("products of symbols are not supported")
-        if other.coeffs:
-            return other.scale(self.const)
-        return self.scale(other.const)
+        x, q = (other, self) if other.ints[2] else (self, other)
+        return x._times(q.ints[1], q.ints[0])
 
     __rmul__ = __mul__
 
+    @property
+    def const(self):
+        """The rational part, as a Fraction."""
+        return Fraction(self.ints[1], self.ints[0])
+
+    @property
+    def coeffs(self):
+        """(name, Fraction) pairs in table order, no zeros."""
+        d = self.ints[0]
+        return tuple([(n, Fraction(a, d)) for n, a in self.ints[2]])
+
     def is_zero(self):
-        return self.const == 0 and not self.coeffs
+        return not self.ints[1] and not self.ints[2]
 
     def is_constant(self):
-        return not self.coeffs
+        return not self.ints[2]
 
     def symbol_names(self):
-        return [n for n, _ in self.coeffs]
+        return [n for n, _ in self.ints[2]]
 
     def coeff(self, name):
-        for n, c in self.coeffs:
+        for n, a in self.ints[2]:
             if n == name:
-                return c
+                return Fraction(a, self.ints[0])
         return Fraction(0)
 
     def rebase(self, table):
         """Same value over an extended symbol table."""
-        return KNumber.make(table, self.const, dict(self.coeffs))
+        d, c, cs = self.ints
+        order = table.order
+        for n, _ in cs:
+            if n not in order:
+                raise ValueError(f"unknown symbol {n!r}")
+        return KNumber(table, (d, c, tuple(sorted(cs, key=lambda p: order[p[0]]))))
 
     def __str__(self):
+        d, c, cs = self.ints
         parts = []
-        if self.const or not self.coeffs:
-            parts.append(str(self.const))
-        for n, c in self.coeffs:
-            if c == 1:
+        if c or not cs:
+            parts.append(_fraction_str(c, d))
+        for n, a in cs:
+            if a == d:
                 parts.append(n)
-            elif c == -1:
+            elif a == -d:
                 parts.append(f"-{n}")
             else:
-                parts.append(f"{c}*{n}")
+                parts.append(f"{_fraction_str(a, d)}*{n}")
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+def _rational(q):
+    """q as an int or a Fraction."""
+    return q if type(q) is int or type(q) is Fraction else Fraction(q)
+
+
+def _fraction_str(a, d):
+    """str(Fraction(a, d)) for d > 0, without building the Fraction."""
+    g = math.gcd(a, d)
+    return str(a // g) if d == g else f"{a // g}/{d // g}"
 
 
 def knum(table, const=0, **coeffs):
@@ -181,16 +241,15 @@ def knum(table, const=0, **coeffs):
 
 
 def symbol(table, name, q=1):
+    if type(q) is int and q and name in table.order:
+        return KNumber(table, (1, 0, ((name, q),)))
     return KNumber.make(table, 0, {name: q})
 
 
 class Classification(Value):
+    # denominator, for integer/rational: m with m*x in Z (if known)
     __slots__ = _fields = ("kind", "denominator")
-
-    def __init__(self, kind, denominator=None):
-        object.__setattr__(self, "kind", kind)
-        # for integer/rational: m with m*x in Z (if known)
-        object.__setattr__(self, "denominator", denominator)
+    _defaults = {"denominator": None}
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -199,6 +258,9 @@ class Classification(Value):
 
     def __hash__(self):
         return hash((self.kind, self.denominator))
+
+
+_IRRATIONAL, _UNDETERMINED = Classification(IRRATIONAL), Classification(UNDETERMINED)
 
 
 class RationalityContext(Value):
@@ -218,48 +280,42 @@ class RationalityContext(Value):
     pure-theta residual undetermined.  UNDETERMINED entries are never kept,
     and an integral child starts empty: its denominators can change."""
 
+    # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
+    # outside Q; assumptions: human-readable trail of split() choices
     _fields = ("table", "rational", "integral", "irrational", "assumptions")
+    _defaults = dict.fromkeys(_fields[1:], ())
 
-    def __init__(self, table, rational=(), integral=(), irrational=(), assumptions=()):
-        # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
-        # outside Q; assumptions: human-readable trail of split() choices
-        for f in rational + integral + irrational:
-            if f.table is not table and f.table != table:
+    def _check(self):
+        for f in self.rational + self.integral + self.irrational:
+            if f.table is not self.table and f.table != self.table:
                 raise ValueError("fact does not belong to this symbol table")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "rational", rational)
-        object.__setattr__(self, "integral", integral)
-        object.__setattr__(self, "irrational", irrational)
-        object.__setattr__(self, "assumptions", assumptions)
         object.__setattr__(self, "_classified", {})  # classify() memo
 
     # -- internal vector views -------------------------------------------
 
     def _vec(self, x):
-        coeffs = dict(x.coeffs)
-        return [coeffs.get(n, _ZERO) for n in self.table.names]
+        """x's symbol numerators, one per table name: x's symbol part times
+        its denominator, which is all a span question reads."""
+        coeffs = dict(x.ints[2])
+        return [coeffs.get(n, 0) for n in self.table.names]
 
     @cached_property
     def _fact_parts(self):
-        """(symbol vector, constant) of rational and integral facts, torsion
-        axioms included among the integral facts."""
-        rat, integ = [], []
-        for f in self.rational:
-            v = self._vec(f)
-            if any(v):
-                rat.append((v, f.const))
-        for f in self.integral:
-            integ.append((self._vec(f), f.const))
+        """Symbol vectors of the rational facts, and (symbol vector,
+        constant, denominator) numerators of the integral facts, torsion
+        axioms included."""
+        rat = tuple(v for v in map(self._vec, self.rational) if any(v))
+        integ = [(self._vec(f), f.ints[1], f.ints[0]) for f in self.integral]
         for n, m in self.table.xis:
             if m:
-                integ.append((self._vec(symbol(self.table, n, m)), _ZERO))
-        return tuple(rat), tuple(integ)
+                integ.append((self._vec(symbol(self.table, n, m)), 0, 1))
+        return rat, tuple(integ)
 
     @cached_property
     def _span(self):
         rat, integ = self._fact_parts
         ech = zl.QEchelon()
-        for v, _ in rat + integ:
+        for v in rat + tuple(u for u, _, _ in integ):
             ech.add(v)
         return ech
 
@@ -274,21 +330,17 @@ class RationalityContext(Value):
 
     @cached_property
     def _consistent(self):
-        names = self.table.names
         ntheta = len(self.table.thetas)
         span = self._span
         # the rational span must not contain a nonzero pure-theta vector:
-        # find combinations of span basis rows with zero xi-part
+        # find combinations of span basis rows with zero xi-part (scaling a
+        # row by a positive factor scales its coefficient in the kernel)
         rows = [row for _, row in span.rows]
         if rows and ntheta:
-            xi_cols = list(range(ntheta, len(names)))
-            # integer matrix of xi-parts of the basis rows
-            den = math.lcm(*(row[j].denominator for row in rows for j in xi_cols))
-            mat = [[int(rows[i][j] * den) for i in range(len(rows))] for j in xi_cols]
+            xi_cols = range(ntheta, len(self.table.names))
+            mat = [[row[j] for row in rows] for j in xi_cols]
             for combo in zl.kernel_int(mat) if xi_cols else zl.identity(len(rows)):
-                vec = [sum(Fraction(combo[i]) * rows[i][j] for i in range(len(rows)))
-                       for j in range(len(names))]
-                if any(vec[:ntheta]):
+                if any(sum(a * row[j] for a, row in zip(combo, rows)) for j in range(ntheta)):
                     return False
         implicit = [symbol(self.table, n) for n in self.table.thetas]
         for f in list(self.irrational) + implicit:
@@ -300,40 +352,35 @@ class RationalityContext(Value):
         return True
 
     def classify(self, x):
-        key = _memo_key(x)
-        cls = self._classified.get(key)
+        cls = self._classified.get(x.ints)
         if cls is None:
-            cls = self._classified[key] = self._classify(x)
+            cls = self._classified[x.ints] = self._classify(x)
         return cls
 
     def _classify(self, x):
-        c, v = x.const, self._vec(x)
-        ntheta = len(self.table.thetas)
-        if not any(v):
-            den = c.denominator
-            return Classification(INTEGER if den == 1 else RATIONAL, den)
-        span = self._span
-        residual = span.reduce(v)
+        d, c, cs = x.ints
+        if not cs:
+            return Classification(INTEGER if d == 1 else RATIONAL, d)
+        v = self._vec(x)
+        residual = self._span.reduce(v)
         if any(residual):
-            if not any(residual[ntheta:]):
-                return Classification(IRRATIONAL)  # theta axiom
+            if not any(residual[len(self.table.thetas):]):
+                return _IRRATIONAL  # theta axiom
             for fres in self._irrational_residuals:
-                q = _collinear(residual, fres)
-                if q is not None and q != 0:
-                    return Classification(IRRATIONAL)
-            return Classification(UNDETERMINED)
-        # rational: the integral facts u_j.sym + b_j in Z bound its
-        # denominator.  If m*v = sum(n_j * u_j) with n_j integers, then
-        # m*x = m*c - sum(n_j * b_j) + (an integer), so the least m with m*x
-        # provably integral is the least m with m*(v, c) in the lattice
-        # spanned by the (u_j, b_j) and (0, 1), all scaled by D to integers.
-        integ = [(u, b) for u, b in self._fact_parts[1] if any(u)]
+                if _collinear(residual, fres):
+                    return _IRRATIONAL
+            return _UNDETERMINED
+        # rational: the integral facts (u_j.sym + b_j)/e_j in Z bound its
+        # denominator.  If m*v/d = sum(n_j * u_j/e_j) with n_j integers, then
+        # m*x = m*c/d - sum(n_j * b_j/e_j) + (an integer), so the least m with
+        # m*x provably integral is the least m with m*(v, c)/d in the lattice
+        # spanned by the (u_j, b_j)/e_j and (0, 1), all scaled by D to integers.
+        integ = [(u, b, e) for u, b, e in self._fact_parts[1] if any(u)]
         if integ:
-            D = math.lcm(c.denominator, *(x_.denominator for x_ in v),
-                         *(x_.denominator for u, b in integ for x_ in (*u, b)))
-            gens = [[int(x_ * D) for x_ in (*u, b)] for u, b in integ]
+            D = math.lcm(d, *(e for _, _, e in integ))
+            gens = [[y * (D // e) for y in (*u, b)] for u, b, e in integ]
             gens.append([0] * len(v) + [D])
-            m = zl.denominator_in_lattice(zl.row_hnf(gens), [int(x_ * D) for x_ in (*v, c)])
+            m = zl.denominator_in_lattice(zl.row_hnf(gens), [y * (D // d) for y in (*v, c)])
             if m is not None:
                 return Classification(INTEGER if m == 1 else RATIONAL, m)
         return Classification(RATIONAL, None)
@@ -354,7 +401,8 @@ class RationalityContext(Value):
                  "irrational": self.irrational}
         facts[kind] += (x,)
         child = RationalityContext(self.table, assumptions=self.assumptions + (note,), **facts)
-        c, v = x.const, self._vec(x)
+        d, c, _ = x.ints
+        v = self._vec(x)
         rat, integ = self._fact_parts
         slots = child.__dict__  # where cached_property keeps its values
         if kind == "irrational":
@@ -362,12 +410,12 @@ class RationalityContext(Value):
             slots.update(_span=self._span, _consistent=self._consistent and any(residual),
                          _irrational_residuals=self._irrational_residuals + (residual,))
             if any(residual):  # _classify finds x's own residual, or the theta axiom
-                child._classified[_memo_key(x)] = Classification(IRRATIONAL)
+                child._classified[x.ints] = _IRRATIONAL
         else:
             if kind == "rational":
-                rat += ((v, c),) if any(v) else ()
+                rat += (v,) if any(v) else ()
             else:  # integral facts precede the torsion axioms
-                integ = integ[:len(self.integral)] + ((v, c),) + integ[len(self.integral):]
+                integ = integ[:len(self.integral)] + ((v, c, d),) + integ[len(self.integral):]
             slots["_span"] = span = zl.QEchelon()
             span.rows = list(self._span.rows)  # add() replaces rows, never edits one
             span.add(v)
@@ -388,29 +436,11 @@ class RationalityContext(Value):
                 irr if irr.is_consistent() else None)
 
 
-def _memo_key(x):
-    """x's constant and coefficients, the only parts of x that _classify
-    reads, as integers: hashing a Fraction computes a modular inverse."""
-    return (x.const.numerator, x.const.denominator,
-            tuple([(n, c.numerator, c.denominator) for n, c in x.coeffs]))
-
-
 def _collinear(a, b):
-    """q with a == q*b, or None."""
-    q = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return None
-        else:
-            r = x / y
-            if q is None:
-                q = r
-            elif q != r:
-                return None
-    if q is None:
-        return Fraction(0) if not any(a) else None
-    return q
+    """Whether the nonzero vector a is q*b for a rational q, by
+    cross-multiplication against b's first nonzero entry."""
+    k = next((i for i, y in enumerate(b) if y), None)
+    return k is not None and all(x * b[k] == a[k] * y for x, y in zip(a, b))
 
 
 def empty_context(table):

@@ -23,18 +23,17 @@ def _canon_bilinear(entries):
 
 
 class GroupPresentation(Value):
+    # moduli: per-coordinate torsion order, 0 = free; bilinear: sparse
+    # ((k, i, j, coeff), ...); names: coordinate names for display,
+    # generated if empty
     __slots__ = _fields = ("moduli", "bilinear", "names")
+    _defaults = {"bilinear": (), "names": ()}
 
-    def __init__(self, moduli, bilinear=(), names=()):
-        # moduli: per-coordinate torsion order, 0 = free; bilinear: sparse
-        # ((k, i, j, coeff), ...); names: coordinate names for display,
-        # generated if empty
-        bilinear = _canon_bilinear(bilinear)
-        moduli = tuple(int(m) for m in moduli)
-        n = len(moduli)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "bilinear", bilinear)
-        object.__setattr__(self, "names", names or tuple(f"x{i+1}" for i in range(n)))
+    def _check(self):
+        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "bilinear", _canon_bilinear(self.bilinear))
+        n = len(self.moduli)
+        object.__setattr__(self, "names", self.names or tuple(f"x{i+1}" for i in range(n)))
         if len(self.names) != n:
             raise ValueError("coordinate name count mismatch")
         for k, i, j, _ in self.bilinear:
@@ -133,13 +132,9 @@ class GroupPresentation(Value):
 
 
 class Morphism(Value):
+    # source, target: GroupPresentations; matrix: rows, the target
+    # coordinates as Z-forms in source coordinates
     __slots__ = _fields = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix):
-        object.__setattr__(self, "source", source)  # GroupPresentation
-        object.__setattr__(self, "target", target)  # GroupPresentation
-        # rows: target coordinates as Z-forms in source coordinates
-        object.__setattr__(self, "matrix", matrix)
 
     def apply(self, x):
         y = [sum(r * v for r, v in zip(row, x)) for row in self.matrix]
@@ -151,16 +146,10 @@ class Morphism(Value):
 
 
 class QuotientData(Value):
+    # group: G/N; projection: Morphism G -> G/N; section: Morphism G/N -> G,
+    # linear lift on canonical representatives; subgroup: SubgroupLattice N;
+    # torsion_lifts: per quotient coord, d_k * lift(e_k) in N, or None
     __slots__ = _fields = ("group", "projection", "section", "subgroup", "torsion_lifts")
-
-    def __init__(self, group, projection, section, subgroup, torsion_lifts):
-        object.__setattr__(self, "group", group)  # G/N
-        object.__setattr__(self, "projection", projection)  # Morphism G -> G/N
-        # Morphism G/N -> G, linear lift on canonical representatives
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "subgroup", subgroup)  # SubgroupLattice N
-        # per quotient coord: d_k * lift(e_k) in N, or None
-        object.__setattr__(self, "torsion_lifts", torsion_lifts)
 
 
 def quotient_by_central(g, sub):

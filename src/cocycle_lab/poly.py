@@ -1,21 +1,24 @@
 """Sparse multivariate polynomials with exact symbolic coefficients.
 
-Coefficients are KNumbers (rational plus Q-linear symbol terms); exponents are
-small non-negative integers.  Integer-valuedness of rational polynomials is
-decided exactly through the binomial (falling-factorial) basis: writing
+Coefficients are KNumbers (rational plus Q-linear symbol terms, integers over
+one denominator each); exponents are small non-negative integers.  make() and
+substitute() work on the coefficients' integers: substitute() brings every
+input coefficient over one common denominator and sums integers.
+
+Integer-valuedness of rational polynomials is decided exactly through the
+binomial (falling-factorial) basis: writing
 x^k = sum_j S2(k,j) j! C(x,j), a polynomial takes integer values on all of Z^n
 if and only if all its multi-binomial coefficients are integers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Value
 from .exact import KNumber
-
-_ONE = Fraction(1)
 
 
 class Poly(Value):
@@ -46,7 +49,7 @@ class Poly(Value):
             if not isinstance(c, KNumber):
                 c = KNumber.make(table, c)
             acc[exps] = acc[exps] + c if exps in acc else c
-        items = tuple(sorted((e, c) for e, c in acc.items() if c.const or c.coeffs))
+        items = tuple(sorted((e, c) for e, c in acc.items() if c.ints[1] or c.ints[2]))
         return Poly(nv, table, items)
 
     @staticmethod
@@ -61,7 +64,7 @@ class Poly(Value):
     def var(nv, table, i):
         e = [0] * nv
         e[i] = 1
-        return Poly(nv, table, ((tuple(e), KNumber(table, _ONE, ())),))
+        return Poly(nv, table, ((tuple(e), KNumber(table, (1, 1, ()))),))
 
     def is_zero(self):
         return not self.terms
@@ -84,7 +87,6 @@ class Poly(Value):
     def scale(self, q):
         if isinstance(q, KNumber):
             return Poly.make(self.nv, self.table, [(e, c * q) for e, c in self.terms])
-        q = Fraction(q)
         if not q:
             return Poly.zero(self.nv, self.table)
         return Poly(self.nv, self.table, tuple((e, c.scale(q)) for e, c in self.terms))
@@ -105,9 +107,11 @@ class Poly(Value):
 
         The image of each monomial is expanded in rational scalars (Python
         ints while they are integral) from cached powers of the mapped
-        polynomials; each output coefficient is then assembled once as the sum
-        of q * c over the input coefficients c, one accumulator for the
-        rational part and one per symbol."""
+        polynomials.  Every input coefficient c is brought over the common
+        denominator of all of them, and each output coefficient is assembled
+        once as the sum of q times c's numerators, one integer accumulator for
+        the rational part and one per symbol, then divided by that
+        denominator."""
         powers = {}
 
         def power(i, e):
@@ -122,30 +126,32 @@ class Poly(Value):
             return powers[(i, e)]
 
         one = {(0,) * nv: 1}
+        den = math.lcm(*(c.ints[0] for _, c in self.terms))
         consts, syms = {}, {}  # target exps -> rational part, -> {symbol: coefficient}
         for exps, c in self.terms:
             image = one  # the monomial's image, {target exps: scalar}
             for i, e in enumerate(exps):
                 if e:
                     image = power(i, e) if image is one else _times(image, power(i, e))
-            c0 = _scalar(c.const)
-            cs = [(n, _scalar(cn)) for n, cn in c.coeffs]
+            d, c0, cs = c.ints
+            if d != den:
+                c0, cs = c0 * (den // d), [(n, a * (den // d)) for n, a in cs]
             for te, q in image.items():
                 if c0:
                     consts[te] = consts.get(te, 0) + q * c0
                 if cs:
                     acc = syms.setdefault(te, {})
-                    for n, cn in cs:
-                        acc[n] = acc.get(n, 0) + q * cn
-        names = self.table.names
+                    for n, a in cs:
+                        acc[n] = acc.get(n, 0) + q * a
+        order = self.table.order
         items = []
         for te in consts.keys() | syms.keys():
-            coeffs = [(n, _fraction(v)) for n, v in syms.get(te, {}).items() if v]
-            if len(coeffs) > 1:
-                coeffs.sort(key=lambda p: names.index(p[0]))
+            pairs = [(n, v) for n, v in syms.get(te, {}).items() if v]
+            if len(pairs) > 1:
+                pairs.sort(key=lambda p: order[p[0]])
             const = consts.get(te, 0)
-            if const or coeffs:
-                items.append((te, KNumber(self.table, _fraction(const), tuple(coeffs))))
+            if const or pairs:
+                items.append((te, _over(self.table, den, const, pairs)))
         return Poly(nv, self.table, tuple(sorted(items)))
 
     def compose_linear(self, matrix, tgt_nv):
@@ -211,19 +217,19 @@ def _scalars(p, nv, table):
         raise ValueError("symbol-table mismatch")
     out = {}
     for e, c in p.terms:
-        if c.coeffs:
+        d, c0, cs = c.ints
+        if cs:
             raise ValueError("a substituted polynomial must have rational coefficients")
-        out[e] = _scalar(c.const)
+        out[e] = c0 if d == 1 else Fraction(c0, d)
     return out
 
 
-def _scalar(q):
-    """A Fraction as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def _fraction(x):
-    return x if type(x) is Fraction else Fraction(x)
+def _over(table, den, const, pairs):
+    """KNumber (const + sum(a * sym)) / den: integers, or Fractions after a
+    substitution by polynomials with non-integral coefficients."""
+    if type(const) is int and all(type(a) is int for _, a in pairs):
+        return KNumber.from_ints(table, den, const, pairs)
+    return KNumber.make(table, Fraction(const, den), [(n, Fraction(a, den)) for n, a in pairs])
 
 
 @lru_cache(maxsize=None)

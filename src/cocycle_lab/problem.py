@@ -51,18 +51,12 @@ class Problem(Value):
     """A parsed problem file.  Unlike the other value classes it is mutable,
     and so unhashable."""
 
+    # table: SymbolTable; cocycle: Cocycle; density: DensityDatum | None
     __slots__ = _fields = ("group", "table", "cocycle", "context", "density", "homogeneous")
+    _defaults = {"density": None, "homogeneous": False}
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(self, group, table, cocycle, context, density=None, homogeneous=False):
-        self.group = group
-        self.table = table  # SymbolTable
-        self.cocycle = cocycle  # Cocycle
-        self.context = context
-        self.density = density  # DensityDatum | None
-        self.homogeneous = homogeneous
 
 
 _BUILDERS = {

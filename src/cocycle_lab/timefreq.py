@@ -24,11 +24,10 @@ class DensityDatum(Value):
 
     __slots__ = _fields = ("lower", "upper")
 
-    def __init__(self, lower, upper):
-        lo, up = Fraction(lower), Fraction(upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", up)
-        if lo > up:
+    def _check(self):
+        object.__setattr__(self, "lower", Fraction(self.lower))
+        object.__setattr__(self, "upper", Fraction(self.upper))
+        if self.lower > self.upper:
             raise ValueError("density interval has lower > upper")
 
     def versus_one(self):
@@ -46,13 +45,8 @@ class DensityDatum(Value):
 
 
 class FrameVerdict(Value):
+    # each verdict is yes | no-by-necessity | undecided
     __slots__ = _fields = ("frame_exists_smooth", "riesz_exists_smooth", "rationale")
-
-    def __init__(self, frame_exists_smooth, riesz_exists_smooth, rationale):
-        # each verdict is yes | no-by-necessity | undecided
-        object.__setattr__(self, "frame_exists_smooth", frame_exists_smooth)
-        object.__setattr__(self, "riesz_exists_smooth", riesz_exists_smooth)
-        object.__setattr__(self, "rationale", rationale)
 
     def to_dict(self):
         return {
@@ -115,12 +109,7 @@ MULTIWINDOW_CONVENTION = (
 
 class MultiwindowBound(Value):
     __slots__ = _fields = ("m", "windows", "statement", "notes")
-
-    def __init__(self, m, windows, statement, notes=(MULTIWINDOW_CONVENTION,)):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"notes": (MULTIWINDOW_CONVENTION,)}
 
 
 # f(n) and f(n) + 1 are reported in full, and Python converts an int of more

@@ -12,7 +12,7 @@ the HNF basis.  Each subgroup computes at most two Smith forms, once each:
 of the quotient (``quotient_structure``, which a quotient group needs) and
 of the subgroup's relations (``parametrization``, which says what the
 subgroup is and reads an element's coordinates in it).  Work over Q goes
-through one reduced row-echelon form, QEchelon.
+through one reduced row-echelon form, QEchelon, kept in integer rows.
 """
 
 from __future__ import annotations
@@ -197,22 +197,27 @@ def snf(a):
 
 
 class QEchelon:
-    """Span over Q in reduced row-echelon form.
+    """Span over Q of integer vectors, in reduced row-echelon form without
+    fractions.
 
-    ``rows`` holds (pivot, row) pairs sorted by pivot, each with row[pivot] == 1
-    and zeros in every other pivot column, so reduce() returns the canonical
-    representative of v modulo the span."""
+    ``rows`` holds (pivot, row) pairs sorted by pivot.  Each row is a
+    primitive integer vector with a positive entry at its pivot and zeros in
+    every other pivot column, so row / row[pivot] is the reduced row-echelon
+    row.  reduce() returns the canonical representative of v modulo the span
+    scaled by a positive factor to a primitive integer vector: enough to tell
+    whether it is zero, where it is zero and what it is collinear with."""
 
     def __init__(self):
         self.rows = []
 
     def reduce(self, v):
-        v = list(v)
         for piv, row in self.rows:
             f = v[piv]
             if f:
-                v = [x - f * y if y else x for x, y in zip(v, row)]
-        return v
+                p = row[piv]
+                v = [p * x - f * y for x, y in zip(v, row)]
+        g = math.gcd(*v)
+        return [x // g for x in v] if g > 1 else list(v)
 
     def add(self, v):
         """Extend the span by v; False when v already lies in it."""
@@ -220,12 +225,15 @@ class QEchelon:
         piv = next((i for i, x in enumerate(r) if x), None)
         if piv is None:
             return False
-        p = Fraction(r[piv])
-        r = [x / p if x else x for x in r]
+        if r[piv] < 0:
+            r = [-x for x in r]
+        p = r[piv]
         for t, (q, row) in enumerate(self.rows):
             f = row[piv]
             if f:
-                self.rows[t] = (q, [x - f * y if y else x for x, y in zip(row, r)])
+                row = [p * x - f * y for x, y in zip(row, r)]
+                g = math.gcd(*row)
+                self.rows[t] = (q, [x // g for x in row])
         bisect.insort(self.rows, (piv, r), key=lambda pr: pr[0])
         return True
 
@@ -236,15 +244,10 @@ class QEchelon:
 class QuotientStructure(Value):
     """ambient/sub as prod Z/moduli_i, with coordinate map y = coords*x."""
 
+    # coords: rows of the full unimodular coordinate map U; moduli: modulus
+    # per U-coordinate, 0 is free, 1 means the coord dies; inverse: rows of
+    # U^-1, whose columns lift the U-coordinates back
     __slots__ = _fields = ("coords", "moduli", "inverse")
-
-    def __init__(self, coords, moduli, inverse):
-        # coords: rows of the full unimodular coordinate map U; moduli: modulus
-        # per U-coordinate, 0 is free, 1 means the coord dies; inverse: rows of
-        # U^-1, whose columns lift the U-coordinates back
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "inverse", inverse)
 
 
 class Parametrization(Value):
@@ -256,13 +259,9 @@ class Parametrization(Value):
     parameters U*c, reduced modulo each modulus (unique, since the map
     Z^k / diag(moduli) -> subgroup is an isomorphism)."""
 
+    # basis: the subgroup's HNF basis; moduli: 0 marks a free parameter;
+    # rows: the rows of U that the kept parameters read
     __slots__ = _fields = ("basis", "gens", "moduli", "rows")
-
-    def __init__(self, basis, gens, moduli, rows):
-        object.__setattr__(self, "basis", basis)  # the subgroup's HNF basis
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "moduli", moduli)  # 0 marks a free parameter
-        object.__setattr__(self, "rows", rows)  # the rows of U that the kept parameters read
 
     def coordinates(self, v):
         """Parameters of v, or None when v lies outside the subgroup."""
@@ -303,27 +302,20 @@ class SubgroupLattice(Value):
     the hash read the constructor fields, not ``hnf_basis``.
     """
 
+    # gens: tuple of generator columns (tuples of ints)
     _fields = ("moduli", "gens")
 
-    def __init__(self, moduli, gens):
-        # gens: tuple of generator columns (tuples of ints)
-        n = len(moduli)
-        cols = [list(c) for c in gens]
+    def _check(self):
+        n = len(self.moduli)
+        cols = [list(c) for c in self.gens]
         for c in cols:
             if len(c) != n:
                 raise ValueError("generator length does not match ambient rank")
-        for i, m in enumerate(moduli):
+        for i, m in enumerate(self.moduli):
             if m:
                 cols.append([m if j == i else 0 for j in range(n)])
-        if cols:
-            mat = transpose(cols)
-            h = col_hnf(mat)
-            basis = tuple(tuple(c) for c in transpose(h) if any(c))
-        else:
-            basis = ()
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "gens", gens)
-        object.__setattr__(self, "hnf_basis", basis)
+        # the columns of the column HNF of [cols] are the rows of the row HNF of cols
+        object.__setattr__(self, "hnf_basis", tuple(map(tuple, row_hnf(cols))))
 
     @property
     def n(self):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, find, given, settings, strategies as st
 
 from cocycle_lab import groups, zlinalg as zl
 from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, _pairing_rows, antisym,
-                                  cocycle_defect, induce_gamma,
+                                  cocycle_defect, condition_lattice, induce_gamma,
                                   phase_from_monomials, phi_map,
                                   phi_surjective, product_split, pull_back,
                                   push_to_quotient, twisted_center,
@@ -233,6 +233,18 @@ def test_twisted_center_splits_on_undetermined_parameter():
     rat_leaf = [leaf for leaf in leaves if leaf not in irr_leaf]
     assert len(irr_leaf) == 1 and len(rat_leaf) == 1
     assert rat_leaf[0].lattice.contains((1, 0, 0, 0))
+
+
+def test_condition_rows_are_cleared_to_their_least_denominator():
+    """The coefficients 1 + t/2 and 2 + t/2 are stored over the denominator
+    2, but their constants are integers: the form gives no constant
+    congruence, and its t-row reads t/2 on both coordinates."""
+    t = SymbolTable((), (("t", 0),))
+    ctx = empty_context(t).assume_irrational(symbol(t, "t"))
+    form = [knum(t, 1, t=Fraction(1, 2)), knum(t, 2, t=Fraction(1, 2))]
+    (leaf,) = condition_lattice(ctx, [form], (0, 0), ("z1", "z2"))
+    assert leaf.conditions == ("t*(1/2*z1 + 1/2*z2) = 0 forced (irrational factor)",)
+    assert leaf.lattice.hnf_basis == ((1, -1),)
 
 
 def test_heisenberg_twisted_center_is_d2_scaled_r_axis():

@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import itertools
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -256,6 +258,52 @@ def test_two_step_quotients_satisfy_the_unchecked_hypotheses():
     assert nonabelian == 7  # g3, heis-1-2, heis-1-3 and four z-times-h3 quotients
 
 
+def random_two_step_cocycle(rng):
+    """A bilinear phase on a random small 2-step group: rational, theta and
+    free-parameter coefficients, mostly between coordinates that receive no
+    carry (those phases are cocycles; the rest may not be)."""
+    t = SymbolTable(("theta",), (("x", 0),))
+    g = rng.choice([groups.heisenberg_diag((rng.randint(1, 3),)),
+                    groups.heisenberg_diag((rng.randint(1, 2), rng.randint(1, 3))),
+                    groups.GroupPresentation((rng.randint(2, 4), 0, 0), ((0, 2, 1, 1),)),
+                    groups.z_times_h3(), groups.g3()])
+    coords = [k for k in range(g.n) if k not in g.receiving_coords()]
+    monomials = []
+    for _ in range(rng.randint(1, 4)):
+        i, j = (rng.choice(coords if rng.random() < 0.9 else range(g.n)) for _ in range(2))
+        kind = rng.random()
+        if kind < 0.4:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        elif kind < 0.8:
+            c = knum(t, Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                     theta=rng.choice((1, -1, Fraction(1, 2))))
+        else:
+            c = knum(t, 0, x=rng.choice((1, 2)))
+        monomials.append((c, [int(k == i) for k in range(g.n)], [int(k == j) for k in range(g.n)]))
+    return phase_from_monomials(g, t, monomials)
+
+
+def test_decide_agrees_with_the_single_quotient_criterion_on_random_instances():
+    """Differential oracle: on seeded random 2-step instances where
+    decide_two_step returns a Verdict, decide gives the same z_stable.  Most
+    of them the generic recursion decides without the fallback, so the two
+    decision routes are compared, not one route with itself."""
+    rng = random.Random(29)
+    routes = collections.Counter()
+    for _ in range(120):
+        c = random_two_step_cocycle(rng)
+        if cocycles.validate_cocycle(c) is not None:
+            continue
+        two = decide_two_step(c)
+        if isinstance(two, Inapplicable):
+            continue
+        v = decide(c)
+        assert v.z_stable == two.z_stable
+        fallback = any("single-quotient" in n for n in v.certificate.notes)
+        routes["fallback" if fallback else "recursion", v.z_stable] += 1
+    assert routes["recursion", ZSTABLE] >= 10 and routes["recursion", NOT_ZSTABLE] >= 10
+
+
 def test_heisenberg_shortcut_rejects_multiple_receiving_coords():
     with pytest.raises(cocycles.UnsupportedShape):
         decide_heisenberg(g3_cocycle())
@@ -455,6 +503,43 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     # from empty)
     assert len(classified) <= 93
     assert kernels == []  # 52 when the pure-theta search ran without thetas
+
+
+def test_chain_z5_classifies_each_symbol_once_per_case_node(monkeypatch):
+    """Inside condition_lattice each case node (a context popped by one
+    call) classifies each distinct symbol once: on the chain Z^5 with 4
+    params, 250 classify calls for the 250 (node, symbol) pairs of 74 nodes
+    in 14 calls (402 while each (form, symbol) term was classified).  The
+    memo misses stay at 93 and the trace at its recorded hash."""
+    p = parse_problem(CHAIN_Z5)
+    calls, misses, nodes = [], [], []
+    real_lattice = cocycles.condition_lattice
+    real_classify = exact.RationalityContext.classify
+    real_miss = exact.RationalityContext._classify
+
+    def condition_lattice(*args):
+        nodes.append([])
+        return real_lattice(*args)
+
+    def classify(self, x):
+        if sys._getframe(1).f_code.co_name == "condition_lattice":
+            if not any(ctx is self for ctx in nodes[-1]):
+                nodes[-1].append(self)
+            node = next(i for i, ctx in enumerate(nodes[-1]) if ctx is self)
+            calls.append((len(nodes), node, x.symbol_names()[0]))
+        return real_classify(self, x)
+
+    monkeypatch.setattr(cocycles, "condition_lattice", condition_lattice)
+    monkeypatch.setattr(exact.RationalityContext, "classify", classify)
+    monkeypatch.setattr(exact.RationalityContext, "_classify",
+                        lambda self, x: misses.append(x) or real_miss(self, x))
+    v = decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert (len(nodes), sum(map(len, nodes))) == (14, 74)
+    assert len(calls) == len(set(calls)) == 250
+    assert len(misses) == 93
+    assert sha256_of(v.certificate.to_dict()) == (
+        "d9fc6c41d3b3918acc4a02acc8511db37d64b8ce83a65649dbeec1b20a84d25f")
 
 
 def test_gamma_free_children_classify_in_their_leafs_context(monkeypatch):

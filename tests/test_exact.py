@@ -414,3 +414,46 @@ def test_constructors_and_arithmetic_stay_canonical(c1, k1, as_dict, c2, k2, q):
     rational_b = KNumber.make(U, c2)
     assert_canonical(a * rational_b, lin(va, Fraction(c2), zero, 0))
     assert_canonical(rational_b * a, lin(va, Fraction(c2), zero, 0))
+
+
+def assert_matches_sympy(sympy, got, expr):
+    """got's constant and symbol coefficients equal those of expr, term by term."""
+    syms = [sympy.Symbol(n) for n in got.table.names]
+    want = {e: c for e, c in sympy.Poly(sympy.expand(expr), *syms).as_dict().items() if c != 0}
+    mine = {tuple(int(n == m) for m in got.table.names): sympy.Rational(c.numerator, c.denominator)
+            for n, c in (("", got.const),) + got.coeffs if c}
+    assert mine == want
+
+
+def test_arithmetic_matches_sympy_term_by_term():
+    """+, -, *, scale, make and rebase agree with sympy's arithmetic on the
+    same linear forms, coefficient by coefficient."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(61)
+    wide = T.with_xis((("zeta", 0),))
+
+    def scalar():
+        return rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-6, 6), rng.randint(1, 6))))
+
+    def raw():
+        return [(rng.choice(T.names), scalar()) for _ in range(rng.randint(0, 5))]
+
+    def form(const, coeffs):
+        return sympy.Rational(const) + sum(sympy.Rational(c) * sympy.Symbol(n) for n, c in coeffs)
+
+    for _ in range(200):
+        ka, kb, ca, cb, q = raw(), raw(), scalar(), scalar(), scalar()
+        a, b, rb = KNumber.make(T, ca, ka), KNumber.make(T, cb, kb), KNumber.make(T, cb)
+        sa, sb, sq = form(ca, ka), form(cb, kb), sympy.Rational(q)
+        assert_matches_sympy(sympy, a, sa)
+        assert_matches_sympy(sympy, a + b, sa + sb)
+        assert_matches_sympy(sympy, a - b, sa - sb)
+        assert_matches_sympy(sympy, -a, -sa)
+        assert_matches_sympy(sympy, a + q, sa + sq)
+        assert_matches_sympy(sympy, q - a, sq - sa)
+        assert_matches_sympy(sympy, a.scale(q), sq * sa)
+        assert_matches_sympy(sympy, a * rb, sa * sympy.Rational(cb))
+        assert_matches_sympy(sympy, rb * a, sa * sympy.Rational(cb))
+        rebased = a.rebase(wide)
+        assert rebased.table is wide
+        assert_matches_sympy(sympy, rebased, sa)

@@ -264,3 +264,37 @@ def test_compose_linear_and_substitute_match_sympy_expansion():
         images = {x: sympy_expr(sympy, mapping[i], ys) for i, x in enumerate(xs)}
         assert_terms_match_sympy(sympy, p.substitute(mapping, mv),
                                  sympy_expr(sympy, p, xs).subs(images, simultaneous=True), ys)
+
+
+def test_arithmetic_make_and_rebase_match_sympy_term_by_term():
+    """+, -, *, scale, make and rebase on random polynomials with symbol
+    coefficients agree with sympy's expansion, coefficient by coefficient."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(17)
+    wide = T.with_xis((("zeta", 0),))
+    for _ in range(40):
+        nv = rng.randint(1, 3)
+        xs = sympy.symbols(f"x0:{nv}")
+        p, q = rand_poly(rng, nv, symbols=True), rand_poly(rng, nv, symbols=True)
+        r = rand_poly(rng, nv)  # rational: a product stays linear in the symbols
+        sp, sq, sr = (sympy_expr(sympy, f, xs) for f in (p, q, r))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        k = knum(T, c, th=rng.randint(-2, 2))
+        assert_terms_match_sympy(sympy, p + q, sp + sq, xs)
+        assert_terms_match_sympy(sympy, p - q, sp - sq, xs)
+        assert_terms_match_sympy(sympy, -p, -sp, xs)
+        assert_terms_match_sympy(sympy, p * r, sp * sr, xs)
+        assert_terms_match_sympy(sympy, r * p, sp * sr, xs)
+        assert_terms_match_sympy(sympy, p.scale(c), sp * sympy.Rational(c), xs)
+        assert_terms_match_sympy(sympy, r.scale(k), sr * sympy_coefficient(sympy, k), xs)
+        raw = [(tuple(rng.randint(0, 2) for _ in range(nv)),
+                rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                            knum(T, Fraction(rng.randint(-3, 3), 2), xi=rng.randint(-2, 2)))))
+               for _ in range(rng.randint(0, 8))]  # repeated exponents add up
+        made = Poly.make(nv, T, raw)
+        assert_terms_match_sympy(sympy, made, sympy.Add(*(
+            (sympy_coefficient(sympy, c) if isinstance(c, KNumber) else sympy.Rational(c))
+            * sympy.Mul(*(x ** e for x, e in zip(xs, exps))) for exps, c in raw)), xs)
+        rebased = p.rebase(wide)
+        assert rebased.table is wide and all(c.table is wide for _, c in rebased.terms)
+        assert_terms_match_sympy(sympy, rebased, sp, xs)

@@ -46,7 +46,7 @@ def context():
 # one builder per immutable value class; each call builds every field anew
 BUILDERS = {
     SymbolTable: table,
-    KNumber: lambda: KNumber(table(), Fraction(1, 2), (("theta", Fraction(1)),)),
+    KNumber: lambda: KNumber(table(), (2, 1, (("theta", 2),))),
     Classification: lambda: Classification("rational", 2),
     RationalityContext: context,
     zl.QuotientStructure: lambda: zl.SubgroupLattice((0, 3), ((1, 1),)).quotient_structure,
@@ -116,3 +116,15 @@ def test_cli_import_loads_no_code_generation():
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_the_generic_constructor_binds_like_a_signature():
+    """Positional and keyword arguments bind to the fields, defaults fill
+    the rest, and a missing, unknown, repeated or extra argument raises."""
+    assert Classification("integer") == Classification(kind="integer", denominator=None)
+    assert Verdict(ZSTABLE, notes=("n",)).simple == Verdict(ZSTABLE).simple
+    assert CaseLeaf(context(), None, skipped=("s",)).conditions == ()
+    for args, kwargs in [((), {}), (("integer",), {"kind": "rational"}),
+                         (("integer",), {"nope": 1}), (("integer", 1, 2), {})]:
+        with pytest.raises(TypeError):
+            Classification(*args, **kwargs)

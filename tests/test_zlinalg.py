@@ -284,21 +284,30 @@ def rand_rational_rows(rng, rows, cols):
 
 
 def test_qechelon_rows_match_sympy_rref():
+    """QEchelon takes integer rows (a rational row is cleared first).  Each
+    row is primitive with a positive pivot and is sympy's rref row times that
+    pivot; reduce() gives sympy's residual times a positive factor."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(53)
     for _ in range(80):
         a = rand_rational_rows(rng, rng.randint(1, 5), rng.randint(1, 6))
         ech = zl.QEchelon()
         for row in a:
-            ech.add(row)
+            ech.add(zl.clear_denominators(row)[0])
         ref, pivots = sympy.Matrix(a).rref()
         assert [p for p, _ in ech.rows] == list(pivots)
-        assert [row for _, row in ech.rows] == [
+        assert [[Fraction(x, row[p]) for x in row] for p, row in ech.rows] == [
             [Fraction(int(x.p), int(x.q)) for x in ref.row(i)] for i in range(len(pivots))]
-        v = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in a[0]]
+        assert all(row[p] > 0 and math.gcd(*row) == 1 for p, row in ech.rows)
+        v = [rng.randint(-6, 6) for _ in a[0]]
         r = ech.reduce(v)
-        assert not any(r[p] for p in pivots)
-        assert ech.contains([x - y for x, y in zip(v, r)])
+        want = [Fraction(int(x.p), int(x.q)) for x in
+                sympy.Matrix([v]) - sum((v[p] * ref.row(i) for i, p in enumerate(pivots)),
+                                        sympy.zeros(1, len(v)))]
+        scale = next((Fraction(x, y) for x, y in zip(r, want) if y), 1)
+        assert scale > 0 and r == [scale * y for y in want]
+        assert math.gcd(*r) in (0, 1)
+        assert ech.contains(zl.clear_denominators([x - y for x, y in zip(v, want)])[0])
 
 
 def test_denominator_matches_sympy_and_brute_force():
