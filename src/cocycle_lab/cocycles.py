@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from . import zlinalg as zl
 from ._value import Value
 from .exact import (IRRATIONAL, UNDETERMINED, KNumber, RationalityContext, _fraction_str,
                     symbol)
 from .groups import GroupPresentation, Morphism
-from .poly import Poly, is_integer_valued
+from .poly import Poly, _assemble, _integer_valued
 
 
 class CocycleError(ValueError):
@@ -64,21 +63,43 @@ def integrality_violation(p, table):
     """None iff the polynomial takes values in Z for every integer point and
     every admissible assignment of the symbols (free symbols range over R;
     a torsion symbol of order m ranges over (1/m)Z); otherwise the reason."""
-    for name in p.used_symbols():
-        comp = p.symbol_component(name)
+    den = math.lcm(*(c.ints[0] for _, c in p.terms))
+    consts, syms = {}, {}
+    for e, c in p.terms:
+        d, c0, cs = c.ints
+        _add(consts, syms, e, c0, cs, den // d)
+    return _violation(table, den, consts, syms)
+
+
+def _violation(table, den, consts, syms):
+    """integrality_violation of (consts + the symbol parts) / den, given by
+    integer accumulators (see _add) that may hold zeros: each symbol in the
+    order the sorted terms first name it, then the rational part."""
+    comps = {}
+    for e, acc in syms.items():
+        for name, a in acc.items():
+            if a:
+                comps.setdefault(name, {})[e] = a
+    for name in sorted(comps, key=lambda n: (min(comps[n]), table.order[n])):
         m = table.torsion_order(name)
-        if m:
-            # the symbol ranges over (1/m)Z, so the component must be
-            # divisible by m as an integer-valued polynomial
-            scaled = {e: c / m for e, c in comp.items()}
-            if not is_integer_valued(scaled, p.nv):
-                return f"coefficient of symbol {name} not divisible by its torsion order {m}"
-        else:
-            if comp:
-                return f"non-vanishing coefficient of free symbol {name}"
-    if not is_integer_valued(p.rational_component(), p.nv):
+        if not m:
+            return f"non-vanishing coefficient of free symbol {name}"
+        if not _integer_valued(comps[name], m * den):
+            return f"coefficient of symbol {name} not divisible by its torsion order {m}"
+    if not _integer_valued(consts, den):
         return "rational part is not integer-valued"
     return None
+
+
+def _add(consts, syms, e, c0, cs, f=1):
+    """Add f * (c0 + sum(a * name for name, a in cs)) at key e into integer
+    accumulators, consts {key: int} and syms {key: {name: int}}."""
+    if c0:
+        consts[e] = consts.get(e, 0) + c0 * f
+    if cs:
+        acc = syms.setdefault(e, {})
+        for name, a in cs:
+            acc[name] = acc.get(name, 0) + a * f
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +114,12 @@ def _mono(nv, *vs):
     return tuple(e)
 
 
-def _law_polys(group, table, nv, first, second):
-    """Polynomials (in nv variables) for the coordinates of x*y where x sits
-    at variable offset ``first`` and y at offset ``second``."""
-    return [Poly.make(nv, table, [(_mono(nv, first + k), 1), (_mono(nv, second + k), 1)]
-                      + [(_mono(nv, first + i, second + j), c)
-                         for k2, i, j, c in group.bilinear if k2 == k])
+def _law_scalars(group, nv, first, second):
+    """The coordinates of x*y, x at variable offset ``first`` and y at
+    ``second``, as integer scalar terms {exps: int} in nv variables; the
+    bilinear entries are distinct, nonzero and never on a linear term."""
+    return [{_mono(nv, first + k): 1, _mono(nv, second + k): 1,
+             **{_mono(nv, first + i, second + j): c for k2, i, j, c in group.bilinear if k2 == k}}
             for k in range(group.n)]
 
 
@@ -106,21 +127,22 @@ def cocycle_defect(c):
     """D(g,h,k) = Q(g,h) + Q(g*h, k) - Q(h,k) - Q(g, h*k) in 3n variables.
 
     Q(g,h) and Q(h,k) are renamings: each exponent tuple is padded with n
-    zeros on the right or on the left.  Only Q(g*h, k) and Q(g, h*k) go
-    through substitute; the four signed parts are summed in one Poly.make."""
+    zeros on the right or on the left.  Only Q(g*h, k) and Q(g, h*k) are
+    substituted, the group-law slots given as integer scalar terms; the four
+    signed parts are summed in one set of integer accumulators (see _add)."""
     n = c.n
     nv = 3 * n
-    t = c.table
     pad = (0,) * n
-    gh = _law_polys(c.group, t, nv, 0, n)
-    hk = _law_polys(c.group, t, nv, n, 2 * n)
-    g = [Poly.var(nv, t, i) for i in range(n)]
-    k = [Poly.var(nv, t, 2 * n + i) for i in range(n)]
-    gh_k = c.phase.substitute(dict(enumerate(gh + k)), nv)
-    g_hk = c.phase.substitute(dict(enumerate(g + hk)), nv)
-    terms = [(e + pad, q) for e, q in c.phase.terms] + list(gh_k.terms)
-    terms += [(pad + e, -q) for e, q in c.phase.terms] + [(e, -q) for e, q in g_hk.terms]
-    return Poly.make(nv, t, terms)
+    g = [{_mono(nv, i): 1} for i in range(n)]
+    k = [{_mono(nv, 2 * n + i): 1} for i in range(n)]
+    gh, hk = _law_scalars(c.group, nv, 0, n), _law_scalars(c.group, nv, n, 2 * n)
+    den, consts, syms = c.phase._image(dict(enumerate(gh + k)), nv)
+    c.phase._image(dict(enumerate(g + hk)), nv, -1, (consts, syms))
+    for e, q in c.phase.terms:
+        d, c0, cs = q.ints
+        _add(consts, syms, e + pad, c0, cs, den // d)
+        _add(consts, syms, pad + e, c0, cs, -(den // d))
+    return _assemble(nv, c.table, den, consts, syms)
 
 
 def validate_cocycle(c):
@@ -134,15 +156,17 @@ def validate_cocycle(c):
     slots run as always, and the result equals the full check's."""
     n = c.n
     t = c.table
+    terms = c.phase.terms
     if c.phase.max_degree() > 3:
         return "phase degree exceeds the supported bound (3 per variable)"
-    bilinear = not c.group.bilinear and all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in c.phase.terms)
+    den = math.lcm(*(q.ints[0] for _, q in terms))
+    bilinear = not c.group.bilinear and all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in terms)
     if not bilinear:  # normalization sigma(g, e) = sigma(e, g) = 1, read off by restriction
         for label, kept, zero in (("Q(g, e)", slice(0, n), slice(n, None)),
                                   ("Q(e, g)", slice(n, None), slice(0, n))):
-            restricted = Poly.make(n, t, [(e[kept], q) for e, q in c.phase.terms if not any(e[zero])])
-            viol = integrality_violation(restricted, t)
-            if viol:
+            # the kept halves of the kept terms are distinct and still sorted
+            restricted = Poly(n, t, tuple((e[kept], q) for e, q in terms if not any(e[zero])))
+            if viol := integrality_violation(restricted, t):
                 return f"normalization {label} not in Z: {viol}"
     # well-definedness modulo the torsion moduli, in each argument slot:
     # Q(g + m e_i, h) - Q(g, h) changes one variable x, and each term q x^d
@@ -153,10 +177,13 @@ def validate_cocycle(c):
             if not m:
                 continue
             v = arg * n + i
-            shift = [(e[:v] + (j,) + e[v + 1:], q.scale(math.comb(e[v], j) * m ** (e[v] - j)))
-                     for e, q in c.phase.terms for j in range(e[v])]
-            viol = integrality_violation(Poly.make(2 * n, t, shift), t)
-            if viol:
+            consts, syms = {}, {}
+            for e, q in terms:
+                d, c0, cs = q.ints
+                for j in range(e[v]):
+                    _add(consts, syms, e[:v] + (j,) + e[v + 1:], c0, cs,
+                         den // d * math.comb(e[v], j) * m ** (e[v] - j))
+            if viol := _violation(t, den, consts, syms):
                 return (f"phase is not well defined modulo {m} on coordinate "
                         f"{c.group.names[i]} (argument {arg + 1}): {viol}")
     viol = None if bilinear else integrality_violation(cocycle_defect(c), t)
@@ -202,6 +229,8 @@ def _pairing_rows(c, gens):
     when its variables all lie in {z_a, y_j} and 0 otherwise.  A monomial
     in z_a and y_j alone feeds only rows[a][j]; one in z_a alone, all of row
     a; one in y_j alone, all of column j; the constant term, every entry.
+    qz, the rows and E are integer numerators over Q~'s common denominator;
+    only the rows become KNumbers, and only a failing E a Poly.
 
     Bilinear shortcut: when every term of Q~ has degree exactly 1 in g and
     exactly 1 in h, Q~(g, h) = sum_{i,j} q_ij g_i h_j, so
@@ -223,35 +252,28 @@ def _pairing_rows(c, gens):
                     rows[a][j] = rows[a][j] + coef.scale(v[i])
         return rows
     nv = k + n  # z variables then y variables
-    ys = [Poly.var(nv, t, k + j) for j in range(n)]
-    mapping = {i: Poly.make(nv, t, {_mono(nv, a): gens[a][i] for a in range(k) if gens[a][i]})
-               for i in range(n)}
-    mapping.update({n + i: ys[i] for i in range(n)})
-    qz = q.substitute(mapping, nv)  # Q~(g(z), y) in variables (z, y)
-    rows = [[None] * n for _ in range(k)]  # None: no term fed the entry yet
-    err = dict(qz.terms)  # E's terms: qz's, minus rows[a][j] at z_a y_j below
-    for exps, coef in qz.terms:
+    mapping = {i: {_mono(nv, a): gens[a][i] for a in range(k) if gens[a][i]} for i in range(n)}
+    mapping.update({n + j: {_mono(nv, k + j): 1} for j in range(n)})
+    den, consts, syms = q._image(mapping, nv)  # Q~(g(z), y) in variables (z, y)
+    rc, rs = {}, {}  # the rows' numerators over den, keyed (a, j)
+    for exps in consts.keys() | syms.keys():
         za = [a for a in range(k) if exps[a]]
         yj = [j for j in range(n) if exps[k + j]]
         if len(za) <= 1 and len(yj) <= 1:
+            c0, cs = consts.get(exps, 0), syms.get(exps, {}).items()
             for a in za or range(k):
                 for j in yj or range(n):
-                    r = rows[a][j]
-                    rows[a][j] = coef if r is None else r + coef
-    for a in range(k):
-        for j in range(n):
-            r = rows[a][j]
-            if r is None:
-                rows[a][j] = KNumber.make(t)
-            elif err.get(e := _mono(nv, a, k + j)) == r:
-                del err[e]  # the common case: E has no z_a y_j term
-            else:
-                err[e] = err[e] - r if e in err else -r
-    err = Poly.make(nv, t, err)
-    viol = integrality_violation(err, t)
-    if viol is None:
-        return rows
+                    _add(rc, rs, (a, j), c0, cs)
+    for (a, j) in rc.keys() | rs.keys():  # E: qz minus rows[a][j] at z_a y_j
+        _add(consts, syms, _mono(nv, a, k + j), rc.get((a, j), 0), rs.get((a, j), {}).items(), -1)
+    if (viol := _violation(t, den, consts, syms)) is None:
+        return [[KNumber.from_ints(t, den, rc.get((a, j), 0),
+                                   sorted([p for p in rs.get((a, j), {}).items() if p[1]],
+                                          key=lambda p: t.order[p[0]]))
+                 for j in range(n)] for a in range(k)]
+    err = _assemble(nv, t, den, consts, syms)
     zs = {a: Poly.var(nv, t, a) for a in range(k)}
+    ys = [Poly.var(nv, t, k + j) for j in range(n)]
     firsts = [err.substitute({**zs, **{k + i: Poly.const(nv, t, int(i == j))
                                        for i in range(n)}}, nv) for j in range(n)]  # E(z, e_j)
     second = err - sum((y * e for y, e in zip(ys, firsts)), Poly.zero(nv, t))
@@ -556,8 +578,7 @@ def induce_gamma(c, qd, prefix="gamma"):
     # modulus d and lift n_k = d * P e_k, commuting pairs satisfy
     # Qtrue~ = Qpoly~ + (kappa_k(x,y)/d) * gamma(n_k) with kappa_k the
     # integer commutator coordinate
-    carries = [(k2, a, b, Fraction(coef, q.moduli[k2])) for k2, a, b, coef in q.bilinear
-               if q.moduli[k2]]
+    carries = [(k2, a, b, coef) for k2, a, b, coef in q.bilinear if q.moduli[k2]]
     if not defects and not carries:
         return c
     par = qd.subgroup.parametrization
@@ -569,10 +590,10 @@ def induce_gamma(c, qd, prefix="gamma"):
     gphase = Poly.make(2 * nq, table, [(e, gamma_phase_of(vec, par, table, names))
                                        for e, vec in defects])
     kterms = []
-    for k2, a, b, q_kd in carries:
+    for k2, a, b, coef in carries:  # kappa_k(x, y) / d = coef (x_a y_b - x_b y_a) / d
         kn = gamma_phase_of(qd.torsion_lifts[k2], par, table, names)
-        kterms.append((_mono(2 * nq, a, nq + b), kn.scale(q_kd)))
-        kterms.append((_mono(2 * nq, b, nq + a), kn.scale(-q_kd)))
+        kterms.append((_mono(2 * nq, a, nq + b), kn._times(coef, q.moduli[k2])))
+        kterms.append((_mono(2 * nq, b, nq + a), kn._times(-coef, q.moduli[k2])))
     gcorr = Poly.make(2 * nq, table, kterms)
     if gphase.is_zero() and gcorr.is_zero():
         return c
@@ -619,11 +640,11 @@ def phi_surjective(rows, zmods, group, ctx):
             if not val.is_constant():
                 return None, (f"pairing phase {val} depends on a symbol; "
                               "surjectivity is undetermined")
-            scaled = val.const * m
-            if scaled.denominator != 1:
+            d, c0, _ = val.ints
+            if c0 * m % d:
                 return False, (f"pairing value e^(2 pi i {val}) is not an "
                                f"order-{m} root of unity")
-            vec.append(int(scaled) % m)
+            vec.append(c0 * m // d % m)
         tvecs.append(vec)
     lat = zl.SubgroupLattice(tuple(zmods), tuple(tuple(v) for v in tvecs))
     full = lat.index() == 1

@@ -5,8 +5,8 @@ denominator d, stored as the tuple ``ints = (d, c, ((name, a_j), ...))``.  It
 is canonical: d, c and the a_j have no common factor, no a_j is zero and the
 names follow the symbol table's order, so equal values store equal tuples.
 That tuple is the value's equality and hash and the classify() memo key, and
-arithmetic works on it in integers; ``const``, ``coeffs`` and ``coeff()`` read
-Fractions off it for the cold paths.
+arithmetic works on it in integers; ``const`` and ``coeffs`` read Fractions
+off it for the cold paths.
 
 Symbols come in two flavors: thetas (declared irrational, axiomatically
 Q-linearly independent together with 1) and xis (free parameters, optionally
@@ -188,15 +188,6 @@ class KNumber(Value):
 
     def is_constant(self):
         return not self.ints[2]
-
-    def symbol_names(self):
-        return [n for n, _ in self.ints[2]]
-
-    def coeff(self, name):
-        for n, a in self.ints[2]:
-            if n == name:
-                return Fraction(a, self.ints[0])
-        return Fraction(0)
 
     def rebase(self, table):
         """Same value over an extended symbol table."""

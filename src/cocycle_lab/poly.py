@@ -5,14 +5,16 @@ one denominator each); exponents are small non-negative integers.  make() and
 substitute() work on the coefficients' integers: substitute() brings every
 input coefficient over one common denominator and sums integers.
 
-Integer-valuedness of rational polynomials is decided exactly through the
-binomial (falling-factorial) basis: writing
-x^k = sum_j S2(k,j) j! C(x,j), a polynomial takes integer values on all of Z^n
-if and only if all its multi-binomial coefficients are integers.
+Integer-valuedness is decided in integers through the binomial
+(falling-factorial) basis: writing x^k = sum_j S2(k,j) j! C(x,j), an integer
+polynomial N has integer multi-binomial coefficients, and N/D takes integer
+values on all of Z^n if and only if D divides every one of them (Polya 1915;
+Cahen-Chabert, Integer-Valued Polynomials, 1997).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -112,6 +114,14 @@ class Poly(Value):
         once as the sum of q times c's numerators, one integer accumulator for
         the rational part and one per symbol, then divided by that
         denominator."""
+        return _assemble(nv, self.table, *self._image(mapping, nv))
+
+    def _image(self, mapping, nv, sign=1, into=None):
+        """substitute's accumulators (den, consts, syms): den is the common
+        denominator of self's coefficients, and the image is (consts + sum of
+        the symbol parts) / den with consts {target exps: numerator} and syms
+        {target exps: {symbol: numerator}}, every numerator scaled by sign.
+        With into = (consts, syms) the image is added into those dicts."""
         powers = {}
 
         def power(i, e):
@@ -127,15 +137,16 @@ class Poly(Value):
 
         one = {(0,) * nv: 1}
         den = math.lcm(*(c.ints[0] for _, c in self.terms))
-        consts, syms = {}, {}  # target exps -> rational part, -> {symbol: coefficient}
+        consts, syms = into or ({}, {})
         for exps, c in self.terms:
             image = one  # the monomial's image, {target exps: scalar}
             for i, e in enumerate(exps):
                 if e:
                     image = power(i, e) if image is one else _times(image, power(i, e))
             d, c0, cs = c.ints
-            if d != den:
-                c0, cs = c0 * (den // d), [(n, a * (den // d)) for n, a in cs]
+            f = sign * (den // d)
+            if f != 1:
+                c0, cs = c0 * f, [(n, a * f) for n, a in cs]
             for te, q in image.items():
                 if c0:
                     consts[te] = consts.get(te, 0) + q * c0
@@ -143,16 +154,7 @@ class Poly(Value):
                     acc = syms.setdefault(te, {})
                     for n, a in cs:
                         acc[n] = acc.get(n, 0) + q * a
-        order = self.table.order
-        items = []
-        for te in consts.keys() | syms.keys():
-            pairs = [(n, v) for n, v in syms.get(te, {}).items() if v]
-            if len(pairs) > 1:
-                pairs.sort(key=lambda p: order[p[0]])
-            const = consts.get(te, 0)
-            if const or pairs:
-                items.append((te, _over(self.table, den, const, pairs)))
-        return Poly(nv, self.table, tuple(sorted(items)))
+        return den, consts, syms
 
     def compose_linear(self, matrix, tgt_nv):
         """Substitute variable i by the linear form sum matrix[i][j] * y_j of
@@ -175,21 +177,6 @@ class Poly(Value):
             if v:
                 acc = acc + c.scale(v)
         return acc
-
-    def symbol_component(self, name):
-        """Rational polynomial (Fraction terms dict) of the given symbol."""
-        return {e: c.coeff(name) for e, c in self.terms if c.coeff(name)}
-
-    def rational_component(self):
-        return {e: c.const for e, c in self.terms if c.const}
-
-    def used_symbols(self):
-        out = []
-        for _, c in self.terms:
-            for n in c.symbol_names():
-                if n not in out:
-                    out.append(n)
-        return out
 
     def max_degree(self):
         return max((max(e, default=0) for e, _ in self.terms), default=0)
@@ -224,6 +211,21 @@ def _scalars(p, nv, table):
     return out
 
 
+def _assemble(nv, table, den, consts, syms):
+    """The Poly (consts + sum of the symbol parts) / den of _image's
+    accumulators; zero accumulators are dropped."""
+    order = table.order
+    items = []
+    for te in consts.keys() | syms.keys():
+        pairs = [(n, v) for n, v in syms.get(te, {}).items() if v]
+        if len(pairs) > 1:
+            pairs.sort(key=lambda p: order[p[0]])
+        const = consts.get(te, 0)
+        if const or pairs:
+            items.append((te, _over(table, den, const, pairs)))
+    return Poly(nv, table, tuple(sorted(items)))
+
+
 def _over(table, den, const, pairs):
     """KNumber (const + sum(a * sym)) / den: integers, or Fractions after a
     substitution by polynomials with non-integral coefficients."""
@@ -233,42 +235,24 @@ def _over(table, den, const, pairs):
 
 
 @lru_cache(maxsize=None)
-def _stirling2(k, j):
-    if k == j == 0:
-        return 1
-    if k == 0 or j == 0:
-        return 0
-    return j * _stirling2(k - 1, j) + _stirling2(k - 1, j - 1)
+def _surjections(k):
+    """((j, S2(k, j) * j!), ...) for the j with a nonzero term: the
+    expansion x^k = sum_j S2(k, j) j! C(x, j) in the binomial basis."""
+    row = [1]  # T(i, j) = S2(i, j) j! for j = 0..i, T(i, j) = j (T(i-1, j) + T(i-1, j-1))
+    for i in range(1, k + 1):
+        row = [0] + [j * (row[j - 1] + (row[j] if j < i else 0)) for j in range(1, i + 1)]
+    return tuple((j, s) for j, s in enumerate(row) if s)
 
 
-@lru_cache(maxsize=None)
-def _fact(j):
-    return 1 if j == 0 else j * _fact(j - 1)
-
-
-def binomial_coefficients(rational_terms, nv):
-    """Coefficients of a rational polynomial in the multi-binomial basis
-    prod_i C(x_i, j_i).  The polynomial is integer-valued on Z^nv iff all of
-    them are integers."""
+def _integer_valued(terms, den):
+    """Whether the polynomial terms / den, terms {exps: int}, takes integer
+    values on Z^n: whether den divides each multi-binomial coefficient of the
+    integer polynomial."""
+    if den == 1:
+        return True
     acc = {}
-    for exps, c in rational_terms.items():
-        # expand prod x_i^{k_i} = sum over j_i of S2(k_i,j_i) j_i! C(x_i, j_i)
-        partial = {(): Fraction(c)}
-        for k in exps:
-            nxt = {}
-            for js, coef in partial.items():
-                for j in range(k + 1):
-                    s = _stirling2(k, j)
-                    if not s:
-                        continue
-                    key = js + (j,)
-                    add = coef * s * _fact(j)
-                    nxt[key] = nxt.get(key, Fraction(0)) + add
-            partial = nxt
-        for js, coef in partial.items():
-            acc[js] = acc.get(js, Fraction(0)) + coef
-    return acc
-
-
-def is_integer_valued(rational_terms, nv):
-    return all(c.denominator == 1 for c in binomial_coefficients(rational_terms, nv).values())
+    for exps, a in terms.items():
+        for parts in itertools.product(*map(_surjections, exps)):
+            js = tuple([j for j, _ in parts])
+            acc[js] = acc.get(js, 0) + a * math.prod([s for _, s in parts])
+    return all(v % den == 0 for v in acc.values())

@@ -7,11 +7,11 @@ includes the torsion generators m_i * e_i.  ``solve_mixed_system`` takes
 integer rows only: a caller with rational conditions clears each row once
 (``clear_denominators``), not once per solve.  A vector is written in a lattice
 by one back-substitution down the HNF pivots, over Z (``coordinates``) or
-over Q (``denominator_in_lattice``).  The index and finiteness are read off
-the HNF basis.  Each subgroup computes at most two Smith forms, once each:
-of the quotient (``quotient_structure``, which a quotient group needs) and
-of the subgroup's relations (``parametrization``, which says what the
-subgroup is and reads an element's coordinates in it).  Work over Q goes
+over Q (``denominator_in_lattice``, in integers).  The index and finiteness
+are read off the HNF basis.  Each subgroup computes at most two Smith forms,
+once each: of the quotient (``quotient_structure``, which a quotient group
+needs) and of the subgroup's relations (``parametrization``, which says what
+the subgroup is and reads an element's coordinates in it).  Work over Q goes
 through one reduced row-echelon form, QEchelon, kept in integer rows.
 """
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cached_property
-from fractions import Fraction
 
 from ._value import Value
 
@@ -272,21 +271,17 @@ class Parametrization(Value):
         return tuple(y % m if m else y for y, m in zip(ys, self.moduli))
 
 
-def _echelon_coordinates(hcols, v, over_q=False):
-    """Coefficients of v in the column-echelon basis hcols, found by
-    back-substitution down the pivots: integers, or None when v is not in
-    the basis's Z-span; with ``over_q`` rationals, or None when v is not in
-    its Q-span."""
+def _echelon_coordinates(hcols, v):
+    """Integer coefficients of v in the column-echelon basis hcols, found by
+    back-substitution down the pivots, or None when v is not in the basis's
+    Z-span."""
     r = list(v)
     out = []
     for col in hcols:
         piv = next(i for i, x in enumerate(col) if x)
-        if over_q:
-            q = Fraction(r[piv], col[piv])
-        else:
-            q, rem = divmod(r[piv], col[piv])
-            if rem:
-                return None
+        q, rem = divmod(r[piv], col[piv])
+        if rem:
+            return None
         if q:
             r = [x - q * c for x, c in zip(r, col)]
         out.append(q)
@@ -445,6 +440,11 @@ def solve_mixed_system(moduli, equalities, congruences):
 
 def denominator_in_lattice(hcols, v):
     """Least m >= 1 with m*v in the span of the column-echelon basis hcols,
-    or None when v is outside its Q-span."""
-    c = _echelon_coordinates(hcols, v, over_q=True)
-    return None if c is None else math.lcm(*(q.denominator for q in c))
+    or None when v is outside its Q-span.  With v = r / d in integers, each
+    coefficient of v has a denominator dividing den = d * (product of the
+    pivots), so den*v has integer coefficients c, and m is the lcm of the
+    den / gcd(c, den)."""
+    r, d = clear_denominators(v)
+    den = d * abs(math.prod(next(x for x in col if x) for col in hcols))
+    c = _echelon_coordinates(hcols, [x * (den // d) for x in r])
+    return None if c is None else math.lcm(*(den // math.gcd(x, den) for x in c))

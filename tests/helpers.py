@@ -2,16 +2,18 @@
 for HNF bases, brute-force group-law operations on a GroupPresentation,
 inputs for the invariance oracles (coboundary twists, shifted quotient
 sections), and references for the engine's kernels that share none of their
-shortcuts: substitution by KNumber products, the cocycle defect by four
-substitutions, an unabridged cocycle validator, the antisymmetrization by
-substitution and a slot-by-slot reference for the pairing rows."""
+shortcuts: the group law as Polys, a KNumber's symbol coefficients, the
+Fraction integrality test in the binomial basis, substitution by KNumber
+products, the cocycle defect by four substitutions, an unabridged cocycle
+validator, the antisymmetrization by substitution and a slot-by-slot
+reference for the pairing rows."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import (Cocycle, CocycleError, _law_polys,
-                                  integrality_violation)
+from cocycle_lab.cocycles import Cocycle, CocycleError, integrality_violation
 from cocycle_lab.groups import Morphism, QuotientData
 from cocycle_lab.poly import Poly
 
@@ -83,6 +85,90 @@ def box(g, radius):
     return itertools.product(*ranges)
 
 
+def law_polys(group, table, nv, first, second):
+    """Polynomials (in nv variables) for the coordinates of x*y where x sits
+    at variable offset ``first`` and y at offset ``second``."""
+    def mono(*vs):
+        return tuple(sum(v == i for v in vs) for i in range(nv))
+
+    return [Poly.make(nv, table, [(mono(first + k), 1), (mono(second + k), 1)]
+                      + [(mono(first + i, second + j), c)
+                         for k2, i, j, c in group.bilinear if k2 == k])
+            for k in range(group.n)]
+
+
+def coeff(x, name):
+    """The coefficient of one symbol in a KNumber, as a Fraction."""
+    return dict(x.coeffs).get(name, Fraction(0))
+
+
+def symbol_names(x):
+    """The symbols of a KNumber, in table order."""
+    return [n for n, _ in x.ints[2]]
+
+
+def rational_component(p):
+    """The rational part of a Poly, as {exps: Fraction}."""
+    return {e: c.const for e, c in p.terms if c.const}
+
+
+def symbol_component(p, name):
+    """The coefficient polynomial of one symbol, as {exps: Fraction}."""
+    return {e: coeff(c, name) for e, c in p.terms if coeff(c, name)}
+
+
+def used_symbols(p):
+    """The symbols of a Poly in the order its sorted terms first name them."""
+    return list(dict.fromkeys(n for _, c in p.terms for n in symbol_names(c)))
+
+
+def binomial_coefficients(rational_terms, nv):
+    """Coefficients of a rational polynomial in the multi-binomial basis
+    prod_i C(x_i, j_i), by x^k = sum_j S2(k,j) j! C(x,j) in Fractions; the
+    polynomial is integer-valued on Z^nv iff all of them are integers."""
+    def stirling2(k, j):
+        if k == j == 0:
+            return 1
+        if k == 0 or j == 0:
+            return 0
+        return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+
+    acc = {}
+    for exps, c in rational_terms.items():
+        partial = {(): Fraction(c)}
+        for k in exps:
+            nxt = {}
+            for js, coef in partial.items():
+                for j in range(k + 1):
+                    if s := stirling2(k, j):
+                        key = js + (j,)
+                        nxt[key] = nxt.get(key, Fraction(0)) + coef * s * math.factorial(j)
+            partial = nxt
+        for js, coef in partial.items():
+            acc[js] = acc.get(js, Fraction(0)) + coef
+    return acc
+
+
+def is_integer_valued(rational_terms, nv):
+    return all(c.denominator == 1 for c in binomial_coefficients(rational_terms, nv).values())
+
+
+def integrality_violation_reference(p, table):
+    """Reference for cocycles.integrality_violation over Fractions: each
+    symbol's component, then the rational part, through the Fraction
+    binomial-basis test."""
+    for name in used_symbols(p):
+        comp = symbol_component(p, name)
+        m = table.torsion_order(name)
+        if not m:
+            return f"non-vanishing coefficient of free symbol {name}"
+        if not is_integer_valued({e: c / m for e, c in comp.items()}, p.nv):
+            return f"coefficient of symbol {name} not divisible by its torsion order {m}"
+    if not is_integer_valued(rational_component(p), p.nv):
+        return "rational part is not integer-valued"
+    return None
+
+
 def twist_by_coboundary(c, phi):
     """c times the coboundary of e^{2 pi i phi}: the phase gains
     (d phi)(g, h) = phi(g*h) - phi(g) - phi(h), with phi a Poly in n
@@ -90,7 +176,7 @@ def twist_by_coboundary(c, phi):
     n = c.n
     nv = 2 * n
     t = c.table
-    gh = _law_polys(c.group, t, nv, 0, n)
+    gh = law_polys(c.group, t, nv, 0, n)
     pg = phi.substitute({i: Poly.var(nv, t, i) for i in range(n)}, nv)
     ph = phi.substitute({i: Poly.var(nv, t, n + i) for i in range(n)}, nv)
     pgh = phi.substitute(dict(enumerate(gh)), nv)
@@ -155,8 +241,8 @@ def cocycle_defect_reference(c):
     nv = 3 * n
     t = c.table
     g, h, k = ([Poly.var(nv, t, offset + i) for i in range(n)] for offset in (0, n, 2 * n))
-    gh = _law_polys(c.group, t, nv, 0, n)
-    hk = _law_polys(c.group, t, nv, n, 2 * n)
+    gh = law_polys(c.group, t, nv, 0, n)
+    hk = law_polys(c.group, t, nv, n, 2 * n)
 
     def q(xs, ys):
         return substitute_reference(c.phase, dict(enumerate(xs + ys)), nv)

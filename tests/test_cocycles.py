@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,17 +10,18 @@ from hypothesis import assume, example, find, given, settings, strategies as st
 from cocycle_lab import groups, zlinalg as zl
 from cocycle_lab.cocycles import (CaseLeaf, Cocycle, CocycleError, _pairing_rows, antisym,
                                   cocycle_defect, condition_lattice, induce_gamma,
-                                  phase_from_monomials, phi_map,
+                                  integrality_violation, phase_from_monomials, phi_map,
                                   phi_surjective, product_split, pull_back,
                                   push_to_quotient, twisted_center,
                                   validate_cocycle)
 from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
-from cocycle_lab.poly import Poly
+from cocycle_lab.poly import Poly, _integer_valued
 
-from helpers import (antisym_reference, cocycle_defect_reference, commutator,
-                     pairing_rows_two_slot, shifted_section, twist_by_coboundary,
-                     validate_cocycle_reference)
+from helpers import (antisym_reference, cocycle_defect_reference, coeff, commutator,
+                     integrality_violation_reference, is_integer_valued, pairing_rows_two_slot,
+                     rational_component, shifted_section, symbol_component, symbol_names,
+                     twist_by_coboundary, validate_cocycle_reference)
 
 
 def theta_table():
@@ -67,9 +69,9 @@ def knumber_is_integral(kn, table):
     """Integer phase for every admissible symbol assignment."""
     if kn.const.denominator != 1:
         return False
-    for name in kn.symbol_names():
+    for name in symbol_names(kn):
         m = table.torsion_order(name)
-        c = kn.coeff(name)
+        c = coeff(kn, name)
         if not m:
             if c:
                 return False
@@ -192,7 +194,7 @@ def test_g3_antisym_matches_closed_form_for_central_first_argument():
         s = [rng.randint(-4, 4) for _ in range(6)]
         got = q.eval(tuple(r) + tuple(s))
         want = Fraction(-s[0] * r[4] - s[1] * r[4] - s[2] * (r[3] + r[4]))
-        assert got.const == 0 and got.coeff("theta") == want
+        assert got.const == 0 and coeff(got, "theta") == want
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +481,74 @@ def test_validation_strategy_reaches_torsion_failures_on_the_bilinear_path():
     assert "well defined modulo" in validate_cocycle(c)
 
 
+INTEGRALITY_TABLE = SymbolTable(thetas=("th",), xis=(("xi", 0), ("eta", 4), ("tau", 6)))
+
+
+def binomial_poly(nv, js):
+    """prod_i C(x_i, js[i]) as a Poly with rational coefficients."""
+    t = INTEGRALITY_TABLE
+    out = Poly.const(nv, t, 1)
+    for i, j in enumerate(js):
+        for r in range(j):
+            out = out * (Poly.var(nv, t, i) - r)
+        out = out.scale(Fraction(1, math.factorial(j)))
+    return out
+
+
+@st.composite
+def integrality_problems(draw):
+    """A polynomial in nv = 1..2 variables of degree <= 3 in each: a sum of
+    multi-binomials prod C(x_i, j_i) times coefficients, plus at most one
+    plain monomial.  In half the draws every coefficient is integral in each
+    part (the rational one, and each torsion symbol's a multiple of its
+    order), so the polynomial is integer-valued without integer
+    coefficients; in the other half any part may fail."""
+    t = INTEGRALITY_TABLE
+    nv = draw(st.integers(1, 2))
+    js = st.tuples(*[st.integers(0, 3)] * nv)
+    valid = draw(st.booleans())
+    bad = () if valid else (Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6))
+    coef = st.builds(lambda c, th, xi, eta, tau: knum(t, c, th=th, xi=xi, eta=eta, tau=tau),
+                     st.sampled_from((0, 1, -2, 3) + bad),
+                     st.sampled_from((0,) * 9 + (0 if valid else 1,)),
+                     st.sampled_from((0,) * 9 + (0 if valid else Fraction(-1, 2),)),
+                     st.sampled_from((0, 4, -8) + (() if valid else (2, Fraction(1, 2)))),
+                     st.sampled_from((0, 6, -12) + (() if valid else (3, Fraction(3, 2)))))
+    p = Poly.zero(nv, t)
+    for exps, c in draw(st.lists(st.tuples(js, coef), max_size=4)):
+        p = p + binomial_poly(nv, exps).scale(c)
+    extra = st.tuples(js, st.sampled_from((Fraction(1, 2), Fraction(-2, 3),
+                                           knum(t, 0, eta=Fraction(1, 2)))))
+    for exps, c in draw(st.lists(extra, max_size=0 if valid else 1)):
+        p = p + Poly.make(nv, t, [(exps, c)])
+    return p
+
+
+@settings(max_examples=400, deadline=None)
+@given(integrality_problems())
+@example(binomial_poly(1, (2,)) + binomial_poly(1, (3,)).scale(knum(INTEGRALITY_TABLE, 0, eta=8)))
+@example(binomial_poly(2, (1, 2)).scale(knum(INTEGRALITY_TABLE, 0, tau=3, eta=2)))
+def test_integer_integrality_test_matches_the_fraction_oracle_and_a_box(p):
+    """integrality_violation's integer divisibility test, by den for the
+    rational part and by m * den for a torsion symbol of order m, gives the
+    Fraction binomial-basis oracle's exact reason, and passes exactly when
+    every value on the box {-2..3}^nv, which holds {0..3}^nv and so decides
+    integer-valuedness at degree <= 3, is integral for every admissible
+    symbol assignment.  Each component's integer test also agrees with the
+    oracle on its own."""
+    t = INTEGRALITY_TABLE
+    viol = integrality_violation(p, t)
+    assert viol == integrality_violation_reference(p, t)
+    box = itertools.product(range(-2, 4), repeat=p.nv)
+    assert (viol is None) == all(knumber_is_integral(p.eval(pt), t) for pt in box)
+    den = math.lcm(*(c.ints[0] for _, c in p.terms))
+    for name, m in (("", 1), ("eta", 4), ("tau", 6)):  # the torsion symbols' own tests
+        comp = symbol_component(p, name) if name else rational_component(p)
+        numerators = {e: int(c * den) for e, c in comp.items()}
+        assert _integer_valued(numerators, m * den) == is_integer_valued(
+            {e: c / m for e, c in comp.items()}, p.nv)
+
+
 @st.composite
 def defect_problems(draw):
     """A phase with exponents up to 2 and rational, torsion-symbol and
@@ -665,8 +735,8 @@ def test_induced_antisym_matches_closed_form_heisenberg_formula():
         kcomm = x[3] * y[1] - y[3] * x[1] + d2 * (x[4] * y[2] - y[4] * x[2])
         want_gamma = Fraction(kcomm, d2)
         want_theta = Fraction(y[2] * x[4] - x[2] * y[4])
-        assert (got.coeff("gamma1") - want_gamma).denominator == 1
-        assert got.coeff("theta") == want_theta
+        assert (coeff(got, "gamma1") - want_gamma).denominator == 1
+        assert coeff(got, "theta") == want_theta
         assert got.const.denominator == 1
 
 
@@ -695,7 +765,7 @@ def test_g3_induction_adds_bilinear_gamma_phase_without_correction():
     diff = wg.phase - w.phase.rebase(wg.table)
     pts = [(1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (2, 0, 0, 0, 0, 0, 3, 0, 0, 0)]
     for pt in pts:
-        assert diff.eval(pt).coeff("gamma1") == pt[0] * pt[6]
+        assert coeff(diff.eval(pt), "gamma1") == pt[0] * pt[6]
 
 
 # ---------------------------------------------------------------------------

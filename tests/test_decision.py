@@ -20,7 +20,7 @@ from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
 from cocycle_lab.problem import load_problem, parse_problem
 
-from helpers import box, commutator, twist_by_coboundary
+from helpers import box, commutator, symbol_names, twist_by_coboundary
 from test_cli import all_fixtures, fixture
 from test_cocycles import g3_cocycle, heis_cocycle, theta_table
 
@@ -526,7 +526,7 @@ def test_chain_z5_classifies_each_symbol_once_per_case_node(monkeypatch):
             if not any(ctx is self for ctx in nodes[-1]):
                 nodes[-1].append(self)
             node = next(i for i, ctx in enumerate(nodes[-1]) if ctx is self)
-            calls.append((len(nodes), node, x.symbol_names()[0]))
+            calls.append((len(nodes), node, symbol_names(x)[0]))
         return real_classify(self, x)
 
     monkeypatch.setattr(cocycles, "condition_lattice", condition_lattice)
@@ -606,14 +606,16 @@ def test_decide_computes_each_leaf_quotient_smith_form_once(monkeypatch):
 def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
     """validate_cocycle reads Q(g, e), Q(e, g), Q(g, h) and Q(h, k) by
     renaming or restriction, so on g3 (no torsion) only Q(g*h, k) and
-    Q(g, h*k) are substitutions (6 when all six phases were); one pass of
-    decide and decide_simplicity over the ten shipped fixtures makes 76
-    substitutions (170 when all six were, 102 while the torsion slots and
-    the bilinear pairing rows substituted too)."""
+    Q(g, h*k) expand a monomial image (6 when all six phases were
+    substituted); one pass of decide and decide_simplicity over the ten
+    shipped fixtures makes 76 expansions (170 when all six were, 102 while
+    the torsion slots and the bilinear pairing rows substituted too).
+    Poly._image is the expansion behind substitute and the one the integer
+    defect and pairing checks call directly."""
     calls = []
-    real = Poly.substitute
-    monkeypatch.setattr(Poly, "substitute",
-                        lambda self, mapping, nv: calls.append(nv) or real(self, mapping, nv))
+    real = Poly._image
+    monkeypatch.setattr(Poly, "_image", lambda self, mapping, nv, *args:
+                        calls.append(nv) or real(self, mapping, nv, *args))
     problems = [load_problem(f) for f in all_fixtures()]
     cocycles.validate_cocycle(load_problem(fixture("g3")).cocycle)
     assert len(calls) == 2
@@ -623,6 +625,35 @@ def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
         decide_simplicity(p.cocycle, p.context)
     assert len(problems) == 10
     assert len(calls) == 76
+
+
+def test_validation_and_one_fixture_pass_build_no_fractions(monkeypatch):
+    """The engine computes in integers: validate_cocycle on the ten shipped
+    fixtures builds no Fraction (130 while integrality was tested over Q),
+    and one pass of decide and decide_simplicity builds none either (1960
+    before the integer validation, pairing rows, lattice denominators,
+    surjectivity test and induced carries; both counts on Python 3.11).  A
+    Fraction is counted when its constructor runs and, on Python >= 3.12,
+    when arithmetic builds one through _from_coprime_ints, which bypasses
+    the constructor.  Parsing, before the count starts, builds some."""
+    built = []
+    real_new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(cls) or real_new(cls, *args, **kw))
+    if "_from_coprime_ints" in vars(Fraction):
+        real_from = Fraction._from_coprime_ints
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            lambda cls, n, d: built.append(cls) or real_from(n, d)))
+    problems = [load_problem(f) for f in all_fixtures()]
+    assert built  # the count sees the parser's Fractions
+    built.clear()
+    for p in problems:
+        assert cocycles.validate_cocycle(p.cocycle) is None
+    assert len(problems) == 10 and built == []
+    for p in problems:
+        decide(p.cocycle, p.context)
+        decide_simplicity(p.cocycle, p.context)
+    assert built == []
 
 
 def stack_names(depth):
