@@ -210,7 +210,19 @@ def _decide_node(a, level):
       characterization fails (the algebra is finite-dimensional);
     - finite index over the twisted center -> NotZStable: it fails here;
     - finite twisted center in an infinite group -> ZStable: the index is
-      infinite and the characterization's iteration ends here."""
+      infinite and the characterization's iteration ends here;
+    - infinite index on an abelian group -> ZStable, without a quotient
+      (Kleppner, "Multipliers on abelian groups", Math. Ann. 158 (1965)).
+      Let Z = Z(G, sigma) and Q = G/Z.  Only the antisymmetrization sigma~
+      enters a twisted center, and on an abelian group it is a bicharacter
+      whose radical is Z, so it descends to Q as a nondegenerate
+      bicharacter.  The pushed cocycle's antisymmetrization is that
+      descended bicharacter, and the gamma terms add nothing to it: the
+      section defect of the abelian extension Z -> G -> Q is a symmetric
+      2-cocycle.  So Z(Q, sigma_Q) is trivial in every case leaf, Q is
+      infinite, and the next level would end at the rule above.  A leaf
+      that skipped a congruence holds a lattice L with Z <= L and [L : Z]
+      finite, so [G : L] is infinite exactly when [G : Z] is."""
     c = a.cocycle
     g = c.group
     if g.is_finite():
@@ -220,6 +232,7 @@ def _decide_node(a, level):
         leaves = a.leaves
     except (BudgetExceeded, CocycleError) as e:
         return TraceNode(level, g, (), UNDECIDED, (f"undecided: {e}",))
+    abelian = g.is_abelian()
     branches = []
     for leaf in leaves:
         notes = leaf.conditions + leaf.skipped
@@ -230,6 +243,11 @@ def _decide_node(a, level):
         if leaf.lattice.is_finite():
             branches.append(Branch.from_leaf(leaf, ZSTABLE, notes + (
                 "twisted center finite while the group is infinite",)))
+            continue
+        if abelian:
+            branches.append(Branch.from_leaf(leaf, ZSTABLE, notes + (
+                "abelian group, infinite index: the phase descends to the "
+                "quotient as a nondegenerate bicharacter",)))
             continue
         try:
             qd = groups.quotient_by_central(g, leaf.lattice)

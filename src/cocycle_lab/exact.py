@@ -5,8 +5,7 @@ denominator d, stored as the tuple ``ints = (d, c, ((name, a_j), ...))``.  It
 is canonical: d, c and the a_j have no common factor, no a_j is zero and the
 names follow the symbol table's order, so equal values store equal tuples.
 That tuple is the value's equality and hash and the classify() memo key, and
-arithmetic works on it in integers; ``const`` and ``coeffs`` read Fractions
-off it for the cold paths.
+arithmetic works on it in integers.
 
 Symbols come in two flavors: thetas (declared irrational, axiomatically
 Q-linearly independent together with 1) and xis (free parameters, optionally
@@ -171,17 +170,6 @@ class KNumber(Value):
         return x._times(q.ints[1], q.ints[0])
 
     __rmul__ = __mul__
-
-    @property
-    def const(self):
-        """The rational part, as a Fraction."""
-        return Fraction(self.ints[1], self.ints[0])
-
-    @property
-    def coeffs(self):
-        """(name, Fraction) pairs in table order, no zeros."""
-        d = self.ints[0]
-        return tuple([(n, Fraction(a, d)) for n, a in self.ints[2]])
 
     def is_zero(self):
         return not self.ints[1] and not self.ints[2]

@@ -2,8 +2,9 @@
 
 Coefficients are KNumbers (rational plus Q-linear symbol terms, integers over
 one denominator each); exponents are small non-negative integers.  make() and
-substitute() work on the coefficients' integers: substitute() brings every
-input coefficient over one common denominator and sums integers.
+substitute() work on the coefficients' integers: substitute() maps variables
+to polynomials with integer coefficients, brings every input coefficient over
+one common denominator and sums integers.
 
 Integer-valuedness is decided in integers through the binomial
 (falling-factorial) basis: writing x^k = sum_j S2(k,j) j! C(x,j), an integer
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from ._value import Value
@@ -102,18 +102,17 @@ class Poly(Value):
 
     def substitute(self, mapping, nv):
         """Replace variable i by mapping[i], a Poly in the nv *target* variables
-        with rational coefficients, or such a polynomial already given as its
-        scalar terms {target exps: int or Fraction}; variables absent from the
-        mapping must not occur, and a mapped polynomial with a symbol raises
-        ValueError.
+        with integer coefficients, or such a polynomial already given as its
+        scalar terms {target exps: int}; variables absent from the mapping
+        must not occur, and a mapped polynomial with a symbol or a
+        non-integral coefficient raises ValueError.
 
-        The image of each monomial is expanded in rational scalars (Python
-        ints while they are integral) from cached powers of the mapped
-        polynomials.  Every input coefficient c is brought over the common
-        denominator of all of them, and each output coefficient is assembled
-        once as the sum of q times c's numerators, one integer accumulator for
-        the rational part and one per symbol, then divided by that
-        denominator."""
+        The image of each monomial is expanded in integers from cached powers
+        of the mapped polynomials.  Every input coefficient c is brought over
+        the common denominator of all of them, and each output coefficient is
+        assembled once as the sum of q times c's numerators, one integer
+        accumulator for the rational part and one per symbol, then divided by
+        that denominator."""
         return _assemble(nv, self.table, *self._image(mapping, nv))
 
     def _image(self, mapping, nv, sign=1, into=None):
@@ -197,7 +196,7 @@ def _times(a, b):
 
 
 def _scalars(p, nv, table):
-    """p's terms as {exps: int or Fraction}; p must have rational coefficients."""
+    """p's terms as {exps: int}; p must have integer coefficients."""
     if p.nv != nv:
         raise ValueError("variable count mismatch")
     if p.table is not table and p.table != table:
@@ -205,9 +204,9 @@ def _scalars(p, nv, table):
     out = {}
     for e, c in p.terms:
         d, c0, cs = c.ints
-        if cs:
-            raise ValueError("a substituted polynomial must have rational coefficients")
-        out[e] = c0 if d == 1 else Fraction(c0, d)
+        if cs or d != 1:
+            raise ValueError("a substituted polynomial must have integer coefficients")
+        out[e] = c0
     return out
 
 
@@ -222,16 +221,8 @@ def _assemble(nv, table, den, consts, syms):
             pairs.sort(key=lambda p: order[p[0]])
         const = consts.get(te, 0)
         if const or pairs:
-            items.append((te, _over(table, den, const, pairs)))
+            items.append((te, KNumber.from_ints(table, den, const, pairs)))
     return Poly(nv, table, tuple(sorted(items)))
-
-
-def _over(table, den, const, pairs):
-    """KNumber (const + sum(a * sym)) / den: integers, or Fractions after a
-    substitution by polynomials with non-integral coefficients."""
-    if type(const) is int and all(type(a) is int for _, a in pairs):
-        return KNumber.from_ints(table, den, const, pairs)
-    return KNumber.make(table, Fraction(const, den), [(n, Fraction(a, den)) for n, a in pairs])
 
 
 @lru_cache(maxsize=None)

@@ -97,9 +97,20 @@ def law_polys(group, table, nv, first, second):
             for k in range(group.n)]
 
 
+def rational_part(x):
+    """The rational part of a KNumber, as a Fraction."""
+    return Fraction(x.ints[1], x.ints[0])
+
+
+def symbol_coefficients(x):
+    """(name, Fraction) pairs of a KNumber's symbols, in table order, no zeros."""
+    d = x.ints[0]
+    return tuple([(n, Fraction(a, d)) for n, a in x.ints[2]])
+
+
 def coeff(x, name):
     """The coefficient of one symbol in a KNumber, as a Fraction."""
-    return dict(x.coeffs).get(name, Fraction(0))
+    return dict(symbol_coefficients(x)).get(name, Fraction(0))
 
 
 def symbol_names(x):
@@ -109,7 +120,7 @@ def symbol_names(x):
 
 def rational_component(p):
     """The rational part of a Poly, as {exps: Fraction}."""
-    return {e: c.const for e, c in p.terms if c.const}
+    return {e: rational_part(c) for e, c in p.terms if c.ints[1]}
 
 
 def symbol_component(p, name):

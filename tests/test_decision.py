@@ -192,6 +192,127 @@ def test_abelian_splits_on_undetermined_parameter():
     assert v.z_stable == NOT_ZSTABLE  # the rational branch sinks the conjunction
 
 
+ABELIAN_SYMBOLS = {"theta": "irrational", "t": "rational 3", "s": "rational 4",
+                   "x": "param", "y": "param", "u": "param 2"}
+
+
+def random_abelian_text(rng):
+    """Problem text of a random abelian group with 2..5 coordinates, about a
+    third of them torsion, and 1..5 phase monomials: bilinear ones with a
+    symbol of every kind or a rational constant (over the order of a torsion
+    coordinate it touches), and quadratic ones k/2 g_i^2 h_j, which are
+    2-cocycles on an abelian group.  A symbol against a torsion coordinate
+    is often not well defined; the caller drops what does not validate."""
+    n = rng.randint(2, 5)
+    moduli = [0 if rng.random() < 0.65 else rng.choice((2, 3, 4, 6)) for _ in range(n)]
+    lines = ["[symbols]"] + [f"{name} {status}" for name, status in ABELIAN_SYMBOLS.items()]
+    lines += ["[group]", "builder abelian " + " ".join(map(str, moduli)), "[cocycle]"]
+    for _ in range(rng.randint(1, 5)):
+        i, j = rng.sample(range(1, n + 1), 2)
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append(f"{rng.choice((1, -1, 3))}/2 * g:x{i}^2 * h:x{j}")
+            continue
+        if kind < 0.3:
+            orders = [m for m in (moduli[i - 1], moduli[j - 1]) if m]
+            den = math.lcm(*orders) if orders else rng.choice((1, 2, 3, 4, 6))
+            coef = f"{rng.choice((1, 2, 3, -1, -2, -3))}/{den}"
+        else:
+            coef = f"{rng.choice((1, 2, 3, -1))} {rng.choice(list(ABELIAN_SYMBOLS))}"
+        lines.append(f"{coef} * g:x{i} * h:x{j}")
+    return "\n".join(lines) + "\n"
+
+
+def conjunction(verdicts):
+    if NOT_ZSTABLE in verdicts:
+        return NOT_ZSTABLE
+    return UNDECIDED if UNDECIDED in verdicts else ZSTABLE
+
+
+def old_level_one(a):
+    """The recursion's answer on an abelian input before abelian levels
+    ended at the index rule, replayed one level deep with the public
+    quotient_by_central, push_to_quotient, induce_gamma and twisted_center.
+    Each level-0 leaf of infinite index with an infinite twisted center is
+    quotiented, and its quotient's leaves are read by the finite-index and
+    finite-center rules.  A leaf whose push-down fails, or one of whose
+    quotient leaves would need a second quotient, is Undecided."""
+    c = a.cocycle
+    if c.group.is_finite():
+        return NOT_ZSTABLE
+    verdicts = []
+    for leaf in a.leaves:
+        if leaf.lattice.index() is not math.inf:
+            verdicts.append(NOT_ZSTABLE)
+        elif leaf.lattice.is_finite():
+            verdicts.append(ZSTABLE)
+        else:
+            qd = groups.quotient_by_central(c.group, leaf.lattice)
+            try:
+                w = cocycles.push_to_quotient(c, qd)
+            except CocycleError:
+                verdicts.append(UNDECIDED)
+                continue
+            wg = cocycles.induce_gamma(w, qd, prefix="gamma1_")
+            verdicts.append(conjunction([
+                NOT_ZSTABLE if inner.lattice.index() is not math.inf
+                else ZSTABLE if inner.lattice.is_finite() else UNDECIDED
+                for inner in twisted_center(wg, leaf.ctx)]))
+    return conjunction(verdicts)
+
+
+def test_abelian_nodes_agree_with_decide_abelian_and_the_old_level_one():
+    """Differential test of the abelian index rule on seeded random abelian
+    problems with torsion, `rational k` and `param` symbols: decide equals
+    decide_abelian on every one, its certificate has no level-1 child, and
+    it equals the replayed old level 1 wherever that replay decides.  The
+    replay is Undecided where a leaf skipped a congruence and its push-down
+    is no 2-cocycle, as on MIXED_SYMBOLS."""
+    rng = random.Random(18)
+    seen = collections.Counter()
+    for _ in range(500):
+        p = parse_problem(random_abelian_text(rng))
+        if cocycles.validate_cocycle(p.cocycle) is not None:
+            continue
+        a = Analysis(p.cocycle, p.context)
+        v = decide(p.cocycle, p.context)
+        assert v.z_stable == decide_abelian(a).z_stable
+        assert trace_depth(v.certificate) == 1
+        old = old_level_one(a)
+        assert old in (v.z_stable, UNDECIDED)
+        skipped = any(leaf.skipped for leaf in a.leaves)
+        seen[v.z_stable, old] += 1
+        seen["skipped with torsion"] += skipped and any(p.group.moduli)
+        seen["quotiented"] += any(leaf.lattice.index() is math.inf and not leaf.lattice.is_finite()
+                                  for leaf in a.leaves)
+    assert seen[ZSTABLE, ZSTABLE] >= 20 and seen[NOT_ZSTABLE, NOT_ZSTABLE] >= 20
+    assert seen[ZSTABLE, UNDECIDED] >= 3
+    assert seen["skipped with torsion"] >= 10 and seen["quotiented"] >= 40
+
+
+def chain_torus_text(n, rng):
+    """A chain torus Z^n: free parameters x1..x(n-1), the i-th coupling two
+    coordinates consecutive along a random path with a random coefficient."""
+    path = rng.sample(range(1, n + 1), n)
+    lines = ["[symbols]"] + [f"x{i} param" for i in range(1, n)]
+    lines += ["[group]", "builder abelian" + " 0" * n, "[cocycle]"]
+    lines += [f"{rng.choice((1, 2, 3, -1, -2, -3))} x{i} * g:x{path[i - 1]} * h:x{path[i]}"
+              for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_decide_equals_decide_abelian_on_chain_tori():
+    """100 chain tori Z^3..Z^7: decide and decide_abelian give the same
+    verdict, and decide's certificate stays at level 0."""
+    rng = random.Random("chain-tori")
+    for n in (3, 4, 5, 6, 7):
+        for _ in range(20):
+            p = parse_problem(chain_torus_text(n, rng))
+            v = decide(p.cocycle, p.context)
+            assert v.z_stable == decide_abelian(p.cocycle, p.context).z_stable == NOT_ZSTABLE
+            assert trace_depth(v.certificate) == 1
+
+
 # ---------------------------------------------------------------------------
 # the 2-step shortcut
 
@@ -436,19 +557,50 @@ y * g:a4 * h:a1
 1/2 * g:a1 * h:a5
 """
 
+# Z^4 x H3(Z): a param chain on the abelian factor, linked to the Heisenberg
+# factor by x4, and an irrational phase that keeps z out of every twisted
+# center, so 11 of the 16 case leaves quotient to a non-abelian group
+CHAIN_Z4_H3 = """[symbols]
+t irrational
+x1 param
+x2 param
+x3 param
+x4 param
+
+[group]
+moduli 0 0 0 0 0 0 0
+names a1 a2 a3 a4 z x y
+bilinear z x y 1
+
+[cocycle]
+t * g:x * h:z
+1/2 t * g:x^2 * h:y
+2 x1 * g:a2 * h:a1
+-1 x2 * g:a2 * h:a3
+3 x3 * g:a4 * h:a3
+-2 x4 * g:a4 * h:y
+"""
+CHAIN_Z4_H3_SHA = "6fcd75f3ef5223aa5dd50756c61c25f59921f4329adf82f82c6642a19bea4094"
+
 
 def sha256_of(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()
 
 
+# chain-z5 was d9fc6c41... and mixed-symbols Undecided with 14017a6a... while
+# abelian levels quotiented and recursed: chain-z5's 12 level-1 children are
+# gone, and mixed-symbols' two x-rational leaves, whose push-downs through a
+# lattice with a skipped congruence were not 2-cocycles, now end ZStable
 @pytest.mark.parametrize("text, z_stable, simple, trace_sha, simple_sha", [
     (CHAIN_Z5, NOT_ZSTABLE, SIMPLE_UNKNOWN,
-     "d9fc6c41d3b3918acc4a02acc8511db37d64b8ce83a65649dbeec1b20a84d25f",
+     "81ad98edb62ea48953001c3d08dc18eef77632e67d000bb7aacf7ba55970732e",
      "ed03935504d503686bc4cc2af7788dc842a58481088039b232e886a0d03ecc03"),
-    (MIXED_SYMBOLS, UNDECIDED, SIMPLE_UNKNOWN,
-     "14017a6a8e13267accb45ed6abd4c059ffe26bf7c7c64285ae1493289eb13ad6",
+    (MIXED_SYMBOLS, ZSTABLE, SIMPLE_UNKNOWN,
+     "bb2bd58884d2348efce590632560f7b1cb0ee06b3a140f546f0f030f2bc208df",
      "77f704ecdd122a2a1623136288bff96aff167b4d47202080cfd14bfaf1464dd3"),
-], ids=["chain-z5", "mixed-symbols"])
+    (CHAIN_Z4_H3, ZSTABLE, SIMPLE_UNKNOWN, CHAIN_Z4_H3_SHA,
+     "94545cf18e263b062df6076e3be7d10a2a578098e340d0e3be3d4b048aa6c5f6"),
+], ids=["chain-z5", "mixed-symbols", "chain-z4-h3"])
 def test_parametric_case_splits_reproduce_recorded_hashes(text, z_stable, simple,
                                                           trace_sha, simple_sha):
     p = parse_problem(text)
@@ -498,20 +650,24 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     monkeypatch.setattr(zl, "kernel_int", kernel_int)
     decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
-    # 93: a gamma-free child classifies in its leaf's own context (pinned
-    # at 147 while each child rebuilt it, 249 when every child classified
+    # 93, all of them in the two level-0 case trees: also 93 while 12
+    # level-1 children recursed, each classifying in its leaf's own context
+    # (147 while each child rebuilt it, 249 when every child classified
     # from empty)
     assert len(classified) <= 93
     assert kernels == []  # 52 when the pure-theta search ran without thetas
 
 
-def test_chain_z5_classifies_each_symbol_once_per_case_node(monkeypatch):
+def test_recursion_classifies_each_symbol_once_per_case_node(monkeypatch):
     """Inside condition_lattice each case node (a context popped by one
-    call) classifies each distinct symbol once: on the chain Z^5 with 4
-    params, 250 classify calls for the 250 (node, symbol) pairs of 74 nodes
-    in 14 calls (402 while each (form, symbol) term was classified).  The
-    memo misses stay at 93 and the trace at its recorded hash."""
-    p = parse_problem(CHAIN_Z5)
+    call) classifies each distinct symbol once: on Z^4 x H3(Z) with 4
+    params, 305 classify calls for the 305 (node, symbol) pairs of 73 nodes
+    in 13 calls, 11 of them level-1 children.  The memo misses stay at 125
+    and the trace at its recorded hash.  (Pinned on the chain Z^5 with 4
+    params until abelian levels ended at the index rule: 250 calls for 74
+    nodes in 14 calls, 402 while each (form, symbol) term was classified,
+    93 misses.)"""
+    p = parse_problem(CHAIN_Z4_H3)
     calls, misses, nodes = [], [], []
     real_lattice = cocycles.condition_lattice
     real_classify = exact.RationalityContext.classify
@@ -535,33 +691,59 @@ def test_chain_z5_classifies_each_symbol_once_per_case_node(monkeypatch):
                         lambda self, x: misses.append(x) or real_miss(self, x))
     v = decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
-    assert (len(nodes), sum(map(len, nodes))) == (14, 74)
-    assert len(calls) == len(set(calls)) == 250
-    assert len(misses) == 93
-    assert sha256_of(v.certificate.to_dict()) == (
-        "d9fc6c41d3b3918acc4a02acc8511db37d64b8ce83a65649dbeec1b20a84d25f")
+    assert (len(nodes), sum(map(len, nodes))) == (13, 73)
+    assert len(calls) == len(set(calls)) == 305
+    assert len(misses) == 125
+    assert sha256_of(v.certificate.to_dict()) == CHAIN_Z4_H3_SHA
 
 
 def test_gamma_free_children_classify_in_their_leafs_context(monkeypatch):
-    """On the chain Z^5 with 4 params no push-down gains a gamma term, so
-    induce_gamma hands back the pushed cocycle over its parent's table and
-    each of the 12 level-1 children solves its conditions in its leaf's own
-    RationalityContext, span and classify memo included."""
-    p = parse_problem(CHAIN_Z5)
+    """On Z^4 x H3(Z) with 4 params every twisted center lies in the abelian
+    factor, so no push-down gains a gamma term: induce_gamma hands back the
+    pushed cocycle over its parent's table and each of the 11 level-1
+    children, all on non-abelian quotients, solves its conditions in its
+    leaf's own RationalityContext, span and classify memo included.  (12
+    children on the chain Z^5 with 4 params until abelian levels ended at
+    the index rule.)"""
+    p = parse_problem(CHAIN_Z4_H3)
     a = Analysis(p.cocycle, p.context)
     parents = [leaf.ctx for leaf in a.leaves
                if leaf.lattice.index() is math.inf and not leaf.lattice.is_finite()]
-    seen = []
+    seen, quotients = [], []
     real = cocycles.condition_lattice
+    real_induce = decision.induce_gamma
 
     def condition_lattice(ctx, *args):
         seen.append(ctx)
         return real(ctx, *args)
 
+    def induce_gamma(w, qd, prefix):
+        out = real_induce(w, qd, prefix=prefix)
+        quotients.append((out is w, qd.group.is_abelian()))
+        return out
+
     monkeypatch.setattr(cocycles, "condition_lattice", condition_lattice)
+    monkeypatch.setattr(decision, "induce_gamma", induce_gamma)
     decide(a)
-    assert len(seen) == len(parents) == 12
+    assert len(seen) == len(parents) == 11
     assert all(child is leaf for child, leaf in zip(seen, parents))
+    assert quotients == [(True, False)] * 11
+
+
+def test_abelian_inputs_take_no_quotient(monkeypatch):
+    """An abelian node ends at the index rule: deciding the chain Z^5 and
+    the mixed-symbol torus (12 and 3 quotients before, every one of them
+    abelian, the third in the two-step fallback) calls quotient_by_central, push_to_quotient and induce_gamma
+    not once."""
+    calls = []
+    for name in ("quotient_by_central", "push_to_quotient", "induce_gamma"):
+        owner = groups if name == "quotient_by_central" else decision
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, **kw: calls.append(_name))
+    for text in (CHAIN_Z5, MIXED_SYMBOLS):
+        p = parse_problem(text)
+        decide(p.cocycle, p.context)
+        decide_simplicity(p.cocycle, p.context)
+    assert calls == []
 
 
 def test_children_with_gamma_terms_gain_their_gamma_symbols(monkeypatch):
@@ -665,14 +847,19 @@ def stack_names(depth):
     return names
 
 
-def test_chain_z5_substitutes_only_to_push_down_and_indexes_without_smith_forms(monkeypatch):
-    """On the chain Z^5 with 4 params the pairing rows are read off the
-    bilinear Q~, so every Poly.substitute is a push-down's pull-back (26
-    when the rows were substituted too); index() and is_finite() read the
-    HNF basis, so no Smith form is computed under them (71 of 85 were), and
-    induce_gamma parametrizes no kernel when the law has no bilinear
-    entries (38 Smith forms when each of the 12 push-downs did)."""
-    p = parse_problem(CHAIN_Z5)
+def test_recursion_substitutes_only_to_push_down_and_indexes_without_smith_forms(monkeypatch):
+    """On Z^4 x H3(Z) with 4 params the pairing rows are read off the
+    bilinear Q~, so every Poly.substitute is a push-down's pull-back, one
+    per level-1 child; index() and is_finite() read the HNF basis, so no
+    Smith form is computed under them; and induce_gamma parametrizes no
+    kernel when the push-down has neither a section defect nor a torsion
+    carry, so the 24 Smith forms are the 13 twisted centers'
+    parametrizations and the 11 quotients' structures.  (Pinned on the
+    chain Z^5 with 4 params until abelian levels ended at the index rule:
+    12 substitutions, 26 when the rows were substituted too, and 26 Smith
+    forms, 71 of 85 under index() and is_finite() before they read the HNF
+    and 38 when each of the 12 push-downs parametrized a kernel.)"""
+    p = parse_problem(CHAIN_Z4_H3)
     subs, smith = [], []
     real_substitute, real_structure = Poly.substitute, zl._structure
 
@@ -688,7 +875,8 @@ def test_chain_z5_substitutes_only_to_push_down_and_indexes_without_smith_forms(
     monkeypatch.setattr(zl, "_structure", structure)
     decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
-    assert len(subs) == 12 and all(s[:3] == ["compose_linear", "pull_back", "push_to_quotient"]
+    assert len(subs) == 11 and all(s[:3] == ["compose_linear", "pull_back", "push_to_quotient"]
                                    for s in subs)
-    assert len(smith) == 26
+    assert collections.Counter(s[0] for s in smith) == {"parametrization": 13,
+                                                        "quotient_structure": 11}
     assert not [s for s in smith if {"index", "is_finite"} & set(s)]

@@ -9,16 +9,18 @@ from cocycle_lab.exact import KNumber, SymbolTable, knum
 from cocycle_lab.poly import Poly
 
 from helpers import (binomial_coefficients, coeff, is_integer_valued, law_polys,
-                     rational_component, substitute_reference, symbol_component, used_symbols)
+                     rational_component, rational_part, substitute_reference,
+                     symbol_coefficients, symbol_component, used_symbols)
 
 T = SymbolTable(thetas=("th",), xis=(("xi", 3),))
 
 
-def rand_poly(rng, nv, deg=3, symbols=False):
+def rand_poly(rng, nv, deg=3, symbols=False, den=4):
+    """Coefficients k/d with d <= den, so integers for den = 1."""
     terms = []
     for _ in range(rng.randint(1, 6)):
         exps = tuple(rng.randint(0, deg) for _ in range(nv))
-        c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, den))
         if symbols and rng.random() < 0.5:
             terms.append((exps, knum(T, c, th=rng.randint(-2, 2))))
         else:
@@ -45,19 +47,37 @@ def test_product_eval_rational():
         p, q = rand_poly(rng, nv), rand_poly(rng, nv)
         pt = tuple(rng.randint(-4, 4) for _ in range(nv))
         lhs = (p * q).eval(pt)
-        rhs = p.eval(pt).scale(q.eval(pt).const)
+        rhs = p.eval(pt).scale(rational_part(q.eval(pt)))
         assert lhs == rhs
 
 
+def occurring(p):
+    """The variables that occur in p."""
+    return {i for e, _ in p.terms for i, x in enumerate(e) if x}
+
+
 def test_substitute_matches_composition():
+    """Poly.substitute by integer polynomials commutes with evaluation, and
+    so does the Fraction oracle substitute_reference by rational ones, where
+    Poly.substitute raises ValueError once a variable with a non-integral
+    image occurs."""
     rng = random.Random(9)
+    rejected = 0
     for _ in range(40):
         nv, mv = rng.randint(1, 3), rng.randint(1, 3)
         p = rand_poly(rng, nv, symbols=True)
-        mapping = {i: rand_poly(rng, mv) for i in range(nv)}
         pt = tuple(rng.randint(-3, 3) for _ in range(mv))
-        inner = tuple(mapping[i].eval(pt).const for i in range(nv))
-        assert p.substitute(mapping, mv).eval(pt) == p.eval(inner)
+        for den in (1, 4):
+            mapping = {i: rand_poly(rng, mv, den=den) for i in range(nv)}
+            inner = tuple(rational_part(mapping[i].eval(pt)) for i in range(nv))
+            assert substitute_reference(p, mapping, mv).eval(pt) == p.eval(inner)
+            if any(c.ints[0] != 1 for i in occurring(p) for _, c in mapping[i].terms):
+                rejected += 1
+                with pytest.raises(ValueError, match="must have integer coefficients"):
+                    p.substitute(mapping, mv)
+            else:
+                assert p.substitute(mapping, mv).eval(pt) == p.eval(inner)
+    assert rejected >= 20
 
 
 def sparse_polys(nv):
@@ -92,7 +112,7 @@ def affine_forms(nv, mv):
 
 
 def assert_substitution_commutes_with_eval(p, mapping, mv, pt):
-    inner = [mapping[i].eval(pt).const for i in range(p.nv)]
+    inner = [rational_part(mapping[i].eval(pt)) for i in range(p.nv)]
     assert p.substitute(mapping, mv).eval(pt) == p.eval(inner)
 
 
@@ -122,15 +142,15 @@ def test_substitute_group_laws_commute_with_eval(data):
 def substitution_problems(draw):
     """A polynomial in nv = 0..3 variables with exponents up to 3 and rational,
     theta and torsion-symbol coefficients, and a mapping of some of its
-    variables to rational polynomials in mv = 0..3 variables."""
+    variables to integer polynomials in mv = 0..3 variables."""
     nv, mv = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     sym = st.sampled_from((0, 0, 1, -2, Fraction(1, 2)))  # absent half the time
     coef = st.builds(lambda c, th, xi: knum(T, c, th=th, xi=xi),
                      st.fractions(-3, 3, max_denominator=3), sym, sym)
     p = Poly.make(nv, T, draw(st.lists(st.tuples(
         st.tuples(*[st.integers(0, 3)] * nv), coef), max_size=5)))
-    image = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * mv),
-                               st.fractions(-3, 3, max_denominator=3)), max_size=3)
+    image = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * mv), st.integers(-3, 3)),
+                     max_size=3)
     kept = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
     mapping = {i: Poly.make(mv, T, draw(image)) for i in range(nv) if kept[i]}
     return p, mapping, mv
@@ -159,6 +179,13 @@ def test_substitute_keeps_rejecting_symbol_products():
         p.substitute({0: p}, 1)
 
 
+@pytest.mark.parametrize("image", [Fraction(1, 2), knum(T, 0, xi=1)], ids=["fraction", "symbol"])
+def test_substitute_rejects_a_mapped_polynomial_without_integer_coefficients(image):
+    p = Poly.make(1, T, {(2,): knum(T, 1, th=1)})
+    with pytest.raises(ValueError, match="^a substituted polynomial must have integer coefficients$"):
+        p.substitute({0: Poly.make(1, T, {(1,): 1, (0,): image})}, 1)
+
+
 @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), [1], (1, -1), [0, -2]])
 def test_make_rejects_wrong_length_or_negative_exponents(exps):
     with pytest.raises(ValueError, match="bad exponent vector"):
@@ -184,7 +211,7 @@ def test_symbol_components_partition_the_polynomial():
         v = p.eval(pt)
         rc = sum((c * pt[0] ** e[0] * pt[1] ** e[1] for e, c in rational_component(p).items()),
                  Fraction(0))
-        assert v.const == rc
+        assert rational_part(v) == rc
         for name in used_symbols(p):
             sc = sum((c * pt[0] ** e[0] * pt[1] ** e[1]
                       for e, c in symbol_component(p, name).items()), Fraction(0))
@@ -228,7 +255,8 @@ def sympy_coefficient(sympy, c):
     def rational(q):
         return sympy.Rational(q.numerator, q.denominator)
 
-    return rational(c.const) + sum(rational(q) * sympy.Symbol(n) for n, q in c.coeffs)
+    return rational(rational_part(c)) + sum(rational(q) * sympy.Symbol(n)
+                                            for n, q in symbol_coefficients(c))
 
 
 def sympy_expr(sympy, p, xs):
@@ -247,8 +275,9 @@ def assert_terms_match_sympy(sympy, got, expr, ys):
 
 def test_compose_linear_and_substitute_match_sympy_expansion():
     """Poly.compose_linear on random phases with symbol coefficients and
-    random integer matrices, and Poly.substitute by random rational
-    polynomials, agree term by term with sympy's expansion."""
+    random integer matrices, Poly.substitute by random integer polynomials
+    and the Fraction oracle substitute_reference by random rational ones
+    agree term by term with sympy's expansion."""
     sympy = pytest.importorskip("sympy")
     rng = random.Random(16)
     for _ in range(30):
@@ -260,10 +289,11 @@ def test_compose_linear_and_substitute_match_sympy_expansion():
         assert_terms_match_sympy(sympy, p.compose_linear(mat, mv),
                                  sympy_expr(sympy, p, xs).subs(linear, simultaneous=True), ys)
         p = rand_poly(rng, nv, deg=2, symbols=True)
-        mapping = {i: rand_poly(rng, mv, deg=2) for i in range(nv)}
-        images = {x: sympy_expr(sympy, mapping[i], ys) for i, x in enumerate(xs)}
-        assert_terms_match_sympy(sympy, p.substitute(mapping, mv),
-                                 sympy_expr(sympy, p, xs).subs(images, simultaneous=True), ys)
+        for den, substitute in ((1, Poly.substitute), (4, substitute_reference)):
+            mapping = {i: rand_poly(rng, mv, deg=2, den=den) for i in range(nv)}
+            images = {x: sympy_expr(sympy, mapping[i], ys) for i, x in enumerate(xs)}
+            assert_terms_match_sympy(sympy, substitute(p, mapping, mv),
+                                     sympy_expr(sympy, p, xs).subs(images, simultaneous=True), ys)
 
 
 def test_arithmetic_make_and_rebase_match_sympy_term_by_term():

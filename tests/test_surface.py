@@ -1,7 +1,10 @@
 """Every public function, class or method defined in src/cocycle_lab must be
-named in src/ outside its own definition, or in the README's Python example:
-library code that only tests call belongs in tests/helpers.py.  The README's
-module map names only what each module defines."""
+used in src/ outside its own definition, or in the README's Python example:
+library code that only tests call belongs in tests/helpers.py.  A function
+or class counts as used when its name occurs; a method only when it is read
+as an attribute (``x.name``), so a local variable or a parameter of the same
+name does not count.  The README's module map names only what each module
+defines."""
 
 import ast
 import glob
@@ -57,16 +60,19 @@ def test_every_public_definition_has_a_caller_in_src_or_the_readme():
             uses.setdefault(name, []).append(node)
     with open(README, encoding="utf-8") as fh:
         example = "\n".join(re.findall(r"```python\n(.*?)```", fh.read(), re.S))
-    readme_names = {name for name, _ in identifier_nodes(ast.parse(example))}
-    assert {"decide", "phase_from_monomials"} <= readme_names
+    readme_nodes = list(identifier_nodes(ast.parse(example)))
+    assert {"decide", "phase_from_monomials"} <= {name for name, _ in readme_nodes}
     defined, unused = set(), []
     for tree in trees:
         for qual, node in public_definitions(tree):
             defined.add(qual)
             name = qual.rsplit(".", 1)[-1]
+            kinds = (ast.Attribute,) if "." in qual else (ast.Name, ast.Attribute)
             own = set(ast.walk(node))
-            if (qual not in ALLOWED and name not in readme_names
-                    and all(use in own for use in uses.get(name, ()))):
+            if (qual not in ALLOWED
+                    and not any(n == name and isinstance(use, kinds) for n, use in readme_nodes)
+                    and all(use in own for use in uses.get(name, ())
+                            if isinstance(use, kinds))):
                 unused.append(qual)
     assert unused == []
     assert set(ALLOWED) <= defined
