@@ -321,11 +321,14 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
         parts = [(dict(kn.ints[2]), kn.ints[0]) for kn in form]
         for s in dict.fromkeys(n for kn in form for n, _ in kn.ints[2]):
             row, d = _cleared([(cs.get(s, 0), e) for cs, e in parts])
-            terms.append((s, (row, d), _render_form(row, d, s, gen_names)))
+            text = _render_form(row, d, s, gen_names)  # and its two fixed condition texts
+            terms.append((s, row, d, text, text + " = 0 forced (irrational factor)",
+                          text + " (rational factor, denominator unknown; "
+                                 "congruence skipped, rank unaffected)"))
         prepared.append((const, terms))
     # each symbol name as its unit value, in the order the forms first name it
-    units = {s: symbol(ctx.table, s) for s in dict.fromkeys(s for _, terms in prepared
-                                                             for s, _, _ in terms)}
+    units = {s: symbol(ctx.table, s) for s in dict.fromkeys(t[0] for _, terms in prepared
+                                                             for t in terms)}
     leaves = []
     stack = [ctx]
     while stack:
@@ -352,14 +355,13 @@ def _case_leaf(ctx, prepared, classes, zmoduli):
         if const:
             congs.append(const[0])
             conds.append(const[1])
-        for s, (row, d), text in terms:
+        for s, row, d, text, forced, skip in terms:
             cls = classes[s]
             if cls.kind == IRRATIONAL:
                 eqs.append(row)
-                conds.append(text + " = 0 forced (irrational factor)")
+                conds.append(forced)
             elif cls.denominator is None:
-                skipped.append(text + " (rational factor, denominator unknown; "
-                                      "congruence skipped, rank unaffected)")
+                skipped.append(skip)
             else:
                 congs.append((row, cls.denominator * d))
                 conds.append(text + f" = 0 (mod {cls.denominator})")

@@ -246,17 +246,29 @@ class RationalityContext(Value):
     """Immutable set of facts; fact parts, the span, consistency and
     classify() results are cached per instance.  assume_*() fills a child's
     caches from the parent's computed parts (never the parent itself) plus
-    the new fact x: the fact parts gain x's; a rational or integral child
-    adds x to a copy of the span (reduced row-echelon form is unique, so
-    reduce() answers equal a rebuild's); an irrational child keeps the span,
-    gains x's residual, and is consistent iff the parent is and x is neither
-    constant nor in the span.  A rational or irrational child's
-    classify() memo starts with the parent's INTEGER/RATIONAL entries, since
-    (c, v), the integral facts and span membership (the span only grows) are
-    unchanged; an irrational child also keeps IRRATIONAL ones (same span, more
-    residuals) and records x itself as IRRATIONAL when x's residual is
-    nonzero, but a rational child cannot: a new theta pivot can leave a
-    pure-theta residual undetermined.  UNDETERMINED entries are never kept,
+    the new fact x, and checks only x against the table: the fact parts
+    gain x's; a rational or integral child adds x to a copy of the span
+    (reduced row-echelon form is unique, so reduce() answers equal a
+    rebuild's); an irrational child keeps the span, gains x's residual, and
+    is consistent iff the parent is and x is neither constant nor in the
+    span.
+
+    A rational or irrational child's classify() memo starts with the
+    parent's INTEGER/RATIONAL entries, since (c, v), the integral facts and
+    span membership (the span only grows) are unchanged.  An irrational
+    child also keeps IRRATIONAL ones (same span, more residuals) and records
+    x itself as IRRATIONAL when x's residual is nonzero.  So does the
+    rational child of split(x) on a consistent context without thetas in
+    which x is UNDETERMINED, and that child is consistent.  Proof: with P
+    the projection modulo the rational span, y is IRRATIONAL there because
+    P(y) = q*P(f) for an irrational fact f.  Then y - q*f lies in the old
+    span, so in the new one, and P_new(y) = q*P_new(f), which is nonzero
+    unless f lies in the new span.  That needs P_old(f) collinear with
+    P_old(x), which would have made x IRRATIONAL.  So no irrational fact
+    enters the span, none is constant (the parent is consistent), and the
+    child is consistent.  With thetas a rational child keeps no IRRATIONAL
+    entry: a new theta pivot can leave a pure-theta residual undetermined,
+    so a theta-axiom entry can flip.  UNDETERMINED entries are never kept,
     and an integral child starts empty: its denominators can change."""
 
     # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
@@ -373,17 +385,23 @@ class RationalityContext(Value):
     def assume_irrational(self, x, note=None):
         return self._extend("irrational", x, note or f"{x} irrational")
 
-    def _extend(self, kind, x, note):
+    def _extend(self, kind, x, note, settled=False):
         """Child with one more fact x of the given kind, its caches filled
-        from this context's (see the class docstring)."""
-        facts = {"rational": self.rational, "integral": self.integral,
-                 "irrational": self.irrational}
-        facts[kind] += (x,)
-        child = RationalityContext(self.table, assumptions=self.assumptions + (note,), **facts)
+        from this context's (see the class docstring); ``settled`` marks a
+        rational child of split() on an undetermined x in a consistent
+        context without thetas.  Only x is checked against the table: the
+        inherited facts passed this context's check."""
+        if x.table is not self.table and x.table != self.table:
+            raise ValueError("fact does not belong to this symbol table")
+        child = object.__new__(RationalityContext)
+        slots = child.__dict__  # the fields, and where cached_property keeps its values
+        slots.update(table=self.table, rational=self.rational, integral=self.integral,
+                     irrational=self.irrational, assumptions=self.assumptions + (note,),
+                     _classified={})
+        slots[kind] += (x,)
         d, c, _ = x.ints
         v = self._vec(x)
         rat, integ = self._fact_parts
-        slots = child.__dict__  # where cached_property keeps its values
         if kind == "irrational":
             residual = self._span.reduce(v)
             slots.update(_span=self._span, _consistent=self._consistent and any(residual),
@@ -398,9 +416,11 @@ class RationalityContext(Value):
             slots["_span"] = span = zl.QEchelon()
             span.rows = list(self._span.rows)  # add() replaces rows, never edits one
             span.add(v)
+            if settled:
+                slots["_consistent"] = True
         slots["_fact_parts"] = (rat, integ)
         if kind != "integral":
-            keep = (INTEGER, RATIONAL, IRRATIONAL) if kind == "irrational" else (INTEGER, RATIONAL)
+            keep = (INTEGER, RATIONAL) + ((IRRATIONAL,) if kind == "irrational" or settled else ())
             child._classified.update(kv for kv in self._classified.items() if kv[1].kind in keep)
         return child
 
@@ -409,7 +429,9 @@ class RationalityContext(Value):
 
         Returns (rational branch, irrational branch); a branch is None when the
         corresponding assumption is inconsistent with this context."""
-        rat = self.assume_rational(x)
+        settled = (not self.table.thetas and self._consistent
+                   and (self._classified.get(x.ints) or self._classify(x)).kind == UNDETERMINED)
+        rat = self._extend("rational", x, f"{x} rational", settled)
         irr = self.assume_irrational(x)
         return (rat if rat.is_consistent() else None,
                 irr if irr.is_consistent() else None)

@@ -3,16 +3,21 @@
 Matrices are lists of rows of Python ints (arbitrary precision).  Subgroups
 of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
-includes the torsion generators m_i * e_i.  ``solve_mixed_system`` takes
-integer rows only: a caller with rational conditions clears each row once
-(``clear_denominators``), not once per solve.  A vector is written in a lattice
-by one back-substitution down the HNF pivots, over Z (``coordinates``) or
-over Q (``denominator_in_lattice``, in integers).  The index and finiteness
-are read off the HNF basis.  Each subgroup computes at most two Smith forms,
-once each: of the quotient (``quotient_structure``, which a quotient group
-needs) and of the subgroup's relations (``parametrization``, which says what
-the subgroup is and reads an element's coordinates in it).  Work over Q goes
-through one reduced row-echelon form, QEchelon, kept in integer rows.
+includes the torsion generators m_i * e_i.  There is one Hermite routine,
+``row_hnf``, which builds a transform only on request; ``kernel_int`` reads
+a kernel's own HNF basis off one transform-free HNF of [a^T | I].
+``solve_mixed_system`` takes integer rows only (a caller with rational
+conditions clears each row once, with ``clear_denominators``) and costs one
+Hermite form per system: its answer is already the subgroup's HNF basis,
+which ``SubgroupLattice.from_hnf`` keeps without reducing it again.  A
+vector is written in a lattice by one back-substitution down the HNF pivots,
+over Z (``coordinates``) or over Q (``denominator_in_lattice``, in
+integers).  The index and finiteness are read off the HNF basis.  Each
+subgroup computes at most two Smith forms, once each: of the quotient
+(``quotient_structure``, which a quotient group needs) and of the subgroup's
+relations (``parametrization``, which says what the subgroup is and reads an
+element's coordinates in it).  Work over Q goes through one reduced
+row-echelon form, QEchelon, kept in integer rows.
 """
 
 from __future__ import annotations
@@ -37,12 +42,16 @@ def row_hnf(a, with_transform=False):
 
     Returns H (same shape, zero rows trimmed) with pivots positive, entries
     above each pivot reduced into [0, pivot).  With ``with_transform`` also
-    returns unimodular U with U*a = H (H untrimmed in that product sense).
+    returns unimodular U with U*a = H (H untrimmed in that product sense):
+    the elimination then runs on [a | I], whose tail every row operation
+    carries along, and U is that tail.
     """
-    h = [row[:] for row in a]
+    cols = len(a[0]) if a else 0
+    if with_transform:
+        h = [list(row) + u for row, u in zip(a, identity(len(a)))]
+    else:
+        h = [row[:] for row in a]
     rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity(rows)
     r = 0
     for c in range(cols):
         # find a pivot row at or below r with nonzero entry in column c
@@ -54,7 +63,6 @@ def row_hnf(a, with_transform=False):
         if piv is None:
             continue
         h[r], h[piv] = h[piv], h[r]
-        u[r], u[piv] = u[piv], u[r]
         # euclidean elimination below
         while True:
             nz = [i for i in range(r + 1, rows) if h[i][c] != 0]
@@ -64,51 +72,38 @@ def row_hnf(a, with_transform=False):
             best = min([r] + nz, key=lambda i: abs(h[i][c]))
             if best != r:
                 h[r], h[best] = h[best], h[r]
-                u[r], u[best] = u[best], u[r]
             for i in range(r + 1, rows):
                 if h[i][c] != 0:
                     q = h[i][c] // h[r][c]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         # reduce entries above the pivot
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
         if r == rows:
             break
     if with_transform:
-        return h, u
+        return [row[:cols] for row in h], [row[cols:] for row in h]
     return [row for row in h if any(row)]
 
 
-def col_hnf(a, with_transform=False):
-    """Column-style HNF: echelon columns, positive pivots; a*V = H."""
-    if not a:
-        return ([], []) if with_transform else []
-    at = transpose(a)
-    if with_transform:
-        h, u = row_hnf(at, with_transform=True)
-        return transpose(h), transpose(u)
-    return transpose(row_hnf(at))
-
-
 def kernel_int(a):
-    """Saturated basis (list of columns) of {x in Z^c : a*x = 0}."""
-    if not a:
+    """HNF basis (list of rows) of {x in Z^c : a*x = 0}.
+
+    U*[a^T | I] = [H | U] for the row HNF H of a^T, so the rows of the row
+    HNF of [a^T | I] whose a^T part is zero are the rows u of U with
+    a*u = 0.  They form a basis of the kernel (U is unimodular), and since
+    they are the trailing rows of a Hermite form they are the kernel's own
+    row HNF (Cohen, GTM 138, 2.4)."""
+    if not a or not a[0]:
         return []
-    cols = len(a[0])
-    if cols == 0:
-        return []
-    h, v = col_hnf(a, with_transform=True)
-    vt = transpose(v)  # columns of v
-    ht = transpose(h)
-    return [vt[j] for j in range(cols) if not any(ht[j])]
+    r, c = len(a), len(a[0])
+    aug = [[*col, *[0] * j, 1, *[0] * (c - j - 1)] for j, col in enumerate(zip(*a))]
+    return [row[r:] for row in row_hnf(aug) if not any(row[:r])]
 
 
 def snf(a):
@@ -312,6 +307,16 @@ class SubgroupLattice(Value):
         # the columns of the column HNF of [cols] are the rows of the row HNF of cols
         object.__setattr__(self, "hnf_basis", tuple(map(tuple, row_hnf(cols))))
 
+    @classmethod
+    def from_hnf(cls, moduli, basis):
+        """The subgroup whose preimage in Z^n has the row-HNF basis
+        ``basis``, which must contain the torsion generators' span: the
+        basis is kept as given, the same lattice the reducing constructor
+        builds from it, without a second reduction."""
+        lat = object.__new__(cls)
+        lat.__dict__.update(moduli=moduli, gens=basis, hnf_basis=basis)
+        return lat
+
     @property
     def n(self):
         return len(self.moduli)
@@ -401,41 +406,31 @@ def solve_mixed_system(moduli, equalities, congruences):
     (``clear_denominators``: r/d.x = 0 iff r.x = 0, and r/d.x = 0 (mod m) iff
     r.x = 0 (mod m*d)).  The result is a SubgroupLattice over the given
     ambient moduli.  Equality rows must not touch torsion coordinates (the
-    condition would not be well defined on the quotient).  Without
-    congruences the generators are the kernel basis of the equalities."""
-    n = len(moduli)
-    eq_rows = []
+    condition would not be well defined on the quotient).
+
+    x solves the system iff (x, y) lies in the kernel of [E 0; C diag(m)]
+    for an integer y, which x fixes, so no kernel row has a zero x-part and
+    the x-parts of the kernel's HNF basis, x first, are the HNF basis of the
+    solutions L in Z^n: one Hermite form per system.  The checks below put every torsion generator m_i*e_i
+    in L, so that basis is the subgroup's canonical basis as it stands."""
+    n, k = len(moduli), len(congruences)
+    torsion = [(i, m) for i, m in enumerate(moduli) if m]
+    rows = []
     for r in equalities:
         if not any(r):
             continue
-        for i, m in enumerate(moduli):
-            if m and r[i] != 0:
-                raise ValueError("equality row is not well defined modulo ambient torsion")
-        eq_rows.append(r)
-    kern = kernel_int(eq_rows) if eq_rows else identity(n)
-    for r, m in congruences:
+        if any(r[i] for i, _ in torsion):
+            raise ValueError("equality row is not well defined modulo ambient torsion")
+        rows.append([*r, *[0] * k])
+    for s, (r, m) in enumerate(congruences):
         if m <= 0:
             raise ValueError("congruence modulus must be positive")
-        for i, mi in enumerate(moduli):
-            if mi and (r[i] * mi) % m != 0:
-                raise ValueError("congruence row is not well defined modulo ambient torsion")
-    if not kern:
-        return zero_lattice(tuple(moduli))
-    if not congruences:
-        return SubgroupLattice(tuple(moduli), tuple(map(tuple, kern)))
-    # x = sum_j y_j kern[j] solves the congruences iff (y, z) lies in the
-    # kernel of [ck | diag(mods)], with ck the rows in kernel coordinates
-    k = len(kern)
-    ncong = len(congruences)
-    aug = [[sum(r[i] * kern[j][i] for i in range(n)) for j in range(k)]
-           + [m if t == s else 0 for t in range(ncong)]
-           for s, (r, m) in enumerate(congruences)]
-    gens = []
-    for col in kernel_int(aug):
-        g = [sum(kern[j][i] * col[j] for j in range(k)) for i in range(n)]
-        if any(g):
-            gens.append(tuple(g))
-    return SubgroupLattice(tuple(moduli), tuple(gens))
+        if any(r[i] * mi % m for i, mi in torsion):
+            raise ValueError("congruence row is not well defined modulo ambient torsion")
+        rows.append([*r, *[0] * s, m, *[0] * (k - s - 1)])
+    if not rows:
+        return full_lattice(moduli)
+    return SubgroupLattice.from_hnf(tuple(moduli), tuple(tuple(row[:n]) for row in kernel_int(rows)))
 
 
 def denominator_in_lattice(hcols, v):

@@ -349,9 +349,10 @@ def test_acceptance_7_oracles():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        h, vv = zl.col_hnf(a, with_transform=True)
-        assert abs(det(vv)) == 1
-        assert mat_mul(a, vv) == h
+        at = zl.transpose(a)  # the column HNF of a is the row HNF of its transpose
+        h, uu = zl.row_hnf(at, with_transform=True)
+        assert abs(det(uu)) == 1
+        assert mat_mul(uu, at) == h
         u, d, v, _ = zl.snf(a)
         assert abs(det(u)) == 1 and abs(det(v)) == 1
         assert mat_mul(mat_mul(u, a), v) == d

@@ -304,14 +304,31 @@ def test_split_children_do_not_share_the_parent_memo(ctx, x):
     assert fresh_copy(ctx).classify(x).kind == UNDETERMINED
 
 
+def test_split_settles_a_rational_child_only_where_the_proof_holds():
+    """Without thetas the rational child of split(x) is set consistent only
+    for an undetermined x in a consistent context: split on an irrational x,
+    or in an inconsistent context, still finds the rational child
+    inconsistent."""
+    t = SymbolTable(xis=(("xi", 0), ("zeta", 0)))
+    xi, zeta = symbol(t, "xi"), symbol(t, "zeta")
+    ctx = empty_context(t).assume_irrational(xi + zeta)
+    assert ctx.split(xi + zeta)[0] is None
+    assert ctx.split(xi)[0].is_consistent()
+    broken = ctx.assume_irrational(knum(t, Fraction(1, 2)))
+    assert broken.split(xi) == (None, None)
+
+
 # extended children: a child made by assume_*() or split() fills its caches
-# from its parent's.  Tables with one to three thetas, free parameters, and
+# from its parent's.  Tables with zero to three thetas, free parameters, and
 # torsion parameters before, between or after the free ones.
 EXTENSION_TABLES = [
     SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
     SymbolTable(thetas=("theta", "phi"), xis=(("eta", 2), ("xi", 0), ("zeta", 0))),
     SymbolTable(thetas=("theta",), xis=(("xi", 0), ("eta", 2), ("zeta", 0), ("mu", 6))),
     SymbolTable(thetas=("theta", "phi", "psi"), xis=(("xi", 0), ("eta", 4))),
+    # without thetas a rational split child keeps its parent's IRRATIONAL
+    # entries and its consistency is set, not computed
+    SymbolTable(thetas=(), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
 ]
 KINDS = ("rational", "integral", "irrational")
 COEFFS = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2)))

@@ -463,3 +463,65 @@ def test_index_and_finiteness_match_the_smith_form_reads(lat):
     quotient = lat.quotient_structure.moduli
     assert lat.index() == (math.inf if 0 in quotient else math.prod(quotient))
     assert lat.is_finite() == (0 not in lat.parametrization.moduli)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda c: st.lists(
+    st.lists(st.integers(-5, 5), min_size=c, max_size=c), min_size=1, max_size=3)))
+def test_kernel_int_is_the_kernels_hnf_basis(a):
+    """kernel_int returns the kernel's own HNF basis: reducing it as
+    generators gives it back, and a brute-force box finds the same lattice."""
+    c = len(a[0])
+    ker = zl.kernel_int(a)
+    lat = zl.SubgroupLattice((0,) * c, tuple(map(tuple, ker)))
+    assert lat.hnf_basis == tuple(map(tuple, ker))
+    for v in itertools.product(range(-2, 3), repeat=c):
+        assert lat.contains(list(v)) == (not any(mat_vec(a, v)))
+
+
+@st.composite
+def mixed_systems(draw):
+    """(moduli, equalities, congruences) over Z^n / (moduli), n = 1..4,
+    each row well defined modulo the torsion."""
+    n = draw(st.integers(1, 4))
+    moduli = tuple(draw(st.lists(st.sampled_from((0, 0, 2, 3, 4)), min_size=n, max_size=n)))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    eqs = [[0 if m else c for c, m in zip(r, moduli)]
+           for r in draw(st.lists(row, max_size=2))]
+    congs = [([0 if m and c * m % q else c for c, m in zip(r, moduli)], q)
+             for r, q in draw(st.lists(st.tuples(row, st.integers(2, 6)), max_size=3))]
+    return moduli, eqs, congs
+
+
+def two_hnf_solve(moduli, eqs, congs):
+    """The solver with a Hermite form per step: the kernel of the
+    equalities, the congruences' kernel in its coordinates, then the
+    reducing constructor on the generators found."""
+    n = len(moduli)
+    eqs = [r for r in eqs if any(r)]
+    gens = kern = zl.kernel_int(eqs) if eqs else zl.identity(n)
+    if congs and kern:
+        aug = [mat_vec(kern, r) + [m if t == s else 0 for t in range(len(congs))]
+               for s, (r, m) in enumerate(congs)]
+        gens = [[sum(y * v[i] for y, v in zip(col, kern)) for i in range(n)]
+                for col in zl.kernel_int(aug)]
+    return zl.SubgroupLattice(moduli, tuple(map(tuple, gens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_systems())
+def test_mixed_system_matches_the_two_hnf_replay(system):
+    """One Hermite form per system gives the basis the two-step solve and a
+    reduction give, torsion moduli and congruences included."""
+    lat = zl.solve_mixed_system(*system)
+    assert lat.hnf_basis == two_hnf_solve(*system).hnf_basis
+    assert lat == zl.SubgroupLattice(lat.moduli, lat.hnf_basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(torsion_lattices())
+def test_hnf_constructor_keeps_the_reduced_basis(lat):
+    kept = zl.SubgroupLattice.from_hnf(lat.moduli, lat.hnf_basis)
+    assert kept.hnf_basis == lat.hnf_basis
+    assert kept == zl.SubgroupLattice(lat.moduli, lat.hnf_basis)
+    assert kept.same_subgroup(lat) and kept.index() == lat.index()
