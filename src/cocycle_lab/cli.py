@@ -52,11 +52,11 @@ def _apply_ctx_assertions(problem, assertions):
             raise ProblemError(0, f"--ctx names unknown symbol {name!r}")
         x = symbol(problem.table, name)
         if status == "irrational":
-            ctx = ctx.assume_irrational(x, f"{name} irrational")
+            ctx = ctx.assume_irrational(x)
         elif status == "rational":
-            ctx = ctx.assume_rational(x, f"{name} rational")
+            ctx = ctx.assume_rational(x)
         elif status == "integral":
-            ctx = ctx.assume_integral(x, f"{name} integral")
+            ctx = ctx.assume_integral(x)
         else:
             raise ProblemError(0, f"--ctx status must be irrational, rational "
                                   f"or integral, got {status!r}")

@@ -283,6 +283,15 @@ def _pairing_rows(c, gens):
     raise CocycleError(f"pairing is not a bicharacter: {viol}")  # unreachable, see above
 
 
+DEFAULT_CASE_BUDGET = 256  # case leaves per case tree
+
+
+class BudgetExceeded(Exception):
+    def __init__(self, budget):
+        super().__init__(f"case budget of {budget} leaves exceeded")
+        self.budget = budget
+
+
 class CaseLeaf(Value):
     # ctx: RationalityContext; lattice: SubgroupLattice; conditions:
     # human-readable "form in Z" strings; skipped: conditions dropped for
@@ -291,7 +300,7 @@ class CaseLeaf(Value):
     _defaults = {"conditions": (), "skipped": ()}
 
 
-def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=256):
+def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_BUDGET):
     """Case tree for {z : F(z) in Z for every F in forms}.
 
     Each form is a list of KNumber coefficients (one per z-coordinate).
@@ -378,12 +387,6 @@ def _cleared(pairs):
     return [x // g for x in row], m // g
 
 
-class BudgetExceeded(Exception):
-    def __init__(self, budget):
-        super().__init__(f"case budget of {budget} leaves exceeded")
-        self.budget = budget
-
-
 def _render_form(row, d, sym, gen_names):
     """The rational row r/d as text, each coefficient as its Fraction prints."""
     parts = []
@@ -420,7 +423,7 @@ def _map_leaves_to_ambient(leaves, gens, ambient_moduli):
     return out
 
 
-def twisted_center(c, ctx, case_budget=256):
+def twisted_center(c, ctx, case_budget=DEFAULT_CASE_BUDGET):
     """Case tree of (context, lattice) for Z(G, sigma) = {central g with
     sigma~(g, h) = 1 for all h}."""
     ctx = _rebase_ctx(ctx, c.table)
@@ -448,16 +451,9 @@ def _check_additive(group, lattice):
     if not group.bilinear:
         return
     basis = lattice.hnf_basis
-    for va in basis:
-        for vb in basis:
-            for k in range(group.n):
-                corr = sum(c * va[i] * vb[j]
-                           for kk, i, j, c in group.bilinear if kk == k)
-                m = group.moduli[k]
-                if corr % m if m else corr:
-                    raise UnsupportedShape(
-                        "subgroup elements do not multiply coordinate-wise; "
-                        "unsupported presentation shape")
+    if any(any(group.reduce(group.carry(va, vb))) for va in basis for vb in basis):
+        raise UnsupportedShape("subgroup elements do not multiply coordinate-wise; "
+                               "unsupported presentation shape")
 
 
 def _gen_names(gens, group):
@@ -498,20 +494,16 @@ def restrict_to_lattice(c, lattice):
 def sub_presentation(group, par):
     """Presentation of a subgroup, given by its parametrization, in its own
     coordinates.  Supported when products of generators stay in the
-    subgroup, which holds for the kernels and centers handled here; the
-    bilinear tensor is transported through the parameters of each carry."""
-    entries = []
-    for (a, ga), (b, gb) in itertools.product(enumerate(par.gens), repeat=2):
-        corr = [0] * group.n
-        for kk, i, j, c in group.bilinear:
-            corr[kk] += c * ga[i] * gb[j]
-        if not any(corr):
-            continue
-        coeffs = par.coordinates(corr)
+    subgroup, which holds for the kernels and centers handled here; the law
+    is transported by GroupPresentation.on, each carry read through the
+    parameters."""
+    def read(v):
+        coeffs = par.coordinates(v)
         if coeffs is None:
             raise CocycleError("subgroup is not closed under the group law")
-        entries += [(t, a, b, val) for t, val in enumerate(coeffs) if val]
-    return GroupPresentation(par.moduli, tuple(entries))
+        return coeffs
+
+    return group.on(par.gens, read, par.moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +557,10 @@ def induce_gamma(c, qd, prefix="gamma"):
 
     # defect delta(x, y) = B_G(Px, Py) - P B_Q(x, y), coordinate vectors of
     # bilinear coefficients each lying in N
+    lifts = tuple(zip(*p))  # P e_i
     defects = []
     for (i, j) in itertools.product(range(nq), range(nq)):
-        vec = [0] * g_top.n
-        for k, a, b, coef in g_top.bilinear:
-            vec[k] += coef * p[a][i] * p[b][j]
+        vec = g_top.carry(lifts[i], lifts[j])
         for k2, a, b, coef in q.bilinear:
             if a == i and b == j:
                 for t in range(g_top.n):
@@ -611,7 +602,7 @@ def induce_gamma(c, qd, prefix="gamma"):
 # phi_D pairing and the two-step kernel
 
 
-def phi_map(c, d_lattice, ctx, case_budget=256):
+def phi_map(c, d_lattice, ctx, case_budget=DEFAULT_CASE_BUDGET):
     """M = ker(phi_D) as a case tree, plus the pairing rows for surjectivity
     checks: phi_D(g)(d) = sigma~(d, g).  D must be central; that is not
     checked here, and decide_two_step proves it for the D it passes."""

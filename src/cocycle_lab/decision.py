@@ -14,7 +14,7 @@ from functools import cached_property
 
 from . import groups, zlinalg as zl
 from ._value import Value
-from .cocycles import (BudgetExceeded, CocycleError, UnsupportedShape,
+from .cocycles import (DEFAULT_CASE_BUDGET, BudgetExceeded, CocycleError, UnsupportedShape,
                        induce_gamma, integrality_violation, phi_map,
                        phi_surjective, product_split, push_to_quotient,
                        restrict_to_lattice, twisted_center, validate_cocycle)
@@ -27,8 +27,6 @@ UNDECIDED = "Undecided"
 SIMPLE_YES = "yes"
 SIMPLE_NO = "no"
 SIMPLE_UNKNOWN = "not-determined"
-
-DEFAULT_CASE_BUDGET = 256
 
 KLEPPNER_CONVENTION = (
     "FC(G,sigma) computed as {g in FC(G) : antisymmetrized phase of (g, h) "

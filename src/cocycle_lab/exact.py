@@ -384,14 +384,14 @@ class RationalityContext(Value):
                 return Classification(INTEGER if m == 1 else RATIONAL, m)
         return _RATIONAL
 
-    def assume_rational(self, x, note=None):
-        return self._extend("rational", x, note or f"{x} rational")
+    def assume_rational(self, x):
+        return self._extend("rational", x, f"{x} rational")
 
-    def assume_integral(self, x, note=None):
-        return self._extend("integral", x, note or f"{x} integral")
+    def assume_integral(self, x):
+        return self._extend("integral", x, f"{x} integral")
 
-    def assume_irrational(self, x, note=None):
-        return self._extend("irrational", x, note or f"{x} irrational")
+    def assume_irrational(self, x):
+        return self._extend("irrational", x, f"{x} irrational")
 
     def _extend(self, kind, x, note, settled=False):
         """Child with one more fact x of the given kind, its caches filled

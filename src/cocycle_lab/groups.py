@@ -6,9 +6,16 @@ correction tensor B: (a*b)_k = a_k + b_k + sum B[k][i][j] a_i b_j.  The
 corrections, and torsion lives only on central coordinates.  This covers the
 abelian groups, the generalized Heisenberg groups H(B), G(3), Z x H3(Z), and
 everything reachable from them by central quotients.
+
+The law is read numerically in one place, GroupPresentation.carry, and a
+presentation is derived from another by one transport, GroupPresentation.on:
+the central quotient here and the subgroup presentations of cocycles both
+read their generators' carries in their new coordinates.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from . import zlinalg as zl
 from ._value import Value
@@ -61,33 +68,41 @@ class GroupPresentation(Value):
     def receiving_coords(self):
         return {k for k, _, _, _ in self.bilinear}
 
-    def b(self, k, i, j):
-        for k2, i2, j2, c in self.bilinear:
-            if (k2, i2, j2) == (k, i, j):
-                return c
-        return 0
-
     def identity(self):
         return (0,) * self.n
 
     def reduce(self, coords):
         return tuple(x % m if m else x for x, m in zip(coords, self.moduli))
 
-    def multiply(self, a, b):
-        out = [x + y for x, y in zip(a, b)]
+    def carry(self, a, b):
+        """The law's unreduced integer carry B(a, b), (a*b)_k = a_k + b_k +
+        B(a, b)_k, as a list: the one place the law is read numerically."""
+        out = [0] * len(self.moduli)
         for k, i, j, c in self.bilinear:
             out[k] += c * a[i] * b[j]
-        return self.reduce(out)
+        return out
+
+    def multiply(self, a, b):
+        return self.reduce([x + y + c for x, y, c in zip(a, b, self.carry(a, b))])
 
     def inverse(self, a):
-        out = [-x for x in a]
-        for k, i, j, c in self.bilinear:
-            out[k] += c * a[i] * a[j]
-        return self.reduce(out)
+        # B(a, a^-1) = -B(a, a): the feeding coordinates of a^-1 are -a's
+        return self.reduce([c - x for x, c in zip(a, self.carry(a, a))])
 
     def is_abelian(self):
-        return all(self.b(k, i, j) == self.b(k, j, i)
-                   for k, i, j, _ in self.bilinear)
+        return not self._commutator_rows()
+
+    def on(self, gens, read, moduli, names=()):
+        """The presentation whose coordinate a is gens[a]: entry (t, a, b) is
+        coordinate t of read(carry(gens[a], gens[b])), where read writes an
+        element of self in the new coordinates, reduced modulo moduli.  This
+        is the one transport of the law to a quotient or a subgroup."""
+        entries = []
+        for (a, ga), (b, gb) in itertools.product(enumerate(gens), repeat=2):
+            vec = self.carry(ga, gb)
+            if any(vec):
+                entries += [(t, a, b, c) for t, c in enumerate(read(vec)) if c]
+        return GroupPresentation(moduli, tuple(entries), names)
 
     def _commutator_rows(self):
         """Linear forms in g: for each (target k, generator j), in that
@@ -161,6 +176,10 @@ def quotient_by_central(g, sub):
     not checked separately: (x*y)_k - (y*x)_k = sum B[k][i][j] (x_i y_j -
     y_i x_j), where i and j are feeding coordinates, so an x whose feeding
     coordinates are all 0 commutes with every y.
+
+    The law is transported by GroupPresentation.on: the lifts (the columns of
+    U^-1 kept by the quotient's Smith form) are the new generators, and a
+    carry is read through the kept rows of U.
     """
     feeding = g.feeding_coords()
     for col in sub.hnf_basis:
@@ -168,53 +187,16 @@ def quotient_by_central(g, sub):
             raise ValueError("quotient collapses a coordinate that feeds the group law; "
                              "unsupported presentation shape")
     q = sub.quotient_structure
-    u = [list(r) for r in q.coords]
-    p = q.inverse
-    n = g.n
-    new_moduli_full = list(q.moduli)
-    kept = [k for k in range(n) if new_moduli_full[k] != 1]
-    # push the bilinear tensor through the coordinate change
-    bil = {}
-    for k, i, j, c in g.bilinear:
-        for knew in kept:
-            uk = u[knew][k]
-            if not uk:
-                continue
-            for inew in kept:
-                pii = p[i][inew]
-                if not pii:
-                    continue
-                for jnew in kept:
-                    pjj = p[j][jnew]
-                    if not pjj:
-                        continue
-                    key = (knew, inew, jnew)
-                    bil[key] = bil.get(key, 0) + uk * c * pii * pjj
-    # reindex kept coordinates and reduce entries modulo the new torsion
-    pos = {k: t for t, k in enumerate(kept)}
-    entries = []
-    for (k, i, j), c in bil.items():
-        m = new_moduli_full[k]
-        if m:
-            c %= m
-        if c:
-            entries.append((pos[k], pos[i], pos[j], c))
-    names = tuple(f"[{g.names[k]}]" if u[k] == [1 if t == k else 0 for t in range(n)]
-                  else f"y{pos[k]+1}" for k in kept)
-    quo = GroupPresentation(tuple(new_moduli_full[k] for k in kept), tuple(entries), names)
-    proj = Morphism(g, quo, tuple(tuple(u[k]) for k in kept))
-    sec_cols = [[p[i][k] for i in range(n)] for k in kept]
-    sec = Morphism(quo, g, tuple(tuple(sec_cols[t][i] for t in range(len(kept)))
-                                 for i in range(n)))
-    lifts = []
-    for t, k in enumerate(kept):
-        m = new_moduli_full[k]
-        if m:
-            lift = tuple(m * sec_cols[t][i] for i in range(n))
-            lifts.append(lift)
-        else:
-            lifts.append(None)
-    return QuotientData(quo, proj, sec, sub, tuple(lifts))
+    kept = [k for k, m in enumerate(q.moduli) if m != 1]
+    moduli = tuple(q.moduli[k] for k in kept)
+    rows = tuple(tuple(q.coords[k]) for k in kept)
+    sec = tuple(tuple(row[k] for k in kept) for row in q.inverse)  # kept columns of U^-1
+    lifts = tuple(zip(*sec))
+    names = tuple(f"[{g.names[k]}]" if row == tuple(int(i == k) for i in range(g.n))
+                  else f"y{t+1}" for t, (k, row) in enumerate(zip(kept, rows)))
+    quo = g.on(lifts, Morphism(g, GroupPresentation(moduli), rows).apply, moduli, names)
+    torsion = tuple(tuple(m * x for x in lift) if m else None for m, lift in zip(moduli, lifts))
+    return QuotientData(quo, Morphism(g, quo, rows), Morphism(quo, g, sec), sub, torsion)
 
 
 # ---------------------------------------------------------------------------

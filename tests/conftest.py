@@ -1,6 +1,7 @@
-"""Hypothesis profiles.  ``ci`` runs more examples of every property that
-does not pin its own count; it loads only when HYPOTHESIS_PROFILE=ci is set,
-so a plain run keeps Hypothesis's defaults:
+"""Hypothesis profiles.  ``ci`` runs ten times the examples of every
+property: one that sets its own count takes it as a multiple of the active
+profile's (``helpers.examples``).  It loads only when HYPOTHESIS_PROFILE=ci
+is set, so a plain run keeps Hypothesis's defaults:
 
     HYPOTHESIS_PROFILE=ci PYTHONPATH=src python -m pytest -q tests/test_zlinalg.py
 """

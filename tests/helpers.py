@@ -6,16 +6,26 @@ shortcuts: the group law as Polys, a KNumber's symbol coefficients, the
 Fraction integrality test in the binomial basis, substitution by KNumber
 products, the cocycle defect by four substitutions, an unabridged cocycle
 validator, the antisymmetrization by substitution and a slot-by-slot
-reference for the pairing rows."""
+reference for the pairing rows, and example counts that follow the active
+Hypothesis profile."""
 
 import itertools
 import math
 from fractions import Fraction
 
+from hypothesis import settings
+
 from cocycle_lab import zlinalg as zl
 from cocycle_lab.cocycles import Cocycle, CocycleError, integrality_violation
 from cocycle_lab.groups import Morphism, QuotientData
 from cocycle_lab.poly import Poly
+
+
+def examples(times):
+    """A property's example count, ``times`` the active Hypothesis profile's
+    (100 by default), so the ci profile of conftest.py scales every property
+    that sets its own count."""
+    return round(times * settings.default.max_examples)
 
 
 def mat_mul(a, b):

@@ -21,7 +21,7 @@ from cocycle_lab.exact import (
     symbol,
 )
 
-from helpers import coeff, rational_part, symbol_coefficients
+from helpers import coeff, examples, rational_part, symbol_coefficients
 
 T = SymbolTable(thetas=("theta",), xis=(("xi", 0), ("eta", 3)))
 
@@ -232,7 +232,7 @@ def test_span_membership_matches_brute_force():
         # suffices with coefficients this small a false negative did not occur)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(
     st.integers(-6, 6),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -282,7 +282,7 @@ def fresh_copy(ctx):
                               ctx.assumptions)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(contexts(), st.lists(knumbers, min_size=1, max_size=3), small)
 def test_memoized_classify_agrees_with_fresh_context(ctx, xs, shift):
     xs = xs + list(ctx.rational + ctx.integral)  # values with a known denominator
@@ -293,7 +293,7 @@ def test_memoized_classify_agrees_with_fresh_context(ctx, xs, shift):
     assert [fresh_copy(ctx).classify(x) for x in xs] == first  # one empty memo each
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(contexts(), knumbers)
 def test_split_children_do_not_share_the_parent_memo(ctx, x):
     assume(ctx.is_consistent() and ctx.classify(x).kind == UNDETERMINED)
@@ -363,7 +363,7 @@ def fresh_child(ctx, kind, x):
     return RationalityContext(ctx.table, **facts)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 @given(extension_chains())
 def test_extended_children_agree_with_fresh_contexts(chain):
     table, steps = chain
@@ -461,7 +461,7 @@ def assert_canonical(x, value):
     assert (rational_part(x), dict(symbol_coefficients(x))) == value
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 @given(scalars, raw_coeffs, st.booleans(), scalars, raw_coeffs, scalars)
 def test_constructors_and_arithmetic_stay_canonical(c1, k1, as_dict, c2, k2, q):
     a = KNumber.make(U, c1, model(0, k1)[1] if as_dict else k1)

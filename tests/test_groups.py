@@ -5,6 +5,7 @@ import pytest
 
 from cocycle_lab import groups as gr
 from cocycle_lab import zlinalg as zl
+from cocycle_lab.cocycles import CocycleError, UnsupportedShape, _check_additive, sub_presentation
 
 from helpers import box, commutator, reduce_mod_columns, shifted_section
 
@@ -157,10 +158,11 @@ def dense_commutator_rows(g):
     """Every (k, j) in order, each row read entry by entry off the group
     law's bilinear coefficients: n^3 reads."""
     n = g.n
+    b = {(k, i, j): c for k, i, j, c in g.bilinear}
     rows = []
     for k in range(n):
         for j in range(n):
-            row = [g.b(k, i, j) - g.b(k, j, i) for i in range(n)]
+            row = [b.get((k, i, j), 0) - b.get((k, j, i), 0) for i in range(n)]
             if any(row):
                 rows.append((k, row))
     return rows
@@ -329,3 +331,137 @@ def test_subgroups_avoiding_the_feeding_coordinates_are_central():
             x = g.reduce(col)
             assert all(g.multiply(x, y) == g.multiply(y, x) for y in small_box(g, 1))
             assert g.center().contains(col)
+
+
+# ---------------------------------------------------------------------------
+# every consumer of the law's carry
+
+
+def random_central_subgroup(rng, g):
+    """A subgroup spanned by 1..3 random vectors that avoid the feeding
+    coordinates, torsion coordinates included: central, see
+    test_subgroups_avoiding_the_feeding_coordinates_are_central."""
+    feeding = g.feeding_coords()
+    gens = tuple(tuple(0 if i in feeding else rng.randint(-3, 3) for i in range(g.n))
+                 for _ in range(rng.randint(1, 3)))
+    return zl.SubgroupLattice(g.moduli, gens)
+
+
+def quotient_replay(g, sub):
+    """quotient_by_central with the law pushed through the coordinate change
+    U entry by entry: B'[k'][i'][j'] = sum U[k'][k] B[k][i][j] P[i][i']
+    P[j][j'] over the sparse entries of B, with P = U^-1, then reduced
+    modulo the new torsion."""
+    q = sub.quotient_structure
+    u, p, n = q.coords, q.inverse, g.n
+    kept = [k for k in range(n) if q.moduli[k] != 1]
+    pos = {k: t for t, k in enumerate(kept)}
+    bil = {}
+    for k, i, j, c in g.bilinear:
+        for k2, i2, j2 in itertools.product(kept, repeat=3):
+            v = u[k2][k] * c * p[i][i2] * p[j][j2]
+            if v:
+                bil[k2, i2, j2] = bil.get((k2, i2, j2), 0) + v
+    entries = tuple((pos[k], pos[i], pos[j], c % q.moduli[k] if q.moduli[k] else c)
+                    for (k, i, j), c in bil.items())
+    names = tuple(f"[{g.names[k]}]" if list(u[k]) == [int(t == k) for t in range(n)]
+                  else f"y{pos[k] + 1}" for k in kept)
+    quo = gr.GroupPresentation(tuple(q.moduli[k] for k in kept), entries, names)
+    sec_cols = [[p[i][k] for i in range(n)] for k in kept]
+    return gr.QuotientData(
+        quo, gr.Morphism(g, quo, tuple(tuple(u[k]) for k in kept)),
+        gr.Morphism(quo, g, tuple(tuple(col[i] for col in sec_cols) for i in range(n))),
+        sub, tuple(tuple(q.moduli[k] * x for x in col) if q.moduli[k] else None
+                   for k, col in zip(kept, sec_cols)))
+
+
+def test_quotient_transport_matches_the_entrywise_replay():
+    """The one transport (carries of the lifts read through the kept rows of
+    U) builds the same quotient as the entrywise tensor push, down to the
+    names, the section and the torsion lifts."""
+    rng = random.Random(47)
+    torsion_carries = 0
+    for _ in range(300):
+        g = rand_presentation(rng)
+        sub = random_central_subgroup(rng, g)
+        qd = gr.quotient_by_central(g, sub)
+        assert qd == quotient_replay(g, sub), (g, sub)
+        torsion_carries += any(qd.group.moduli[k] for k, _, _, _ in qd.group.bilinear)
+    assert torsion_carries >= 10  # the reduction modulo the new torsion is reached
+
+
+def test_random_quotients_project_homomorphically_and_split():
+    rng = random.Random(53)
+    for _ in range(150):
+        g = rand_presentation(rng, max_n=3)
+        qd = gr.quotient_by_central(g, random_central_subgroup(rng, g))
+        pts = small_box(g, 1)
+        proj = qd.projection.apply
+        for a, b in itertools.product(pts, repeat=2):
+            assert proj(g.multiply(a, b)) == qd.group.multiply(proj(a), proj(b)), (g, a, b)
+        for x in small_box(qd.group, 2):
+            assert proj(qd.section.apply(x)) == x
+        assert qd.section.apply(qd.group.identity()) == g.identity()
+
+
+def random_block_subgroup(rng, g):
+    """A subgroup spanned by 1..3 random vectors, each supported on the
+    feeding coordinates or on the others, so not central in general.  A
+    generator mixing both can give a parameter that both feeds and
+    receives, which GroupPresentation rejects."""
+    feeding = g.feeding_coords()
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        side = rng.random() < 0.5
+        gens.append(tuple(rng.randint(-2, 2) if (i in feeding) == side else 0
+                          for i in range(g.n)))
+    return zl.SubgroupLattice(g.moduli, tuple(gens))
+
+
+def test_sub_presentation_fails_exactly_off_closed_subgroups():
+    """sub_presentation refuses a subgroup exactly when a product of two of
+    its generators leaves it; otherwise the parameter map is a homomorphism
+    from the presentation it returns."""
+    rng = random.Random(59)
+    seen, carrying = set(), 0
+    for _ in range(1000):
+        g = rand_presentation(rng)
+        lat = random_block_subgroup(rng, g)
+        par = lat.parametrization
+        closed = all(lat.contains(g.multiply(a, b)) for a in par.gens for b in par.gens)
+        seen.add(closed)
+        if not closed:
+            with pytest.raises(CocycleError, match="not closed under the group law"):
+                sub_presentation(g, par)
+            continue
+        sub = sub_presentation(g, par)
+        assert sub.moduli == par.moduli
+        carrying += bool(sub.bilinear)
+
+        def emb(x):
+            return g.reduce([sum(t * gen[i] for t, gen in zip(x, par.gens)) for i in range(g.n)])
+
+        pts = list(itertools.islice(box(sub, 1), 40))
+        for x, y in itertools.product(pts, repeat=2):
+            assert emb(sub.multiply(x, y)) == g.multiply(emb(x), emb(y)), (g, lat, x, y)
+    assert seen == {True, False} and carrying >= 20
+
+
+def test_check_additive_fails_exactly_on_a_carrying_basis_pair():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(400):
+        g = rand_presentation(rng)
+        lat = random_block_subgroup(rng, g) if rng.random() < 0.5 else zl.SubgroupLattice(
+            g.moduli, tuple(tuple(rng.randint(-2, 2) for _ in range(g.n))
+                            for _ in range(rng.randint(0, 3))))
+        basis = lat.hnf_basis
+        carries = any(g.multiply(va, vb) != g.reduce([x + y for x, y in zip(va, vb)])
+                      for va in basis for vb in basis)
+        seen.add(carries)
+        if carries:
+            with pytest.raises(UnsupportedShape):
+                _check_additive(g, lat)
+        else:
+            _check_additive(g, lat)
+    assert seen == {True, False}

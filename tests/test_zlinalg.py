@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import zlinalg as zl
 
-from helpers import det, mat_mul, mat_vec, rank_int, reduce_mod_columns
+from helpers import det, examples, mat_mul, mat_vec, rank_int, reduce_mod_columns
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -407,7 +407,7 @@ def test_det_matches_fraction_elimination():
         assert det(a) == (sign * ref if ref else 0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(1.5), deadline=None)
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3), min_size=1, max_size=4))
 def test_hnf_idempotent(rows):
     h = zl.row_hnf(rows)
@@ -434,7 +434,7 @@ def member_2x2(a, v):
     return (v[0] * p[0] + v[1] * p[1]) // norm % math.gcd(*s) == 0
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(
     st.lists(st.lists(st.integers(-10, 10), min_size=2, max_size=2), min_size=2, max_size=2),
     st.lists(st.integers(-10, 10), min_size=2, max_size=2),
@@ -455,7 +455,7 @@ def torsion_lattices(draw):
     return zl.SubgroupLattice(tuple(moduli), tuple(gens))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 @given(torsion_lattices())
 def test_index_and_finiteness_match_the_smith_form_reads(lat):
     """index() and is_finite() read the HNF basis; the Smith forms of the
@@ -465,7 +465,7 @@ def test_index_and_finiteness_match_the_smith_form_reads(lat):
     assert lat.is_finite() == (0 not in lat.parametrization.moduli)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(2), deadline=None)
 @given(st.integers(1, 4).flatmap(lambda c: st.lists(
     st.lists(st.integers(-5, 5), min_size=c, max_size=c), min_size=1, max_size=3)))
 def test_kernel_int_is_the_kernels_hnf_basis(a):
@@ -508,7 +508,7 @@ def two_hnf_solve(moduli, eqs, congs):
     return zl.SubgroupLattice(moduli, tuple(map(tuple, gens)))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 @given(mixed_systems())
 def test_mixed_system_matches_the_two_hnf_replay(system):
     """One Hermite form per system gives the basis the two-step solve and a
@@ -518,7 +518,7 @@ def test_mixed_system_matches_the_two_hnf_replay(system):
     assert lat == zl.SubgroupLattice(lat.moduli, lat.hnf_basis)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(2), deadline=None)
 @given(torsion_lattices())
 def test_hnf_constructor_keeps_the_reduced_basis(lat):
     kept = zl.SubgroupLattice.from_hnf(lat.moduli, lat.hnf_basis)
