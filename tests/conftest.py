@@ -1,7 +1,8 @@
 """Hypothesis profiles.  ``ci`` runs ten times the examples of every
-property: one that sets its own count takes it as a multiple of the active
-profile's (``helpers.examples``).  It loads only when HYPOTHESIS_PROFILE=ci
-is set, so a plain run keeps Hypothesis's defaults:
+property that takes its count from the profile: one that pins none, or one
+that pins a multiple of it with ``helpers.examples`` (every property of
+tests/test_zlinalg.py and tests/test_exact.py).  It loads only when
+HYPOTHESIS_PROFILE=ci is set, so a plain run keeps Hypothesis's defaults:
 
     HYPOTHESIS_PROFILE=ci PYTHONPATH=src python -m pytest -q tests/test_zlinalg.py
 """
