@@ -10,7 +10,27 @@ deletion.  ``functools.cached_property`` still works on a subclass without
 ``__slots__``: it writes the instance ``__dict__`` directly.  Classes built
 in bulk keep a constructor of their own and define their own ``__eq__`` and
 ``__hash__`` over an explicit field tuple.
+
+The module also defines the engine's three outcome types.  None derives
+from another, and any other exception the engine raises is a fault.
 """
+
+
+class InputError(Exception):
+    """A defect of the input itself (the CLI exits 1)."""
+
+
+class Unsupported(Exception):
+    """A valid input that a construction or the rule asked for does not
+    support (the CLI exits 2, undecided)."""
+
+
+class BudgetExceeded(Exception):
+    """A case tree outgrew its case budget (the CLI exits 2, undecided)."""
+
+    def __init__(self, budget):
+        super().__init__(f"case budget of {budget} leaves exceeded")
+        self.budget = budget
 
 
 class Value:

@@ -1,10 +1,11 @@
 """Command-line frontend.
 
-Exit codes: 0 = decided, 2 = undecided (case budget, a valid presentation of
-an unsupported shape or on which the rule asked for does not apply,
-indecisive certificate, or an honestly undecided verdict), 1 = input or
-usage error, 3 = internal error: any other exception, reported as the one
-line "internal error: <Type>: <message>" on stderr, without a traceback.
+Exit codes: 0 = decided; 2 = undecided: ``Unsupported`` (a valid input of
+an unsupported shape, on which the rule asked for does not apply, or with an
+indecisive certificate), ``BudgetExceeded`` or an honestly undecided verdict;
+1 = ``InputError`` (``ProblemError`` among them) or a usage error; 3 =
+internal error: any other exception, reported as the one line "internal
+error: <Type>: <message>" on stderr, without a traceback.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import os
 import sys
 
 from . import decision, groups
-from .cocycles import BudgetExceeded, CocycleError, UnsupportedShape, push_to_quotient
+from ._value import BudgetExceeded, InputError, Unsupported
+from .cocycles import push_to_quotient
 from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
                        decide, decide_abelian, decide_heisenberg, decide_product,
                        decide_simplicity)
 from .exact import symbol
-from .problem import ProblemError, load_problem
+from .problem import load_problem
 from .timefreq import frame_verdict, multiwindow_bound
 
 SCHEMA_VERSION = 1
@@ -35,7 +37,7 @@ def _positive_budget(value, source):
     except ValueError:
         budget = 0
     if budget < 1:
-        raise ProblemError(0, f"{source} must be a positive integer, got {value!r}")
+        raise InputError(f"{source} must be a positive integer, got {value!r}")
     return budget
 
 
@@ -49,7 +51,7 @@ def _apply_ctx_assertions(problem, assertions):
     for spec in assertions or ():
         name, _, status = spec.partition("=")
         if name not in problem.table.names:
-            raise ProblemError(0, f"--ctx names unknown symbol {name!r}")
+            raise InputError(f"--ctx names unknown symbol {name!r}")
         x = symbol(problem.table, name)
         if status == "irrational":
             ctx = ctx.assume_irrational(x)
@@ -58,11 +60,11 @@ def _apply_ctx_assertions(problem, assertions):
         elif status == "integral":
             ctx = ctx.assume_integral(x)
         else:
-            raise ProblemError(0, f"--ctx status must be irrational, rational "
-                                  f"or integral, got {status!r}")
+            raise InputError(f"--ctx status must be irrational, rational "
+                             f"or integral, got {status!r}")
     if assertions and not ctx.is_consistent():
-        raise ProblemError(0, f"--ctx assertions {', '.join(assertions)} contradict "
-                              f"the declared symbols or each other")
+        raise InputError(f"--ctx assertions {', '.join(assertions)} contradict "
+                         f"the declared symbols or each other")
     problem.context = ctx
 
 
@@ -117,7 +119,7 @@ def _parse(args):
 def _load(args):
     p, a = _parse(args)
     if a.violation is not None:
-        raise ProblemError(0, f"cocycle invalid: {a.violation}")
+        raise InputError(f"cocycle invalid: {a.violation}")
     return p, a
 
 
@@ -167,7 +169,7 @@ def cmd_quotient(args):
             data.append({"assumptions": list(leaf.ctx.assumptions),
                          "moduli": list(qd.group.moduli),
                          "names": list(qd.group.names)})
-        except (CocycleError, ValueError) as e:
+        except Unsupported as e:
             lines.append(f"case [{label}]: unsupported quotient: {e}")
             data.append({"assumptions": list(leaf.ctx.assumptions),
                          "error": str(e)})
@@ -224,9 +226,7 @@ def cmd_simplicity(args):
 
 
 def cmd_torus(args):
-    p, a = _load(args)
-    if not p.group.is_abelian():
-        raise ProblemError(0, "torus criterion needs an abelian group")
+    _, a = _load(args)
     return _finish_verdict(args, decide_abelian(a))
 
 
@@ -250,7 +250,7 @@ def cmd_product(args):
 def cmd_tf(args):
     p, a = _load(args)
     if p.density is None:
-        raise ProblemError(0, "tf verdict needs a density line in the [tf] section")
+        raise InputError("tf verdict needs a density line in the [tf] section")
     v = decide(a)
     if v.z_stable == UNDECIDED:
         return _emit(args, ["undecided: non-rationality of the cocycle could "
@@ -259,7 +259,7 @@ def cmd_tf(args):
     nonrational = v.z_stable == ZSTABLE
     try:
         fv = frame_verdict(nonrational, p.density, p.homogeneous)
-    except ValueError as e:
+    except Unsupported as e:
         return _emit(args, [f"undecided: {e}"], {"error": str(e)}, UNDECIDED_EXIT)
     lines = [f"nonrational cocycle: {'yes' if nonrational else 'no'}",
              f"smooth frame exists: {fv.frame_exists_smooth}",
@@ -342,15 +342,12 @@ def main(argv=None):
         args.case_budget = (_default_budget() if args.case_budget is None else
                             _positive_budget(args.case_budget, "--case-budget"))
         return _FILE_COMMANDS[args.command](args)
-    except ProblemError as e:
+    except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
-    except (BudgetExceeded, UnsupportedShape) as e:
+    except (Unsupported, BudgetExceeded) as e:
         print(f"undecided: {e}", file=sys.stderr)
         return UNDECIDED_EXIT
-    except (CocycleError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
     except Exception as e:
         message = " ".join(str(e).split())
         print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)

@@ -14,20 +14,11 @@ import itertools
 import math
 
 from . import zlinalg as zl
-from ._value import Value
+from ._value import BudgetExceeded, Unsupported, Value
 from .exact import (IRRATIONAL, UNDETERMINED, KNumber, RationalityContext, _fraction_str,
                     symbol)
 from .groups import GroupPresentation, Morphism
 from .poly import Poly, _assemble, _integer_valued
-
-
-class CocycleError(ValueError):
-    pass
-
-
-class UnsupportedShape(CocycleError):
-    """A valid input whose presentation shape the engine, or the rule asked
-    for, does not handle."""
 
 
 class Cocycle(Value):
@@ -279,17 +270,11 @@ def _pairing_rows(c, gens):
     second = err - sum((y * e for y, e in zip(ys, firsts)), Poly.zero(nv, t))
     for slot, part in [("second", second)] + [("first", e) for e in firsts]:
         if part_viol := integrality_violation(part, t):
-            raise CocycleError(f"pairing is not a character in its {slot} argument: {part_viol}")
-    raise CocycleError(f"pairing is not a bicharacter: {viol}")  # unreachable, see above
+            raise Unsupported(f"pairing is not a character in its {slot} argument: {part_viol}")
+    raise ValueError(f"pairing is not a bicharacter: {viol}")  # unreachable, see above
 
 
 DEFAULT_CASE_BUDGET = 256  # case leaves per case tree
-
-
-class BudgetExceeded(Exception):
-    def __init__(self, budget):
-        super().__init__(f"case budget of {budget} leaves exceeded")
-        self.budget = budget
 
 
 class CaseLeaf(Value):
@@ -452,7 +437,7 @@ def _check_additive(group, lattice):
         return
     basis = lattice.hnf_basis
     if any(any(group.reduce(group.carry(va, vb))) for va in basis for vb in basis):
-        raise UnsupportedShape("subgroup elements do not multiply coordinate-wise; "
+        raise Unsupported("subgroup elements do not multiply coordinate-wise; "
                                "unsupported presentation shape")
 
 
@@ -500,7 +485,7 @@ def sub_presentation(group, par):
     def read(v):
         coeffs = par.coordinates(v)
         if coeffs is None:
-            raise CocycleError("subgroup is not closed under the group law")
+            raise Unsupported("subgroup is not closed under the group law")
         return coeffs
 
     return group.on(par.gens, read, par.moduli)
@@ -516,7 +501,7 @@ def push_to_quotient(c, qd):
     out = pull_back(c, qd.section)
     viol = validate_cocycle(out)
     if viol:
-        raise CocycleError(
+        raise Unsupported(
             "push-down is not a 2-cocycle; a cohomology correction would be "
             f"required, which is outside the supported constructions: {viol}")
     return out
@@ -527,7 +512,7 @@ def gamma_phase_of(element, par, table, names):
     u of the element inside N, with xi_t the symbol names[t]."""
     u = par.coordinates(element)
     if u is None:
-        raise CocycleError("section defect left the subgroup (section inconsistency)")
+        raise ValueError("section defect left the subgroup (section inconsistency)")
     return KNumber.make(table, 0, {name: val for name, val in zip(names, u) if val})
 
 

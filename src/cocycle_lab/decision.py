@@ -13,9 +13,8 @@ import math
 from functools import cached_property
 
 from . import groups, zlinalg as zl
-from ._value import Value
-from .cocycles import (DEFAULT_CASE_BUDGET, BudgetExceeded, CocycleError, UnsupportedShape,
-                       induce_gamma, integrality_violation, phi_map,
+from ._value import BudgetExceeded, InputError, Unsupported, Value
+from .cocycles import (DEFAULT_CASE_BUDGET, induce_gamma, integrality_violation, phi_map,
                        phi_surjective, product_split, push_to_quotient,
                        restrict_to_lattice, twisted_center, validate_cocycle)
 from .exact import INTEGER, KNumber, empty_context
@@ -132,9 +131,9 @@ def _leaf_label(leaf):
 class Analysis(Value):
     """The level-0 facts of a cocycle in a rationality context: whether it is
     a 2-cocycle, and its twisted center's case leaves.  Each is computed on
-    first read and then shared by every verdict handed this value.  A
-    BudgetExceeded or CocycleError from the twisted center is kept too, and
-    every read of ``leaves`` raises it again without recomputing.
+    first read and then shared by every verdict handed this value.  The
+    twisted center's BudgetExceeded or Unsupported (not a fault) is kept too,
+    and every read of ``leaves`` raises it again without recomputing.
 
     Every verdict function takes a Cocycle, with an optional context and
     case budget, or an Analysis, which carries its own."""
@@ -150,7 +149,7 @@ class Analysis(Value):
     def _leaves_or_error(self):
         try:
             return twisted_center(self.cocycle, self.ctx, self.case_budget), None
-        except (BudgetExceeded, CocycleError) as e:
+        except (BudgetExceeded, Unsupported) as e:
             return None, e
 
     @property
@@ -182,21 +181,20 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     if node.verdict != UNDECIDED:
         return Verdict(z_stable=node.verdict, certificate=node)
     try:
-        out = decide_two_step(a)
-    except (CocycleError, ValueError, BudgetExceeded):
-        out = None
-    if isinstance(out, Verdict) and out.z_stable != UNDECIDED:
-        t = out.certificate
-        cert = TraceNode(t.level, t.group, t.branches, t.verdict, t.notes + (
-            "generic recursion left cases unresolved; verdict from the "
-            "single-quotient criterion",))
-        return Verdict(z_stable=out.z_stable, certificate=cert)
-    return Verdict(z_stable=UNDECIDED, certificate=node)
+        t = decide_two_step(a).certificate
+    except (Unsupported, BudgetExceeded):
+        t = node  # the recursion's undecided tree
+    if t.verdict == UNDECIDED:
+        return Verdict(z_stable=UNDECIDED, certificate=node)
+    cert = TraceNode(t.level, t.group, t.branches, t.verdict, t.notes + (
+        "generic recursion left cases unresolved; verdict from the "
+        "single-quotient criterion",))
+    return Verdict(z_stable=t.verdict, certificate=cert)
 
 
 def _require_cocycle(a):
     if a.violation:
-        raise CocycleError(f"input is not a 2-cocycle: {a.violation}")
+        raise InputError(f"input is not a 2-cocycle: {a.violation}")
 
 
 def _decide_node(a, level):
@@ -228,7 +226,7 @@ def _decide_node(a, level):
                          ("group is finite: index over the twisted center is finite",))
     try:
         leaves = a.leaves
-    except (BudgetExceeded, CocycleError) as e:
+    except (BudgetExceeded, Unsupported) as e:
         return TraceNode(level, g, (), UNDECIDED, (f"undecided: {e}",))
     abelian = g.is_abelian()
     branches = []
@@ -254,7 +252,7 @@ def _decide_node(a, level):
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
             child = _decide_node(Analysis(wg, leaf.ctx, a.case_budget), level + 1)
             branches.append(Branch.from_leaf(leaf, child.verdict, notes, child))
-        except (CocycleError, ValueError) as e:
+        except Unsupported as e:
             branches.append(Branch.from_leaf(leaf, UNDECIDED, notes + (f"undecided: {e}",)))
     return _node(level, g, branches)
 
@@ -268,7 +266,7 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     has infinite index in every case leaf."""
     a = _analysis(c, ctx, case_budget)
     if not a.cocycle.group.is_abelian():
-        raise ValueError("decide_abelian requires an abelian presentation")
+        raise InputError("torus criterion needs an abelian group")
     _require_cocycle(a)
     node = _node(0, a.cocycle.group, [_index_branch(leaf) for leaf in a.leaves])
     return Verdict(z_stable=node.verdict, certificate=node)
@@ -276,10 +274,6 @@ def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 
 # ---------------------------------------------------------------------------
 # 2-step shortcut and generalized Heisenberg groups
-
-
-class Inapplicable(Value):
-    __slots__ = _fields = ("reason",)
 
 
 def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
@@ -296,16 +290,12 @@ def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     and [G,G] lies in Z(G) because G is 2-step, so [Q,Q] lies in p(Z(G)) = D;
     and for z in Z(G) and any q = p(g), p(z) q = p(zg) = p(gz) = q p(z).
 
-    Returns a Verdict, or Inapplicable when (ii) or (iii) fails.
+    Returns a Verdict, or raises Unsupported when a construction it needs is
+    unsupported or when (ii) or (iii) fails.
     """
     a = _analysis(c, ctx, case_budget)
     _require_cocycle(a)
-    branches = []
-    for leaf in a.leaves:
-        out = _two_step_leaf(a.cocycle, leaf, a.case_budget)
-        if isinstance(out, Inapplicable):
-            return out
-        branches.append(out)
+    branches = [_two_step_leaf(a.cocycle, leaf, a.case_budget) for leaf in a.leaves]
     node = _node(0, a.cocycle.group, branches)
     return Verdict(z_stable=node.verdict, certificate=node)
 
@@ -318,26 +308,26 @@ def _two_step_leaf(c, leaf, case_budget):
     try:
         qd = groups.quotient_by_central(g, leaf.lattice)
         w = push_to_quotient(c, qd)
-    except (CocycleError, ValueError) as e:
-        return Inapplicable(f"quotient construction failed: {e}")
+    except Unsupported as e:
+        raise Unsupported(f"quotient construction failed: {e}") from e
     quo = qd.group
     dlat = zl.SubgroupLattice(quo.moduli, tuple(tuple(qd.projection.apply_raw(list(col)))
                                                 for col in g.center().hnf_basis))
     # (ii) the pushed-down cocycle is trivial on D x D
     try:
         rw = restrict_to_lattice(w, dlat)
-    except CocycleError as e:
-        return Inapplicable(f"hypothesis (ii) not checkable: {e}")
+    except Unsupported as e:
+        raise Unsupported(f"hypothesis (ii) not checkable: {e}") from e
     if integrality_violation(rw.phase, w.table) is not None:
-        return Inapplicable("hypothesis (ii) fails: the cocycle is not trivial on D x D")
+        raise Unsupported("hypothesis (ii) fails: the cocycle is not trivial on D x D")
     # (iii) surjectivity of the pairing
     try:
         mleaves, rows, zmods = phi_map(w, dlat, leaf.ctx, case_budget)
-    except (CocycleError, BudgetExceeded) as e:
-        return Inapplicable(f"pairing computation failed: {e}")
+    except (Unsupported, BudgetExceeded) as e:
+        raise Unsupported(f"pairing computation failed: {e}") from e
     surj, reason = phi_surjective(rows, zmods, quo, leaf.ctx)
     if surj is not True:
-        return Inapplicable(f"hypothesis (iii) fails or is undetermined: {reason}")
+        raise Unsupported(f"hypothesis (iii) fails or is undetermined: {reason}")
     # the index condition over all gamma, on M = ker(phi_D)
     wg = induce_gamma(w, qd, prefix="gammaM_")
     subbranches = []
@@ -345,7 +335,7 @@ def _two_step_leaf(c, leaf, case_budget):
         try:
             rm = restrict_to_lattice(wg, mleaf.lattice)
             inner = twisted_center(rm, mleaf.ctx, case_budget)
-        except (CocycleError, BudgetExceeded) as e:
+        except (Unsupported, BudgetExceeded) as e:
             subbranches.append(Branch.from_leaf(mleaf, UNDECIDED, (f"undecided: {e}",)))
             continue
         subbranches.extend(_index_branch(il) for il in inner)
@@ -357,15 +347,19 @@ def _two_step_leaf(c, leaf, case_budget):
 
 def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """Generalized Heisenberg shortcut: D = Z(H)/Z(H,sigma).  A valid input
-    on which the criterion does not apply raises UnsupportedShape."""
+    of another shape, or on which the criterion does not apply, raises
+    Unsupported; decide_two_step's reasons get the prefix "Heisenberg
+    criterion inapplicable: ", the level-0 twisted center's do not."""
     a = _analysis(c, ctx, case_budget)
     if len(a.cocycle.group.receiving_coords()) > 1:
-        raise UnsupportedShape("decide_heisenberg expects a Heisenberg-shaped "
-                               "presentation (a single receiving coordinate)")
-    out = decide_two_step(a)
-    if isinstance(out, Inapplicable):
-        raise UnsupportedShape(f"Heisenberg criterion inapplicable: {out.reason}")
-    return out
+        raise Unsupported("decide_heisenberg expects a Heisenberg-shaped "
+                          "presentation (a single receiving coordinate)")
+    _require_cocycle(a)
+    a.leaves  # raises the twisted center's own outcome, without the prefix
+    try:
+        return decide_two_step(a)
+    except Unsupported as e:
+        raise Unsupported(f"Heisenberg criterion inapplicable: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +381,7 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     must have a Z-stable factor (contrapositive: two rational factors sink the
     product).  Anything else, a group with fewer than two coordinates
     included: inapplicable.  A split point n1 outside 1..n-1 on a group of
-    n >= 2 coordinates raises ValueError.
+    n >= 2 coordinates raises InputError.
     """
     a = _analysis(c, ctx, case_budget)
     c = a.cocycle
@@ -396,7 +390,7 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
         return ProductRuleOutcome(False, reason=f"a product needs two coordinates, one per "
                                                 f"factor; the group has {g.n}")
     if not 0 < n1 < g.n:
-        raise ValueError(f"n1 must lie in 1..{g.n - 1} so that both factors have a "
+        raise InputError(f"n1 must lie in 1..{g.n - 1} so that both factors have a "
                          f"coordinate, got {n1}")
     if not g.is_abelian():
         return ProductRuleOutcome(False, reason="product rules cover abelian factors only")

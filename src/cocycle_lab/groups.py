@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from . import zlinalg as zl
-from ._value import Value
+from ._value import InputError, Unsupported, Value
 
 
 def _canon_bilinear(entries):
@@ -42,21 +42,21 @@ class GroupPresentation(Value):
         n = len(self.moduli)
         object.__setattr__(self, "names", self.names or tuple(f"x{i+1}" for i in range(n)))
         if len(self.names) != n:
-            raise ValueError("coordinate name count mismatch")
+            raise InputError("coordinate name count mismatch")
         for k, i, j, _ in self.bilinear:
             if not (0 <= k < n and 0 <= i < n and 0 <= j < n):
-                raise ValueError("bilinear entry out of range")
+                raise InputError("bilinear entry out of range")
         feeding = self.feeding_coords()
         receiving = self.receiving_coords()
         if feeding & receiving:
-            raise ValueError("a coordinate both feeds and receives corrections "
+            raise InputError("a coordinate both feeds and receives corrections "
                              "(not a 2-step presentation in central coordinates)")
         for i in feeding:
             if self.moduli[i]:
-                raise ValueError("torsion coordinate feeds the group law")
+                raise InputError("torsion coordinate feeds the group law")
         for m in self.moduli:
             if m < 0:
-                raise ValueError("negative modulus")
+                raise InputError("negative modulus")
 
     @property
     def n(self):
@@ -96,13 +96,17 @@ class GroupPresentation(Value):
         """The presentation whose coordinate a is gens[a]: entry (t, a, b) is
         coordinate t of read(carry(gens[a], gens[b])), where read writes an
         element of self in the new coordinates, reduced modulo moduli.  This
-        is the one transport of the law to a quotient or a subgroup."""
+        is the one transport of the law to a quotient or a subgroup; a result
+        outside the 2-step shape is Unsupported, not an input defect."""
         entries = []
         for (a, ga), (b, gb) in itertools.product(enumerate(gens), repeat=2):
             vec = self.carry(ga, gb)
             if any(vec):
                 entries += [(t, a, b, c) for t, c in enumerate(read(vec)) if c]
-        return GroupPresentation(moduli, tuple(entries), names)
+        try:
+            return GroupPresentation(moduli, tuple(entries), names)
+        except InputError as e:
+            raise Unsupported(str(e)) from e
 
     def _commutator_rows(self):
         """Linear forms in g: for each (target k, generator j), in that
@@ -184,7 +188,7 @@ def quotient_by_central(g, sub):
     feeding = g.feeding_coords()
     for col in sub.hnf_basis:
         if any(col[i] for i in feeding):
-            raise ValueError("quotient collapses a coordinate that feeds the group law; "
+            raise Unsupported("quotient collapses a coordinate that feeds the group law; "
                              "unsupported presentation shape")
     q = sub.quotient_structure
     kept = [k for k, m in enumerate(q.moduli) if m != 1]

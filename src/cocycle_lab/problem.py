@@ -33,13 +33,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import groups
-from ._value import Value
+from ._value import InputError, Value
 from .cocycles import phase_from_monomials
 from .exact import KNumber, SymbolTable, empty_context, symbol
 from .timefreq import DensityDatum
 
 
-class ProblemError(Exception):
+class ProblemError(InputError):
     """An input error; line_no 0 means the error belongs to no line."""
 
     def __init__(self, line_no, message):
@@ -168,7 +168,7 @@ def _parse_group(lines):
                 raise ProblemError(i, "builder arguments must be integers")
             try:
                 built = _BUILDERS[parts[1]](args)
-            except (TypeError, ValueError) as e:
+            except InputError as e:
                 raise ProblemError(i, f"builder failed: {e}")
         elif key in ("moduli", "bilinear") and built is not None:
             raise ProblemError(i, "builder cannot be mixed with raw lines or repeated")
@@ -277,7 +277,7 @@ def _parse_tf(lines, problem):
             lo, up = _fraction(parts[1], i), _fraction(parts[2], i)
             try:
                 problem.density = DensityDatum(lo, up)
-            except ValueError as e:
+            except InputError as e:
                 raise ProblemError(i, str(e))
         elif key == "homogeneous":
             if len(parts) != 2 or parts[1] not in ("true", "false"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._value import Value
+from ._value import InputError, Unsupported, Value
 
 YES = "yes"
 NO_BY_NECESSITY = "no-by-necessity"
@@ -28,18 +28,18 @@ class DensityDatum(Value):
         object.__setattr__(self, "lower", Fraction(self.lower))
         object.__setattr__(self, "upper", Fraction(self.upper))
         if self.lower > self.upper:
-            raise ValueError("density interval has lower > upper")
+            raise InputError("density interval has lower > upper")
 
     def versus_one(self):
         """-1, 0, or +1 when the certificate decides the comparison with 1;
-        raises when the interval straddles 1 indecisively."""
+        raises Unsupported when the interval straddles 1 indecisively."""
         if self.upper < 1:
             return -1
         if self.lower > 1:
             return 1
         if self.lower == self.upper == 1:
             return 0
-        raise ValueError(
+        raise Unsupported(
             f"density interval [{self.lower}, {self.upper}] does not decide the "
             "comparison with 1; supply a tighter certificate")
 
@@ -121,14 +121,14 @@ _MAX_F_BITS = (10 ** MAX_F_DIGITS).bit_length() - 1
 
 def multiwindow_f(n):
     """The recursion f(1) = 1, f(k+1) = 9^k (k+1) (f(k) + 1) - 1; it stops
-    with ValueError as soon as f(n) would be too large to print."""
+    with InputError as soon as f(n) would be too large to print."""
     if n < 1:
-        raise ValueError("multiwindow recursion needs n >= 1")
+        raise InputError("multiwindow recursion needs n >= 1")
     v = 1
     for k in range(1, n):
         v = 9 ** k * (k + 1) * (v + 1) - 1
         if v.bit_length() > _MAX_F_BITS:
-            raise ValueError(f"f({n}) has more than {MAX_F_DIGITS} decimal digits "
+            raise InputError(f"f({n}) has more than {MAX_F_DIGITS} decimal digits "
                              f"and cannot be printed")
     return v
 
@@ -140,7 +140,7 @@ def multiwindow_bound(h_h2, h_g):
     Hirsch length of the lattice itself."""
     n = h_h2 + h_g
     if h_h2 < 0 or h_g < 0 or n < 1:
-        raise ValueError("Hirsch lengths must be nonnegative with positive sum")
+        raise InputError("Hirsch lengths must be nonnegative with positive sum")
     m = multiwindow_f(n)
     return MultiwindowBound(
         m, m + 1,

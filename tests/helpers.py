@@ -16,7 +16,8 @@ from fractions import Fraction
 from hypothesis import settings
 
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import Cocycle, CocycleError, integrality_violation
+from cocycle_lab._value import Unsupported
+from cocycle_lab.cocycles import Cocycle, integrality_violation
 from cocycle_lab.groups import Morphism, QuotientData
 from cocycle_lab.poly import Poly
 
@@ -313,7 +314,7 @@ def pairing_rows_two_slot(c, gens):
         lin = lin + Poly.var(nv, t, k + j) * qzj[j]
     viol = integrality_violation(qz - lin, t)
     if viol:
-        raise CocycleError(
+        raise Unsupported(
             f"pairing is not a character in its second argument: {viol}")
     rows = [[q.eval(tuple(gens[a]) + tuple(1 if i == j else 0 for i in range(n)))
              for j in range(n)] for a in range(k)]
@@ -323,7 +324,7 @@ def pairing_rows_two_slot(c, gens):
             lin = lin + Poly.var(nv, t, a).scale(rows[a][j])
         viol = integrality_violation(qzj[j] - lin, t)
         if viol:
-            raise CocycleError(
+            raise Unsupported(
                 f"pairing is not a character in its first argument: {viol}")
     return rows
 

@@ -11,7 +11,8 @@ import time
 from fractions import Fraction
 
 from cocycle_lab import groups, zlinalg as zl
-from cocycle_lab.cocycles import (Cocycle, CocycleError, antisym, cocycle_defect,
+from cocycle_lab._value import InputError, Unsupported
+from cocycle_lab.cocycles import (Cocycle, antisym, cocycle_defect,
                                   induce_gamma, phase_from_monomials,
                                   push_to_quotient, twisted_center,
                                   validate_cocycle)
@@ -259,7 +260,7 @@ def rand_two_step(rng):
                     entries.append((target, i, j, rng.randint(-2, 2)))
         try:
             g = groups.GroupPresentation(tuple(moduli), tuple(entries))
-        except ValueError:
+        except InputError:
             continue
         t = theta_table()
         mono = []
@@ -282,7 +283,7 @@ def rand_two_step(rng):
             # skip presentations whose centre is not coordinate-additive;
             # the engine rejects those up front
             twisted_center(c, theta_ctx(t))
-        except CocycleError:
+        except Unsupported:
             continue
         return c
 

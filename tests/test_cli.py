@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from cocycle_lab import cli, cocycles, decision
+from cocycle_lab import cli, cocycles, decision, exact, groups
+from cocycle_lab._value import InputError
 from cocycle_lab.cocycles import validate_cocycle
 from cocycle_lab.decision import decide
 from cocycle_lab.problem import ProblemError, load_problem, parse_problem
@@ -426,16 +427,33 @@ def test_product_on_fewer_than_two_coordinates_is_inapplicable(tmp_path, capsys,
     (KeyError("k"), 3, "internal error: KeyError: 'k'\n"),
     (ZeroDivisionError("division by zero"), 3,
      "internal error: ZeroDivisionError: division by zero\n"),
-    (ValueError("bad"), 1, "error: bad\n"),  # the input-error mapping stays
+    (InputError("bad"), 1, "error: bad\n"),  # the input-error mapping stays
+    (ValueError("bad"), 3, "internal error: ValueError: bad\n"),  # a fault, not an input error
 ])
 def test_unmapped_exception_is_an_internal_error(capsys, monkeypatch, exc, code, err):
     """An exception main does not map exits 3 with one stderr line and no
-    traceback."""
+    traceback; only InputError is an input error."""
     def decide(analysis):
         raise exc
 
     monkeypatch.setattr(cli, "decide", decide)
     assert run(["verdict", fixture("g3")], capsys) == (code, "", err)
+
+
+@pytest.mark.parametrize("owner, name", [
+    (decision, "push_to_quotient"), (groups, "quotient_by_central"),
+    (exact.RationalityContext, "classify"),
+])
+def test_a_fault_inside_the_engine_is_an_internal_error(capsys, monkeypatch, owner, name):
+    """A ValueError raised by the push-down, the quotient or a classification
+    is a fault: no handler on the way turns it into "undecided" (exit 2) or
+    into an input error (exit 1)."""
+    def fault(*args, **kwargs):
+        raise ValueError(f"injected into {name}")
+
+    monkeypatch.setattr(owner, name, fault)
+    assert run(["verdict", fixture("g3")], capsys) == (
+        3, "", f"internal error: ValueError: injected into {name}\n")
 
 
 def test_tf_requires_density(tmp_path, capsys):

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from cocycle_lab import cocycles, decision, exact, groups, zlinalg as zl
-from cocycle_lab.cocycles import CocycleError, phase_from_monomials, twisted_center
+from cocycle_lab._value import BudgetExceeded, InputError, Unsupported
+from cocycle_lab.cocycles import phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis,
-                                  Inapplicable, decide, decide_abelian, decide_heisenberg,
+                                  decide, decide_abelian, decide_heisenberg,
                                   decide_product, decide_simplicity,
                                   decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
@@ -105,9 +106,9 @@ def test_invalid_cocycle_is_rejected():
     g = groups.abelian((2, 0))
     t = theta_table()
     bad = phase_from_monomials(g, t, [(KNumber.make(t, Fraction(1, 3)), (1, 0), (0, 1))])
-    with pytest.raises(CocycleError):
+    with pytest.raises(InputError):
         decide(bad)
-    with pytest.raises(CocycleError, match="^input is not a 2-cocycle: "):
+    with pytest.raises(InputError, match="^input is not a 2-cocycle: "):
         decide_abelian(Analysis(bad, empty_context(t)))
 
 
@@ -178,7 +179,7 @@ def test_fully_rational_four_torus_is_not_zstable():
 
 
 def test_abelian_rule_rejects_nonabelian_groups():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^torus criterion needs an abelian group$"):
         decide_abelian(phase_from_monomials(groups.g3(), SymbolTable(), []))
 
 
@@ -250,7 +251,7 @@ def old_level_one(a):
             qd = groups.quotient_by_central(c.group, leaf.lattice)
             try:
                 w = cocycles.push_to_quotient(c, qd)
-            except CocycleError:
+            except Unsupported:
                 verdicts.append(UNDECIDED)
                 continue
             wg = cocycles.induce_gamma(w, qd, prefix="gamma1_")
@@ -353,9 +354,9 @@ def test_two_step_reports_hypothesis_failures():
     for name, fragment in (("torus2", "hypothesis (ii) fails"),
                            ("g3", "hypothesis (iii) fails or is undetermined: D has a free factor")):
         p = load_problem(fixture(name))
-        out = decide_two_step(p.cocycle, p.context)
-        assert isinstance(out, Inapplicable)
-        assert out.reason.startswith(fragment), out.reason
+        with pytest.raises(Unsupported) as out:
+            decide_two_step(p.cocycle, p.context)
+        assert str(out.value).startswith(fragment), out.value
 
 
 def test_two_step_quotients_satisfy_the_unchecked_hypotheses():
@@ -415,8 +416,9 @@ def test_decide_agrees_with_the_single_quotient_criterion_on_random_instances():
         c = random_two_step_cocycle(rng)
         if cocycles.validate_cocycle(c) is not None:
             continue
-        two = decide_two_step(c)
-        if isinstance(two, Inapplicable):
+        try:
+            two = decide_two_step(c)
+        except Unsupported:
             continue
         v = decide(c)
         assert v.z_stable == two.z_stable
@@ -425,8 +427,52 @@ def test_decide_agrees_with_the_single_quotient_criterion_on_random_instances():
     assert routes["recursion", ZSTABLE] >= 10 and routes["recursion", NOT_ZSTABLE] >= 10
 
 
+def all_coordinate_phi(rng, c):
+    """A phi of degree 1 or 2 per term over every coordinate, coefficients
+    in -3..3 over 1..3."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        e = [0] * c.n
+        for _ in range(rng.randint(1, 2)):
+            e[rng.randrange(c.n)] += 1
+        terms.append((tuple(e), KNumber.make(c.table, Fraction(rng.randint(-3, 3),
+                                                               rng.randint(1, 3)))))
+    return Poly.make(c.n, c.table, terms)
+
+
+def test_valid_inputs_end_in_a_verdict_or_a_typed_outcome():
+    """The exit-code contract on valid inputs: decide, decide_simplicity,
+    decide_two_step and decide_heisenberg return, or raise Unsupported or
+    BudgetExceeded (exit 2); any other exception is a fault and fails here.
+    Seeded: 200 random 2-step cocycles and 200 coboundary twists of the
+    fixtures with phi over all coordinates, each rule sharing one Analysis
+    per input as the CLI does."""
+    rng = random.Random(7)
+    inputs = [(c, None) for c in (random_two_step_cocycle(rng) for _ in range(200))]
+    problems = [load_problem(path) for path in all_fixtures()]
+    rng = random.Random(5)
+    for _ in range(200):
+        p = rng.choice(problems)
+        inputs.append((twist_by_coboundary(p.cocycle, all_coordinate_phi(rng, p.cocycle)),
+                       p.context))
+    outcomes = collections.Counter()
+    for c, ctx in inputs:
+        if cocycles.validate_cocycle(c) is not None:
+            continue
+        a = Analysis(c, ctx or empty_context(c.table))
+        for rule in (decide, decide_simplicity, decide_two_step, decide_heisenberg):
+            try:
+                rule(a)
+                outcomes[rule.__name__, "returned"] += 1
+            except (Unsupported, BudgetExceeded) as e:
+                outcomes[rule.__name__, type(e).__name__] += 1
+    assert all(outcomes[rule, "returned"] >= 50 for rule in
+               ("decide", "decide_simplicity", "decide_two_step", "decide_heisenberg"))
+    assert outcomes["decide_two_step", "Unsupported"] >= 50, outcomes
+
+
 def test_heisenberg_shortcut_rejects_multiple_receiving_coords():
-    with pytest.raises(cocycles.UnsupportedShape):
+    with pytest.raises(Unsupported):
         decide_heisenberg(g3_cocycle())
 
 
@@ -473,7 +519,7 @@ def test_product_rules_require_abelian_factors():
 def test_product_split_point_outside_1_to_n_minus_1_is_rejected(n1):
     t, th, _ = theta_entry()
     c = product_fixture([(th, (1, 0, 0, 0), (0, 1, 0, 0))], t)
-    with pytest.raises(ValueError, match=rf"^n1 must lie in 1\.\.3 .*, got {n1}$"):
+    with pytest.raises(InputError, match=rf"^n1 must lie in 1\.\.3 .*, got {n1}$"):
         decide_product(c, n1)
 
 

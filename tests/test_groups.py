@@ -5,7 +5,8 @@ import pytest
 
 from cocycle_lab import groups as gr
 from cocycle_lab import zlinalg as zl
-from cocycle_lab.cocycles import CocycleError, UnsupportedShape, _check_additive, sub_presentation
+from cocycle_lab._value import Unsupported
+from cocycle_lab.cocycles import _check_additive, sub_presentation
 
 from helpers import box, commutator, reduce_mod_columns, shifted_section
 
@@ -261,7 +262,7 @@ def test_quotient_z_times_h3_by_aZ():
 def test_quotient_rejects_noncentral():
     g = gr.g3()
     n = zl.SubgroupLattice(g.moduli, ((1, 0, 0, 0, 0, 0),))
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         gr.quotient_by_central(g, n)
 
 
@@ -418,20 +419,46 @@ def random_block_subgroup(rng, g):
     return zl.SubgroupLattice(g.moduli, tuple(gens))
 
 
+def parameter_carries(g, par):
+    """(t, a, b) for each parameter t in which the product of generators a
+    and b, written in the parameters by the brute-force law, differs from
+    e_a + e_b: the entries of the subgroup's law."""
+    out = set()
+    for (a, ga), (b, gb) in itertools.product(enumerate(par.gens), repeat=2):
+        u = par.coordinates(g.multiply(ga, gb))
+        for t, (x, m) in enumerate(zip(u, par.moduli)):
+            d = x - (t == a) - (t == b)
+            if d % m if m else d:
+                out.add((t, a, b))
+    return out
+
+
 def test_sub_presentation_fails_exactly_off_closed_subgroups():
-    """sub_presentation refuses a subgroup exactly when a product of two of
-    its generators leaves it; otherwise the parameter map is a homomorphism
-    from the presentation it returns."""
+    """sub_presentation refuses a subgroup when a product of two of its
+    generators leaves it, and a closed subgroup whose law has a parameter
+    that both feeds and receives, which is no 2-step presentation in central
+    coordinates; otherwise the parameter map is a homomorphism from the
+    presentation it returns."""
     rng = random.Random(59)
-    seen, carrying = set(), 0
-    for _ in range(1000):
-        g = rand_presentation(rng)
-        lat = random_block_subgroup(rng, g)
+    inputs = [(g, random_block_subgroup(rng, g))
+              for g in (rand_presentation(rng) for _ in range(1000))]
+    # closed in H(1), with parametrization generators (1, 2, 2) and (0, 4, 4):
+    # the first parameter's carry lands on the second, which also feeds
+    inputs.append((gr.heisenberg_diag((1,)),
+                   zl.SubgroupLattice((0, 0, 0), ((2, 0, 0), (1, -2, -2)))))
+    seen, carrying, mixed = set(), 0, 0
+    for g, lat in inputs:
         par = lat.parametrization
         closed = all(lat.contains(g.multiply(a, b)) for a in par.gens for b in par.gens)
         seen.add(closed)
         if not closed:
-            with pytest.raises(CocycleError, match="not closed under the group law"):
+            with pytest.raises(Unsupported, match="not closed under the group law"):
+                sub_presentation(g, par)
+            continue
+        entries = parameter_carries(g, par)
+        if {t for t, _, _ in entries} & {x for _, a, b in entries for x in (a, b)}:
+            mixed += 1
+            with pytest.raises(Unsupported, match="^a coordinate both feeds and receives"):
                 sub_presentation(g, par)
             continue
         sub = sub_presentation(g, par)
@@ -444,7 +471,8 @@ def test_sub_presentation_fails_exactly_off_closed_subgroups():
         pts = list(itertools.islice(box(sub, 1), 40))
         for x, y in itertools.product(pts, repeat=2):
             assert emb(sub.multiply(x, y)) == g.multiply(emb(x), emb(y)), (g, lat, x, y)
-    assert seen == {True, False} and carrying >= 20
+        assert {(t, a, b) for t, a, b, _ in sub.bilinear} == entries
+    assert seen == {True, False} and carrying >= 20 and mixed >= 1
 
 
 def test_check_additive_fails_exactly_on_a_carrying_basis_pair():
@@ -460,7 +488,7 @@ def test_check_additive_fails_exactly_on_a_carrying_basis_pair():
                       for va in basis for vb in basis)
         seen.add(carries)
         if carries:
-            with pytest.raises(UnsupportedShape):
+            with pytest.raises(Unsupported):
                 _check_additive(g, lat)
         else:
             _check_additive(g, lat)

@@ -78,6 +78,46 @@ def test_every_public_definition_has_a_caller_in_src_or_the_readme():
     assert set(ALLOWED) <= defined
 
 
+# the except clauses that may name ValueError or Exception: stdlib parses
+# (int, Fraction, list.index) of problem-file and budget text, and main's
+# final catch-all, which reports any other exception as an internal error
+BROAD_CATCHES = {
+    ("problem", "_fraction"): 1,
+    ("problem", "_parse_group"): 4,
+    ("problem", "_parse_monomial"): 1,
+    ("cli", "_positive_budget"): 1,
+    ("cli", "main"): 1,
+}
+
+
+def except_handlers(node, owner=None):
+    """(name of the innermost enclosing function, handler) for every except
+    clause below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield owner, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from except_handlers(child, inner)
+
+
+def test_no_handler_catches_a_fault_as_an_outcome():
+    """An except clause names the outcome it handles (InputError,
+    Unsupported, BudgetExceeded), never ValueError or Exception, alone or in
+    a tuple, nor nothing at all: a fault must reach cli.main's catch-all and
+    exit 3, not read as undecided or as an input error."""
+    found = {}
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for owner, handler in except_handlers(tree):
+            names = ({n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                     if handler.type else {"Exception"})
+            if names & {"ValueError", "Exception", "BaseException"}:
+                key = (os.path.basename(path)[:-3], owner)
+                found[key] = found.get(key, 0) + 1
+    assert found == BROAD_CATCHES
+
+
 def resolves(mod, dotted):
     """Whether a dotted name is an attribute of the module or of one of the
     classes it defines."""

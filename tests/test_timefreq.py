@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cocycle_lab._value import InputError, Unsupported
 from cocycle_lab.cocycles import twisted_center, validate_cocycle
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_YES, ZSTABLE,
                                   decide, decide_simplicity)
@@ -45,16 +46,16 @@ def test_multiwindow_bound_reports_window_count():
 def test_multiwindow_stops_once_the_value_cannot_be_printed():
     assert len(str(multiwindow_f(93))) == 4227  # below Python's 4300-digit limit
     for n in (94, 100, 10 ** 8):  # 10**8 steps would never finish
-        with pytest.raises(ValueError, match=rf"^f\({n}\) has more than 4300 decimal digits"):
+        with pytest.raises(InputError, match=rf"^f\({n}\) has more than 4300 decimal digits"):
             multiwindow_f(n)
-    with pytest.raises(ValueError, match=r"^f\(100\) "):
+    with pytest.raises(InputError, match=r"^f\(100\) "):
         multiwindow_bound(50, 50)
 
 
 def test_multiwindow_bound_rejects_zero():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         multiwindow_bound(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         multiwindow_bound(-1, 2)
 
 
@@ -93,9 +94,9 @@ def test_density_one_is_undecided():
 
 
 def test_indecisive_interval_is_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(Unsupported):
         frame_verdict(True, DensityDatum(Fraction(1, 2), Fraction(3, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         DensityDatum(Fraction(2), Fraction(1))
 
 

@@ -15,7 +15,7 @@ import pytest
 from cocycle_lab import cli, groups, zlinalg as zl
 from cocycle_lab._value import Value
 from cocycle_lab.cocycles import CaseLeaf, Cocycle, phase_from_monomials
-from cocycle_lab.decision import (ZSTABLE, Analysis, Branch, Inapplicable, ProductRuleOutcome,
+from cocycle_lab.decision import (ZSTABLE, Analysis, Branch, ProductRuleOutcome,
                                   TraceNode, Verdict)
 from cocycle_lab.exact import (Classification, KNumber, RationalityContext, SymbolTable,
                                empty_context, symbol)
@@ -63,7 +63,6 @@ BUILDERS = {
     TraceNode: lambda: TraceNode(0, plane(), (), ZSTABLE, ("note",)),
     Verdict: lambda: Verdict(ZSTABLE, certificate=TraceNode(0, plane(), (), ZSTABLE)),
     Analysis: lambda: Analysis(cocycle(), context()),
-    Inapplicable: lambda: Inapplicable("no rule"),
     ProductRuleOutcome: lambda: ProductRuleOutcome(True, ZSTABLE, "forward rule"),
     DensityDatum: lambda: DensityDatum(Fraction(1, 2), 1),
     FrameVerdict: lambda: FrameVerdict("yes", "no-by-necessity", ("reason",)),
