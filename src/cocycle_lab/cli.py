@@ -16,9 +16,8 @@ import math
 import os
 import sys
 
-from . import decision, groups
+from . import decision
 from ._value import BudgetExceeded, InputError, Unsupported
-from .cocycles import push_to_quotient
 from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
                        decide, decide_abelian, decide_heisenberg, decide_product,
                        decide_simplicity)
@@ -157,13 +156,12 @@ def cmd_twisted_center(args):
 
 
 def cmd_quotient(args):
-    p, a = _load(args)
+    _, a = _load(args)
     lines, data, code = [], [], OK
     for leaf in a.leaves:
         label = _leaf_label(leaf)
         try:
-            qd = groups.quotient_by_central(p.group, leaf.lattice)
-            w = push_to_quotient(p.cocycle, qd)
+            qd, _ = a.push_down(leaf)
             lines.append(f"case [{label}]: quotient moduli "
                          f"{tuple(qd.group.moduli)} names {qd.group.names}")
             data.append({"assumptions": list(leaf.ctx.assumptions),

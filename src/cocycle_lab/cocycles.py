@@ -221,7 +221,8 @@ def _pairing_rows(c, gens):
     in z_a and y_j alone feeds only rows[a][j]; one in z_a alone, all of row
     a; one in y_j alone, all of column j; the constant term, every entry.
     qz, the rows and E are integer numerators over Q~'s common denominator;
-    only the rows become KNumbers, and only a failing E a Poly.
+    only the rows become KNumbers, and only a failing E a Poly.  An entry
+    that no monomial feeds is one shared zero KNumber.
 
     Bilinear shortcut: when every term of Q~ has degree exactly 1 in g and
     exactly 1 in h, Q~(g, h) = sum_{i,j} q_ij g_i h_j, so
@@ -234,8 +235,9 @@ def _pairing_rows(c, gens):
     t = c.table
     k = len(gens)
     q = antisym(c)
+    zero = KNumber.make(t)
     if all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in q.terms):
-        rows = [[KNumber.make(t)] * n for _ in range(k)]
+        rows = [[zero] * n for _ in range(k)]
         for e, coef in q.terms:
             i, j = e.index(1), e.index(1, n) - n
             for a, v in enumerate(gens):
@@ -255,12 +257,14 @@ def _pairing_rows(c, gens):
             for a in za or range(k):
                 for j in yj or range(n):
                     _add(rc, rs, (a, j), c0, cs)
-    for (a, j) in rc.keys() | rs.keys():  # E: qz minus rows[a][j] at z_a y_j
+    entries = rc.keys() | rs.keys()
+    for (a, j) in entries:  # E: qz minus rows[a][j] at z_a y_j
         _add(consts, syms, _mono(nv, a, k + j), rc.get((a, j), 0), rs.get((a, j), {}).items(), -1)
     if (viol := _violation(t, den, consts, syms)) is None:
         return [[KNumber.from_ints(t, den, rc.get((a, j), 0),
                                    sorted([p for p in rs.get((a, j), {}).items() if p[1]],
                                           key=lambda p: t.order[p[0]]))
+                 if (a, j) in entries else zero
                  for j in range(n)] for a in range(k)]
     err = _assemble(nv, t, den, consts, syms)
     zs = {a: Poly.var(nv, t, a) for a in range(k)}

@@ -130,10 +130,12 @@ def _leaf_label(leaf):
 
 class Analysis(Value):
     """The level-0 facts of a cocycle in a rationality context: whether it is
-    a 2-cocycle, and its twisted center's case leaves.  Each is computed on
-    first read and then shared by every verdict handed this value.  The
-    twisted center's BudgetExceeded or Unsupported (not a fault) is kept too,
-    and every read of ``leaves`` raises it again without recomputing.
+    a 2-cocycle, its twisted center's case leaves and each leaf's push-down.
+    Each is computed on first read and then shared by every verdict handed
+    this value.  The twisted center's BudgetExceeded or Unsupported (not a
+    fault) is kept too, and every read of ``leaves`` raises it again without
+    recomputing; so is a push-down's Unsupported, for every read of that
+    leaf's ``push_down``.
 
     Every verdict function takes a Cocycle, with an optional context and
     case budget, or an Analysis, which carries its own."""
@@ -158,6 +160,27 @@ class Analysis(Value):
         if error:
             raise error
         return leaves
+
+    @cached_property
+    def _pushed(self):
+        return {}  # case leaf -> ((QuotientData, Cocycle), None) or (None, Unsupported)
+
+    def push_down(self, leaf):
+        """(QuotientData, Cocycle) of a case leaf: the quotient of the group
+        by the leaf's lattice and the cocycle pushed down to it, computed on
+        the leaf's first read."""
+        pushed = self._pushed.get(leaf)
+        if pushed is None:
+            try:
+                qd = groups.quotient_by_central(self.cocycle.group, leaf.lattice)
+                pushed = (qd, push_to_quotient(self.cocycle, qd)), None
+            except Unsupported as e:
+                pushed = None, e
+            self._pushed[leaf] = pushed
+        out, error = pushed
+        if error:
+            raise error
+        return out
 
 
 def _analysis(c, ctx, case_budget):
@@ -219,8 +242,7 @@ def _decide_node(a, level):
       infinite, and the next level would end at the rule above.  A leaf
       that skipped a congruence holds a lattice L with Z <= L and [L : Z]
       finite, so [G : L] is infinite exactly when [G : Z] is."""
-    c = a.cocycle
-    g = c.group
+    g = a.cocycle.group
     if g.is_finite():
         return TraceNode(level, g, (), NOT_ZSTABLE,
                          ("group is finite: index over the twisted center is finite",))
@@ -246,8 +268,7 @@ def _decide_node(a, level):
                 "quotient as a nondegenerate bicharacter",)))
             continue
         try:
-            qd = groups.quotient_by_central(g, leaf.lattice)
-            w = push_to_quotient(c, qd)
+            qd, w = a.push_down(leaf)
             # problem files may not declare these names (problem._induced_name)
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
             child = _decide_node(Analysis(wg, leaf.ctx, a.case_budget), level + 1)
@@ -295,19 +316,18 @@ def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     """
     a = _analysis(c, ctx, case_budget)
     _require_cocycle(a)
-    branches = [_two_step_leaf(a.cocycle, leaf, a.case_budget) for leaf in a.leaves]
+    branches = [_two_step_leaf(a, leaf) for leaf in a.leaves]
     node = _node(0, a.cocycle.group, branches)
     return Verdict(z_stable=node.verdict, certificate=node)
 
 
-def _two_step_leaf(c, leaf, case_budget):
-    g = c.group
+def _two_step_leaf(a, leaf):
+    g, case_budget = a.cocycle.group, a.case_budget
     if g.is_finite() or leaf.lattice.index() is not math.inf:
         return Branch.from_leaf(leaf, NOT_ZSTABLE, leaf.conditions +
                                 ("twisted center has finite index; every M is finite",))
     try:
-        qd = groups.quotient_by_central(g, leaf.lattice)
-        w = push_to_quotient(c, qd)
+        qd, w = a.push_down(leaf)
     except Unsupported as e:
         raise Unsupported(f"quotient construction failed: {e}") from e
     quo = qd.group

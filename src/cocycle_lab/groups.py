@@ -16,6 +16,7 @@ read their generators' carries in their new coordinates.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from . import zlinalg as zl
 from ._value import InputError, Unsupported, Value
@@ -32,8 +33,9 @@ def _canon_bilinear(entries):
 class GroupPresentation(Value):
     # moduli: per-coordinate torsion order, 0 = free; bilinear: sparse
     # ((k, i, j, coeff), ...); names: coordinate names for display,
-    # generated if empty
-    __slots__ = _fields = ("moduli", "bilinear", "names")
+    # generated if empty.  No __slots__: the commutator rows, the center and
+    # the FC-center are cached_properties, each computed once per presentation
+    _fields = ("moduli", "bilinear", "names")
     _defaults = {"bilinear": (), "names": ()}
 
     def _check(self):
@@ -112,6 +114,10 @@ class GroupPresentation(Value):
         """Linear forms in g: for each (target k, generator j), in that
         order, the nonzero coefficient row of the k-th commutator coordinate
         of [g, e_j], built from the bilinear entries alone."""
+        return self._rows
+
+    @cached_property
+    def _rows(self):
         anti = {}
         for k, i, j, c in self.bilinear:
             anti[(k, i, j)] = anti.get((k, i, j), 0) + c
@@ -123,6 +129,10 @@ class GroupPresentation(Value):
         return [(k, rows[k, j]) for k, j in sorted(rows)]
 
     def center(self):
+        return self._center
+
+    @cached_property
+    def _center(self):
         eqs, congs = [], []
         for k, row in self._commutator_rows():
             if self.moduli[k]:
@@ -134,6 +144,10 @@ class GroupPresentation(Value):
     def fc_center(self):
         """Elements with finite conjugacy class: the commutator image of g must
         land in the torsion coordinates."""
+        return self._fc_center
+
+    @cached_property
+    def _fc_center(self):
         eqs = [row for k, row in self._commutator_rows() if not self.moduli[k]]
         return zl.solve_mixed_system(self.moduli, eqs, [])
 

@@ -577,14 +577,15 @@ def test_file_commands_validate_their_input_at_most_once(command, monkeypatch, c
 
 def test_verdict_shares_the_level_0_analysis(monkeypatch, capsys):
     """decide and decide_simplicity read one twisted center, the fallback
-    reuses it, and the input is validated once; the other validations are
-    the push-downs'."""
+    reuses it and each leaf's push-down, and the input is validated once;
+    the other validations are the push-downs'."""
     monkeypatch.delenv("COCYCLE_LAB_CASE_BUDGET", raising=False)
     seen = record_calls(monkeypatch)
     for path in all_fixtures():
         run(file_command_argv("verdict", path), capsys)
     assert len(all_fixtures()) == 10
-    assert (len(seen["validate_cocycle"]), len(seen["twisted_center"])) == (20, 19)
+    # (20, 19) while the fallback pushed each level-0 leaf down again
+    assert (len(seen["validate_cocycle"]), len(seen["twisted_center"])) == (17, 19)
 
 
 def test_product_computes_each_twisted_center_once(tmp_path, monkeypatch, capsys):

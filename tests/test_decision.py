@@ -875,13 +875,86 @@ def test_decide_computes_each_leaf_quotient_smith_form_once(monkeypatch):
     assert leaves and all(sum(lat is leaf.lattice for lat in calls) == 1 for leaf in leaves)
 
 
+@pytest.mark.parametrize("name", ["heis-1-2", "heis-1-3", "z-times-h3-irr-rat"])
+def test_recursion_and_fallback_share_each_leaf_push_down(name, monkeypatch):
+    """On the fixtures where decide falls back to the two-step criterion,
+    the recursion and the fallback both read each pushed level-0 leaf's
+    push-down, and it is computed once: one level-0 quotient_by_central and
+    one push_to_quotient per pushed leaf (two each while the fallback built
+    its own)."""
+    p = load_problem(fixture(name))
+    c = p.cocycle
+    quotients, pushes, readers = [], [], []
+    real_quotient, real_push = groups.quotient_by_central, decision.push_to_quotient
+    real_read = Analysis.push_down
+
+    def quotient(g, lat):
+        if g is c.group:
+            quotients.append(lat)
+        return real_quotient(g, lat)
+
+    def push(w, qd):
+        if w is c:
+            pushes.append(qd.subgroup)
+        return real_push(w, qd)
+
+    def read(self, leaf):
+        if self.cocycle is c:
+            readers.append((sys._getframe(1).f_code.co_name, leaf.lattice))
+        return real_read(self, leaf)
+
+    monkeypatch.setattr(groups, "quotient_by_central", quotient)
+    monkeypatch.setattr(decision, "push_to_quotient", push)
+    monkeypatch.setattr(Analysis, "push_down", read)
+    decide(c, p.context)
+    pushed = []
+    for _, lat in readers:
+        if not any(lat is seen for seen in pushed):
+            pushed.append(lat)
+    assert {reader for reader, _ in readers} == {"_decide_node", "_two_step_leaf"}
+    assert len(readers) > len(pushed) == len(quotients) == len(pushes) >= 1
+    assert all(q is lat and w is lat for q, w, lat in zip(quotients, pushes, pushed))
+
+
+def test_a_failed_push_down_is_kept_and_raised_to_every_reader(monkeypatch):
+    """The g3 cocycle twisted by the coboundary of 1/2 * r13 * r23 pushes
+    down to no 2-cocycle.  The Analysis keeps that Unsupported: the
+    recursion, every later read and the two-step fallback see the same
+    error, which the fallback reports as "quotient construction failed:
+    <reason>", and the push-down runs once."""
+    p = load_problem(fixture("g3"))
+    t = p.cocycle.table
+    phi = Poly.make(6, t, [((0, 0, 0, 0, 1, 1), KNumber.make(t, Fraction(1, 2)))])
+    a = Analysis(twist_by_coboundary(p.cocycle, phi), p.context)
+    pushes = []
+    real_push = decision.push_to_quotient
+    monkeypatch.setattr(decision, "push_to_quotient",
+                        lambda w, qd: pushes.append(qd) or real_push(w, qd))
+    v = decide(a)
+    [leaf] = a.leaves
+    errors = []
+    for _ in range(2):
+        with pytest.raises(Unsupported) as out:
+            a.push_down(leaf)
+        errors.append(out.value)
+    with pytest.raises(Unsupported) as fallback:
+        decide_two_step(a)
+    assert v.z_stable == UNDECIDED and len(pushes) == 1
+    assert errors[0] is errors[1] is fallback.value.__cause__
+    assert str(errors[0]).startswith("push-down is not a 2-cocycle")
+    assert str(fallback.value) == f"quotient construction failed: {errors[0]}"
+    assert v.certificate.branches[0].notes[-1] == f"undecided: {errors[0]}"
+
+
 def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
     """validate_cocycle reads Q(g, e), Q(e, g), Q(g, h) and Q(h, k) by
     renaming or restriction, so on g3 (no torsion) only Q(g*h, k) and
     Q(g, h*k) expand a monomial image (6 when all six phases were
     substituted); one pass of decide and decide_simplicity over the ten
-    shipped fixtures makes 76 expansions (170 when all six were, 102 while
-    the torsion slots and the bilinear pairing rows substituted too).
+    shipped fixtures makes 67 expansions (76 while the two-step fallback
+    pushed each level-0 leaf down again, 170 when all six were substituted,
+    102 while the torsion slots and the bilinear pairing rows substituted
+    too).
     Poly._image is the expansion behind substitute and the one the integer
     defect and pairing checks call directly."""
     calls = []
@@ -896,7 +969,7 @@ def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):
         decide(p.cocycle, p.context)
         decide_simplicity(p.cocycle, p.context)
     assert len(problems) == 10
-    assert len(calls) == 76
+    assert len(calls) == 67  # 76 before the fallback shared the push-downs
 
 
 def test_validation_and_one_fixture_pass_build_no_fractions(monkeypatch):
@@ -943,8 +1016,10 @@ def test_recursion_substitutes_only_to_push_down_and_indexes_without_smith_forms
     per level-1 child; index() and is_finite() read the HNF basis, so no
     Smith form is computed under them; and induce_gamma parametrizes no
     kernel when the push-down has neither a section defect nor a torsion
-    carry, so the 24 Smith forms are the 13 twisted centers'
-    parametrizations and the 11 quotients' structures.  (Pinned on the
+    carry, so the 23 Smith forms are the 12 parametrizations of the 13
+    twisted centers' centers (the level-0 center is computed once, for
+    decide and decide_simplicity alike; 13 while each call recomputed it)
+    and the 11 quotients' structures.  (Pinned on the
     chain Z^5 with 4 params until abelian levels ended at the index rule:
     12 substitutions, 26 when the rows were substituted too, and 26 Smith
     forms, 71 of 85 under index() and is_finite() before they read the HNF
@@ -967,6 +1042,7 @@ def test_recursion_substitutes_only_to_push_down_and_indexes_without_smith_forms
     decide_simplicity(p.cocycle, p.context)
     assert len(subs) == 11 and all(s[:3] == ["compose_linear", "pull_back", "push_to_quotient"]
                                    for s in subs)
-    assert collections.Counter(s[0] for s in smith) == {"parametrization": 13,
+    # parametrization 13 before the presentation kept its center
+    assert collections.Counter(s[0] for s in smith) == {"parametrization": 12,
                                                         "quotient_structure": 11}
     assert not [s for s in smith if {"index", "is_finite"} & set(s)]

@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import groups as gr
 from cocycle_lab import zlinalg as zl
 from cocycle_lab._value import Unsupported
 from cocycle_lab.cocycles import _check_additive, sub_presentation
 
-from helpers import box, commutator, reduce_mod_columns, shifted_section
+from helpers import box, commutator, examples, reduce_mod_columns, shifted_section
 
 
 def small_box(g, radius=2):
@@ -181,6 +182,43 @@ def test_commutator_rows_match_the_dense_construction():
         eqs = [row for k, row in dense if not g.moduli[k]]
         assert g.center() == zl.solve_mixed_system(g.moduli, eqs, congs)
         assert g.fc_center() == zl.solve_mixed_system(g.moduli, eqs, [])
+
+
+@st.composite
+def two_step_presentations(draw, max_n=5):
+    """Random valid 2-step presentations: entries from feeding coordinates
+    into the others, torsion only on the others."""
+    n = draw(st.integers(1, max_n))
+    coords = draw(st.permutations(range(n)))
+    cut = draw(st.integers(0, n))
+    feeders, others = coords[:cut], coords[cut:]
+    entries = []
+    if feeders and others:
+        entries = draw(st.lists(st.tuples(st.sampled_from(others), st.sampled_from(feeders),
+                                          st.sampled_from(feeders), st.integers(-3, 3)),
+                                max_size=5))
+    moduli = [0] * n
+    for k in others:
+        moduli[k] = draw(st.sampled_from((0, 0, 2, 3, 4)))
+    return gr.GroupPresentation(tuple(moduli), tuple(entries))
+
+
+@settings(max_examples=examples(2), deadline=None)
+@given(two_step_presentations())
+def test_cached_centers_replay_the_commutator_rows(g):
+    """center() and fc_center() are computed once per presentation and equal
+    a fresh solve_mixed_system on the dense commutator rows; reading them
+    leaves the presentation's equality, hash and repr as they were."""
+    twin = gr.GroupPresentation(g.moduli, g.bilinear, g.names)
+    before = (hash(g), repr(g))
+    dense = dense_commutator_rows(g)
+    congs = [(row, g.moduli[k]) for k, row in dense if g.moduli[k]]
+    eqs = [row for k, row in dense if not g.moduli[k]]
+    assert g.center() is g.center() and g.fc_center() is g.fc_center()
+    assert g.center() == zl.solve_mixed_system(g.moduli, eqs, congs)
+    assert g.fc_center() == zl.solve_mixed_system(g.moduli, eqs, [])
+    assert g.is_abelian() == (not dense)
+    assert g == twin and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 
 
 def test_fc_center_torsion_receiver():
