@@ -23,7 +23,6 @@ from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
                        decide_simplicity)
 from .exact import symbol
 from .problem import load_problem
-from .timefreq import frame_verdict, multiwindow_bound
 
 SCHEMA_VERSION = 1
 
@@ -246,6 +245,7 @@ def cmd_product(args):
 
 
 def cmd_tf(args):
+    from .timefreq import frame_verdict
     p, a = _load(args)
     if p.density is None:
         raise InputError("tf verdict needs a density line in the [tf] section")
@@ -270,6 +270,7 @@ def cmd_tf(args):
 
 
 def cmd_bound(args):
+    from .timefreq import multiwindow_bound
     if args.h_g is None:
         n, h_h2, h_g = args.n, args.n, 0
     else:
@@ -297,13 +298,19 @@ _FILE_COMMANDS = {
 }
 
 
-def build_parser():
+_COMMANDS = (*_FILE_COMMANDS, "bound")
+
+
+def build_parser(commands=_COMMANDS):
+    """The command-line parser, with the subcommands named in commands."""
     ap = argparse.ArgumentParser(
         prog="cocycle-lab",
         description="Exact decision procedures for twisted group algebras of "
                     "finitely generated 2-step nilpotent groups")
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _FILE_COMMANDS:
+        if name not in commands:
+            continue
         sp = sub.add_parser(name)
         sp.add_argument("file", help="problem file")
         sp.add_argument("--json", action="store_true")
@@ -318,18 +325,32 @@ def build_parser():
         if name == "product":
             sp.add_argument("--n1", type=int, required=True,
                             help="coordinate count of the first factor")
-    bp = sub.add_parser("bound")
-    bp.add_argument("n", type=int, help="h(H2) of the lattice, or the full "
-                                        "recursion argument if h_g is omitted")
-    bp.add_argument("h_g", type=int, nargs="?", default=None,
-                    help="Hirsch length of the lattice")
-    bp.add_argument("--json", action="store_true")
+    if "bound" in commands:
+        bp = sub.add_parser("bound")
+        bp.add_argument("n", type=int, help="h(H2) of the lattice, or the full "
+                                            "recursion argument if h_g is omitted")
+        bp.add_argument("h_g", type=int, nargs="?", default=None,
+                        help="Hirsch length of the lattice")
+        bp.add_argument("--json", action="store_true")
     return ap
+
+
+def _parse_args(argv):
+    """build_parser().parse_args(argv), building the parser of the named
+    subcommand only.  argparse reports arguments that the subcommand leaves
+    over from the top-level parser, whose usage lists every subcommand, so
+    such a command line is parsed again with the full parser."""
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser({argv[0]}).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         # argparse has written its message; it exits 2 on a usage error, but
         # 2 means "undecided" here

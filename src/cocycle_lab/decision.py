@@ -135,7 +135,8 @@ class Analysis(Value):
     this value.  The twisted center's BudgetExceeded or Unsupported (not a
     fault) is kept too, and every read of ``leaves`` raises it again without
     recomputing; so is a push-down's Unsupported, for every read of that
-    leaf's ``push_down``.
+    leaf's ``push_down``.  A kept error is raised with the traceback it was
+    caught with, so its traceback does not grow by the frames of each read.
 
     Every verdict function takes a Cocycle, with an optional context and
     case budget, or an Analysis, which carries its own."""
@@ -150,20 +151,21 @@ class Analysis(Value):
     @cached_property
     def _leaves_or_error(self):
         try:
-            return twisted_center(self.cocycle, self.ctx, self.case_budget), None
+            return twisted_center(self.cocycle, self.ctx, self.case_budget), None, None
         except (BudgetExceeded, Unsupported) as e:
-            return None, e
+            return None, e, e.__traceback__
 
     @property
     def leaves(self):
-        leaves, error = self._leaves_or_error
+        leaves, error, tb = self._leaves_or_error
         if error:
-            raise error
+            raise error.with_traceback(tb)
         return leaves
 
     @cached_property
     def _pushed(self):
-        return {}  # case leaf -> ((QuotientData, Cocycle), None) or (None, Unsupported)
+        # case leaf -> ((QuotientData, Cocycle), None, None) or (None, Unsupported, traceback)
+        return {}
 
     def push_down(self, leaf):
         """(QuotientData, Cocycle) of a case leaf: the quotient of the group
@@ -173,13 +175,13 @@ class Analysis(Value):
         if pushed is None:
             try:
                 qd = groups.quotient_by_central(self.cocycle.group, leaf.lattice)
-                pushed = (qd, push_to_quotient(self.cocycle, qd)), None
+                pushed = (qd, push_to_quotient(self.cocycle, qd)), None, None
             except Unsupported as e:
-                pushed = None, e
+                pushed = None, e, e.__traceback__
             self._pushed[leaf] = pushed
-        out, error = pushed
+        out, error, tb = pushed
         if error:
-            raise error
+            raise error.with_traceback(tb)
         return out
 
 

@@ -21,7 +21,6 @@ extends its parent's span and classifications by its one new fact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from . import zlinalg as zl
@@ -84,8 +83,9 @@ class KNumber(Value):
 
     @staticmethod
     def make(table, const=0, coeffs=None):
-        """Canonical KNumber from scalars of any type: ints and Fractions are
-        taken as they are, anything else is converted to a Fraction once."""
+        """Canonical KNumber from scalars of any type: a scalar with an integer
+        numerator and denominator (int, Fraction) is taken as it is, anything
+        else is converted to a Fraction once."""
         if not coeffs and type(const) is int:
             return KNumber(table, (1, const, ()))
         order = table.order
@@ -205,8 +205,11 @@ class KNumber(Value):
 
 
 def _rational(q):
-    """q as an int or a Fraction."""
-    return q if type(q) is int or type(q) is Fraction else Fraction(q)
+    """q itself when it has a numerator and a denominator, else Fraction(q)."""
+    if hasattr(q, "denominator"):
+        return q
+    from fractions import Fraction
+    return Fraction(q)
 
 
 def _fraction_str(a, d):

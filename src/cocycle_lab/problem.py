@@ -30,13 +30,12 @@ carries its 1-based line number.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 
 from . import groups
 from ._value import InputError, Value
 from .cocycles import phase_from_monomials
-from .exact import KNumber, SymbolTable, empty_context, symbol
-from .timefreq import DensityDatum
+from .exact import KNumber, SymbolTable, empty_context
 
 
 class ProblemError(InputError):
@@ -73,9 +72,20 @@ def _strip(line):
     return line.strip()
 
 
-def _fraction(tok, line_no):
+def _rational(tok, line_no):
+    """The rational number tok as a reduced pair (numerator, denominator):
+    the plain forms [+-]<digits>[/<digits>] are read as integers, any other
+    token as Fraction(tok) reads it."""
+    num, slash, den = tok.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
     try:
-        return Fraction(tok)
+        if digits.isdecimal() and (not slash or den.isdecimal() and int(den)):
+            p, q = int(digits), int(den or 1)
+            g = math.gcd(p, q)
+            return (-p if num[0] == "-" else p) // g, q // g
+        from fractions import Fraction
+        f = Fraction(tok)
+        return f.numerator, f.denominator
     except (ValueError, ZeroDivisionError):
         raise ProblemError(line_no, f"expected a rational number, got {tok!r}")
 
@@ -228,7 +238,7 @@ def _parse_monomial(line, i, group, table):
     the coefficient."""
     gex = [0] * group.n
     hex_ = [0] * group.n
-    coef_rat = Fraction(1)
+    coef_num, coef_den = 1, 1  # the coefficient's rational factor
     coef_sym = None
     for part in (p.strip() for p in line.split("*")):
         if not part:
@@ -257,24 +267,28 @@ def _parse_monomial(line, i, group, table):
                     if coef_sym is not None:
                         raise ProblemError(i, "at most one symbol per term")
                     coef_sym = tok[1:]
-                    coef_rat = -coef_rat
+                    coef_num = -coef_num
                 else:
-                    coef_rat *= _fraction(tok, i)
-    if coef_sym is None:
-        coef = KNumber.make(table, coef_rat)
+                    a, b = _rational(tok, i)
+                    coef_num, coef_den = coef_num * a, coef_den * b
+    if coef_sym is None or not coef_num:
+        coef = KNumber.from_ints(table, coef_den, coef_num, ())
     else:
-        coef = symbol(table, coef_sym).scale(coef_rat)
+        coef = KNumber.from_ints(table, coef_den, 0, ((coef_sym, coef_num),))
     return coef, tuple(gex), tuple(hex_)
 
 
 def _parse_tf(lines, problem):
+    from fractions import Fraction
+
+    from .timefreq import DensityDatum
     for i, line in lines:
         parts = line.split()
         key = parts[0]
         if key == "density":
             if len(parts) != 3:
                 raise ProblemError(i, "density needs: density <lower> <upper>")
-            lo, up = _fraction(parts[1], i), _fraction(parts[2], i)
+            lo, up = (Fraction(*_rational(tok, i)) for tok in parts[1:])
             try:
                 problem.density = DensityDatum(lo, up)
             except InputError as e:

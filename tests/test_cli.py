@@ -1,12 +1,15 @@
+import argparse
 import ast
 import glob
 import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from cocycle_lab import cli, cocycles, decision, exact, groups
+from cocycle_lab import cli, cocycles, decision, exact, groups, problem
 from cocycle_lab._value import InputError
 from cocycle_lab.cocycles import validate_cocycle
 from cocycle_lab.decision import decide
@@ -167,6 +170,71 @@ def test_missing_sections_rejected():
         parse_problem("[cocycle]\n")
 
 
+# coefficient tokens: a sign, digits (ASCII, in '_' groups, or other decimal
+# digits: Arabic-Indic three, fullwidth seven, Devanagari nine), an optional
+# /digits, .digits and e+-digits part, and junk; no whitespace, '*', '#' or
+# letters that could spell the symbol theta
+ANY_DIGITS = st.text("0123456789", min_size=1, max_size=5) | st.sampled_from(
+    ["1_000", "2_5", "\u0663", "\uff17", "\u096f2", "0_", "_1"])
+TOKEN = st.tuples(
+    st.sampled_from(["", "+", "-", "--", "+-"]),
+    ANY_DIGITS | st.just(""),
+    st.just("") | ANY_DIGITS.map("/".__add__) | st.sampled_from(["/", "/-2", "/+2"]),
+    st.just("") | ANY_DIGITS.map(".".__add__) | st.just("."),
+    st.just("") | st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                            ANY_DIGITS).map("".join),
+    st.text("0123456789+-/._eEx\u0663", max_size=3),
+).map("".join).filter(bool)
+THETA = exact.SymbolTable(thetas=("theta",))
+
+
+def coefficient_by_fraction(tokens, sym):
+    """The coefficient as the parser built it from Fraction(tok) before it
+    read the plain forms as integers."""
+    q = Fraction(1)
+    for tok in tokens:
+        try:
+            q *= Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            raise ProblemError(7, f"expected a rational number, got {tok!r}")
+    if sym is None:
+        return exact.KNumber.make(THETA, q)
+    return exact.symbol(THETA, "theta").scale(-q if sym.startswith("-") else q)
+
+
+@given(st.lists(TOKEN, min_size=1, max_size=2), st.sampled_from([None, "theta", "-theta"]),
+       st.integers(0, 2))
+@example(["4"], None, 0)
+@example(["-1/2"], "theta", 0)
+@example(["+3", "-0"], "-theta", 1)
+@example(["007/014"], None, 0)
+@example(["0.5"], None, 0)
+@example(["1e-3"], "theta", 1)
+@example(["1_000"], None, 0)
+@example(["1/0"], None, 0)
+@example(["\u0663/\u0664"], None, 0)
+@example(["1/-2"], None, 0)
+@example(["1" * 4301], None, 0)
+@example(["1/" + "1" * 4301], None, 0)
+def test_coefficient_tokens_read_as_fraction_reads_them(tokens, sym, at):
+    """The plain forms are read as integers, any other token by Fraction:
+    the coefficient is the one Fraction(tok) gives, or the same error."""
+    factors = list(tokens)
+    if sym is not None:
+        factors.insert(min(at, len(factors)), sym)
+    line = " ".join(factors) + " * g:x1 * h:x2"
+    group = groups.abelian((0, 0))
+    try:
+        want = coefficient_by_fraction(tokens, sym)
+    except ProblemError as e:
+        with pytest.raises(ProblemError) as got:
+            problem._parse_monomial(line, 7, group, THETA)
+        assert (got.value.line_no, str(got.value)) == (e.line_no, str(e))
+    else:
+        coef, _, _ = problem._parse_monomial(line, 7, group, THETA)
+        assert coef == want
+
+
 # ---------------------------------------------------------------------------
 # fixture round trip
 
@@ -259,6 +327,39 @@ def test_usage_errors_keep_argparse_message_and_help_exits_0(capsys):
     assert "error: argument --case-budget: invalid int value: 'abc'" in err
     code, out, _ = run(["--help"], capsys)
     assert code == 0 and out.startswith("usage: cocycle-lab")
+
+
+PARSER_ARGV = ([["--help"], [], ["nope"], ["verdict"], ["verdict", "f", "--bogus"],
+                ["verdict", "--case-budget", "x", "f"], ["bound"], ["product", "f"],
+                ["bound", "3", "--json"], ["verdict", fixture("g3"), "--json"]]
+               + [[name, "--help"] for name in cli._COMMANDS])
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_a_narrowed_parse_prints_and_exits_as_the_full_parser(argv, capsys, monkeypatch):
+    """main builds the parser of the named subcommand only; its output and
+    exit code are the ones the parser of every subcommand gives."""
+    got = run(argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: full().parse_args(argv))
+    assert got == run(argv, capsys)
+    if argv[-1:] == ["--bogus"]:  # reported by the top-level parser, every subcommand listed
+        assert "{validate,center,twisted-center," in got[2]
+        assert got[2].endswith("error: unrecognized arguments: --bogus\n")
+
+
+def test_a_subcommand_builds_only_its_own_parser(capsys, monkeypatch):
+    """verdict builds two parsers, the top level's and its own; the help
+    builds all thirteen, as every command line did before."""
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or real_init(self, *a, **kw))
+    assert run(["verdict", fixture("g3"), "--json"], capsys)[0] == 0
+    assert len(built) == 2
+    built.clear()
+    assert run(["--help"], capsys)[0] == 0
+    assert len(built) == 13
 
 
 # valid, but z receives x*y + y*x, so the center's basis does not multiply

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import sys
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -944,6 +945,40 @@ def test_a_failed_push_down_is_kept_and_raised_to_every_reader(monkeypatch):
     assert str(errors[0]).startswith("push-down is not a 2-cocycle")
     assert str(fallback.value) == f"quotient construction failed: {errors[0]}"
     assert v.certificate.branches[0].notes[-1] == f"undecided: {errors[0]}"
+
+
+def kept_error_tracebacks(read, reads=1000):
+    """The one error that every call of read raises, and its traceback's
+    length after the first and after the last of reads calls."""
+    errors, lengths = [], []
+    for _ in range(reads):
+        try:
+            read()
+        except (BudgetExceeded, Unsupported) as e:
+            errors.append(e)
+            lengths.append(len(traceback.extract_tb(e.__traceback__)))
+    assert len(errors) == reads and all(e is errors[0] for e in errors)
+    return lengths[0], lengths[-1]
+
+
+def test_a_kept_error_raised_again_keeps_its_traceback():
+    """Analysis.leaves and a failed push_down raise their kept error with
+    the traceback it was caught with: 1000 reads leave it as long as one
+    (a bare raise appended each reader's frames, 5 entries after one read
+    of leaves and 2003 after 1000)."""
+    p = parse_problem("[symbols]\na param\nb param\nc param\n[group]\n"
+                      "builder abelian 0 0 0 0\n[cocycle]\na * g:x1 * h:x2\n"
+                      "b * g:x2 * h:x3\nc * g:x3 * h:x4\n")
+    a = Analysis(p.cocycle, p.context, 1)
+    first, last = kept_error_tracebacks(lambda: a.leaves)
+    assert first == last
+    g3 = load_problem(fixture("g3"))
+    t = g3.cocycle.table
+    phi = Poly.make(6, t, [((0, 0, 0, 0, 1, 1), KNumber.make(t, Fraction(1, 2)))])
+    a = Analysis(twist_by_coboundary(g3.cocycle, phi), g3.context)
+    [leaf] = a.leaves
+    first, last = kept_error_tracebacks(lambda: a.push_down(leaf))
+    assert first == last
 
 
 def test_substitution_counts_of_validation_and_one_fixture_pass(monkeypatch):

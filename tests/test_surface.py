@@ -82,7 +82,7 @@ def test_every_public_definition_has_a_caller_in_src_or_the_readme():
 # (int, Fraction, list.index) of problem-file and budget text, and main's
 # final catch-all, which reports any other exception as an internal error
 BROAD_CATCHES = {
-    ("problem", "_fraction"): 1,
+    ("problem", "_rational"): 1,
     ("problem", "_parse_group"): 4,
     ("problem", "_parse_monomial"): 1,
     ("cli", "_positive_budget"): 1,

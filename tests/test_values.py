@@ -110,8 +110,12 @@ def test_problem_is_mutable_and_unhashable():
 
 def test_cli_import_loads_no_code_generation():
     """dataclasses and the modules it imports (inspect, ast, dis, tokenize)
-    cost a fresh process about 30 ms of its start-up."""
-    probe = "import sys, cocycle_lab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    cost a fresh process about 30 ms of its start-up; fractions (with
+    decimal and numbers) about 1.4 ms, and the engine computes without it.
+    timefreq, which keeps Fractions for its density intervals, loads only
+    with a [tf] density line or the tf and bound commands."""
+    probe = ("import sys, cocycle_lab.cli; print(sorted({'dataclasses', 'inspect', 'fractions', "
+             "'decimal', 'numbers', 'cocycle_lab.timefreq'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
     assert out.stdout == "[]\n"
