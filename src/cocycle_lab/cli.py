@@ -19,8 +19,7 @@ import sys
 from . import decision
 from ._value import BudgetExceeded, InputError, Unsupported
 from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
-                       decide, decide_abelian, decide_heisenberg, decide_product,
-                       decide_simplicity)
+                       decide, decide_heisenberg, decide_product, decide_simplicity)
 from .exact import symbol
 from .problem import load_problem
 
@@ -224,7 +223,10 @@ def cmd_simplicity(args):
 
 def cmd_torus(args):
     _, a = _load(args)
-    return _finish_verdict(args, decide_abelian(a))
+    if not a.cocycle.group.is_abelian():
+        raise InputError("torus criterion needs an abelian group")
+    a.leaves  # the twisted center's BudgetExceeded or Unsupported exits 2
+    return _finish_verdict(args, decide(a))
 
 
 def cmd_heisenberg(args):

@@ -17,7 +17,7 @@ from . import zlinalg as zl
 from ._value import BudgetExceeded, Unsupported, Value
 from .exact import (IRRATIONAL, UNDETERMINED, KNumber, RationalityContext, _fraction_str,
                     symbol)
-from .groups import GroupPresentation, Morphism
+from .groups import Morphism
 from .poly import Poly, _assemble, _integer_valued
 
 
@@ -643,7 +643,6 @@ def product_split(c, n1):
     bihomomorphism, the group law must not mix the factors and the
     reassembly must equal sigma mod Z, otherwise not-product-form (None)."""
     n = c.n
-    n2 = n - n1
     t = c.table
     if any(len({x < n1 for x in e[:3]}) > 1 for e in c.group.bilinear):
         return None
@@ -667,19 +666,15 @@ def product_split(c, n1):
     resid = c.phase - q11 - q22 - cross
     if integrality_violation(resid, t) is not None:
         return None
-    g1 = GroupPresentation(c.group.moduli[:n1],
-                           tuple(e for e in c.group.bilinear if e[0] < n1),
-                           c.group.names[:n1])
-    g2 = GroupPresentation(c.group.moduli[n1:],
-                           tuple((k - n1, i - n1, j - n1, v) for k, i, j, v in c.group.bilinear if k >= n1),
-                           c.group.names[n1:])
-    emb1 = Morphism(g1, c.group, tuple(tuple(1 if (i == j and i < n1) else 0 for j in range(n1))
-                                       for i in range(n)))
-    emb2 = Morphism(g2, c.group, tuple(tuple(1 if (i - n1 == j and i >= n1) else 0 for j in range(n2))
-                                       for i in range(n)))
-    s1 = pull_back(c, emb1)
-    s2 = pull_back(c, emb2)
-    fmat = [[KNumber.make(t, 0)] * n1 for _ in range(n2)]
+
+    def factor(lo, hi):
+        # the law does not mix the factors, so a carry is read by slicing
+        units = [tuple(int(i == j) for i in range(n)) for j in range(lo, hi)]
+        sub = c.group.on(units, lambda v: v[lo:hi], c.group.moduli[lo:hi], c.group.names[lo:hi])
+        return pull_back(c, Morphism(sub, c.group, tuple(zip(*units))))
+
+    s1, s2 = factor(0, n1), factor(n1, n)
+    fmat = [[KNumber.make(t, 0)] * n1 for _ in range(n - n1)]
     for exps, coef in cross.terms:
         i2 = next(i for i in range(n1, n) if exps[i])
         j1 = next(j for j in range(n1) if exps[n + j])

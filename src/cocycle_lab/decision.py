@@ -281,21 +281,6 @@ def _decide_node(a, level):
 
 
 # ---------------------------------------------------------------------------
-# abelian groups and non-commutative tori
-
-
-def decide_abelian(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
-    """Single-level rule for abelian groups: Z-stable iff the twisted center
-    has infinite index in every case leaf."""
-    a = _analysis(c, ctx, case_budget)
-    if not a.cocycle.group.is_abelian():
-        raise InputError("torus criterion needs an abelian group")
-    _require_cocycle(a)
-    node = _node(0, a.cocycle.group, [_index_branch(leaf) for leaf in a.leaves])
-    return Verdict(z_stable=node.verdict, certificate=node)
-
-
-# ---------------------------------------------------------------------------
 # 2-step shortcut and generalized Heisenberg groups
 
 
@@ -432,13 +417,13 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 
     # forward rule: f(., g2) trivial on the g2 part of the product's twisted center
     forward_ok = f_vanishes(fcols, a.leaves, n1)
-    v1 = decide_abelian(a1)
+    v1 = decide(a1)
     if forward_ok and v1.z_stable == ZSTABLE:
         return ProductRuleOutcome(True, ZSTABLE,
                                   "first factor Z-stable and f vanishes against the "
                                   "twisted center of the product")
     # converse rule (contrapositive)
-    v2 = decide_abelian(a2)
+    v2 = decide(a2)
     converse_ok = f_vanishes(fmat, a1.leaves) and f_vanishes(fcols, a2.leaves)
     if converse_ok and v1.z_stable == NOT_ZSTABLE and v2.z_stable == NOT_ZSTABLE:
         return ProductRuleOutcome(True, NOT_ZSTABLE,

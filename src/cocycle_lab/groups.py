@@ -9,8 +9,8 @@ everything reachable from them by central quotients.
 
 The law is read numerically in one place, GroupPresentation.carry, and a
 presentation is derived from another by one transport, GroupPresentation.on:
-the central quotient here and the subgroup presentations of cocycles both
-read their generators' carries in their new coordinates.
+the central quotient here and the subgroup and product-factor presentations
+of cocycles all read their generators' carries in their new coordinates.
 """
 
 from __future__ import annotations

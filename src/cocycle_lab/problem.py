@@ -229,7 +229,10 @@ def _parse_group(lines):
         except ValueError:
             raise ProblemError(i, "bilinear coefficient must be an integer")
         entries.append((k, a, b, coef))
-    return groups.GroupPresentation(moduli, tuple(entries), names)
+    try:
+        return groups.GroupPresentation(moduli, tuple(entries), names)
+    except InputError as e:
+        raise ProblemError(lines[0][0], str(e))
 
 
 def _parse_monomial(line, i, group, table):

@@ -5,9 +5,9 @@ sections), and references for the engine's kernels that share none of their
 shortcuts: the group law as Polys, a KNumber's symbol coefficients, the
 Fraction integrality test in the binomial basis, substitution by KNumber
 products, the cocycle defect by four substitutions, an unabridged cocycle
-validator, the antisymmetrization by substitution and a slot-by-slot
-reference for the pairing rows, and example counts that follow the active
-Hypothesis profile."""
+validator, the antisymmetrization by substitution, a slot-by-slot
+reference for the pairing rows and the single-level index rule for abelian
+groups, and example counts that follow the active Hypothesis profile."""
 
 import itertools
 import math
@@ -17,7 +17,8 @@ from hypothesis import settings
 
 from cocycle_lab import zlinalg as zl
 from cocycle_lab._value import Unsupported
-from cocycle_lab.cocycles import Cocycle, integrality_violation
+from cocycle_lab.cocycles import Cocycle, integrality_violation, twisted_center
+from cocycle_lab.decision import NOT_ZSTABLE, ZSTABLE
 from cocycle_lab.groups import Morphism, QuotientData
 from cocycle_lab.poly import Poly
 
@@ -371,3 +372,11 @@ def validate_cocycle_reference(c):
         return f"cocycle identity fails: {viol}"
     return None
 
+
+def abelian_index_rule(c, ctx):
+    """Reference for the abelian node of decide: on an abelian group, Z-stable
+    iff the twisted center has infinite index in every case leaf, read off
+    twisted_center alone (Kleppner, "Multipliers on abelian groups", 1965)."""
+    if any(leaf.lattice.index() is not math.inf for leaf in twisted_center(c, ctx)):
+        return NOT_ZSTABLE
+    return ZSTABLE

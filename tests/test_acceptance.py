@@ -17,8 +17,8 @@ from cocycle_lab.cocycles import (Cocycle, antisym, cocycle_defect,
                                   push_to_quotient, twisted_center,
                                   validate_cocycle)
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_YES,
-                                  UNDECIDED, ZSTABLE, decide, decide_abelian,
-                                  decide_heisenberg, decide_simplicity)
+                                  UNDECIDED, ZSTABLE, decide, decide_heisenberg,
+                                  decide_simplicity)
 from cocycle_lab.exact import (KNumber, SymbolTable, empty_context, knum,
                                symbol)
 from cocycle_lab.poly import Poly
@@ -55,14 +55,14 @@ def branch_labels(node):
 def test_acceptance_1_torus():
     start = time.monotonic()
     t = theta_table()
-    v = decide_abelian(torus(t, 2, {(0, 1): knum(t, 0, theta=1)}), theta_ctx(t))
+    v = decide(torus(t, 2, {(0, 1): knum(t, 0, theta=1)}), theta_ctx(t))
     assert v.z_stable == ZSTABLE
 
     for q in (2, 3, 5):
         for p in (1, q - 1):
             if math.gcd(p, q) != 1:
                 continue
-            v = decide_abelian(torus(SymbolTable(), 2, {(0, 1): Fraction(p, q)}))
+            v = decide(torus(SymbolTable(), 2, {(0, 1): Fraction(p, q)}))
             assert v.z_stable == NOT_ZSTABLE
             [branch] = v.certificate.branches
             assert branch.index == q * q

@@ -96,6 +96,11 @@ builder abelian 0
     ("[group]\nmoduli 0 0\nnames a b\nnames c d\n[cocycle]\n1 * g:a * h:b\n", 4,
      "repeated names line"),
     ("[group]\nmoduli 0 0\nmoduli 0 0\n[cocycle]\n", 3, "repeated moduli line"),
+    # a raw presentation outside the 2-step shape is reported at the section
+    ("[group]\nmoduli 0 0 0\nnames x y z\nbilinear z z y 1\n[cocycle]\n", 2,
+     "a coordinate both feeds and receives"),
+    ("[group]\nmoduli 2 0 0\nnames x y z\nbilinear z x y 1\n[cocycle]\n", 2,
+     "torsion coordinate feeds the group law"),
 ])
 def test_parse_errors_carry_line_numbers(text, line, fragment):
     with pytest.raises(ProblemError) as e:
@@ -583,7 +588,27 @@ names a b c
     [branch] = trace["branches"]
     assert branch["index"] == 16
     assert sorted(branch["notes"]) == ["-1/4*c + -1/2*b in Z", "1/2*a in Z",
-                                       "1/4*a in Z"]
+                                       "1/4*a in Z", "rational point: the twisted "
+                                       "center has finite index"]
+
+
+def test_torus_on_a_finite_group_ends_at_the_finite_group_node(tmp_path, capsys):
+    f = tmp_path / "finite-torus.problem"
+    f.write_text("[group]\nbuilder abelian 2 2\n\n[cocycle]\n1/2 * g:x1 * h:x2\n")
+    code, out, _ = run(["torus", str(f), "--json"], capsys)
+    trace = json.loads(out)["verdict"]["trace"]
+    assert code == 0
+    assert trace["verdict"] == "NotZStable"
+    assert trace["branches"] == []
+    assert trace["notes"] == ["group is finite: index over the twisted center is finite"]
+
+
+def test_torus_over_the_case_budget_is_undecided_on_stderr(tmp_path, capsys):
+    f = tmp_path / "param-torus.problem"
+    f.write_text("[symbols]\nx param\ny param\n\n[group]\nbuilder abelian 0 0 0\n\n"
+                 "[cocycle]\nx * g:x1 * h:x2\ny * g:x2 * h:x3\n")
+    assert run(["torus", str(f), "--case-budget", "1"], capsys) == (
+        2, "", "undecided: case budget of 1 leaves exceeded\n")
 
 
 @pytest.mark.parametrize("phase,want,stream,text", [

@@ -15,15 +15,14 @@ from cocycle_lab._value import BudgetExceeded, InputError, Unsupported
 from cocycle_lab.cocycles import phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis,
-                                  decide, decide_abelian, decide_heisenberg,
-                                  decide_product, decide_simplicity,
-                                  decide_two_step)
+                                  decide, decide_heisenberg, decide_product,
+                                  decide_simplicity, decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
 from cocycle_lab.problem import load_problem, parse_problem
 
-from helpers import box, commutator, symbol_names, twist_by_coboundary
-from test_cli import all_fixtures, fixture
+from helpers import abelian_index_rule, box, commutator, symbol_names, twist_by_coboundary
+from test_cli import all_fixtures, fixture, run
 from test_cocycles import g3_cocycle, heis_cocycle, theta_table
 
 
@@ -110,7 +109,7 @@ def test_invalid_cocycle_is_rejected():
     with pytest.raises(InputError):
         decide(bad)
     with pytest.raises(InputError, match="^input is not a 2-cocycle: "):
-        decide_abelian(Analysis(bad, empty_context(t)))
+        decide(Analysis(bad, empty_context(t)))
 
 
 def test_one_analysis_serves_every_verdict():
@@ -148,13 +147,13 @@ def torus(t, n, upper):
 
 def test_irrational_rotation_torus_is_zstable():
     t, th, _ = theta_entry()
-    v = decide_abelian(torus(t, 2, {(0, 1): th}))
+    v = decide(torus(t, 2, {(0, 1): th}))
     assert v.z_stable == ZSTABLE
 
 
 def test_rational_rotation_torus_has_finite_index():
     t, _, _ = theta_entry()
-    v = decide_abelian(torus(t, 2, {(0, 1): KNumber.make(t, Fraction(2, 5))}))
+    v = decide(torus(t, 2, {(0, 1): KNumber.make(t, Fraction(2, 5))}))
     assert v.z_stable == NOT_ZSTABLE
     # brute-force oracle: {g : (2/5)g_i integral} = (5Z)^2, index 25
     pts = [g for g in itertools.product(range(5), repeat=2)
@@ -167,28 +166,28 @@ def test_rational_rotation_torus_has_finite_index():
 def test_mixed_torus_is_zstable_by_infinite_index():
     # one irrational block is enough: the twisted center loses free rank
     t, th, _ = theta_entry()
-    v = decide_abelian(torus(t, 4, {(0, 1): th, (2, 3): KNumber.make(t, Fraction(2, 5))}))
+    v = decide(torus(t, 4, {(0, 1): th, (2, 3): KNumber.make(t, Fraction(2, 5))}))
     assert v.z_stable == ZSTABLE
 
 
 def test_fully_rational_four_torus_is_not_zstable():
     t, _, _ = theta_entry()
-    v = decide_abelian(torus(t, 4, {(0, 1): KNumber.make(t, Fraction(1, 2)),
-                                    (2, 3): KNumber.make(t, Fraction(1, 3))}))
+    v = decide(torus(t, 4, {(0, 1): KNumber.make(t, Fraction(1, 2)),
+                            (2, 3): KNumber.make(t, Fraction(1, 3))}))
     assert v.z_stable == NOT_ZSTABLE
     assert v.certificate.branches[0].index == 4 * 9
 
 
-def test_abelian_rule_rejects_nonabelian_groups():
-    with pytest.raises(InputError, match="^torus criterion needs an abelian group$"):
-        decide_abelian(phase_from_monomials(groups.g3(), SymbolTable(), []))
+def test_abelian_rule_rejects_nonabelian_groups(capsys):
+    assert run(["torus", fixture("g3")], capsys) == (
+        1, "", "error: torus criterion needs an abelian group\n")
 
 
 def test_abelian_splits_on_undetermined_parameter():
     t = SymbolTable(xis=(("t1", 0),))
     g = groups.abelian((0, 0))
     c = phase_from_monomials(g, t, [(symbol(t, "t1"), (1, 0), (0, 1))])
-    v = decide_abelian(c)
+    v = decide(c)
     verdicts = sorted(b.verdict for b in v.certificate.branches)
     assert verdicts == [NOT_ZSTABLE, ZSTABLE]
     assert v.z_stable == NOT_ZSTABLE  # the rational branch sinks the conjunction
@@ -263,13 +262,13 @@ def old_level_one(a):
     return conjunction(verdicts)
 
 
-def test_abelian_nodes_agree_with_decide_abelian_and_the_old_level_one():
+def test_abelian_nodes_agree_with_the_index_rule_and_the_old_level_one():
     """Differential test of the abelian index rule on seeded random abelian
     problems with torsion, `rational k` and `param` symbols: decide equals
-    decide_abelian on every one, its certificate has no level-1 child, and
-    it equals the replayed old level 1 wherever that replay decides.  The
-    replay is Undecided where a leaf skipped a congruence and its push-down
-    is no 2-cocycle, as on MIXED_SYMBOLS."""
+    helpers.abelian_index_rule on every one, its certificate has no level-1
+    child, and it equals the replayed old level 1 wherever that replay
+    decides.  The replay is Undecided where a leaf skipped a congruence and
+    its push-down is no 2-cocycle, as on MIXED_SYMBOLS."""
     rng = random.Random(18)
     seen = collections.Counter()
     for _ in range(500):
@@ -278,7 +277,7 @@ def test_abelian_nodes_agree_with_decide_abelian_and_the_old_level_one():
             continue
         a = Analysis(p.cocycle, p.context)
         v = decide(p.cocycle, p.context)
-        assert v.z_stable == decide_abelian(a).z_stable
+        assert v.z_stable == abelian_index_rule(p.cocycle, p.context)
         assert trace_depth(v.certificate) == 1
         old = old_level_one(a)
         assert old in (v.z_stable, UNDECIDED)
@@ -303,15 +302,15 @@ def chain_torus_text(n, rng):
     return "\n".join(lines) + "\n"
 
 
-def test_decide_equals_decide_abelian_on_chain_tori():
-    """100 chain tori Z^3..Z^7: decide and decide_abelian give the same
-    verdict, and decide's certificate stays at level 0."""
+def test_decide_equals_the_index_rule_on_chain_tori():
+    """100 chain tori Z^3..Z^7: decide and helpers.abelian_index_rule give
+    the same verdict, and decide's certificate stays at level 0."""
     rng = random.Random("chain-tori")
     for n in (3, 4, 5, 6, 7):
         for _ in range(20):
             p = parse_problem(chain_torus_text(n, rng))
             v = decide(p.cocycle, p.context)
-            assert v.z_stable == decide_abelian(p.cocycle, p.context).z_stable == NOT_ZSTABLE
+            assert v.z_stable == abelian_index_rule(p.cocycle, p.context) == NOT_ZSTABLE
             assert trace_depth(v.certificate) == 1
 
 
@@ -507,7 +506,7 @@ def test_product_rules_stay_silent_on_irrational_coupling():
     c = product_fixture([(th, (0, 0, 1, 0), (1, 0, 0, 0))], t)
     out = decide_product(c, 2)
     assert not out.applicable
-    assert decide_abelian(c).z_stable == ZSTABLE
+    assert decide(c).z_stable == ZSTABLE
 
 
 def test_product_rules_require_abelian_factors():
