@@ -527,6 +527,7 @@ def induce_gamma(c, qd, prefix="gamma"):
     the torsion-coordinate carries that a polynomial cannot express are
     recorded in ``correction``, which restores exactness of the
     antisymmetrization on commuting pairs (the only place it is consumed).
+    Both read qd only through its maps and the quotient's commutator rows.
 
     The gamma terms are computed first.  When all of them vanish, c is
     returned as it is, over its own table, so a recursion child keeps its
@@ -542,26 +543,21 @@ def induce_gamma(c, qd, prefix="gamma"):
     g_top = qd.projection.source
     q = qd.group
     nq = q.n
-    p = qd.section.matrix  # n x nq
+    lifts = tuple(zip(*qd.section.matrix))  # P e_i
 
-    # defect delta(x, y) = B_G(Px, Py) - P B_Q(x, y), coordinate vectors of
-    # bilinear coefficients each lying in N
-    lifts = tuple(zip(*p))  # P e_i
+    # defect delta(e_i, e_j) = B_G(P e_i, P e_j) - P B_Q(e_i, e_j) in N, exact as
+    # GroupPresentation.on defines B_Q(e_i, e_j) as the projection of that carry
     defects = []
-    for (i, j) in itertools.product(range(nq), range(nq)):
+    for i, j in itertools.product(range(nq), repeat=2):
         vec = g_top.carry(lifts[i], lifts[j])
-        for k2, a, b, coef in q.bilinear:
-            if a == i and b == j:
-                for t in range(g_top.n):
-                    vec[t] -= coef * p[t][k2]
         if any(vec):
-            defects.append((_mono(2 * nq, i, nq + j), vec))
-    # carry corrections: for a torsion coordinate k of the quotient with
-    # modulus d and lift n_k = d * P e_k, commuting pairs satisfy
-    # Qtrue~ = Qpoly~ + (kappa_k(x,y)/d) * gamma(n_k) with kappa_k the
-    # integer commutator coordinate
-    carries = [(k2, a, b, coef) for k2, a, b, coef in q.bilinear if q.moduli[k2]]
-    if not defects and not carries:
+            back = qd.section.apply_raw(qd.projection.apply(vec))
+            if any(vec := [x - y for x, y in zip(vec, back)]):
+                defects.append((_mono(2 * nq, i, nq + j), vec))
+    # carry corrections: commuting pairs satisfy Qtrue~ = Qpoly~ plus, for each torsion
+    # coordinate k of modulus d, (kappa_k(x, y)/d) * gamma(d P e_k), kappa_k off the rows
+    torsion = {k for k, _, _ in q.commutator_rows if q.moduli[k]}
+    if not defects and not torsion:
         return c
     par = qd.subgroup.parametrization
     if not par.gens:
@@ -571,12 +567,10 @@ def induce_gamma(c, qd, prefix="gamma"):
     table = c.table.with_xis(new_syms)
     gphase = Poly.make(2 * nq, table, [(e, gamma_phase_of(vec, par, table, names))
                                        for e, vec in defects])
-    kterms = []
-    for k2, a, b, coef in carries:  # kappa_k(x, y) / d = coef (x_a y_b - x_b y_a) / d
-        kn = gamma_phase_of(qd.torsion_lifts[k2], par, table, names)
-        kterms.append((_mono(2 * nq, a, nq + b), kn._times(coef, q.moduli[k2])))
-        kterms.append((_mono(2 * nq, b, nq + a), kn._times(-coef, q.moduli[k2])))
-    gcorr = Poly.make(2 * nq, table, kterms)
+    kns = {k: gamma_phase_of([q.moduli[k] * x for x in lifts[k]], par, table, names) for k in torsion}
+    gcorr = Poly.make(2 * nq, table, [(_mono(2 * nq, i, nq + j), kns[k]._times(coef, q.moduli[k]))
+                                      for k, j, row in q.commutator_rows if k in kns
+                                      for i, coef in enumerate(row) if coef])
     if gphase.is_zero() and gcorr.is_zero():
         return c
     phase = c.phase.rebase(table) + gphase

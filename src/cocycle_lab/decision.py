@@ -202,6 +202,11 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     criterion for 2-step groups is tried as a fallback before giving up."""
     a = _analysis(c, ctx, case_budget)
     _require_cocycle(a)
+    return _decide_valid(a)
+
+
+def _decide_valid(a):
+    """decide on an Analysis whose cocycle is known to be a 2-cocycle."""
     node = _decide_node(a, 0)
     if node.verdict != UNDECIDED:
         return Verdict(z_stable=node.verdict, certificate=node)
@@ -388,9 +393,11 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     must have a Z-stable factor (contrapositive: two rational factors sink the
     product).  Anything else, a group with fewer than two coordinates
     included: inapplicable.  A split point n1 outside 1..n-1 on a group of
-    n >= 2 coordinates raises InputError.
+    n >= 2 coordinates raises InputError, as does an invalid cocycle; the
+    factors, pull-backs along homomorphisms, stay valid and are not checked.
     """
     a = _analysis(c, ctx, case_budget)
+    _require_cocycle(a)
     c = a.cocycle
     g = c.group
     if g.n < 2:
@@ -417,13 +424,13 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 
     # forward rule: f(., g2) trivial on the g2 part of the product's twisted center
     forward_ok = f_vanishes(fcols, a.leaves, n1)
-    v1 = decide(a1)
+    v1 = _decide_valid(a1)
     if forward_ok and v1.z_stable == ZSTABLE:
         return ProductRuleOutcome(True, ZSTABLE,
                                   "first factor Z-stable and f vanishes against the "
                                   "twisted center of the product")
     # converse rule (contrapositive)
-    v2 = decide(a2)
+    v2 = _decide_valid(a2)
     converse_ok = f_vanishes(fmat, a1.leaves) and f_vanishes(fcols, a2.leaves)
     if converse_ok and v1.z_stable == NOT_ZSTABLE and v2.z_stable == NOT_ZSTABLE:
         return ProductRuleOutcome(True, NOT_ZSTABLE,

@@ -11,6 +11,8 @@ The law is read numerically in one place, GroupPresentation.carry, and a
 presentation is derived from another by one transport, GroupPresentation.on:
 the central quotient here and the subgroup and product-factor presentations
 of cocycles all read their generators' carries in their new coordinates.
+The induction of cocycles reads a quotient only through these, its
+projection, its section and GroupPresentation.commutator_rows.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class GroupPresentation(Value):
         return self.reduce([c - x for x, c in zip(a, self.carry(a, a))])
 
     def is_abelian(self):
-        return not self._commutator_rows()
+        return not self.commutator_rows
 
     def on(self, gens, read, moduli, names=()):
         """The presentation whose coordinate a is gens[a]: entry (t, a, b) is
@@ -110,14 +112,12 @@ class GroupPresentation(Value):
         except InputError as e:
             raise Unsupported(str(e)) from e
 
-    def _commutator_rows(self):
-        """Linear forms in g: for each (target k, generator j), in that
-        order, the nonzero coefficient row of the k-th commutator coordinate
-        of [g, e_j], built from the bilinear entries alone."""
-        return self._rows
-
     @cached_property
-    def _rows(self):
+    def commutator_rows(self):
+        """Linear forms in g, built from the bilinear entries alone: for each
+        target k and generator j, in that order, (k, j, row) with row the
+        nonzero coefficient row of the k-th commutator coordinate of [g, e_j],
+        row[i] = kappa_k(e_i, e_j) = B(e_i, e_j)_k - B(e_j, e_i)_k."""
         anti = {}
         for k, i, j, c in self.bilinear:
             anti[(k, i, j)] = anti.get((k, i, j), 0) + c
@@ -126,7 +126,7 @@ class GroupPresentation(Value):
         for (k, i, j), c in anti.items():
             if c:
                 rows.setdefault((k, j), [0] * self.n)[i] = c
-        return [(k, rows[k, j]) for k, j in sorted(rows)]
+        return [(k, j, rows[k, j]) for k, j in sorted(rows)]
 
     def center(self):
         return self._center
@@ -134,7 +134,7 @@ class GroupPresentation(Value):
     @cached_property
     def _center(self):
         eqs, congs = [], []
-        for k, row in self._commutator_rows():
+        for k, _, row in self.commutator_rows:
             if self.moduli[k]:
                 congs.append((row, self.moduli[k]))
             else:
@@ -148,7 +148,7 @@ class GroupPresentation(Value):
 
     @cached_property
     def _fc_center(self):
-        eqs = [row for k, row in self._commutator_rows() if not self.moduli[k]]
+        eqs = [row for k, _, row in self.commutator_rows if not self.moduli[k]]
         return zl.solve_mixed_system(self.moduli, eqs, [])
 
     def hirsch(self):
@@ -177,9 +177,8 @@ class Morphism(Value):
 
 class QuotientData(Value):
     # group: G/N; projection: Morphism G -> G/N; section: Morphism G/N -> G,
-    # linear lift on canonical representatives; subgroup: SubgroupLattice N;
-    # torsion_lifts: per quotient coord, d_k * lift(e_k) in N, or None
-    __slots__ = _fields = ("group", "projection", "section", "subgroup", "torsion_lifts")
+    # linear lift on canonical representatives; subgroup: SubgroupLattice N
+    __slots__ = _fields = ("group", "projection", "section", "subgroup")
 
 
 def quotient_by_central(g, sub):
@@ -213,8 +212,7 @@ def quotient_by_central(g, sub):
     names = tuple(f"[{g.names[k]}]" if row == tuple(int(i == k) for i in range(g.n))
                   else f"y{t+1}" for t, (k, row) in enumerate(zip(kept, rows)))
     quo = g.on(lifts, Morphism(g, GroupPresentation(moduli), rows).apply, moduli, names)
-    torsion = tuple(tuple(m * x for x in lift) if m else None for m, lift in zip(moduli, lifts))
-    return QuotientData(quo, Morphism(g, quo, rows), Morphism(quo, g, sec), sub, torsion)
+    return QuotientData(quo, Morphism(g, quo, rows), Morphism(quo, g, sec), sub)
 
 
 # ---------------------------------------------------------------------------

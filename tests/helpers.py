@@ -2,7 +2,8 @@
 for HNF bases, brute-force group-law operations on a GroupPresentation,
 inputs for the invariance oracles (coboundary twists, shifted quotient
 sections), and references for the engine's kernels that share none of their
-shortcuts: the group law as Polys, a KNumber's symbol coefficients, the
+shortcuts: the group law as Polys, the quotient induction by a scan of the
+quotient's bilinear entries, a KNumber's symbol coefficients, the
 Fraction integrality test in the binomial basis, substitution by KNumber
 products, the cocycle defect by four substitutions, an unabridged cocycle
 validator, the antisymmetrization by substitution, a slot-by-slot
@@ -17,7 +18,7 @@ from hypothesis import settings
 
 from cocycle_lab import zlinalg as zl
 from cocycle_lab._value import Unsupported
-from cocycle_lab.cocycles import Cocycle, integrality_violation, twisted_center
+from cocycle_lab.cocycles import Cocycle, gamma_phase_of, integrality_violation, twisted_center
 from cocycle_lab.decision import NOT_ZSTABLE, ZSTABLE
 from cocycle_lab.groups import Morphism, QuotientData
 from cocycle_lab.poly import Poly
@@ -209,16 +210,59 @@ def twist_by_coboundary(c, phi):
 def shifted_section(qd, shift):
     """QuotientData with another linear section: shift maps a quotient
     coordinate t to an element of the subgroup N that is added to the lift
-    of e_t; the torsion lifts d_t * lift(e_t) follow the new section."""
+    of e_t."""
     cols = [list(col) for col in zip(*qd.section.matrix)]  # cols[t] = lift of e_t
     for t, s in shift.items():
         if not qd.subgroup.contains(list(s)):
             raise ValueError("section shift must lie in the subgroup")
         cols[t] = [x + y for x, y in zip(cols[t], s)]
     section = Morphism(qd.group, qd.section.target, tuple(zip(*cols)))
-    lifts = tuple(tuple(d * x for x in col) if d else None
-                  for d, col in zip(qd.group.moduli, cols))
-    return QuotientData(qd.group, qd.projection, section, qd.subgroup, lifts)
+    return QuotientData(qd.group, qd.projection, section, qd.subgroup)
+
+
+def induce_gamma_scan(c, qd, prefix="gamma"):
+    """Reference for cocycles.induce_gamma that reads the quotient law off
+    its bilinear entries.  The section defect of a generator pair (i, j)
+    subtracts B_Q[k][i][j] P e_k, for each entry (k, i, j), from the carry
+    of the lifts P e_i and P e_j; each entry into a torsion coordinate k of
+    modulus d adds B_Q[k][i][j] (x_i y_j - x_j y_i) / d times gamma(d P e_k)
+    to the correction, one entry at a time."""
+    g_top, q = qd.projection.source, qd.group
+    nq = q.n
+    p = qd.section.matrix
+    lifts = list(zip(*p))  # lifts[i] = P e_i
+
+    def mono(*vs):
+        return tuple(sum(v == t for v in vs) for t in range(2 * nq))
+
+    defects = []
+    for i, j in itertools.product(range(nq), repeat=2):
+        vec = g_top.carry(lifts[i], lifts[j])
+        for k, a, b, coef in q.bilinear:
+            if (a, b) == (i, j):
+                vec = [x - coef * p[t][k] for t, x in enumerate(vec)]
+        if any(vec):
+            defects.append((mono(i, nq + j), vec))
+    carries = [entry for entry in q.bilinear if q.moduli[entry[0]]]
+    par = qd.subgroup.parametrization
+    if not (defects or carries) or not par.gens:
+        return c
+    new_syms = [(f"{prefix}{t + 1}", m) for t, m in enumerate(par.moduli)]
+    names = [name for name, _ in new_syms]
+    table = c.table.with_xis(new_syms)
+    gphase = Poly.make(2 * nq, table, [(e, gamma_phase_of(vec, par, table, names))
+                                       for e, vec in defects])
+    kterms = []
+    for k, a, b, coef in carries:
+        kn = gamma_phase_of([q.moduli[k] * x for x in lifts[k]], par, table, names)
+        kterms += [(mono(a, nq + b), kn.scale(Fraction(coef, q.moduli[k]))),
+                   (mono(b, nq + a), kn.scale(Fraction(-coef, q.moduli[k])))]
+    gcorr = Poly.make(2 * nq, table, kterms)
+    if gphase.is_zero() and gcorr.is_zero():
+        return c
+    phase = c.phase.rebase(table) + gphase
+    corr = c.correction.rebase(table) + gcorr if c.correction is not None else gcorr
+    return Cocycle(q, table, phase, None if corr.is_zero() else corr)
 
 
 def _knumber_product(a, b):

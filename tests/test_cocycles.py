@@ -19,10 +19,11 @@ from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly, _integer_valued
 
-from helpers import (antisym_reference, cocycle_defect_reference, coeff, commutator,
-                     integrality_violation_reference, is_integer_valued, pairing_rows_two_slot,
-                     rational_component, rational_part, shifted_section, symbol_component, symbol_names,
-                     twist_by_coboundary, validate_cocycle_reference)
+from helpers import (antisym_reference, cocycle_defect_reference, coeff, commutator, examples,
+                     induce_gamma_scan, integrality_violation_reference, is_integer_valued,
+                     pairing_rows_two_slot, rational_component, rational_part, shifted_section,
+                     symbol_component, symbol_names, twist_by_coboundary,
+                     validate_cocycle_reference)
 
 
 def theta_table():
@@ -767,6 +768,52 @@ def test_g3_induction_adds_bilinear_gamma_phase_without_correction():
     pts = [(1, 0, 0, 0, 0, 0, 1, 0, 0, 0), (2, 0, 0, 0, 0, 0, 3, 0, 0, 0)]
     for pt in pts:
         assert coeff(diff.eval(pt), "gamma1") == pt[0] * pt[6]
+
+
+def heis_quotients():
+    """The H(1, 3) quotient of heis_quotient under its canonical section and
+    a shifted one: nonzero defects and a nonzero correction."""
+    qd = heis_quotient()[3]
+    return qd, shifted_section(qd, {1: (3, 0, 0, 0, 0)})
+
+
+@st.composite
+def central_quotients(draw):
+    """QuotientData of a random 2-step presentation, with nf feeding and nr
+    receiving coordinates, by a central subgroup: its generators lie in the
+    receiving coordinates, so one with a coefficient other than +-1 leaves
+    torsion in the quotient that the law carries into.  Returned under the
+    canonical section and under one whose lifts are shifted by integer
+    combinations of the generators."""
+    nf, nr = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    n = nf + nr
+    entry = st.tuples(st.integers(nf, n - 1), st.integers(0, nf - 1), st.integers(0, nf - 1),
+                      st.integers(-3, 3))
+    moduli = (0,) * nf + tuple(draw(st.lists(st.sampled_from((0, 0, 2, 3)), min_size=nr, max_size=nr)))
+    g = groups.GroupPresentation(moduli, tuple(draw(st.lists(entry, min_size=1, max_size=5))))
+    coef = st.sampled_from((0, 1, 2, 3, 4, -2))  # mostly torsion-making
+    gens = draw(st.lists(st.tuples(*[st.just(0)] * nf + [coef] * nr), min_size=1, max_size=3))
+    qd = groups.quotient_by_central(g, zl.SubgroupLattice(g.moduli, tuple(gens)))
+    shift = {}
+    for t in range(qd.group.n):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+        shift[t] = tuple(sum(a * v[i] for a, v in zip(coefs, gens)) for i in range(n))
+    return qd, shifted_section(qd, shift)
+
+
+@settings(max_examples=examples(2), deadline=None)
+@given(central_quotients())
+@example(heis_quotients())
+def test_induce_gamma_matches_the_bilinear_entry_scan(quotients):
+    """The section defect read as the carry's round trip through the
+    projection and the section, and the torsion correction read off the
+    quotient's commutator rows, equal induce_gamma_scan's reading of the
+    quotient's bilinear entries, under the canonical and a shifted section."""
+    for qd in quotients:
+        t = theta_table()
+        c = Cocycle(qd.group, t, Poly.zero(2 * qd.group.n, t))
+        got, want = induce_gamma(c, qd), induce_gamma_scan(c, qd)
+        assert (got.table, got.phase, got.correction) == (want.table, want.phase, want.correction)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,40 @@ def test_product_rules_require_abelian_factors():
     assert not out.applicable
 
 
+PRODUCT_Z4 = "[symbols]\ntheta irrational\n[group]\nbuilder abelian 0 0 0 0\n[cocycle]\n{}\n"
+
+
+@pytest.mark.parametrize("body, verdict", [
+    ("theta * g:x1 * h:x2\n1/2 * g:x3 * h:x4", ZSTABLE),     # forward rule, one factor
+    ("1/2 * g:x1 * h:x2\n1/3 * g:x3 * h:x4", NOT_ZSTABLE),  # converse rule, both factors
+])
+def test_decide_product_validates_the_product_once_and_never_a_factor(monkeypatch, body, verdict):
+    """decide_product validates its input as decide does: once for a bare
+    cocycle, not at all for an Analysis whose violation was read.  A factor
+    is a pull-back of the product along a homomorphism, so it stays a valid
+    2-cocycle and is never validated."""
+    calls = []
+    real = decision.validate_cocycle
+    monkeypatch.setattr(decision, "validate_cocycle", lambda c: calls.append(c) or real(c))
+    p = parse_problem(PRODUCT_Z4.format(body))
+    out = decide_product(p.cocycle, 2, p.context)
+    assert out.applicable and out.verdict == verdict
+    assert calls == [p.cocycle]
+    a = Analysis(p.cocycle, p.context)
+    assert a.violation is None
+    calls.clear()
+    assert decide_product(a, 2) == out
+    assert calls == []
+
+
+def test_decide_product_rejects_an_invalid_product_as_an_input_error():
+    # the cocycle identity fails; without validation the twisted center
+    # would report the failing pairing as Unsupported instead
+    p = parse_problem(PRODUCT_Z4.format("1/3 * g:x1^2 * h:x2\ntheta * g:x3 * h:x4"))
+    with pytest.raises(InputError, match=r"^input is not a 2-cocycle: cocycle identity fails"):
+        decide_product(p.cocycle, 2, p.context)
+
+
 @pytest.mark.parametrize("n1", [-1, 0, 4, 5])
 def test_product_split_point_outside_1_to_n_minus_1_is_rejected(n1):
     t, th, _ = theta_entry()

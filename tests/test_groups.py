@@ -157,8 +157,8 @@ def test_fc_center_brute_force_random():
 
 
 def dense_commutator_rows(g):
-    """Every (k, j) in order, each row read entry by entry off the group
-    law's bilinear coefficients: n^3 reads."""
+    """Every (k, j, row) in order, each row read entry by entry off the
+    group law's bilinear coefficients: n^3 reads."""
     n = g.n
     b = {(k, i, j): c for k, i, j, c in g.bilinear}
     rows = []
@@ -166,7 +166,7 @@ def dense_commutator_rows(g):
         for j in range(n):
             row = [b.get((k, i, j), 0) - b.get((k, j, i), 0) for i in range(n)]
             if any(row):
-                rows.append((k, row))
+                rows.append((k, j, row))
     return rows
 
 
@@ -177,9 +177,9 @@ def test_commutator_rows_match_the_dense_construction():
     for _ in range(300):
         g = rand_presentation(rng, max_n=5)
         dense = dense_commutator_rows(g)
-        assert g._commutator_rows() == dense, g
-        congs = [(row, g.moduli[k]) for k, row in dense if g.moduli[k]]
-        eqs = [row for k, row in dense if not g.moduli[k]]
+        assert g.commutator_rows == dense, g
+        congs = [(row, g.moduli[k]) for k, _, row in dense if g.moduli[k]]
+        eqs = [row for k, _, row in dense if not g.moduli[k]]
         assert g.center() == zl.solve_mixed_system(g.moduli, eqs, congs)
         assert g.fc_center() == zl.solve_mixed_system(g.moduli, eqs, [])
 
@@ -212,8 +212,8 @@ def test_cached_centers_replay_the_commutator_rows(g):
     twin = gr.GroupPresentation(g.moduli, g.bilinear, g.names)
     before = (hash(g), repr(g))
     dense = dense_commutator_rows(g)
-    congs = [(row, g.moduli[k]) for k, row in dense if g.moduli[k]]
-    eqs = [row for k, row in dense if not g.moduli[k]]
+    congs = [(row, g.moduli[k]) for k, _, row in dense if g.moduli[k]]
+    eqs = [row for k, _, row in dense if not g.moduli[k]]
     assert g.center() is g.center() and g.fc_center() is g.fc_center()
     assert g.center() == zl.solve_mixed_system(g.moduli, eqs, congs)
     assert g.fc_center() == zl.solve_mixed_system(g.moduli, eqs, [])
@@ -276,10 +276,10 @@ def test_quotient_with_torsion_result():
     for _ in range(40):
         x = qd.group.reduce(tuple(rng.randint(-4, 4) for _ in range(5)))
         assert qd.projection.apply(qd.section.apply(x)) == x
-    # torsion lift lands in N
-    for lift in qd.torsion_lifts:
-        if lift is not None:
-            assert n.contains(list(lift))
+    # d * lift(e_k) lands in N for a torsion coordinate k of modulus d
+    for d, lift in zip(qd.group.moduli, zip(*qd.section.matrix)):
+        if d:
+            assert n.contains([d * x for x in lift])
 
 
 def test_quotient_trivial_subgroup():
@@ -410,14 +410,13 @@ def quotient_replay(g, sub):
     return gr.QuotientData(
         quo, gr.Morphism(g, quo, tuple(tuple(u[k]) for k in kept)),
         gr.Morphism(quo, g, tuple(tuple(col[i] for col in sec_cols) for i in range(n))),
-        sub, tuple(tuple(q.moduli[k] * x for x in col) if q.moduli[k] else None
-                   for k, col in zip(kept, sec_cols)))
+        sub)
 
 
 def test_quotient_transport_matches_the_entrywise_replay():
     """The one transport (carries of the lifts read through the kept rows of
     U) builds the same quotient as the entrywise tensor push, down to the
-    names, the section and the torsion lifts."""
+    names and the section."""
     rng = random.Random(47)
     torsion_carries = 0
     for _ in range(300):

@@ -28,6 +28,13 @@ ALLOWED = {
 }
 
 
+def src_trees():
+    """(module name, syntax tree) of every module in src/cocycle_lab."""
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path)[:-3], ast.parse(fh.read(), filename=path)
+
+
 def identifier_nodes(tree):
     """(identifier, node) for every name and attribute name in tree."""
     for node in ast.walk(tree):
@@ -50,10 +57,7 @@ def public_definitions(tree):
 
 
 def test_every_public_definition_has_a_caller_in_src_or_the_readme():
-    trees = []
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            trees.append(ast.parse(fh.read(), filename=path))
+    trees = [tree for _, tree in src_trees()]
     uses = {}
     for tree in trees:
         for name, node in identifier_nodes(tree):
@@ -90,14 +94,13 @@ BROAD_CATCHES = {
 }
 
 
-def except_handlers(node, owner=None):
-    """(name of the innermost enclosing function, handler) for every except
-    clause below node."""
+def owned_nodes(node, owner=None):
+    """(name of the innermost enclosing function, node) for every node below
+    node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.ExceptHandler):
-            yield owner, child
+        yield owner, child
         inner = child.name if isinstance(child, ast.FunctionDef) else owner
-        yield from except_handlers(child, inner)
+        yield from owned_nodes(child, inner)
 
 
 def test_no_handler_catches_a_fault_as_an_outcome():
@@ -106,16 +109,45 @@ def test_no_handler_catches_a_fault_as_an_outcome():
     a tuple, nor nothing at all: a fault must reach cli.main's catch-all and
     exit 3, not read as undecided or as an input error."""
     found = {}
-    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for owner, handler in except_handlers(tree):
+    for mod, tree in src_trees():
+        for owner, handler in owned_nodes(tree):
+            if not isinstance(handler, ast.ExceptHandler):
+                continue
             names = ({n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
                      if handler.type else {"Exception"})
             if names & {"ValueError", "Exception", "BaseException"}:
-                key = (os.path.basename(path)[:-3], owner)
-                found[key] = found.get(key, 0) + 1
+                found[mod, owner] = found.get((mod, owner), 0) + 1
     assert found == BROAD_CATCHES
+
+
+# every read of a presentation's bilinear entries in src, by (module,
+# function): the places a change to how the group law is stored (power
+# relations, say) must visit.  Everything else reads the law through
+# GroupPresentation.carry, a Morphism or GroupPresentation.commutator_rows
+BILINEAR_READS = {
+    ("groups", "_check"): 2,
+    ("groups", "feeding_coords"): 2,
+    ("groups", "receiving_coords"): 1,
+    ("groups", "carry"): 1,
+    ("groups", "commutator_rows"): 1,
+    ("cocycles", "_law_scalars"): 1,
+    ("cocycles", "validate_cocycle"): 1,
+    ("cocycles", "_check_additive"): 1,
+    ("cocycles", "product_split"): 1,
+    ("problem", "_parse_group"): 1,
+}
+
+
+def test_bilinear_entries_are_read_only_at_the_pinned_places():
+    """induce_gamma reads the quotient through quotient_by_central's maps
+    and the quotient's commutator rows, never through its entries."""
+    found = {}
+    for mod, tree in src_trees():
+        for owner, node in owned_nodes(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "bilinear":
+                found[mod, owner] = found.get((mod, owner), 0) + 1
+    assert ("cocycles", "induce_gamma") not in BILINEAR_READS
+    assert found == BILINEAR_READS
 
 
 def resolves(mod, dotted):
