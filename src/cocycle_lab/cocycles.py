@@ -567,7 +567,8 @@ def induce_gamma(c, qd, prefix="gamma"):
     table = c.table.with_xis(new_syms)
     gphase = Poly.make(2 * nq, table, [(e, gamma_phase_of(vec, par, table, names))
                                        for e, vec in defects])
-    kns = {k: gamma_phase_of([q.moduli[k] * x for x in lifts[k]], par, table, names) for k in torsion}
+    kns = {k: gamma_phase_of([q.moduli[k] * x for x in lifts[k]], par, table, names)
+           for k in torsion}
     gcorr = Poly.make(2 * nq, table, [(_mono(2 * nq, i, nq + j), kns[k]._times(coef, q.moduli[k]))
                                       for k, j, row in q.commutator_rows if k in kns
                                       for i, coef in enumerate(row) if coef])

@@ -202,11 +202,6 @@ def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     criterion for 2-step groups is tried as a fallback before giving up."""
     a = _analysis(c, ctx, case_budget)
     _require_cocycle(a)
-    return _decide_valid(a)
-
-
-def _decide_valid(a):
-    """decide on an Analysis whose cocycle is known to be a 2-cocycle."""
     node = _decide_node(a, 0)
     if node.verdict != UNDECIDED:
         return Verdict(z_stable=node.verdict, certificate=node)
@@ -422,17 +417,19 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
         return all(leaf.ctx.classify(sum((r * x for r, x in zip(row, col[skip:])), zero)).kind == INTEGER
                    for leaf in leaves for col in leaf.lattice.hnf_basis for row in rows)
 
+    # the factors are abelian, so the recursion's root decides each as decide
+    # would: decide's fallback ends undecided wherever an abelian root does
     # forward rule: f(., g2) trivial on the g2 part of the product's twisted center
     forward_ok = f_vanishes(fcols, a.leaves, n1)
-    v1 = _decide_valid(a1)
-    if forward_ok and v1.z_stable == ZSTABLE:
+    v1 = _decide_node(a1, 0).verdict
+    if forward_ok and v1 == ZSTABLE:
         return ProductRuleOutcome(True, ZSTABLE,
                                   "first factor Z-stable and f vanishes against the "
                                   "twisted center of the product")
     # converse rule (contrapositive)
-    v2 = _decide_valid(a2)
+    v2 = _decide_node(a2, 0).verdict
     converse_ok = f_vanishes(fmat, a1.leaves) and f_vanishes(fcols, a2.leaves)
-    if converse_ok and v1.z_stable == NOT_ZSTABLE and v2.z_stable == NOT_ZSTABLE:
+    if converse_ok and v1 == NOT_ZSTABLE and v2 == NOT_ZSTABLE:
         return ProductRuleOutcome(True, NOT_ZSTABLE,
                                   "both factors rational and f vanishes against "
                                   "Z(G1,sigma1) x Z(G2,sigma2)")
