@@ -302,7 +302,9 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     Each row is cleared to integers once, with the forms, from the integers
     of its KNumbers: a row r/d gives the equation r.z = 0 and, under a
     denominator class m, the congruence r.z = 0 (mod m*d), the integer rows
-    solve_mixed_system takes.
+    solve_mixed_system takes.  It is presolved there too, once for all
+    leaves: a singleton row gives the coordinate it forces to 0.  A leaf's
+    basis is still its whole system's canonical HNF (solve_mixed_system).
 
     Each case node classifies each distinct symbol once, in the order the
     forms and their terms first name it: every term's value is the unit
@@ -320,7 +322,7 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
         for s in dict.fromkeys(n for kn in form for n, _ in kn.ints[2]):
             row, d = _cleared([(cs.get(s, 0), e) for cs, e in parts])
             text = _render_form(row, d, s, gen_names)  # and its two fixed condition texts
-            terms.append((s, row, d, text, text + " = 0 forced (irrational factor)",
+            terms.append((s, row, d, zl.presolve([row]), text, text + " = 0 forced (irrational factor)",
                           text + " (rational factor, denominator unknown; "
                                  "congruence skipped, rank unaffected)"))
         prepared.append((const, terms))
@@ -348,22 +350,23 @@ def _case_leaf(ctx, prepared, classes, zmoduli):
     """The leaf of a node whose symbols are all classified: irrational
     components give equations, rational ones congruences or, without a
     denominator class, a skipped note."""
-    eqs, congs, conds, skipped = [], [], [], []
+    forced, eqs, congs, conds, skipped = [], [], [], [], []
     for const, terms in prepared:
         if const:
             congs.append(const[0])
             conds.append(const[1])
-        for s, row, d, text, forced, skip in terms:
+        for s, row, d, (fixes, rest), text, irrational, skip in terms:
             cls = classes[s]
             if cls.kind == IRRATIONAL:
-                eqs.append(row)
-                conds.append(forced)
+                forced += fixes
+                eqs += rest
+                conds.append(irrational)
             elif cls.denominator is None:
                 skipped.append(skip)
             else:
                 congs.append((row, cls.denominator * d))
                 conds.append(text + f" = 0 (mod {cls.denominator})")
-    lat = zl.solve_mixed_system(tuple(zmoduli), eqs, congs)
+    lat = zl.solve_mixed_system(zmoduli, forced, eqs, congs)
     return CaseLeaf(ctx, lat, tuple(conds), tuple(skipped))
 
 

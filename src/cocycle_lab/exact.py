@@ -42,6 +42,7 @@ class SymbolTable(Value):
             raise ValueError("duplicate symbol names")
         if any(m < 0 for _, m in self.xis):
             raise ValueError("torsion order must be >= 0")
+        object.__setattr__(self, "_vectors", {})  # RationalityContext._vec's cache
 
     @cached_property
     def names(self):
@@ -255,7 +256,8 @@ class RationalityContext(Value):
     (reduced row-echelon form is unique, so reduce() answers equal a
     rebuild's); an irrational child keeps the span, gains x's residual, and
     is consistent iff the parent is and x is neither constant nor in the
-    span.
+    span.  Both take x's residual from the parent: _classify keeps the
+    residual of each value it finds UNDETERMINED, so a split reduces x once.
 
     A rational or irrational child's classify() memo starts with the
     parent's INTEGER/RATIONAL entries, since (c, v), the integral facts and
@@ -273,7 +275,8 @@ class RationalityContext(Value):
     child is consistent.  With thetas a rational child keeps no IRRATIONAL
     entry: a new theta pivot can leave a pure-theta residual undetermined,
     so a theta-axiom entry can flip.  UNDETERMINED entries are never kept,
-    and an integral child starts empty: its denominators can change.
+    and an integral child starts empty: its denominators can change.  So an
+    irrational or settled rational child copies the memo less those keys.
 
     The rational child of split(x) on any x UNDETERMINED in its parent,
     thetas or not, records x itself as Classification(RATIONAL, None),
@@ -291,15 +294,19 @@ class RationalityContext(Value):
         for f in self.rational + self.integral + self.irrational:
             if f.table is not self.table and f.table != self.table:
                 raise ValueError("fact does not belong to this symbol table")
-        object.__setattr__(self, "_classified", {})  # classify() memo
+        self.__dict__.update(_classified={}, _residuals={})  # classify() memo, UNDETERMINED residuals
 
     # -- internal vector views -------------------------------------------
 
     def _vec(self, x):
-        """x's symbol numerators, one per table name: x's symbol part times
-        its denominator, which is all a span question reads."""
-        coeffs = dict(x.ints[2])
-        return [coeffs.get(n, 0) for n in self.table.names]
+        """x's symbol numerators, one per table name, cached per table: x's
+        symbol part times its denominator, which is all a span question reads."""
+        pairs = x.ints[2]
+        v = self.table._vectors.get(pairs)
+        if v is None:
+            coeffs = dict(pairs)
+            v = self.table._vectors[pairs] = tuple([coeffs.get(n, 0) for n in self.table.names])
+        return v
 
     @cached_property
     def _fact_parts(self):
@@ -371,6 +378,7 @@ class RationalityContext(Value):
             for fres in self._irrational_residuals:
                 if _collinear(residual, fres):
                     return _IRRATIONAL
+            self._residuals[x.ints] = residual  # for split(x)
             return _UNDETERMINED
         # rational: the integral facts (u_j.sym + b_j)/e_j in Z bound its
         # denominator.  If m*v/d = sum(n_j * u_j/e_j) with n_j integers, then
@@ -408,31 +416,35 @@ class RationalityContext(Value):
         slots = child.__dict__  # the fields, and where cached_property keeps its values
         slots.update(table=self.table, rational=self.rational, integral=self.integral,
                      irrational=self.irrational, assumptions=self.assumptions + (note,),
-                     _classified={})
+                     _classified={}, _residuals={})
         slots[kind] += (x,)
+        memo = child._classified
+        if kind == "irrational" or settled:
+            memo.update(self._classified)
+            for key in self._residuals:  # the UNDETERMINED entries
+                memo.pop(key, None)
+        elif kind == "rational":
+            memo.update(kv for kv in self._classified.items() if kv[1].kind in (INTEGER, RATIONAL))
         d, c, _ = x.ints
         v = self._vec(x)
+        residual = self._residuals.get(x.ints) or self._span.reduce(v)
         rat, integ = self._fact_parts
         if kind == "irrational":
-            residual = self._span.reduce(v)
             slots.update(_span=self._span, _consistent=self._consistent and any(residual),
                          _irrational_residuals=self._irrational_residuals + (residual,))
             if any(residual):  # _classify finds x's own residual, or the theta axiom
-                child._classified[x.ints] = _IRRATIONAL
+                memo[x.ints] = _IRRATIONAL
         else:
             if kind == "rational":
                 rat += (v,) if any(v) else ()
             else:  # integral facts precede the torsion axioms
                 integ = integ[:len(self.integral)] + ((v, c, d),) + integ[len(self.integral):]
             slots["_span"] = span = zl.QEchelon()
-            span.rows = list(self._span.rows)  # add() replaces rows, never edits one
-            span.add(v)
+            span.rows = list(self._span.rows)  # insert() replaces rows, never edits one
+            span.insert(residual)
             if settled:
                 slots["_consistent"] = True
         slots["_fact_parts"] = (rat, integ)
-        if kind != "integral":
-            keep = (INTEGER, RATIONAL) + ((IRRATIONAL,) if kind == "irrational" or settled else ())
-            child._classified.update(kv for kv in self._classified.items() if kv[1].kind in keep)
         return child
 
     def split(self, x):

@@ -139,7 +139,7 @@ class GroupPresentation(Value):
                 congs.append((row, self.moduli[k]))
             else:
                 eqs.append(row)
-        return zl.solve_mixed_system(self.moduli, eqs, congs)
+        return zl.solve_mixed_system(self.moduli, *zl.presolve(eqs), congs)
 
     def fc_center(self):
         """Elements with finite conjugacy class: the commutator image of g must
@@ -149,7 +149,7 @@ class GroupPresentation(Value):
     @cached_property
     def _fc_center(self):
         eqs = [row for k, _, row in self.commutator_rows if not self.moduli[k]]
-        return zl.solve_mixed_system(self.moduli, eqs, [])
+        return zl.solve_mixed_system(self.moduli, *zl.presolve(eqs), [])
 
     def hirsch(self):
         return sum(1 for m in self.moduli if m == 0)

@@ -31,6 +31,7 @@ carries its 1-based line number.
 from __future__ import annotations
 
 import math
+import re
 
 from . import groups
 from ._value import InputError, Value
@@ -83,6 +84,10 @@ def _rational(tok, line_no):
             p, q = int(digits), int(den or 1)
             g = math.gcd(p, q)
             return (-p if num[0] == "-" else p) // g, q // g
+        if (exp := re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", tok)) and abs(int(exp[1])) >= 4300:
+            # Fraction would build 10^|e|, past the 4300 digits Python reads from a string
+            raise ProblemError(line_no, f"exponent of {tok!r} is out of range "
+                                        "(its magnitude must be below 4300)")
         from fractions import Fraction
         f = Fraction(tok)
         return f.numerator, f.denominator

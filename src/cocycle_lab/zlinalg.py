@@ -7,9 +7,10 @@ includes the torsion generators m_i * e_i.  There is one Hermite routine,
 ``row_hnf``, which builds a transform only on request; ``kernel_int`` reads
 a kernel's own HNF basis off one transform-free HNF of [a^T | I].
 ``solve_mixed_system`` takes integer rows only (a caller with rational
-conditions clears each row once, with ``clear_denominators``) and costs at
-most one Hermite form per system; none when singleton equalities fix every
-constrained coordinate.  Its answer is already the subgroup's HNF basis,
+conditions clears each row once, with ``clear_denominators``), singleton
+equalities as the coordinates they force (``presolve``, once per row), and
+costs at most one Hermite form per system; none when only forced
+coordinates are constrained.  Its answer is already the subgroup's HNF basis,
 which ``SubgroupLattice.from_hnf`` keeps without reducing it again.  A
 vector is written in a lattice by one back-substitution down the HNF pivots,
 over Z (``coordinates``) or over Q (``denominator_in_lattice``, in
@@ -216,7 +217,10 @@ class QEchelon:
 
     def add(self, v):
         """Extend the span by v; False when v already lies in it."""
-        r = self.reduce(v)
+        return self.insert(self.reduce(v))
+
+    def insert(self, r):
+        """add(v) for a v already reduced to r = reduce(v)."""
         piv = next((i for i, x in enumerate(r) if x), None)
         if piv is None:
             return False
@@ -401,14 +405,24 @@ def clear_denominators(row):
     return [x.numerator * (d // x.denominator) for x in row], d
 
 
-def solve_mixed_system(moduli, equalities, congruences):
-    """Integer points with row.x = 0 for equalities and row.x = 0 (mod m) per congruence.
+def presolve(equalities):
+    """Equality rows as solve_mixed_system takes them: the coordinates that
+    rows with one nonzero entry force to 0, and the rows with more."""
+    supports = [[i for i, x in enumerate(r) if x] for r in equalities]
+    return ([s[0] for s in supports if len(s) == 1],
+            [r for r, s in zip(equalities, supports) if len(s) > 1])
+
+
+def solve_mixed_system(moduli, forced, equalities, congruences):
+    """Integer points with x_i = 0 for i in forced, row.x = 0 for equalities
+    and row.x = 0 (mod m) per congruence.
 
     Rows are lists of ints; a caller with rational rows clears them first
     (``clear_denominators``: r/d.x = 0 iff r.x = 0, and r/d.x = 0 (mod m) iff
     r.x = 0 (mod m*d)).  The result is a SubgroupLattice over the given
-    ambient moduli.  Equality rows must not touch torsion coordinates (the
-    condition would not be well defined on the quotient).
+    ambient moduli.  Equalities, forced coordinates included, must not touch
+    torsion coordinates (the condition would not be well defined on the
+    quotient).  Callers presolve each row once (``presolve``), not per system.
 
     x solves the system iff (x, y) lies in the kernel of [E 0; C diag(m)]
     for an integer y, which x fixes, so no kernel row has a zero x-part and
@@ -416,38 +430,29 @@ def solve_mixed_system(moduli, equalities, congruences):
     solutions L in Z^n.  The checks below put every torsion generator m_i*e_i
     in L, so that basis is the subgroup's canonical basis as it stands.
 
-    Presolve: an equality row with one nonzero entry forces its coordinate
-    to 0 (a free one, since equalities avoid torsion coordinates).  The
-    forced columns are dropped from every row, rows left zero go, and the
-    kernel of the rest (the identity when nothing is left) gets zeros put
-    back in the forced columns.  That is L's row HNF basis again: a zero
-    column holds no pivot and changes no reduction above one, so the
+    The forced columns are dropped from every row, rows left zero go, and
+    the kernel of the rest (the kept unit vectors when nothing is left) gets
+    zeros put back in the forced columns.  That is L's row HNF basis again:
+    a zero column holds no pivot and changes no reduction above one, so the
     embedded basis is still in Hermite form, and a lattice has one row HNF
-    (Cohen, GTM 138, 2.4).  So a system costs at most one Hermite form;
-    none when singleton equalities fix every constrained coordinate."""
+    (Cohen, GTM 138, 2.4)."""
     n, k = len(moduli), len(congruences)
     torsion = [(i, m) for i, m in enumerate(moduli) if m]
-    eqs, forced = [], set()
-    for r in equalities:
-        support = [i for i, x in enumerate(r) if x]
-        if not support:
-            continue
-        if any(r[i] for i, _ in torsion):
-            raise ValueError("equality row is not well defined modulo ambient torsion")
-        if len(support) == 1:
-            forced.add(support[0])
-        else:
-            eqs.append(r)
+    if any(moduli[i] for i in forced) or any(r[i] for r in equalities for i, _ in torsion):
+        raise ValueError("equality row is not well defined modulo ambient torsion")
     kept = [i for i in range(n) if i not in forced]
-    rows = [[*row, *[0] * k] for row in ([r[i] for i in kept] for r in eqs) if any(row)]
+    rows = [[*row, *[0] * k] for row in ([r[i] for i in kept] for r in equalities) if any(row)]
     for s, (r, m) in enumerate(congruences):
         if m <= 0:
             raise ValueError("congruence modulus must be positive")
         if any(r[i] * mi % m for i, mi in torsion):
             raise ValueError("congruence row is not well defined modulo ambient torsion")
         rows.append([*[r[i] for i in kept], *[0] * s, m, *[0] * (k - s - 1)])
+    if not rows:  # the kept unit vectors
+        return SubgroupLattice.from_hnf(tuple(moduli), tuple([(0,) * i + (1,) + (0,) * (n - i - 1)
+                                                              for i in kept]))
     basis = []
-    for row in kernel_int(rows) if rows else identity(len(kept)):
+    for row in kernel_int(rows):
         x = [0] * n
         for i, v in zip(kept, row):  # the y-part falls off the end
             x[i] = v

@@ -1,10 +1,13 @@
 """Hypothesis profiles.  ``ci`` runs ten times the examples of every
 property that takes its count from the profile: one that pins none, or one
 that pins a multiple of it with ``helpers.examples`` (every property of
-tests/test_zlinalg.py and tests/test_exact.py, the cached-center property
-of tests/test_groups.py and the induce_gamma differential property of
-tests/test_cocycles.py).  It loads only when
-HYPOTHESIS_PROFILE=ci is set, so a plain run keeps Hypothesis's defaults:
+tests/test_zlinalg.py and tests/test_exact.py, among them the split
+children property test_extended_children_agree_with_fresh_contexts, the
+cached-center property of tests/test_groups.py, and the induce_gamma
+differential property and the case-leaf differential property
+test_case_leaves_equal_the_unpresolved_replay of tests/test_cocycles.py).
+It loads only when HYPOTHESIS_PROFILE=ci is set, so a plain run keeps
+Hypothesis's defaults:
 
     HYPOTHESIS_PROFILE=ci PYTHONPATH=src python -m pytest -q tests/test_zlinalg.py
 """

@@ -4,6 +4,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -195,10 +196,16 @@ THETA = exact.SymbolTable(thetas=("theta",))
 
 def coefficient_by_fraction(tokens, sym):
     """The coefficient as the parser built it from Fraction(tok) before it
-    read the plain forms as integers."""
+    read the plain forms as integers, with a token whose trailing decimal
+    exponent has magnitude 4300 or more refused before Fraction builds
+    10^|e| (0.13 s for 1e1000000, unbounded beyond)."""
     q = Fraction(1)
     for tok in tokens:
+        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\Z", tok)
         try:
+            if exp and abs(int(exp[1])) >= 4300:
+                raise ProblemError(7, f"exponent of {tok!r} is out of range "
+                                      "(its magnitude must be below 4300)")
             q *= Fraction(tok)
         except (ValueError, ZeroDivisionError):
             raise ProblemError(7, f"expected a rational number, got {tok!r}")
@@ -221,6 +228,9 @@ def coefficient_by_fraction(tokens, sym):
 @example(["1/-2"], None, 0)
 @example(["1" * 4301], None, 0)
 @example(["1/" + "1" * 4301], None, 0)
+@example(["1e1000000"], None, 0)
+@example(["0", "0e-1000000"], "theta", 1)
+@example(["1e4299"], None, 0)
 def test_coefficient_tokens_read_as_fraction_reads_them(tokens, sym, at):
     """The plain forms are read as integers, any other token by Fraction:
     the coefficient is the one Fraction(tok) gives, or the same error."""
@@ -238,6 +248,20 @@ def test_coefficient_tokens_read_as_fraction_reads_them(tokens, sym, at):
     else:
         coef, _, _ = problem._parse_monomial(line, 7, group, THETA)
         assert coef == want
+
+
+def test_a_huge_decimal_exponent_is_an_input_error(tmp_path, capsys):
+    """1e1000000 is refused by its exponent, before 10^1000000 is built,
+    with the line it stands on; the density bounds read tokens the same way."""
+    f = tmp_path / "huge.problem"
+    f.write_text("[group]\nmoduli 0 0\n[cocycle]\n1e1000000 * g:x1 * h:x2\n")
+    code, out, err = run(["verdict", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: line 4: exponent of '1e1000000' is out of range "
+                   "(its magnitude must be below 4300)\n")
+    with pytest.raises(ProblemError) as e:
+        parse_problem("[group]\nmoduli 0\n[cocycle]\n[tf]\ndensity 0 2E-4300\n")
+    assert e.value.line_no == 5 and "exponent of '2E-4300' is out of range" in str(e.value)
 
 
 # ---------------------------------------------------------------------------

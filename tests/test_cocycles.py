@@ -15,7 +15,7 @@ from cocycle_lab.cocycles import (CaseLeaf, Cocycle, _pairing_rows, antisym,
                                   phi_surjective, product_split, pull_back,
                                   push_to_quotient, twisted_center,
                                   validate_cocycle)
-from cocycle_lab.exact import (INTEGER, KNumber, SymbolTable, empty_context,
+from cocycle_lab.exact import (INTEGER, IRRATIONAL, KNumber, SymbolTable, empty_context,
                                knum, symbol)
 from cocycle_lab.poly import Poly, _integer_valued
 
@@ -249,6 +249,78 @@ def test_condition_rows_are_cleared_to_their_least_denominator():
     (leaf,) = condition_lattice(ctx, [form], (0, 0), ("z1", "z2"))
     assert leaf.conditions == ("t*(1/2*z1 + 1/2*z2) = 0 forced (irrational factor)",)
     assert leaf.lattice.hnf_basis == ((1, -1),)
+
+
+# condition_lattice's leaves against their whole systems: tables with
+# thetas, free parameters and torsion parameters, z-coordinates with torsion
+LEAF_TABLES = [
+    SymbolTable(thetas=("theta",), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
+    SymbolTable(xis=(("xi", 0), ("eta", 2), ("zeta", 0))),
+    SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("mu", 6))),
+]
+LEAF_COEFFS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+@st.composite
+def leaf_systems(draw):
+    """(context, forms, z-moduli) for condition_lattice, every condition
+    well defined modulo the z-torsion: on a torsion coordinate of order m a
+    form has a constant in Z/m and only torsion symbols, each a multiple of
+    its order over m.  The context holds up to two facts of any kind."""
+    table = draw(st.sampled_from(LEAF_TABLES))
+    n = draw(st.integers(1, 4))
+    zmoduli = tuple(draw(st.lists(st.sampled_from((0, 0, 2, 3)), min_size=n, max_size=n)))
+
+    def coefficient(m):
+        if not m:
+            return KNumber.make(table, draw(st.sampled_from(LEAF_COEFFS)),
+                                {s: draw(st.sampled_from(LEAF_COEFFS)) for s in table.names})
+        return KNumber.make(table, Fraction(draw(st.integers(-3, 3)), m),
+                            {s: Fraction(draw(st.integers(-2, 2)) * t, m)
+                             for s, t in table.xis if t})
+
+    forms = [[coefficient(m) for m in zmoduli] for _ in range(draw(st.integers(1, 3)))]
+    ctx = empty_context(table)
+    for kind in draw(st.lists(st.sampled_from(("rational", "integral", "irrational")),
+                              max_size=2)):
+        ctx = getattr(ctx, "assume_" + kind)(coefficient(0))
+    return ctx, forms, zmoduli
+
+
+def leaf_system_replay(leaf, forms, zmoduli):
+    """The leaf's lattice from its whole system, none of it presolved: each
+    form's constant congruence, then per symbol an equality or a congruence
+    as the leaf's context classifies the symbol, solved by one kernel."""
+    table = leaf.ctx.table
+    eqs, congs = [], []
+    for form in forms:
+        row, d = zl.clear_denominators([Fraction(kn.ints[1], kn.ints[0]) for kn in form])
+        if d != 1:
+            congs.append((row, d))
+        for s in table.names:
+            part = [Fraction(dict(kn.ints[2]).get(s, 0), kn.ints[0]) for kn in form]
+            if not any(part):
+                continue
+            row, d = zl.clear_denominators(part)
+            cls = leaf.ctx.classify(symbol(table, s))
+            if cls.kind == IRRATIONAL:
+                eqs.append(row)
+            elif cls.denominator is not None:
+                congs.append((row, cls.denominator * d))
+    return zl.solve_mixed_system(zmoduli, [], eqs, congs)
+
+
+@settings(max_examples=examples(1), deadline=None)
+@given(leaf_systems())
+def test_case_leaves_equal_the_unpresolved_replay(system):
+    """Each (form, symbol) row is presolved once per condition_lattice
+    call, and every leaf's lattice is still the one the leaf's whole
+    system gives, singleton rows and all, in the same canonical HNF."""
+    ctx, forms, zmoduli = system
+    leaves = condition_lattice(ctx, forms, zmoduli, [f"z{i}" for i in range(len(zmoduli))])
+    for leaf in leaves:
+        assert leaf.lattice.hnf_basis == leaf_system_replay(leaf, forms, zmoduli).hnf_basis
+        assert leaf.lattice == zl.SubgroupLattice(zmoduli, leaf.lattice.hnf_basis)
 
 
 def test_heisenberg_twisted_center_is_d2_scaled_r_axis():

@@ -739,12 +739,47 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     assert kernels == []  # 52 when the pure-theta search ran without thetas
 
 
+def test_a_split_reduces_its_value_once(monkeypatch):
+    """On the chain Z^5 with 4 params each split(x) costs one reduction of
+    x's symbol vector: the one in the classify that found x undetermined,
+    whose residual both children take, the rational child into its span
+    and the irrational one as its residual.  (3 per split before: that
+    classify, the rational child's insertion and the irrational child's
+    residual.)"""
+    p = parse_problem(CHAIN_Z5)
+    reduced, classified, per_split = [], [], []
+    real_reduce = zl.QEchelon.reduce
+    real_classify = exact.RationalityContext._classify
+    real_split = exact.RationalityContext.split
+    monkeypatch.setattr(zl.QEchelon, "reduce",
+                        lambda self, v: reduced.append(tuple(v)) or real_reduce(self, v))
+
+    def _classify(self, x):
+        start = len(reduced)
+        out = real_classify(self, x)
+        classified.append((self, x.ints, reduced[start:].count(tuple(self._vec(x)))))
+        return out
+
+    def split(self, x):
+        before = sum(k for ctx, ints, k in classified if ctx is self and ints == x.ints)
+        start = len(reduced)
+        out = real_split(self, x)
+        per_split.append(before + reduced[start:].count(tuple(self._vec(x))))
+        return out
+
+    monkeypatch.setattr(exact.RationalityContext, "_classify", _classify)
+    monkeypatch.setattr(exact.RationalityContext, "split", split)
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert per_split == [1] * 30
+
+
 def test_chain_case_leaves_need_no_hermite_form(monkeypatch):
     """Every condition row of a chain torus's case leaves, and every
     commutator row of its groups, is a singleton equality, so the presolve
-    of solve_mixed_system fixes each constrained coordinate and no Hermite
-    form is built.  (36 row_hnf calls, 30 of them inside kernel_int, before
-    the presolve.)"""
+    (once per row, zlinalg.presolve) fixes each constrained coordinate and
+    solve_mixed_system builds no Hermite form.  (36 row_hnf calls, 30 of
+    them inside kernel_int, before the presolve.)"""
     p = parse_problem(CHAIN_Z5)
     calls = []
     real = zl.row_hnf

@@ -348,11 +348,14 @@ EXTENSION_VALUES = [(t, table_values(t)) for t in EXTENSION_TABLES]
 @st.composite
 def extension_chains(draw):
     """A table, then up to 4 steps (an assume_*() or a split() kept on one
-    side), each with values the parent classifies first and probes."""
+    side), each with values the parent classifies first and probes, and
+    whether the parent classifies the step's value first: split() then
+    hands both children the residual that classify left, or reduces it."""
     table, values = draw(st.sampled_from(EXTENSION_VALUES))
     steps = draw(st.lists(st.tuples(st.sampled_from(("assume", "split")),
                                     st.sampled_from(KINDS), values,
-                                    st.lists(values, max_size=3), st.lists(values, max_size=3)),
+                                    st.lists(values, max_size=3), st.lists(values, max_size=3),
+                                    st.booleans()),
                           min_size=1, max_size=4))
     return table, steps
 
@@ -366,24 +369,32 @@ def fresh_child(ctx, kind, x):
 @settings(max_examples=examples(3), deadline=None)
 @given(extension_chains())
 def test_extended_children_agree_with_fresh_contexts(chain):
+    """Every child, both of a split's included, classifies as a context
+    built from its facts does: its span took x's residual (the parent's
+    classify's or a new one), and its memo a copy of the parent's kept
+    kinds.  The chain goes on from the child of the drawn kind."""
     table, steps = chain
     ctx = empty_context(table)
-    for how, kind, x, warm, probes in steps:
-        warm = warm + [x, x.scale(Fraction(1, 2)), x + Fraction(1, 3)]
+    for how, kind, x, warm, probes, first in steps:
+        warm = warm + ([x, x.scale(Fraction(1, 2)), x + Fraction(1, 3)] if first else [])
         parent = [ctx.classify(y) for y in warm]
+        children = []
         if how == "split" and kind != "integral":
             rat, irr = ctx.split(x)
             for got, k in ((rat, "rational"), (irr, "irrational")):
                 assert (got is None) == (not fresh_child(ctx, k, x).is_consistent())
+            children = [c for c in (rat, irr) if c is not None]
             child = rat if kind == "rational" else irr
         else:
             child = None
         if child is None:  # keep going from an inconsistent child too
             child = getattr(ctx, "assume_" + kind)(x)
-        fresh = fresh_copy(child)
-        assert child.is_consistent() == fresh.is_consistent()
-        ys = warm + probes + list(child.rational + child.integral + child.irrational)
-        assert [child.classify(y) for y in ys] == [fresh.classify(y) for y in ys]
+            children.append(child)
+        for c in children:
+            fresh = fresh_copy(c)
+            assert c.is_consistent() == fresh.is_consistent()
+            ys = warm + [x] + probes + list(c.rational + c.integral + c.irrational)
+            assert [c.classify(y) for y in ys] == [fresh.classify(y) for y in ys]
         # the parent is left as it was
         assert [ctx.classify(y) for y in warm] == parent
         assert [ctx.classify(y) for y in probes] == [fresh_copy(ctx).classify(y) for y in probes]

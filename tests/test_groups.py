@@ -180,8 +180,8 @@ def test_commutator_rows_match_the_dense_construction():
         assert g.commutator_rows == dense, g
         congs = [(row, g.moduli[k]) for k, _, row in dense if g.moduli[k]]
         eqs = [row for k, _, row in dense if not g.moduli[k]]
-        assert g.center() == zl.solve_mixed_system(g.moduli, eqs, congs)
-        assert g.fc_center() == zl.solve_mixed_system(g.moduli, eqs, [])
+        assert g.center() == zl.solve_mixed_system(g.moduli, [], eqs, congs)
+        assert g.fc_center() == zl.solve_mixed_system(g.moduli, [], eqs, [])
 
 
 @st.composite
@@ -215,8 +215,8 @@ def test_cached_centers_replay_the_commutator_rows(g):
     congs = [(row, g.moduli[k]) for k, _, row in dense if g.moduli[k]]
     eqs = [row for k, _, row in dense if not g.moduli[k]]
     assert g.center() is g.center() and g.fc_center() is g.fc_center()
-    assert g.center() == zl.solve_mixed_system(g.moduli, eqs, congs)
-    assert g.fc_center() == zl.solve_mixed_system(g.moduli, eqs, [])
+    assert g.center() == zl.solve_mixed_system(g.moduli, [], eqs, congs)
+    assert g.fc_center() == zl.solve_mixed_system(g.moduli, [], eqs, [])
     assert g.is_abelian() == (not dense)
     assert g == twin and (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 

@@ -230,7 +230,7 @@ def test_mixed_system_vs_direct_check():
                     c = 0  # keep the condition well defined on the quotient
                 row.append(c)
             congs.append((row, m))
-        lat = zl.solve_mixed_system(moduli, eqs, congs)
+        lat = zl.solve_mixed_system(moduli, *zl.presolve(eqs), congs)
 
         def satisfies(v):
             for row in eqs:
@@ -251,12 +251,12 @@ def test_mixed_system_fraction_rows():
     # x/2 + y/3 = 0 over Z^2  <=>  3x + 2y = 0
     row, d = zl.clear_denominators([Fraction(1, 2), Fraction(1, 3)])
     assert (row, d) == ([3, 2], 6)
-    lat = zl.solve_mixed_system((0, 0), [row], [])
+    lat = zl.solve_mixed_system((0, 0), [], [row], [])
     assert lat.contains([2, -3])
     assert not lat.contains([1, 1])
     # x/2 = 0 mod 1  <=>  x = 0 mod 2
     row, d = zl.clear_denominators([Fraction(1, 2)])
-    lat = zl.solve_mixed_system((0,), [], [(row, 1 * d)])
+    lat = zl.solve_mixed_system((0,), [], [], [(row, 1 * d)])
     assert lat.contains([2]) and not lat.contains([1])
 
 
@@ -512,9 +512,12 @@ def two_hnf_solve(moduli, eqs, congs):
 @given(mixed_systems())
 def test_mixed_system_matches_the_two_hnf_replay(system):
     """One Hermite form per system gives the basis the two-step solve and a
-    reduction give, torsion moduli and congruences included."""
-    lat = zl.solve_mixed_system(*system)
+    reduction give, torsion moduli and congruences included, with the
+    singleton equalities presolved or not."""
+    moduli, eqs, congs = system
+    lat = zl.solve_mixed_system(moduli, *zl.presolve(eqs), congs)
     assert lat.hnf_basis == two_hnf_solve(*system).hnf_basis
+    assert zl.solve_mixed_system(moduli, [], eqs, congs).hnf_basis == lat.hnf_basis
     assert lat == zl.SubgroupLattice(lat.moduli, lat.hnf_basis)
 
 
@@ -572,7 +575,7 @@ def test_presolved_mixed_system_matches_the_kernel_replay(system):
     basis the full kernel gives, and both are the lattice a brute-force box
     finds."""
     moduli, eqs, congs = system
-    lat = zl.solve_mixed_system(*system)
+    lat = zl.solve_mixed_system(moduli, *zl.presolve(eqs), congs)
     assert lat.hnf_basis == kernel_replay(*system).hnf_basis
     assert lat == zl.SubgroupLattice(moduli, lat.hnf_basis)
     for v in itertools.product(range(-2, 3), repeat=len(moduli)):
@@ -585,12 +588,21 @@ def test_singleton_equalities_need_no_hermite_form(monkeypatch):
     calls = []
     real = zl.row_hnf
     monkeypatch.setattr(zl, "row_hnf", lambda *a, **k: calls.append(a) or real(*a, **k))
-    lat = zl.solve_mixed_system((0, 0, 3, 0), [[0, 2, 0, 0], [0, -1, 0, 0], [0, 0, 0, 0],
-                                               [0, 0, 0, 3]], [])
+    lat = zl.solve_mixed_system((0, 0, 3, 0), *zl.presolve([[0, 2, 0, 0], [0, -1, 0, 0],
+                                                            [0, 0, 0, 0], [0, 0, 0, 3]]), [])
     assert calls == []
     assert lat.hnf_basis == ((1, 0, 0, 0), (0, 0, 1, 0))
-    zl.solve_mixed_system((0, 0), [[1, 0]], [([1, 1], 2)])
+    zl.solve_mixed_system((0, 0), *zl.presolve([[1, 0]]), [([1, 1], 2)])
     assert len(calls) == 1  # a congruence still costs one
+
+
+def test_equalities_on_torsion_coordinates_are_refused():
+    """An equality on a torsion coordinate is not well defined on the
+    quotient, whether presolved to a forced coordinate or kept as a row."""
+    for system in ([1], []), ([], [[0, 2]]), zl.presolve([[0, 2]]), zl.presolve([[1, 3]]):
+        with pytest.raises(ValueError, match="equality row is not well defined"):
+            zl.solve_mixed_system((0, 4), *system, [])
+    assert zl.solve_mixed_system((0, 4), [0], [], []).hnf_basis == ((0, 1),)
 
 
 def test_full_lattice_is_the_reduced_identity():
