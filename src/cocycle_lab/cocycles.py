@@ -306,12 +306,16 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     leaves: a singleton row gives the coordinate it forces to 0.  A leaf's
     basis is still its whole system's canonical HNF (solve_mixed_system).
 
-    Each case node classifies each distinct symbol once, in the order the
-    forms and their terms first name it: every term's value is the unit
-    symbol, so its classification depends on the symbol and the node's
+    Each case node classifies each distinct symbol at most once, in the
+    order the forms and their terms first name it: every term's value is the
+    unit symbol, so its classification depends on the symbol and the node's
     context alone.  The node splits on the first undetermined symbol in that
     order, the first undetermined term in the walk over the forms; only a
-    node with none builds its conditions.
+    node with none builds its conditions.  Each split child starts from the
+    classifications of the symbols before that one which it inherits
+    (RationalityContext.inherited), so it classifies from the split symbol
+    on.  A child is built bare and answers from its own and its ancestors'
+    memos, so a leaf whose symbols its ancestors settled builds no span.
     """
     prepared = []  # per form, computed once: its constant congruence and its symbol terms
     for form in forms:
@@ -330,16 +334,19 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     units = {s: symbol(ctx.table, s) for s in dict.fromkeys(t[0] for _, terms in prepared
                                                              for t in terms)}
     leaves = []
-    stack = [ctx]
+    stack = [(ctx, {})]  # a node and the classifications it inherits
     while stack:
-        cur = stack.pop()
+        cur, classes = stack.pop()  # classes: symbol name -> its classification in cur
         if len(leaves) + len(stack) > case_budget:
             raise BudgetExceeded(case_budget)
-        classes = {}  # symbol name -> its classification in cur
         for s, x in units.items():
+            if s in classes:
+                continue
             classes[s] = cls = cur.classify(x)
             if cls.kind == UNDETERMINED:
-                stack.extend(child for child in cur.split(x) if child is not None)
+                del classes[s]
+                stack.extend((child, child.inherited(classes))
+                             for child in cur.split(x) if child is not None)
                 break
         else:
             leaves.append(_case_leaf(cur, prepared, classes, zmoduli))
@@ -417,7 +424,14 @@ def _map_leaves_to_ambient(leaves, gens, ambient_moduli):
 
 def twisted_center(c, ctx, case_budget=DEFAULT_CASE_BUDGET):
     """Case tree of (context, lattice) for Z(G, sigma) = {central g with
-    sigma~(g, h) = 1 for all h}."""
+    sigma~(g, h) = 1 for all h}.
+
+    Over the caller's own table the tree is rooted in the caller's context
+    itself, not a copy: its split children, and so the case leaves, are
+    linked to it, and a recursion child over the same table classifies in
+    its leaf's context, span and memo included.  The root's memo therefore
+    outlives the call; its entries are classifications under its facts, so
+    a later call reads the same answers it would compute."""
     ctx = _rebase_ctx(ctx, c.table)
     center = c.group.center()
     _check_additive(c.group, center)

@@ -15,7 +15,8 @@ A RationalityContext records which symbol combinations are asserted to be
 rational, integral, or irrational; classify() decides the status of a value
 from those facts by exact linear algebra, and split() performs the binary
 rational/irrational case split when the status is genuinely open; each child
-extends its parent's span and classifications by its one new fact.
+is built bare and extends its parent's span and classifications by its one
+new fact on first use.
 """
 
 from __future__ import annotations
@@ -248,35 +249,69 @@ _RATIONAL = Classification(RATIONAL, None)
 
 
 class RationalityContext(Value):
-    """Immutable set of facts; fact parts, the span, consistency and
-    classify() results are cached per instance.  assume_*() fills a child's
-    caches from the parent's computed parts (never the parent itself) plus
-    the new fact x, and checks only x against the table: the fact parts
-    gain x's; a rational or integral child adds x to a copy of the span
-    (reduced row-echelon form is unique, so reduce() answers equal a
-    rebuild's); an irrational child keeps the span, gains x's residual, and
-    is consistent iff the parent is and x is neither constant nor in the
-    span.  Both take x's residual from the parent: _classify keeps the
-    residual of each value it finds UNDETERMINED, so a split reduces x once.
+    """Immutable set of facts; fact parts, the span, the irrational
+    residuals, consistency and classify() results are cached per instance.
 
-    A rational or irrational child's classify() memo starts with the
-    parent's INTEGER/RATIONAL entries, since (c, v), the integral facts and
-    span membership (the span only grows) are unchanged.  An irrational
-    child also keeps IRRATIONAL ones (same span, more residuals) and records
-    x itself as IRRATIONAL when x's residual is nonzero.  So does the
-    rational child of split(x) on a consistent context without thetas in
-    which x is UNDETERMINED, and that child is consistent.  Proof: with P
-    the projection modulo the rational span, y is IRRATIONAL there because
-    P(y) = q*P(f) for an irrational fact f.  Then y - q*f lies in the old
-    span, so in the new one, and P_new(y) = q*P_new(f), which is nonzero
-    unless f lies in the new span.  That needs P_old(f) collinear with
-    P_old(x), which would have made x IRRATIONAL.  So no irrational fact
-    enters the span, none is constant (the parent is consistent), and the
-    child is consistent.  With thetas a rational child keeps no IRRATIONAL
-    entry: a new theta pivot can leave a pure-theta residual undetermined,
-    so a theta-axiom entry can flip.  UNDETERMINED entries are never kept,
-    and an integral child starts empty: its denominators can change.  So an
-    irrational or settled rational child copies the memo less those keys.
+    assume_*() builds a child bare: its facts, its assumptions, a link to
+    this context, the new fact x, and what this context already knows about
+    x (its residual, when a classify left it, and the child's consistency
+    where split() knows it; an irrational child's consistency needs x's
+    residual, so it takes that at once).  It checks only x against the
+    table.  Each cache is built on first use, from the parent's caches
+    (never from the facts again): the fact parts gain x's; a rational or
+    integral child copies the span and inserts x's residual (reduced
+    row-echelon form is unique, so reduce() answers equal a rebuild's); an
+    irrational child keeps the span, gains x's residual, and is consistent
+    iff the parent is and x is neither constant nor in the span.  So a
+    case-tree leaf that only reads inherited classifications builds none of
+    them.
+
+    The irrational residuals are the irrational facts' residuals modulo the
+    span, each a primitive integer vector made sign-normalized (first
+    nonzero entry positive), zero ones left out.  Two nonzero primitive
+    vectors are collinear over Q iff they are equal up to sign (a = (m/n)b
+    in lowest terms gives n*a = m*b, so n divides every entry of b and m
+    every entry of a, whose gcds are 1), so a value is IRRATIONAL by an
+    irrational fact iff its sign-normalized residual is in that set.  A rational or integral child's
+    span gains one row r with pivot p and the other rows lose their entry at
+    p; a residual w is zero at every old pivot, so when w[p] = 0 it reduces
+    to itself, and the child shares its parent's set when no member has a
+    nonzero entry at p.  _classify keeps the residual of each value it
+    finds UNDETERMINED, so a split reduces x once.
+
+    classify() reads the context's own memo, then its ancestors' memos up
+    the links, each link keeping only the kinds below, and stops at the
+    first ancestor that holds an entry for the value.  A rational or
+    irrational child keeps the parent's INTEGER/RATIONAL entries, since
+    (c, v), the integral facts and span membership (the span only grows)
+    are unchanged.  An irrational child also keeps IRRATIONAL ones (same
+    span, more residuals) and records x itself as IRRATIONAL when x's
+    residual is nonzero.  So does the rational child of split(x) on a
+    consistent context without thetas in which x is UNDETERMINED, and that
+    child is consistent.  Proof: with P the projection modulo the rational
+    span, y is IRRATIONAL there because P(y) = q*P(f) for an irrational
+    fact f.  Then y - q*f lies in the old span, so in the new one, and
+    P_new(y) = q*P_new(f), which is nonzero unless f lies in the new span.
+    That needs P_old(f) collinear with P_old(x), which would have made x
+    IRRATIONAL.  So no irrational fact enters the span, none is constant
+    (the parent is consistent), and the child is consistent.  With thetas a
+    rational child keeps no IRRATIONAL entry: a new theta pivot can leave a
+    pure-theta residual undetermined, so a theta-axiom entry can flip.
+    UNDETERMINED entries are never kept, and an integral child keeps
+    nothing: its denominators can change.
+
+    These lookups read the entries an eager copy made at the split would
+    have read, whenever they are read.  Each keep rule above is proved from
+    the facts of parent and child alone, and a memo entry is the value's
+    classification under its context's facts (a memo only caches a function
+    of the facts, which never change).  So an entry the parent gains after
+    the split is the one classifying the value at the split would have
+    given, and keeping it is as sound as keeping an entry copied then; by
+    induction along the links, so is an entry of any ancestor whose kind
+    every link up to it keeps.  Stopping at the nearest entry loses
+    nothing: a farther entry whose kind the links up to the nearer ancestor
+    keep is that ancestor's classification, so it equals the nearer entry,
+    and a kind the walk has stopped keeping is not kept farther up either.
 
     The rational child of split(x) on any x UNDETERMINED in its parent,
     thetas or not, records x itself as Classification(RATIONAL, None),
@@ -294,7 +329,8 @@ class RationalityContext(Value):
         for f in self.rational + self.integral + self.irrational:
             if f.table is not self.table and f.table != self.table:
                 raise ValueError("fact does not belong to this symbol table")
-        self.__dict__.update(_classified={}, _residuals={})  # classify() memo, UNDETERMINED residuals
+        # classify() memo, UNDETERMINED residuals, and no parent to read from
+        self.__dict__.update(_classified={}, _residuals={}, _parent=None, _keeps=_KEEP_NONE)
 
     # -- internal vector views -------------------------------------------
 
@@ -313,6 +349,16 @@ class RationalityContext(Value):
         """Symbol vectors of the rational facts, and (symbol vector,
         constant, denominator) numerators of the integral facts, torsion
         axioms included."""
+        if self._parent is not None:
+            rat, integ = self._parent._fact_parts
+            kind, x = self._fact
+            v = self._vec(x)
+            if kind == "rational" and any(v):
+                rat += (v,)
+            elif kind == "integral":  # integral facts precede the torsion axioms
+                k = len(self.integral) - 1
+                integ = integ[:k] + ((v, x.ints[1], x.ints[0]),) + integ[k:]
+            return rat, integ
         rat = tuple(v for v in map(self._vec, self.rational) if any(v))
         integ = [(self._vec(f), f.ints[1], f.ints[0]) for f in self.integral]
         for n, m in self.table.xis:
@@ -322,15 +368,41 @@ class RationalityContext(Value):
 
     @cached_property
     def _span(self):
-        rat, integ = self._fact_parts
-        ech = zl.QEchelon()
-        for v in rat + tuple(u for u, _, _ in integ):
-            ech.add(v)
-        return ech
+        parent = self._parent
+        if parent is None:
+            rat, integ = self._fact_parts
+            ech = zl.QEchelon()
+            for v in rat + tuple(u for u, _, _ in integ):
+                ech.add(v)
+            return ech
+        if self._fact[0] == "irrational":
+            return parent._span
+        span = zl.QEchelon()
+        span.rows = list(parent._span.rows)  # insert() replaces rows, never edits one
+        span.insert(self._step_residual)
+        return span
+
+    @cached_property
+    def _step_residual(self):
+        """The new fact's residual modulo the parent's span."""
+        return self._parent._span.reduce(self._vec(self._fact[1]))
 
     @cached_property
     def _irrational_residuals(self):
-        return tuple(self._span.reduce(self._vec(f)) for f in self.irrational)
+        parent = self._parent
+        if parent is None:
+            return frozenset(filter(None, (_direction(self._span.reduce(self._vec(f)))
+                                           for f in self.irrational)))
+        old, r = parent._irrational_residuals, self._step_residual
+        if self._fact[0] == "irrational":
+            d = _direction(r)
+            return old | {d} if d else old
+        if not old:
+            return old
+        p = next((i for i, y in enumerate(r) if y), None)
+        if p is None or not any(w[p] for w in old):
+            return old
+        return frozenset(filter(None, (_direction(self._span.reduce(w)) for w in old)))
 
     # -- public API -------------------------------------------------------
 
@@ -363,8 +435,26 @@ class RationalityContext(Value):
     def classify(self, x):
         cls = self._classified.get(x.ints)
         if cls is None:
-            cls = self._classified[x.ints] = self._classify(x)
+            cls = self._classified[x.ints] = self._inherited(x.ints) or self._classify(x)
         return cls
+
+    def inherited(self, classes):
+        """The entries of ``classes``, a dict of classifications in this
+        context's parent, that hold here too by the class docstring's rules."""
+        keep = self._keeps
+        return {key: cls for key, cls in classes.items() if cls.kind in keep}
+
+    def _inherited(self, key):
+        """The nearest ancestor's memo entry for key when every link up to
+        it keeps its kind, else None (see the class docstring)."""
+        ctx, keep = self, self._keeps
+        while keep:
+            ctx = ctx._parent
+            cls = ctx._classified.get(key)
+            if cls is not None:
+                return cls if cls.kind in keep else None
+            keep &= ctx._keeps
+        return None
 
     def _classify(self, x):
         d, c, cs = x.ints
@@ -372,12 +462,12 @@ class RationalityContext(Value):
             return Classification(INTEGER if d == 1 else RATIONAL, d)
         v = self._vec(x)
         residual = self._span.reduce(v)
-        if any(residual):
+        direction = _direction(residual)
+        if direction is not None:
             if not any(residual[len(self.table.thetas):]):
                 return _IRRATIONAL  # theta axiom
-            for fres in self._irrational_residuals:
-                if _collinear(residual, fres):
-                    return _IRRATIONAL
+            if direction in self._irrational_residuals:
+                return _IRRATIONAL
             self._residuals[x.ints] = residual  # for split(x)
             return _UNDETERMINED
         # rational: the integral facts (u_j.sym + b_j)/e_j in Z bound its
@@ -405,46 +495,31 @@ class RationalityContext(Value):
         return self._extend("irrational", x, f"{x} irrational")
 
     def _extend(self, kind, x, note, settled=False):
-        """Child with one more fact x of the given kind, its caches filled
-        from this context's (see the class docstring); ``settled`` marks a
-        rational child of split() on an undetermined x in a consistent
-        context without thetas.  Only x is checked against the table: the
-        inherited facts passed this context's check."""
+        """Bare child with one more fact x of the given kind, linked to this
+        context (see the class docstring); ``settled`` marks a rational
+        child of split() on an undetermined x in a consistent context
+        without thetas.  Only x is checked against the table: the inherited
+        facts passed this context's check."""
         if x.table is not self.table and x.table != self.table:
             raise ValueError("fact does not belong to this symbol table")
         child = object.__new__(RationalityContext)
         slots = child.__dict__  # the fields, and where cached_property keeps its values
         slots.update(table=self.table, rational=self.rational, integral=self.integral,
                      irrational=self.irrational, assumptions=self.assumptions + (note,),
-                     _classified={}, _residuals={})
+                     _classified={}, _residuals={}, _parent=self, _fact=(kind, x),
+                     _keeps=_KEEP_ALL if kind == "irrational" or settled else _KEEP[kind])
         slots[kind] += (x,)
-        memo = child._classified
-        if kind == "irrational" or settled:
-            memo.update(self._classified)
-            for key in self._residuals:  # the UNDETERMINED entries
-                memo.pop(key, None)
-        elif kind == "rational":
-            memo.update(kv for kv in self._classified.items() if kv[1].kind in (INTEGER, RATIONAL))
-        d, c, _ = x.ints
-        v = self._vec(x)
-        residual = self._residuals.get(x.ints) or self._span.reduce(v)
-        rat, integ = self._fact_parts
+        residual = self._residuals.get(x.ints)
+        if residual is not None:
+            slots["_step_residual"] = residual
         if kind == "irrational":
-            slots.update(_span=self._span, _consistent=self._consistent and any(residual),
-                         _irrational_residuals=self._irrational_residuals + (residual,))
-            if any(residual):  # _classify finds x's own residual, or the theta axiom
-                memo[x.ints] = _IRRATIONAL
-        else:
-            if kind == "rational":
-                rat += (v,) if any(v) else ()
-            else:  # integral facts precede the torsion axioms
-                integ = integ[:len(self.integral)] + ((v, c, d),) + integ[len(self.integral):]
-            slots["_span"] = span = zl.QEchelon()
-            span.rows = list(self._span.rows)  # insert() replaces rows, never edits one
-            span.insert(residual)
-            if settled:
-                slots["_consistent"] = True
-        slots["_fact_parts"] = (rat, integ)
+            if not any(child._step_residual):
+                slots["_consistent"] = False
+            else:  # _classify finds x's own residual, or the theta axiom
+                slots["_consistent"] = self._consistent
+                child._classified[x.ints] = _IRRATIONAL
+        elif settled:
+            slots["_consistent"] = True
         return child
 
     def split(self, x):
@@ -452,22 +527,32 @@ class RationalityContext(Value):
 
         Returns (rational branch, irrational branch); a branch is None when the
         corresponding assumption is inconsistent with this context."""
-        # read from the memo, so classify's call count is unchanged
-        undetermined = (self._classified.get(x.ints) or self._classify(x)).kind == UNDETERMINED
-        rat = self._extend("rational", x, f"{x} rational",
+        # read from the memos, so classify's call count is unchanged
+        cls = self._classified.get(x.ints) or self._inherited(x.ints) or self._classify(x)
+        undetermined = cls.kind == UNDETERMINED
+        note = str(x)
+        rat = self._extend("rational", x, note + " rational",
                            undetermined and not self.table.thetas and self._consistent)
         if undetermined:
             rat._classified[x.ints] = _RATIONAL
-        irr = self.assume_irrational(x)
+        irr = self._extend("irrational", x, note + " irrational")
         return (rat if rat.is_consistent() else None,
                 irr if irr.is_consistent() else None)
 
 
-def _collinear(a, b):
-    """Whether the nonzero vector a is q*b for a rational q, by
-    cross-multiplication against b's first nonzero entry."""
-    k = next((i for i, y in enumerate(b) if y), None)
-    return k is not None and all(x * b[k] == a[k] * y for x, y in zip(a, b))
+# the memo kinds a child keeps from its parent's (see RationalityContext)
+_KEEP_NONE = frozenset()
+_KEEP_ALL = frozenset((INTEGER, RATIONAL, IRRATIONAL))
+_KEEP = {"rational": frozenset((INTEGER, RATIONAL)), "integral": _KEEP_NONE}
+
+
+def _direction(r):
+    """The primitive vector r with its first nonzero entry made positive, as
+    a tuple; None when r is zero."""
+    for y in r:
+        if y:
+            return tuple(r) if y > 0 else tuple([-z for z in r])
+    return None
 
 
 def empty_context(table):

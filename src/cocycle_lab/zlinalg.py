@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._value import Value
 
@@ -437,10 +437,11 @@ def solve_mixed_system(moduli, forced, equalities, congruences):
     embedded basis is still in Hermite form, and a lattice has one row HNF
     (Cohen, GTM 138, 2.4)."""
     n, k = len(moduli), len(congruences)
-    torsion = [(i, m) for i, m in enumerate(moduli) if m]
-    if any(moduli[i] for i in forced) or any(r[i] for r in equalities for i, _ in torsion):
+    torsion = [(i, m) for i, m in enumerate(moduli) if m] if any(moduli) else ()
+    if torsion and (any(moduli[i] for i in forced)
+                    or any(r[i] for r in equalities for i, _ in torsion)):
         raise ValueError("equality row is not well defined modulo ambient torsion")
-    kept = [i for i in range(n) if i not in forced]
+    kept = tuple([i for i in range(n) if i not in forced])
     rows = [[*row, *[0] * k] for row in ([r[i] for i in kept] for r in equalities) if any(row)]
     for s, (r, m) in enumerate(congruences):
         if m <= 0:
@@ -448,9 +449,8 @@ def solve_mixed_system(moduli, forced, equalities, congruences):
         if any(r[i] * mi % m for i, mi in torsion):
             raise ValueError("congruence row is not well defined modulo ambient torsion")
         rows.append([*[r[i] for i in kept], *[0] * s, m, *[0] * (k - s - 1)])
-    if not rows:  # the kept unit vectors
-        return SubgroupLattice.from_hnf(tuple(moduli), tuple([(0,) * i + (1,) + (0,) * (n - i - 1)
-                                                              for i in kept]))
+    if not rows:
+        return SubgroupLattice.from_hnf(tuple(moduli), _unit_rows(n, kept))
     basis = []
     for row in kernel_int(rows):
         x = [0] * n
@@ -458,6 +458,12 @@ def solve_mixed_system(moduli, forced, equalities, congruences):
             x[i] = v
         basis.append(tuple(x))
     return SubgroupLattice.from_hnf(tuple(moduli), tuple(basis))
+
+
+@lru_cache(maxsize=256)
+def _unit_rows(n, kept):
+    """The unit vectors e_i of Z^n for i in kept, as a basis of tuples."""
+    return tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in kept])
 
 
 def denominator_in_lattice(hcols, v):

@@ -2,10 +2,14 @@
 property that takes its count from the profile: one that pins none, or one
 that pins a multiple of it with ``helpers.examples`` (every property of
 tests/test_zlinalg.py and tests/test_exact.py, among them the split
-children property test_extended_children_agree_with_fresh_contexts, the
-cached-center property of tests/test_groups.py, and the induce_gamma
-differential property and the case-leaf differential property
-test_case_leaves_equal_the_unpresolved_replay of tests/test_cocycles.py).
+children property test_extended_children_agree_with_fresh_contexts and
+the irrational set test's property
+test_the_irrational_set_test_is_the_collinear_scan, the cached-center
+property of tests/test_groups.py, and the induce_gamma differential
+property and the case-leaf differential properties
+test_case_leaves_equal_the_unpresolved_replay and
+test_case_leaf_contexts_classify_as_fresh_contexts of
+tests/test_cocycles.py).
 It loads only when HYPOTHESIS_PROFILE=ci is set, so a plain run keeps
 Hypothesis's defaults:
 

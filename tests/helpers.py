@@ -131,6 +131,14 @@ def symbol_names(x):
     return [n for n, _ in x.ints[2]]
 
 
+def collinear(a, b):
+    """Whether the nonzero vector a is q*b for a rational q, by
+    cross-multiplication against b's first nonzero entry: the scan over the
+    irrational facts' residuals that RationalityContext once ran per value."""
+    k = next((i for i, y in enumerate(b) if y), None)
+    return k is not None and all(x * b[k] == a[k] * y for x, y in zip(a, b))
+
+
 def rational_component(p):
     """The rational part of a Poly, as {exps: Fraction}."""
     return {e: rational_part(c) for e, c in p.terms if c.ints[1]}

@@ -15,8 +15,8 @@ from cocycle_lab.cocycles import (CaseLeaf, Cocycle, _pairing_rows, antisym,
                                   phi_surjective, product_split, pull_back,
                                   push_to_quotient, twisted_center,
                                   validate_cocycle)
-from cocycle_lab.exact import (INTEGER, IRRATIONAL, KNumber, SymbolTable, empty_context,
-                               knum, symbol)
+from cocycle_lab.exact import (INTEGER, IRRATIONAL, KNumber, RationalityContext, SymbolTable,
+                               empty_context, knum, symbol)
 from cocycle_lab.poly import Poly, _integer_valued
 
 from helpers import (antisym_reference, cocycle_defect_reference, coeff, commutator, examples,
@@ -321,6 +321,34 @@ def test_case_leaves_equal_the_unpresolved_replay(system):
     for leaf in leaves:
         assert leaf.lattice.hnf_basis == leaf_system_replay(leaf, forms, zmoduli).hnf_basis
         assert leaf.lattice == zl.SubgroupLattice(zmoduli, leaf.lattice.hnf_basis)
+
+
+def leaf_probes(table):
+    return st.lists(st.builds(lambda c, cs: KNumber.make(table, c, dict(zip(table.names, cs))),
+                              st.sampled_from(LEAF_COEFFS),
+                              st.tuples(*[st.sampled_from(LEAF_COEFFS)] * len(table.names))),
+                    min_size=1, max_size=4)
+
+
+@settings(max_examples=examples(1), deadline=None)
+@given(leaf_systems(), st.data())
+def test_case_leaf_contexts_classify_as_fresh_contexts(system, data):
+    """Every case leaf's context, read after the whole tree is built,
+    classifies as a context built from its facts does: each unit symbol the
+    tree settled, each fact and drawn values.  The recursion, decide_product
+    and phi_map all classify in leaf contexts, and a leaf answers from its
+    ancestors' memos, which its siblings' subtrees went on filling."""
+    ctx, forms, zmoduli = system
+    leaves = condition_lattice(ctx, forms, zmoduli, [f"z{i}" for i in range(len(zmoduli))])
+    table = ctx.table
+    probes = data.draw(leaf_probes(table))
+    for leaf in leaves:
+        c = leaf.ctx
+        fresh = RationalityContext(table, c.rational, c.integral, c.irrational)
+        ys = probes + [symbol(table, s) for s in table.names] + list(c.rational + c.integral
+                                                                     + c.irrational)
+        assert [c.classify(y) for y in ys] == [fresh.classify(y) for y in ys]
+        assert c.is_consistent() == fresh.is_consistent()
 
 
 def test_heisenberg_twisted_center_is_d2_scaled_r_axis():

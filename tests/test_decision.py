@@ -774,6 +774,37 @@ def test_a_split_reduces_its_value_once(monkeypatch):
     assert per_split == [1] * 30
 
 
+def test_chain_case_leaves_build_no_exact_layer_cache(monkeypatch):
+    """On the chain Z^5 with 4 params every classify in a case leaf is
+    answered by the leaf's own memo or its ancestors', so decide and
+    decide_simplicity build a span (and fact parts and irrational residuals)
+    only in the internal case nodes, each of which classified a value no
+    memo on its path held, and never in a leaf."""
+    p = parse_problem(CHAIN_Z5)
+    leaves = []
+    real = cocycles.condition_lattice
+
+    def condition_lattice(*args):
+        out = real(*args)
+        leaves.extend(out)
+        return out
+
+    monkeypatch.setattr(cocycles, "condition_lattice", condition_lattice)
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert len(leaves) == 32
+    internal = {}
+    for leaf in leaves:
+        ctx = leaf.ctx._parent
+        while ctx is not None:
+            internal[id(ctx)] = ctx
+            ctx = ctx._parent
+    assert len(internal) == 2 * 14 + 1  # two trees of 15 internal nodes, one root
+    assert all("_span" in ctx.__dict__ for ctx in internal.values())
+    caches = {"_span", "_fact_parts", "_irrational_residuals"}
+    assert [leaf for leaf in leaves if caches & leaf.ctx.__dict__.keys()] == []
+
+
 def test_chain_case_leaves_need_no_hermite_form(monkeypatch):
     """Every condition row of a chain torus's case leaves, and every
     commutator row of its groups, is a singleton equality, so the presolve
@@ -792,14 +823,16 @@ def test_chain_case_leaves_need_no_hermite_form(monkeypatch):
 
 def test_recursion_classifies_each_symbol_once_per_case_node(monkeypatch):
     """Inside condition_lattice each case node (a context popped by one
-    call) classifies each distinct symbol once: on Z^4 x H3(Z) with 4
-    params, 305 classify calls for the 305 (node, symbol) pairs of 73 nodes
-    in 13 calls, 11 of them level-1 children.  The memo misses stay at 95
-    (125 while a rational split child classified its split value afresh)
-    and the trace at its recorded hash.  (Pinned on the chain Z^5 with 4
-    params until abelian levels ended at the index rule: 250 calls for 74
-    nodes in 14 calls, 402 while each (form, symbol) term was classified,
-    93 misses.)"""
+    call) classifies each distinct symbol at most once, and a split child
+    classifies none of the symbols its parent settled before the split: on
+    Z^4 x H3(Z) with 4 params, 187 classify calls for 187 distinct (node,
+    symbol) pairs of 73 nodes in 13 calls, 11 of them level-1 children (305
+    while each child classified every symbol again).  The memo misses stay
+    at 95 (125 while a rational split child classified its split value
+    afresh) and the trace at its recorded hash.  (Pinned on the chain Z^5
+    with 4 params until abelian levels ended at the index rule: 250 calls
+    for 74 nodes in 14 calls, 402 while each (form, symbol) term was
+    classified, 93 misses.)"""
     p = parse_problem(CHAIN_Z4_H3)
     calls, misses, nodes = [], [], []
     real_lattice = cocycles.condition_lattice
@@ -825,7 +858,7 @@ def test_recursion_classifies_each_symbol_once_per_case_node(monkeypatch):
     v = decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
     assert (len(nodes), sum(map(len, nodes))) == (13, 73)
-    assert len(calls) == len(set(calls)) == 305
+    assert len(calls) == len(set(calls)) == 187
     assert len(misses) == 95
     assert sha256_of(v.certificate.to_dict()) == CHAIN_Z4_H3_SHA
 

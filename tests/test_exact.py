@@ -21,7 +21,8 @@ from cocycle_lab.exact import (
     symbol,
 )
 
-from helpers import coeff, examples, rational_part, symbol_coefficients
+from cocycle_lab.exact import _direction
+from helpers import coeff, collinear, examples, rational_part, symbol_coefficients
 
 T = SymbolTable(thetas=("theta",), xis=(("xi", 0), ("eta", 3)))
 
@@ -320,6 +321,36 @@ def test_split_settles_a_rational_child_only_where_the_proof_holds():
     assert broken.split(xi) == (None, None)
 
 
+@st.composite
+def primitive_vectors(draw, n):
+    v = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any))
+    g = math.gcd(*v)
+    return [x // g for x in v]
+
+
+@st.composite
+def residual_sets(draw):
+    """A nonzero primitive residual and a list of irrational residuals of
+    its length: primitive vectors, the residual itself with either sign,
+    and the zero vector an inconsistent context's constant fact leaves."""
+    n = draw(st.integers(1, 5))
+    a = draw(primitive_vectors(n))
+    b = st.one_of(primitive_vectors(n), st.sampled_from([a, [-x for x in a], [0] * n]))
+    return a, draw(st.lists(b, max_size=4))
+
+
+@settings(max_examples=examples(2), deadline=None)
+@given(residual_sets())
+def test_the_irrational_set_test_is_the_collinear_scan(case):
+    """A residual is collinear with an irrational fact's residual exactly
+    when its sign-normalized tuple lies in the set of theirs: two nonzero
+    primitive vectors are collinear over Q iff they agree up to sign."""
+    a, residuals = case
+    directions = {_direction(b) for b in residuals} - {None}
+    assert (_direction(a) in directions) == any(collinear(a, b) for b in residuals)
+    assert _direction(a) == _direction([-x for x in a]) and next(filter(None, _direction(a))) > 0
+
+
 # extended children: a child made by assume_*() or split() fills its caches
 # from its parent's.  Tables with zero to three thetas, free parameters, and
 # torsion parameters before, between or after the free ones.
@@ -348,14 +379,15 @@ EXTENSION_VALUES = [(t, table_values(t)) for t in EXTENSION_TABLES]
 @st.composite
 def extension_chains(draw):
     """A table, then up to 4 steps (an assume_*() or a split() kept on one
-    side), each with values the parent classifies first and probes, and
-    whether the parent classifies the step's value first: split() then
-    hands both children the residual that classify left, or reduces it."""
+    side), each with values the parent classifies first and probes, values
+    the parent classifies after the step, and whether the parent classifies
+    the step's value first: split() then hands both children the residual
+    that classify left, or reduces it."""
     table, values = draw(st.sampled_from(EXTENSION_VALUES))
     steps = draw(st.lists(st.tuples(st.sampled_from(("assume", "split")),
                                     st.sampled_from(KINDS), values,
                                     st.lists(values, max_size=3), st.lists(values, max_size=3),
-                                    st.booleans()),
+                                    st.lists(values, max_size=3), st.booleans()),
                           min_size=1, max_size=4))
     return table, steps
 
@@ -366,21 +398,32 @@ def fresh_child(ctx, kind, x):
     return RationalityContext(ctx.table, **facts)
 
 
+CACHES = ("_span", "_fact_parts", "_irrational_residuals")
+
+
 @settings(max_examples=examples(3), deadline=None)
 @given(extension_chains())
 def test_extended_children_agree_with_fresh_contexts(chain):
     """Every child, both of a split's included, classifies as a context
-    built from its facts does: its span took x's residual (the parent's
-    classify's or a new one), and its memo a copy of the parent's kept
-    kinds.  The chain goes on from the child of the drawn kind."""
+    built from its facts does, right after the step and again after its
+    parent has classified further values: its span took x's residual (the
+    parent's classify's or a new one), and its memo lookups read the
+    parent's entries of the kept kinds whenever they were made.  A child
+    nothing has classified in has built no cache and copied no memo entry;
+    only split()'s rational child with an open consistency builds its span,
+    to check it.  The chain goes on from the child of the drawn kind."""
     table, steps = chain
     ctx = empty_context(table)
-    for how, kind, x, warm, probes, first in steps:
+    for how, kind, x, warm, probes, later, first in steps:
         warm = warm + ([x, x.scale(Fraction(1, 2)), x + Fraction(1, 3)] if first else [])
         parent = [ctx.classify(y) for y in warm]
-        children = []
+        children, checked = [], None
         if how == "split" and kind != "integral":
+            fresh = fresh_copy(ctx)  # whether split() knows the rational child's consistency
+            settled = (not table.thetas and fresh.is_consistent()
+                       and fresh.classify(x).kind == UNDETERMINED)
             rat, irr = ctx.split(x)
+            checked = None if settled else rat
             for got, k in ((rat, "rational"), (irr, "irrational")):
                 assert (got is None) == (not fresh_child(ctx, k, x).is_consistent())
             children = [c for c in (rat, irr) if c is not None]
@@ -391,6 +434,9 @@ def test_extended_children_agree_with_fresh_contexts(chain):
             child = getattr(ctx, "assume_" + kind)(x)
             children.append(child)
         for c in children:
+            assert set(c._classified) <= {x.ints}
+            assert c is checked or not set(CACHES) & c.__dict__.keys()
+        for c in children:
             fresh = fresh_copy(c)
             assert c.is_consistent() == fresh.is_consistent()
             ys = warm + [x] + probes + list(c.rational + c.integral + c.irrational)
@@ -398,6 +444,10 @@ def test_extended_children_agree_with_fresh_contexts(chain):
         # the parent is left as it was
         assert [ctx.classify(y) for y in warm] == parent
         assert [ctx.classify(y) for y in probes] == [fresh_copy(ctx).classify(y) for y in probes]
+        # entries the parent makes after the step reach each child as they stand
+        assert [ctx.classify(y) for y in later] == [fresh_copy(ctx).classify(y) for y in later]
+        for c in children:
+            assert [c.classify(y) for y in later] == [fresh_copy(c).classify(y) for y in later]
         ctx = child
 
 
