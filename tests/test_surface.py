@@ -56,15 +56,19 @@ def public_definitions(tree):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def readme_example():
+    """The source of the README's Python example."""
+    with open(README, encoding="utf-8") as fh:
+        return "\n".join(re.findall(r"```python\n(.*?)```", fh.read(), re.S))
+
+
 def test_every_public_definition_has_a_caller_in_src_or_the_readme():
     trees = [tree for _, tree in src_trees()]
     uses = {}
     for tree in trees:
         for name, node in identifier_nodes(tree):
             uses.setdefault(name, []).append(node)
-    with open(README, encoding="utf-8") as fh:
-        example = "\n".join(re.findall(r"```python\n(.*?)```", fh.read(), re.S))
-    readme_nodes = list(identifier_nodes(ast.parse(example)))
+    readme_nodes = list(identifier_nodes(ast.parse(readme_example())))
     assert {"decide", "phase_from_monomials"} <= {name for name, _ in readme_nodes}
     defined, unused = set(), []
     for tree in trees:
@@ -80,6 +84,15 @@ def test_every_public_definition_has_a_caller_in_src_or_the_readme():
                 unused.append(qual)
     assert unused == []
     assert set(ALLOWED) <= defined
+
+
+def test_readme_example_returns_what_its_comments_state():
+    scope = {}
+    exec(readme_example(), scope)
+    assert scope["verdict"].z_stable == "ZStable"
+    assert scope["verdict"].certificate.to_dict()["verdict"] == "ZStable"
+    simple, branches, _ = scope["decide_simplicity"](scope["a"])
+    assert simple == "yes" and [b.verdict for b in branches] == ["yes"]
 
 
 # the except clauses that may name ValueError or Exception: stdlib parses
