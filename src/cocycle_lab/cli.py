@@ -18,8 +18,8 @@ import sys
 
 from . import decision
 from ._value import BudgetExceeded, InputError, Unsupported
-from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, _leaf_label,
-                       decide, decide_heisenberg, decide_product, decide_simplicity)
+from .decision import (NOT_ZSTABLE, UNDECIDED, ZSTABLE, Analysis, decide,
+                       decide_heisenberg, decide_product, decide_simplicity)
 from .exact import symbol
 from .problem import load_problem
 
@@ -44,6 +44,7 @@ def _default_budget():
 
 
 def _apply_ctx_assertions(problem, assertions):
+    """The problem's context with the --ctx assertions added."""
     ctx = problem.context
     for spec in assertions or ():
         name, _, status = spec.partition("=")
@@ -62,12 +63,10 @@ def _apply_ctx_assertions(problem, assertions):
     if assertions and not ctx.is_consistent():
         raise InputError(f"--ctx assertions {', '.join(assertions)} contradict "
                          f"the declared symbols or each other")
-    problem.context = ctx
+    return ctx
 
 
 def _lattice_lines(lattice, names):
-    if lattice is None:
-        return ["  (no lattice)"]
     if lattice.is_trivial():
         return ["  trivial (only the identity)"]
     out = []
@@ -109,8 +108,8 @@ def _parse(args):
     """The problem and the one Analysis that every verdict of the command
     shares."""
     problem = load_problem(args.file)
-    _apply_ctx_assertions(problem, args.ctx)
-    return problem, Analysis(problem.cocycle, problem.context, args.case_budget)
+    ctx = _apply_ctx_assertions(problem, args.ctx)
+    return problem, Analysis(problem.cocycle, ctx, args.case_budget)
 
 
 def _load(args):
@@ -142,7 +141,7 @@ def cmd_twisted_center(args):
     p, a = _load(args)
     lines, data = [], []
     for leaf in a.leaves:
-        lines.append(f"case [{_leaf_label(leaf)}]:")
+        lines.append(f"case [{leaf.label}]:")
         lines.extend(_lattice_lines(leaf.lattice, p.group.names))
         for cond in leaf.conditions:
             lines.append(f"  from: {cond}")
@@ -157,16 +156,15 @@ def cmd_quotient(args):
     _, a = _load(args)
     lines, data, code = [], [], OK
     for leaf in a.leaves:
-        label = _leaf_label(leaf)
         try:
             qd, _ = a.push_down(leaf)
-            lines.append(f"case [{label}]: quotient moduli "
+            lines.append(f"case [{leaf.label}]: quotient moduli "
                          f"{tuple(qd.group.moduli)} names {qd.group.names}")
             data.append({"assumptions": list(leaf.ctx.assumptions),
                          "moduli": list(qd.group.moduli),
                          "names": list(qd.group.names)})
         except Unsupported as e:
-            lines.append(f"case [{label}]: unsupported quotient: {e}")
+            lines.append(f"case [{leaf.label}]: unsupported quotient: {e}")
             data.append({"assumptions": list(leaf.ctx.assumptions),
                          "error": str(e)})
             code = UNDECIDED_EXIT
@@ -182,7 +180,7 @@ def _verdict_lines(v, with_trace):
         lines.append(f"simple: {v.simple}")
     for note in v.notes:
         lines.append(f"note: {note}")
-    if with_trace and v.certificate:
+    if with_trace:
         lines.append("trace:")
         lines.extend(_render_trace(v.certificate, indent=1))
     return lines
@@ -197,7 +195,7 @@ def cmd_verdict(args):
     _, a = _load(args)
     v = decide(a)
     simple, branches, notes = decide_simplicity(a)
-    v = decision.Verdict(v.z_stable, simple, v.certificate, notes)
+    v = decision.Verdict(v.certificate, simple, notes)
     return _finish_verdict(args, v)
 
 

@@ -288,6 +288,11 @@ class CaseLeaf(Value):
     __slots__ = _fields = ("ctx", "lattice", "conditions", "skipped")
     _defaults = {"conditions": (), "skipped": ()}
 
+    @property
+    def label(self):
+        """The leaf's assumptions, for display: "unconditional" when none."""
+        return "; ".join(self.ctx.assumptions) or "unconditional"
+
 
 def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_BUDGET):
     """Case tree for {z : F(z) in Z for every F in forms}.

@@ -34,27 +34,25 @@ KLEPPNER_CONVENTION = (
 
 
 class Branch(Value):
-    # lattice: SubgroupLattice | None; index: int | math.inf | None;
-    # child: TraceNode | None
-    __slots__ = _fields = ("label", "assumptions", "lattice", "index", "verdict", "child",
-                           "notes")
-    _defaults = {"child": None, "notes": ()}
+    # the verdict taken on a case leaf (CaseLeaf), which holds the label,
+    # assumptions, lattice and index; child: TraceNode | None
+    __slots__ = _fields = ("leaf", "verdict", "notes", "child")
 
-    @staticmethod
-    def from_leaf(leaf, verdict, notes=None, child=None):
-        """Branch of a case leaf, with the index of the leaf's lattice.  Notes
-        default to the leaf's conditions and skipped congruences."""
-        if notes is None:
-            notes = leaf.conditions + leaf.skipped
-        return Branch(_leaf_label(leaf), leaf.ctx.assumptions, leaf.lattice,
-                      leaf.lattice.index(), verdict, child, notes)
+    @property
+    def label(self):
+        return self.leaf.label
+
+    @property
+    def index(self):
+        return self.leaf.lattice.index()
 
     def to_dict(self):
+        index = self.index
         return {
             "label": self.label,
-            "assumptions": list(self.assumptions),
-            "lattice": [list(c) for c in self.lattice.hnf_basis] if self.lattice else None,
-            "index": ("infinite" if self.index is math.inf else self.index),
+            "assumptions": list(self.leaf.ctx.assumptions),
+            "lattice": [list(c) for c in self.leaf.lattice.hnf_basis],
+            "index": "infinite" if index is math.inf else index,
             "verdict": self.verdict,
             "notes": list(self.notes),
             "child": self.child.to_dict() if self.child else None,
@@ -76,17 +74,16 @@ class TraceNode(Value):
 
 
 class Verdict(Value):
-    # z_stable: ZSTABLE | NOT_ZSTABLE | UNDECIDED; certificate: TraceNode | None
-    __slots__ = _fields = ("z_stable", "simple", "certificate", "notes")
-    _defaults = {"simple": SIMPLE_UNKNOWN, "certificate": None, "notes": ()}
+    # certificate: TraceNode, whose root verdict is the one flag of
+    # Z-stability, pureness and nowhere-scatteredness
+    __slots__ = _fields = ("certificate", "simple", "notes")
+    _defaults = {"simple": SIMPLE_UNKNOWN, "notes": ()}
 
     @property
-    def nowhere_scattered(self):
-        return self.z_stable
+    def z_stable(self):
+        return self.certificate.verdict
 
-    @property
-    def pure(self):
-        return self.z_stable
+    nowhere_scattered = pure = z_stable
 
     def to_dict(self):
         return {
@@ -95,7 +92,7 @@ class Verdict(Value):
             "pure": self.pure,
             "simple": self.simple,
             "notes": list(self.notes),
-            "trace": self.certificate.to_dict() if self.certificate else None,
+            "trace": self.certificate.to_dict(),
         }
 
 
@@ -114,16 +111,6 @@ def _node(level, group, branches, notes=()):
                      _combine([b.verdict for b in branches]), notes)
 
 
-def _index_branch(leaf):
-    """The single-level rule: ZStable iff the twisted center has infinite index."""
-    return Branch.from_leaf(leaf, ZSTABLE if leaf.lattice.index() is math.inf
-                            else NOT_ZSTABLE)
-
-
-def _leaf_label(leaf):
-    return "; ".join(leaf.ctx.assumptions) or "unconditional"
-
-
 # ---------------------------------------------------------------------------
 # the general recursion
 
@@ -138,8 +125,8 @@ class Analysis(Value):
     leaf's ``push_down``.  A kept error is raised with the traceback it was
     caught with, so its traceback does not grow by the frames of each read.
 
-    Every verdict function takes a Cocycle, with an optional context and
-    case budget, or an Analysis, which carries its own."""
+    Every verdict function takes a Cocycle, with an optional context, or an
+    Analysis, which carries its own context and case budget."""
 
     _fields = ("cocycle", "ctx", "case_budget")
     _defaults = {"case_budget": DEFAULT_CASE_BUDGET}
@@ -185,36 +172,36 @@ class Analysis(Value):
         return out
 
 
-def _analysis(c, ctx, case_budget):
+def _analysis(c, ctx):
     if not isinstance(c, Analysis):
-        return Analysis(c, ctx or empty_context(c.table), case_budget)
-    if ctx is not None or case_budget != DEFAULT_CASE_BUDGET:
-        raise ValueError("an Analysis carries its own context and case budget")
+        return Analysis(c, ctx or empty_context(c.table))
+    if ctx is not None:
+        raise ValueError("an Analysis carries its own context")
     return c
 
 
-def decide(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
+def decide(c, ctx=None):
     """Non-rationality verdict by the recursive quotient-by-twisted-center
     decomposition; the certificate tree records every case leaf.
 
     When the recursion leaves cases unresolved (a quotient outside the
     supported constructions, or the case budget), the single-quotient
     criterion for 2-step groups is tried as a fallback before giving up."""
-    a = _analysis(c, ctx, case_budget)
+    a = _analysis(c, ctx)
     _require_cocycle(a)
     node = _decide_node(a, 0)
     if node.verdict != UNDECIDED:
-        return Verdict(z_stable=node.verdict, certificate=node)
+        return Verdict(node)
     try:
         t = decide_two_step(a).certificate
     except (Unsupported, BudgetExceeded):
         t = node  # the recursion's undecided tree
     if t.verdict == UNDECIDED:
-        return Verdict(z_stable=UNDECIDED, certificate=node)
+        return Verdict(node)
     cert = TraceNode(t.level, t.group, t.branches, t.verdict, t.notes + (
         "generic recursion left cases unresolved; verdict from the "
         "single-quotient criterion",))
-    return Verdict(z_stable=t.verdict, certificate=cert)
+    return Verdict(cert)
 
 
 def _require_cocycle(a):
@@ -257,26 +244,26 @@ def _decide_node(a, level):
     for leaf in leaves:
         notes = leaf.conditions + leaf.skipped
         if leaf.lattice.index() is not math.inf:
-            branches.append(Branch.from_leaf(leaf, NOT_ZSTABLE, notes + (
-                "rational point: the twisted center has finite index",)))
+            branches.append(Branch(leaf, NOT_ZSTABLE, notes + (
+                "rational point: the twisted center has finite index",), None))
             continue
         if leaf.lattice.is_finite():
-            branches.append(Branch.from_leaf(leaf, ZSTABLE, notes + (
-                "twisted center finite while the group is infinite",)))
+            branches.append(Branch(leaf, ZSTABLE, notes + (
+                "twisted center finite while the group is infinite",), None))
             continue
         if abelian:
-            branches.append(Branch.from_leaf(leaf, ZSTABLE, notes + (
+            branches.append(Branch(leaf, ZSTABLE, notes + (
                 "abelian group, infinite index: the phase descends to the "
-                "quotient as a nondegenerate bicharacter",)))
+                "quotient as a nondegenerate bicharacter",), None))
             continue
         try:
             qd, w = a.push_down(leaf)
             # problem files may not declare these names (problem._induced_name)
             wg = induce_gamma(w, qd, prefix=f"gamma{level + 1}_")
             child = _decide_node(Analysis(wg, leaf.ctx, a.case_budget), level + 1)
-            branches.append(Branch.from_leaf(leaf, child.verdict, notes, child))
+            branches.append(Branch(leaf, child.verdict, notes, child))
         except Unsupported as e:
-            branches.append(Branch.from_leaf(leaf, UNDECIDED, notes + (f"undecided: {e}",)))
+            branches.append(Branch(leaf, UNDECIDED, notes + (f"undecided: {e}",), None))
     return _node(level, g, branches)
 
 
@@ -284,7 +271,7 @@ def _decide_node(a, level):
 # 2-step shortcut and generalized Heisenberg groups
 
 
-def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
+def decide_two_step(c, ctx=None):
     """Single-quotient criterion for 2-step groups.
 
     Takes D = the image of the center Z(G) in the quotient Q = G/Z(G,sigma).
@@ -301,18 +288,17 @@ def decide_two_step(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     Returns a Verdict, or raises Unsupported when a construction it needs is
     unsupported or when (ii) or (iii) fails.
     """
-    a = _analysis(c, ctx, case_budget)
+    a = _analysis(c, ctx)
     _require_cocycle(a)
     branches = [_two_step_leaf(a, leaf) for leaf in a.leaves]
-    node = _node(0, a.cocycle.group, branches)
-    return Verdict(z_stable=node.verdict, certificate=node)
+    return Verdict(_node(0, a.cocycle.group, branches))
 
 
 def _two_step_leaf(a, leaf):
     g, case_budget = a.cocycle.group, a.case_budget
     if g.is_finite() or leaf.lattice.index() is not math.inf:
-        return Branch.from_leaf(leaf, NOT_ZSTABLE, leaf.conditions +
-                                ("twisted center has finite index; every M is finite",))
+        return Branch(leaf, NOT_ZSTABLE, leaf.conditions +
+                      ("twisted center has finite index; every M is finite",), None)
     try:
         qd, w = a.push_down(leaf)
     except Unsupported as e:
@@ -343,21 +329,23 @@ def _two_step_leaf(a, leaf):
             rm = restrict_to_lattice(wg, mleaf.lattice)
             inner = twisted_center(rm, mleaf.ctx, case_budget)
         except (Unsupported, BudgetExceeded) as e:
-            subbranches.append(Branch.from_leaf(mleaf, UNDECIDED, (f"undecided: {e}",)))
+            subbranches.append(Branch(mleaf, UNDECIDED, (f"undecided: {e}",), None))
             continue
-        subbranches.extend(_index_branch(il) for il in inner)
+        # the single-level rule: ZStable iff the twisted center has infinite index
+        subbranches.extend(Branch(il, ZSTABLE if il.lattice.index() is math.inf else NOT_ZSTABLE,
+                                  il.conditions + il.skipped, None) for il in inner)
     child = _node(1, quo, subbranches,
                   ("M = ker(phi_D); condition: [M : Z(M, Res omega_gamma)] "
                    "infinite for all gamma",))
-    return Branch.from_leaf(leaf, child.verdict, leaf.conditions, child)
+    return Branch(leaf, child.verdict, leaf.conditions, child)
 
 
-def decide_heisenberg(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
+def decide_heisenberg(c, ctx=None):
     """Generalized Heisenberg shortcut: D = Z(H)/Z(H,sigma).  A valid input
     of another shape, or on which the criterion does not apply, raises
     Unsupported; decide_two_step's reasons get the prefix "Heisenberg
     criterion inapplicable: ", the level-0 twisted center's do not."""
-    a = _analysis(c, ctx, case_budget)
+    a = _analysis(c, ctx)
     if len(a.cocycle.group.receiving_coords()) > 1:
         raise Unsupported("decide_heisenberg expects a Heisenberg-shaped "
                           "presentation (a single receiving coordinate)")
@@ -378,7 +366,7 @@ class ProductRuleOutcome(Value):
     _defaults = {"verdict": UNDECIDED, "reason": ""}
 
 
-def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
+def decide_product(c, n1, ctx=None):
     """One-sided product rules for cocycles on products of abelian groups.
 
     Forward rule: if f(., g2) is trivial whenever (g1, g2) lies in the twisted
@@ -391,7 +379,7 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     n >= 2 coordinates raises InputError, as does an invalid cocycle; the
     factors, pull-backs along homomorphisms, stay valid and are not checked.
     """
-    a = _analysis(c, ctx, case_budget)
+    a = _analysis(c, ctx)
     _require_cocycle(a)
     c = a.cocycle
     g = c.group
@@ -440,7 +428,7 @@ def decide_product(c, n1, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
 # simplicity
 
 
-def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
+def decide_simplicity(c, ctx=None):
     """Kleppner-style tri-state simplicity verdict.
 
     Supported exactly when FC(G) equals the center: then the twisted FC-group
@@ -450,7 +438,7 @@ def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
     Packer, "Twisted group C*-algebras corresponding to nilpotent discrete
     groups", Math. Scand. 64 (1989).  Returns (verdict, branches, notes).
     The cocycle is not validated here."""
-    a = _analysis(c, ctx, case_budget)
+    a = _analysis(c, ctx)
     g = a.cocycle.group
     notes = [KLEPPNER_CONVENTION]
     fc = g.fc_center()
@@ -458,10 +446,8 @@ def decide_simplicity(c, ctx=None, case_budget=DEFAULT_CASE_BUDGET):
         notes.append("FC(G) is strictly larger than the center; the convention "
                      "above is not evaluated on non-central elements")
         return SIMPLE_UNKNOWN, (), tuple(notes)
-    branches = []
-    for leaf in a.leaves:
-        branches.append(Branch.from_leaf(
-            leaf, SIMPLE_YES if leaf.lattice.is_trivial() else SIMPLE_NO))
+    branches = [Branch(leaf, SIMPLE_YES if leaf.lattice.is_trivial() else SIMPLE_NO,
+                       leaf.conditions + leaf.skipped, None) for leaf in a.leaves]
     verdicts = {b.verdict for b in branches}
     overall = verdicts.pop() if len(verdicts) == 1 else SIMPLE_UNKNOWN
     if overall == SIMPLE_UNKNOWN and branches:

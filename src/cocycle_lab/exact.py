@@ -235,14 +235,6 @@ class Classification(Value):
     __slots__ = _fields = ("kind", "denominator")
     _defaults = {"denominator": None}
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.kind, self.denominator) == (other.kind, other.denominator)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.kind, self.denominator))
-
 
 _IRRATIONAL, _UNDETERMINED = Classification(IRRATIONAL), Classification(UNDETERMINED)
 _RATIONAL = Classification(RATIONAL, None)

@@ -48,15 +48,10 @@ class ProblemError(InputError):
 
 
 class Problem(Value):
-    """A parsed problem file.  Unlike the other value classes it is mutable,
-    and so unhashable."""
+    """A parsed problem file."""
 
     # table: SymbolTable; cocycle: Cocycle; density: DensityDatum | None
     __slots__ = _fields = ("group", "table", "cocycle", "context", "density", "homogeneous")
-    _defaults = {"density": None, "homogeneous": False}
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
 
 _BUILDERS = {
@@ -286,27 +281,33 @@ def _parse_monomial(line, i, group, table):
     return coef, tuple(gex), tuple(hex_)
 
 
-def _parse_tf(lines, problem):
-    from fractions import Fraction
-
-    from .timefreq import DensityDatum
+def _parse_tf(lines):
+    """(density, homogeneous) of a [tf] section, each line at most once."""
+    density, homogeneous, seen = None, False, set()
     for i, line in lines:
         parts = line.split()
         key = parts[0]
+        if key in seen:
+            raise ProblemError(i, f"repeated {key} line")
+        seen.add(key)
         if key == "density":
+            from fractions import Fraction
+
+            from .timefreq import DensityDatum
             if len(parts) != 3:
                 raise ProblemError(i, "density needs: density <lower> <upper>")
             lo, up = (Fraction(*_rational(tok, i)) for tok in parts[1:])
             try:
-                problem.density = DensityDatum(lo, up)
+                density = DensityDatum(lo, up)
             except InputError as e:
                 raise ProblemError(i, str(e))
         elif key == "homogeneous":
             if len(parts) != 2 or parts[1] not in ("true", "false"):
                 raise ProblemError(i, "homogeneous needs true or false")
-            problem.homogeneous = parts[1] == "true"
+            homogeneous = parts[1] == "true"
         else:
             raise ProblemError(i, f"unknown tf line {key!r}")
+    return density, homogeneous
 
 
 def parse_problem(text):
@@ -320,11 +321,8 @@ def parse_problem(text):
     mono = [_parse_monomial(line, i, group, table)
             for i, line in sections["cocycle"]]
     cocycle = phase_from_monomials(group, table, mono)
-    problem = Problem(group=group, table=table, cocycle=cocycle,
-                      context=empty_context(table))
-    if "tf" in sections:
-        _parse_tf(sections["tf"], problem)
-    return problem
+    density, homogeneous = _parse_tf(sections.get("tf", []))
+    return Problem(group, table, cocycle, empty_context(table), density, homogeneous)
 
 
 def load_problem(path):

@@ -4,8 +4,8 @@ Matrices are lists of rows of Python ints (arbitrary precision).  Subgroups
 of a coordinate module Z^n / (torsion moduli) are represented by generator
 columns; the canonical form is a column-style Hermite normal form that always
 includes the torsion generators m_i * e_i.  There is one Hermite routine,
-``row_hnf``, which builds a transform only on request; ``kernel_int`` reads
-a kernel's own HNF basis off one transform-free HNF of [a^T | I].
+``row_hnf``, which builds no transform; ``kernel_int`` reads a kernel's own
+HNF basis off one HNF of [a^T | I].
 ``solve_mixed_system`` takes integer rows only (a caller with rational
 conditions clears each row once, with ``clear_denominators``), singleton
 equalities as the coordinates they force (``presolve``, once per row), and
@@ -39,20 +39,14 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def row_hnf(a, with_transform=False):
+def row_hnf(a):
     """Row-style Hermite normal form.
 
     Returns H (same shape, zero rows trimmed) with pivots positive, entries
-    above each pivot reduced into [0, pivot).  With ``with_transform`` also
-    returns unimodular U with U*a = H (H untrimmed in that product sense):
-    the elimination then runs on [a | I], whose tail every row operation
-    carries along, and U is that tail.
+    above each pivot reduced into [0, pivot).
     """
     cols = len(a[0]) if a else 0
-    if with_transform:
-        h = [list(row) + u for row, u in zip(a, identity(len(a)))]
-    else:
-        h = [row[:] for row in a]
+    h = [row[:] for row in a]
     rows = len(h)
     r = 0
     for c in range(cols):
@@ -88,8 +82,6 @@ def row_hnf(a, with_transform=False):
         r += 1
         if r == rows:
             break
-    if with_transform:
-        return [row[:cols] for row in h], [row[cols:] for row in h]
     return [row for row in h if any(row)]
 
 
@@ -111,7 +103,7 @@ def kernel_int(a):
 def snf(a):
     """Smith normal form: U*a*V = D with D diagonal, d1 | d2 | ..., U,V unimodular.
 
-    Returns (U, D, V, U^-1).  Each row operation on U is mirrored on U^-1 as
+    Returns (U, D, U^-1); V is not built.  Each row operation on U is mirrored on U^-1 as
     the inverse column operation (Cohen, GTM 138, 2.4): a row swap becomes the
     same column swap, row_i -= q*row_j becomes col_j += q*col_i, and a row
     negation the same column negation."""
@@ -120,7 +112,6 @@ def snf(a):
     cols = len(m[0]) if rows else 0
     u = identity(rows)
     ui = identity(rows)
-    v = identity(cols)
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
@@ -131,8 +122,6 @@ def snf(a):
     def swap_cols(i, j):
         for row in m:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def addmul_row(i, j, q):  # row_i -= q*row_j
         m[i] = [x - q * y for x, y in zip(m[i], m[j])]
@@ -142,8 +131,6 @@ def snf(a):
 
     def addmul_col(i, j, q):  # col_i -= q*col_j
         for row in m:
-            row[i] -= q * row[j]
-        for row in v:
             row[i] -= q * row[j]
 
     t = 0
@@ -189,7 +176,7 @@ def snf(a):
             for row in ui:
                 row[t] = -row[t]
         t += 1
-    return u, m, v, ui
+    return u, m, ui
 
 
 class QEchelon:
@@ -381,7 +368,7 @@ class SubgroupLattice(Value):
 
 def _structure(rel_cols, k):
     """Z^k modulo the span of ``rel_cols``, read off a Smith normal form."""
-    u, d, _, ui = snf(transpose(rel_cols) if rel_cols else [[0] for _ in range(k)])
+    u, d, ui = snf(transpose(rel_cols) if rel_cols else [[0] for _ in range(k)])
     diag = [abs(d[i][i]) if i < len(d[0]) else 0 for i in range(k)]
     return QuotientStructure(
         coords=tuple(tuple(r) for r in u),

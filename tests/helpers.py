@@ -66,6 +66,23 @@ def det(a):
     return sign * m[n - 1][n - 1]
 
 
+def hnf_with_transform(a):
+    """(H, U): the row HNF H of a, its zero rows kept, and a unimodular U
+    with U*a = H.  The row HNF of [a | I] reduces a's columns as row_hnf
+    reduces a, and its tail, which every row operation carries along, is U
+    (kernel_int reads the same tail)."""
+    cols = len(a[0])
+    h = zl.row_hnf([list(row) + e for row, e in zip(a, zl.identity(len(a)))])
+    return [row[:cols] for row in h], [row[cols:] for row in h]
+
+
+def column_equivalent(m, n):
+    """Whether m*V = n for some unimodular V, for m and n of one shape:
+    their columns span the same lattice, i.e. their column HNFs (the row
+    HNFs of the transposes) agree."""
+    return zl.row_hnf(zl.transpose(m)) == zl.row_hnf(zl.transpose(n))
+
+
 def rank_int(a):
     if not a or not a[0]:
         return 0

@@ -594,6 +594,22 @@ def test_tf_requires_density(tmp_path, capsys):
     assert "density" in err
 
 
+@pytest.mark.parametrize("tf, message", [
+    ("density 1/2 3/5\ndensity 2 3\nhomogeneous true\nhomogeneous false\n",
+     "line 17: repeated density line"),
+    ("homogeneous true\ndensity 1/2 3/5\nhomogeneous false\n",
+     "line 18: repeated homogeneous line"),
+], ids=["density", "homogeneous"])
+def test_repeated_tf_lines_are_input_errors(tf, message, tmp_path, capsys):
+    """A second density or homogeneous line is rejected, as a second moduli
+    or names line is, and not silently kept in place of the first."""
+    with open(fixture("z-times-h3-irr-irr"), encoding="utf-8") as fh:
+        text = fh.read()
+    f = tmp_path / "repeated.problem"
+    f.write_text(text[:text.index("[tf]")] + "[tf]\n" + tf)
+    assert run(["tf", "--json", str(f)], capsys) == (1, "", f"error: {message}\n")
+
+
 def test_torus_keeps_torsion_and_coordinate_names(tmp_path, capsys):
     f = tmp_path / "torsion-torus.problem"
     f.write_text("""

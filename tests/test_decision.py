@@ -14,8 +14,8 @@ from cocycle_lab import cocycles, decision, exact, groups, zlinalg as zl
 from cocycle_lab._value import BudgetExceeded, InputError, Unsupported
 from cocycle_lab.cocycles import phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
-                                  SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis,
-                                  decide, decide_heisenberg, decide_product,
+                                  SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis, Branch,
+                                  Verdict, decide, decide_heisenberg, decide_product,
                                   decide_simplicity, decide_two_step)
 from cocycle_lab.exact import KNumber, SymbolTable, empty_context, knum, symbol
 from cocycle_lab.poly import Poly
@@ -120,9 +120,27 @@ def test_one_analysis_serves_every_verdict():
     want = decide_simplicity(p.cocycle, p.context)
     assert (simple, [b.to_dict() for b in branches], notes) == (
         want[0], [b.to_dict() for b in want[1]], want[2])
-    for extra in ({"ctx": p.context}, {"case_budget": 8}):
-        with pytest.raises(ValueError, match="carries its own context"):
-            decide(a, **extra)
+    with pytest.raises(ValueError, match="carries its own context"):
+        decide(a, p.context)
+    with pytest.raises(TypeError):
+        decide(a, case_budget=8)  # the case budget lives on the Analysis
+
+
+def test_a_certificate_reads_its_case_leaves():
+    """A Branch keeps its case leaf and the verdict taken on it, and a
+    Verdict its certificate: every other field is read off those."""
+    assert Branch._fields == ("leaf", "verdict", "notes", "child")
+    assert Verdict._fields == ("certificate", "simple", "notes")
+    p = load_problem(fixture("heis-1-2"))
+    v = decide(p.cocycle, p.context)
+    assert v.z_stable == v.pure == v.nowhere_scattered == v.certificate.verdict == ZSTABLE
+    for node in walk(v.certificate):
+        for b in node.branches:
+            d = b.to_dict()
+            assert d["label"] == b.label == b.leaf.label
+            assert d["assumptions"] == list(b.leaf.ctx.assumptions)
+            assert d["lattice"] == [list(col) for col in b.leaf.lattice.hnf_basis]
+            assert b.index == b.leaf.lattice.index()
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +821,23 @@ def test_chain_case_leaves_build_no_exact_layer_cache(monkeypatch):
     assert all("_span" in ctx.__dict__ for ctx in internal.values())
     caches = {"_span", "_fact_parts", "_irrational_residuals"}
     assert [leaf for leaf in leaves if caches & leaf.ctx.__dict__.keys()] == []
+
+
+@pytest.mark.parametrize("text, branches", [(CHAIN_Z5, 16), (CHAIN_Z4_H3, 27)],
+                         ids=["chain-z5", "chain-z4-h3"])
+def test_each_recursion_branch_indexes_its_leaf_once(text, branches, monkeypatch):
+    """decide and decide_simplicity compute a leaf lattice's index once per
+    branch of the recursion, where the index rule reads it, and a Branch
+    stores none: 16 on the chain Z^5 with 4 params (48 while every Branch
+    stored its leaf's index, decide_simplicity's too) and 27 on Z^4 x H3(Z)
+    with 4 params (70)."""
+    p = parse_problem(text)
+    calls = []
+    real = zl.SubgroupLattice.index
+    monkeypatch.setattr(zl.SubgroupLattice, "index", lambda self: calls.append(self) or real(self))
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    assert len(calls) == branches
 
 
 def test_chain_case_leaves_need_no_hermite_form(monkeypatch):

@@ -1,10 +1,9 @@
-"""The value classes: field-wise equality, hashing and repr, immutability
-(Problem excepted), and a start-up that loads no code generation."""
+"""The value classes: field-wise equality, hashing and repr, immutability,
+and a start-up that loads no code generation."""
 
 import glob
 import importlib
 import inspect
-import math
 import os
 import subprocess
 import sys
@@ -43,6 +42,14 @@ def context():
     return empty_context(t).assume_rational(symbol(t, "xi"))
 
 
+def leaf():
+    return CaseLeaf(context(), zl.SubgroupLattice((0,), ((1,),)), ("x1 in Z",))
+
+
+def node():
+    return TraceNode(0, plane(), (), ZSTABLE, ("note",))
+
+
 # one builder per immutable value class; each call builds every field anew
 BUILDERS = {
     SymbolTable: table,
@@ -58,15 +65,16 @@ BUILDERS = {
         plane(), zl.SubgroupLattice((0, 0), ((1, 0),))),
     Poly: lambda: Poly.var(2, table(), 1),
     Cocycle: cocycle,
-    CaseLeaf: lambda: CaseLeaf(context(), zl.SubgroupLattice((0,), ((1,),)), ("x1 in Z",)),
-    Branch: lambda: Branch("unconditional", (), None, math.inf, ZSTABLE),
-    TraceNode: lambda: TraceNode(0, plane(), (), ZSTABLE, ("note",)),
-    Verdict: lambda: Verdict(ZSTABLE, certificate=TraceNode(0, plane(), (), ZSTABLE)),
+    CaseLeaf: leaf,
+    Branch: lambda: Branch(leaf(), ZSTABLE, ("x1 in Z",), node()),
+    TraceNode: node,
+    Verdict: lambda: Verdict(node()),
     Analysis: lambda: Analysis(cocycle(), context()),
     ProductRuleOutcome: lambda: ProductRuleOutcome(True, ZSTABLE, "forward rule"),
     DensityDatum: lambda: DensityDatum(Fraction(1, 2), 1),
     FrameVerdict: lambda: FrameVerdict("yes", "no-by-necessity", ("reason",)),
     MultiwindowBound: lambda: MultiwindowBound(1, 2, "statement"),
+    Problem: lambda: Problem(plane(), table(), cocycle(), context(), None, False),
 }
 
 
@@ -76,7 +84,7 @@ def test_every_value_class_has_a_builder():
         mod = importlib.import_module(f"cocycle_lab.{os.path.basename(path)[:-3]}")
         found |= {c for c in vars(mod).values()
                   if inspect.isclass(c) and issubclass(c, Value) and c is not Value}
-    assert found == set(BUILDERS) | {Problem}
+    assert found == set(BUILDERS)
 
 
 @pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
@@ -99,15 +107,6 @@ def test_repr_names_the_fields_in_constructor_order():
     assert repr(DensityDatum(0, 1)) == "DensityDatum(lower=Fraction(0, 1), upper=Fraction(1, 1))"
 
 
-def test_problem_is_mutable_and_unhashable():
-    p, q = (Problem(plane(), table(), cocycle(), context()) for _ in range(2))
-    assert p == q
-    p.homogeneous = True
-    assert p != q and p.homogeneous
-    with pytest.raises(TypeError):
-        hash(p)
-
-
 def test_cli_import_loads_no_code_generation():
     """dataclasses and the modules it imports (inspect, ast, dis, tokenize)
     cost a fresh process about 30 ms of its start-up; fractions (with
@@ -125,7 +124,7 @@ def test_the_generic_constructor_binds_like_a_signature():
     """Positional and keyword arguments bind to the fields, defaults fill
     the rest, and a missing, unknown, repeated or extra argument raises."""
     assert Classification("integer") == Classification(kind="integer", denominator=None)
-    assert Verdict(ZSTABLE, notes=("n",)).simple == Verdict(ZSTABLE).simple
+    assert Verdict(node(), notes=("n",)).simple == Verdict(node()).simple
     assert CaseLeaf(context(), None, skipped=("s",)).conditions == ()
     for args, kwargs in [((), {}), (("integer",), {"kind": "rational"}),
                          (("integer",), {"nope": 1}), (("integer", 1, 2), {})]:

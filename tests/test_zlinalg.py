@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cocycle_lab import zlinalg as zl
 
-from helpers import det, examples, mat_mul, mat_vec, rank_int, reduce_mod_columns
+from helpers import (column_equivalent, det, examples, hnf_with_transform, mat_mul, mat_vec,
+                     rank_int, reduce_mod_columns)
 
 
 def rand_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -21,7 +22,9 @@ def test_row_hnf_small_known():
 
 
 def test_snf_known():
-    _, d, _, _ = zl.snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    a = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+    u, d, _ = zl.snf(a)
+    assert column_equivalent(mat_mul(u, a), d)
     diag = [d[i][i] for i in range(3)]
     assert diag == [2, 2, 156]
 
@@ -32,9 +35,10 @@ def test_hnf_properties_random():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
-        h, u = zl.row_hnf(a, with_transform=True)
+        h, u = hnf_with_transform(a)
         assert abs(det(u)) == 1
         assert mat_mul(u, a) == h
+        assert [row for row in h if any(row)] == zl.row_hnf(a)
         # echelon shape with positive pivots and reduced entries above
         last = -1
         for row in h:
@@ -71,10 +75,9 @@ def test_snf_properties_random():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols)
-        u, d, v, _ = zl.snf(a)
+        u, d, _ = zl.snf(a)
         assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
-        assert mat_mul(mat_mul(u, a), v) == d
+        assert column_equivalent(mat_mul(u, a), d)  # U*a*V = D for a unimodular V
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(rows):
             for j in range(cols):
@@ -366,18 +369,19 @@ def test_hnf_spans_the_lattice_of_sympys_hnf():
 
 
 def test_snf_and_kernel_match_sympy():
-    """|diag D| are sympy's invariant factors, U*a*V = D, the returned U^-1
-    is U's integer inverse, and the kernel has sympy's nullspace rank."""
+    """|diag D| are sympy's invariant factors, U*a*V = D for a unimodular V,
+    the returned U^-1 is U's integer inverse, and the kernel has sympy's
+    nullspace rank."""
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import invariant_factors
     rng = random.Random(61)
     for _ in range(150):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_matrix(rng, rows, cols, -4, 4)
-        u, d, v, ui = zl.snf(a)
+        u, d, ui = zl.snf(a)
         diag = [abs(d[i][i]) for i in range(min(rows, cols))]
         assert diag == [int(x) for x in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)]
-        assert mat_mul(mat_mul(u, a), v) == d
+        assert column_equivalent(mat_mul(u, a), d)
         assert all(type(x) is int for row in ui for x in row)
         assert mat_mul(ui, u) == zl.identity(rows)
         assert len(zl.kernel_int(a)) == len(sympy.Matrix(a).nullspace())
