@@ -8,8 +8,9 @@ set derived ones (with ``object.__setattr__``).  ``Value`` compares, hashes
 and prints an instance by its fields, and refuses any later assignment or
 deletion.  ``functools.cached_property`` still works on a subclass without
 ``__slots__``: it writes the instance ``__dict__`` directly.  Classes built
-in bulk keep a constructor of their own and define their own ``__eq__`` and
-``__hash__`` over an explicit field tuple.
+in bulk (``KNumber``, ``Poly``, one ``CaseLeaf`` and ``Branch`` per case
+leaf) keep a constructor of their own, and those also compared in bulk
+define their own ``__eq__`` and ``__hash__`` over an explicit field tuple.
 
 The module also defines the engine's three outcome types.  None derives
 from another, and any other exception the engine raises is a fault.

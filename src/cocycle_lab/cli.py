@@ -93,14 +93,22 @@ def _render_trace(node, indent=0):
 
 
 def _emit(args, human_lines, payload, code):
+    """Write the report and return the command's exit code, also when the
+    reader of standard output has gone away: what it did not read is
+    dropped, and so is what is still buffered, at exit."""
     if args.json:
         doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
                "input": getattr(args, "file", None), "exit_code": code}
         doc.update(payload)
-        print(json.dumps(doc, indent=2, default=str))
-    else:
+        human_lines = [json.dumps(doc, indent=2, default=str)]
+    try:
         for line in human_lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -15,8 +15,8 @@ import math
 
 from . import zlinalg as zl
 from ._value import BudgetExceeded, Unsupported, Value
-from .exact import (IRRATIONAL, UNDETERMINED, KNumber, RationalityContext, _fraction_str,
-                    symbol)
+from .exact import (_IRRATIONAL, _RATIONAL, IRRATIONAL, UNDETERMINED, KNumber,
+                    RationalityContext, _fraction_str, symbol)
 from .groups import Morphism
 from .poly import Poly, _assemble, _integer_valued
 
@@ -286,7 +286,12 @@ class CaseLeaf(Value):
     # human-readable "form in Z" strings; skipped: conditions dropped for
     # lack of a denominator bound
     __slots__ = _fields = ("ctx", "lattice", "conditions", "skipped")
-    _defaults = {"conditions": (), "skipped": ()}
+
+    def __init__(self, ctx, lattice, conditions=(), skipped=()):  # built in bulk
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "conditions", conditions)
+        object.__setattr__(self, "skipped", skipped)
 
     @property
     def label(self):
@@ -321,6 +326,46 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     (RationalityContext.inherited), so it classifies from the split symbol
     on.  A child is built bare and answers from its own and its ancestors'
     memos, so a leaf whose symbols its ancestors settled builds no span.
+
+    The product walk.  Let u_1..u_k be the symbols in that order, S their
+    coordinates and e_u a unit vector.  When every u is a free xi, the root
+    is consistent, each u classifies UNDETERMINED there and no row of the
+    root's span (integral facts and torsion axioms included) and no root
+    irrational residual is nonzero on S (RationalityContext.
+    product_residuals), the tree is the full product over the u_i, and
+    _product_leaves builds it without classifying below the root.  Claim,
+    for a node N at depth i whose path assumed u_1..u_i each rational or
+    irrational: N is consistent, its span rows are the root's plus e_u for
+    each rational u, and its irrational residuals are the root's plus e_u
+    for each irrational u.  At the root this is the hypothesis.  Suppose it
+    holds at N.  Every pivot of N lies outside S or is an assumed u; the
+    root's rows and residuals and every integral fact are zero on S, and an
+    added row or residual e_u is zero on S but at u.
+    So an unsplit u reduces to e_u itself, the root's residual, which is no
+    theta axiom (u is a xi) and no irrational direction: u is UNDETERMINED.
+    An assumed u is IRRATIONAL if the path said so (e_u is a residual), else
+    RATIONAL with no denominator (e_u is in the span, and no integral fact
+    has an entry at u).  So the walk reads u_1..u_i as the path assumed and
+    splits N on u_{i+1} = x, with residual e_x.  The irrational child is
+    consistent (the residual is nonzero) and gains e_x as a residual.  The
+    rational child inserts e_x, which changes no row and no residual (none
+    has an entry at x); a span combination with zero xi-part has no e_u in
+    it (only e_u is nonzero at u), so it is one of the root's, which is
+    zero; and an irrational fact or theta keeps its nonzero residual, which
+    is zero on S, so the child is consistent.  Both children satisfy the
+    claim.  So the leaves are the 2^k nodes at depth k, and the walk reaches
+    them irrational child first, with the classes of the path: IRRATIONAL,
+    or RATIONAL with denominator None.  _product_leaves seeds each internal
+    node's memo with UNDETERMINED and its u's root residual and calls
+    split(), so every child and leaf context is built as the walk builds
+    it, and each leaf by _case_leaf.
+
+    The case budget is exceeded, with BudgetExceeded, iff the tree has more
+    than case_budget leaves: the product walk checks 2^k before it splits,
+    and the general walk checks after each node that its leaves plus its
+    pending nodes do not exceed the budget.  That count never exceeds the
+    tree's leaves: every pending node is consistent, and a consistent node
+    that splits has a consistent irrational child, so each gives a leaf.
     """
     prepared = []  # per form, computed once: its constant congruence and its symbol terms
     for form in forms:
@@ -338,12 +383,13 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     # each symbol name as its unit value, in the order the forms first name it
     units = {s: symbol(ctx.table, s) for s in dict.fromkeys(t[0] for _, terms in prepared
                                                              for t in terms)}
+    residuals = ctx.product_residuals(units)
+    if residuals is not None:
+        return _product_leaves(ctx, units, residuals, prepared, zmoduli, case_budget)
     leaves = []
     stack = [(ctx, {})]  # a node and the classifications it inherits
     while stack:
         cur, classes = stack.pop()  # classes: symbol name -> its classification in cur
-        if len(leaves) + len(stack) > case_budget:
-            raise BudgetExceeded(case_budget)
         for s, x in units.items():
             if s in classes:
                 continue
@@ -355,6 +401,29 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
                 break
         else:
             leaves.append(_case_leaf(cur, prepared, classes, zmoduli))
+        if len(leaves) + len(stack) > case_budget:  # each pending node gives a leaf
+            raise BudgetExceeded(case_budget)
+    return leaves
+
+
+def _product_leaves(ctx, units, residuals, prepared, zmoduli, case_budget):
+    """The case tree over independent free symbols, as the walk in
+    condition_lattice builds it, without classifying: the node at depth i
+    splits on the i-th unit, and each leaf reads its classes off its path."""
+    if 2 ** len(units) > case_budget:
+        raise BudgetExceeded(case_budget)
+    names, xs = list(units), list(units.values())
+    leaves = []
+    stack = [(ctx, {})]
+    while stack:
+        cur, classes = stack.pop()
+        i = len(classes)
+        if i == len(xs):
+            leaves.append(_case_leaf(cur, prepared, classes, zmoduli))
+            continue
+        rat, irr = cur.split_open(xs[i], residuals[i])
+        stack.append((rat, {**classes, names[i]: _RATIONAL}))
+        stack.append((irr, {**classes, names[i]: _IRRATIONAL}))
     return leaves
 
 

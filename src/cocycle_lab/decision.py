@@ -38,6 +38,12 @@ class Branch(Value):
     # assumptions, lattice and index; child: TraceNode | None
     __slots__ = _fields = ("leaf", "verdict", "notes", "child")
 
+    def __init__(self, leaf, verdict, notes, child):  # built in bulk
+        object.__setattr__(self, "leaf", leaf)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "notes", notes)
+        object.__setattr__(self, "child", child)
+
     @property
     def label(self):
         return self.leaf.label

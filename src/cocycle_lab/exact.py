@@ -531,6 +531,32 @@ class RationalityContext(Value):
         return (rat if rat.is_consistent() else None,
                 irr if irr.is_consistent() else None)
 
+    def product_residuals(self, units):
+        """The residuals of the unit values ``units`` (symbol name -> unit
+        value) here when the case tree over them is their full product, else
+        None.  It is when there is a name, every name is a free xi (no
+        theta, torsion order 0), this context is consistent, each unit
+        classifies UNDETERMINED and no span row and no irrational residual
+        has a nonzero entry at their coordinates (cocycles.condition_lattice
+        proves it).  Each residual is then the unit vector itself."""
+        free = {n for n, m in self.table.xis if not m}
+        if not units or not free.issuperset(units) or not self._consistent:
+            return None
+        if any(self.classify(x).kind != UNDETERMINED for x in units.values()):
+            return None
+        cols = [self.table.order[s] for s in units]
+        for v in [row for _, row in self._span.rows] + list(self._irrational_residuals):
+            if any(v[j] for j in cols):
+                return None
+        return [self._residuals[x.ints] for x in units.values()]
+
+    def split_open(self, x, residual):
+        """split(x) for an x known UNDETERMINED here with the given residual:
+        both are seeded into the memo, so nothing is classified."""
+        self._classified[x.ints] = _UNDETERMINED
+        self._residuals[x.ints] = residual
+        return self.split(x)
+
 
 # the memo kinds a child keeps from its parent's (see RationalityContext)
 _KEEP_NONE = frozenset()

@@ -7,8 +7,9 @@ the irrational set test's property
 test_the_irrational_set_test_is_the_collinear_scan, the cached-center
 property of tests/test_groups.py, and the induce_gamma differential
 property and the case-leaf differential properties
-test_case_leaves_equal_the_unpresolved_replay and
-test_case_leaf_contexts_classify_as_fresh_contexts of
+test_case_leaves_equal_the_unpresolved_replay,
+test_case_leaf_contexts_classify_as_fresh_contexts and
+test_the_product_walk_builds_the_general_walks_tree of
 tests/test_cocycles.py).
 It loads only when HYPOTHESIS_PROFILE=ci is set, so a plain run keeps
 Hypothesis's defaults:

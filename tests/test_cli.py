@@ -5,6 +5,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from cocycle_lab.decision import decide
 from cocycle_lab.problem import ProblemError, load_problem, parse_problem
 
 FIXTURES = os.path.join(os.path.dirname(cli.__file__), "fixtures")
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
 
 
 def fixture(name):
@@ -776,3 +779,39 @@ def test_case_budget_overrun_computes_the_twisted_center_once(tmp_path, monkeypa
     code, out, err = run(["verdict", str(f), "--case-budget", "1"], capsys)
     assert (code, out, err) == (2, "", "undecided: case budget of 1 leaves exceeded\n")
     assert len(seen["twisted_center"]) == 1
+
+
+TWO_PARAMS = ("[symbols]\nx1 param\nx2 param\n[group]\nbuilder abelian 0 0 0\n"
+              "[cocycle]\nx1 * g:x1 * h:x2\nx2 * g:x2 * h:x3\n")
+
+
+@pytest.mark.parametrize("walk", ["product", "general"])
+def test_a_case_budget_admits_as_many_leaves_as_it_names(walk, tmp_path, monkeypatch, capsys):
+    """Two independent params give 4 case leaves: a budget of 4 decides and
+    one of 3 is exceeded, on the product walk and on the general one (a
+    budget of 3 admitted 4 leaves while the general walk left the node it
+    was visiting out of its count)."""
+    if walk == "general":
+        monkeypatch.setattr(exact.RationalityContext, "product_residuals", lambda *args: None)
+    f = tmp_path / "z3-params.problem"
+    f.write_text(TWO_PARAMS)
+    assert run(["verdict", str(f), "--case-budget", "4"], capsys)[0] == 0
+    assert run(["verdict", str(f), "--case-budget", "3"], capsys) == (
+        2, "", "undecided: case budget of 3 leaves exceeded\n")
+
+
+@pytest.mark.parametrize("name, code", [("g3", 0), ("z-times-h3-irr-rat", 2)])
+@pytest.mark.parametrize("mode", [["--json"], []], ids=["json", "plain"])
+def test_a_closed_stdout_ends_with_the_commands_status(name, code, mode):
+    """A reader that has gone away (``cocycle-lab verdict --json g3.problem
+    | head -c 10``) is not a fault: the process writes nothing on stderr,
+    at exit neither, and exits with the verdict's status."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run([sys.executable, "-m", "cocycle_lab.cli", "verdict", *mode,
+                              fixture(name)], stdout=write_end, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": SRC}, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (code, "")

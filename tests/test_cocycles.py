@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -7,8 +8,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, find, given, settings, strategies as st
 
-from cocycle_lab import groups, zlinalg as zl
-from cocycle_lab._value import Unsupported
+from cocycle_lab import cocycles, groups, zlinalg as zl
+from cocycle_lab._value import BudgetExceeded, Unsupported
 from cocycle_lab.cocycles import (CaseLeaf, Cocycle, _pairing_rows, antisym,
                                   cocycle_defect, condition_lattice, induce_gamma,
                                   integrality_violation, phase_from_monomials, phi_map,
@@ -262,28 +263,37 @@ LEAF_COEFFS = (0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
 
 
 @st.composite
-def leaf_systems(draw):
+def leaf_systems(draw, product=False):
     """(context, forms, z-moduli) for condition_lattice, every condition
     well defined modulo the z-torsion: on a torsion coordinate of order m a
     form has a constant in Z/m and only torsion symbols, each a multiple of
-    its order over m.  The context holds up to two facts of any kind."""
+    its order over m.  The context holds up to two facts of any kind.
+
+    With ``product`` the forms name a nonempty set of free parameters only,
+    and the facts the other symbols only, so that the case tree may be the
+    product over the named parameters (condition_lattice's product walk)."""
     table = draw(st.sampled_from(LEAF_TABLES))
+    named = fact_names = table.names
+    if product:
+        named = draw(st.lists(st.sampled_from([s for s, m in table.xis if not m]),
+                              min_size=1, unique=True))
+        fact_names = [s for s in table.names if s not in named]
     n = draw(st.integers(1, 4))
     zmoduli = tuple(draw(st.lists(st.sampled_from((0, 0, 2, 3)), min_size=n, max_size=n)))
 
-    def coefficient(m):
+    def coefficient(m, names):
         if not m:
             return KNumber.make(table, draw(st.sampled_from(LEAF_COEFFS)),
-                                {s: draw(st.sampled_from(LEAF_COEFFS)) for s in table.names})
+                                {s: draw(st.sampled_from(LEAF_COEFFS)) for s in names})
         return KNumber.make(table, Fraction(draw(st.integers(-3, 3)), m),
                             {s: Fraction(draw(st.integers(-2, 2)) * t, m)
-                             for s, t in table.xis if t})
+                             for s, t in table.xis if t and s in named})
 
-    forms = [[coefficient(m) for m in zmoduli] for _ in range(draw(st.integers(1, 3)))]
+    forms = [[coefficient(m, named) for m in zmoduli] for _ in range(draw(st.integers(1, 3)))]
     ctx = empty_context(table)
     for kind in draw(st.lists(st.sampled_from(("rational", "integral", "irrational")),
                               max_size=2)):
-        ctx = getattr(ctx, "assume_" + kind)(coefficient(0))
+        ctx = getattr(ctx, "assume_" + kind)(coefficient(0, fact_names))
     return ctx, forms, zmoduli
 
 
@@ -349,6 +359,70 @@ def test_case_leaf_contexts_classify_as_fresh_contexts(system, data):
                                                                      + c.irrational)
         assert [c.classify(y) for y in ys] == [fresh.classify(y) for y in ys]
         assert c.is_consistent() == fresh.is_consistent()
+
+
+def leaf_record(leaf):
+    c = leaf.ctx
+    return (c.assumptions, c.rational, c.integral, c.irrational, leaf.lattice.hnf_basis,
+            leaf.conditions, leaf.skipped)
+
+
+def takes_the_product_walk(ctx, forms):
+    units = {s: symbol(ctx.table, s) for s in dict.fromkeys(
+        n for form in forms for kn in form for n, _ in kn.ints[2])}
+    return fresh_root(ctx).product_residuals(units) is not None
+
+
+def fresh_root(ctx):
+    """A root context with ctx's facts and assumptions and empty memos."""
+    return RationalityContext(ctx.table, ctx.rational, ctx.integral, ctx.irrational,
+                              ctx.assumptions)
+
+
+def case_tree(system, general, budget=cocycles.DEFAULT_CASE_BUDGET):
+    """condition_lattice on a fresh root, on its general walk if asked;
+    None when the tree exceeds the budget."""
+    ctx, forms, zmoduli = system
+    off = mock.patch.object(RationalityContext, "product_residuals", lambda self, units: None)
+    with off if general else contextlib.nullcontext():
+        try:
+            return condition_lattice(fresh_root(ctx), forms, zmoduli,
+                                     [f"z{i}" for i in range(len(zmoduli))], budget)
+        except BudgetExceeded:
+            return None
+
+
+@settings(max_examples=examples(1), deadline=None)
+@given(st.one_of(leaf_systems(), leaf_systems(product=True)), st.data())
+def test_the_product_walk_builds_the_general_walks_tree(system, data):
+    """Where condition_lattice builds its case tree as the product over
+    independent free symbols, it builds the general walk's tree: the same
+    leaves in the same order (assumptions, facts, lattice, conditions and
+    skipped notes), leaf contexts that classify drawn values alike, and the
+    same budget outcome one leaf below and at the leaf count."""
+    product, general = case_tree(system, False), case_tree(system, True)
+    assert [leaf_record(a) for a in product] == [leaf_record(b) for b in general]
+    table = system[0].table
+    probes = data.draw(leaf_probes(table)) + [symbol(table, s) for s in table.names]
+    for a, b in zip(product, general):
+        assert [a.ctx.classify(y) for y in probes] == [b.ctx.classify(y) for y in probes]
+        assert a.ctx.is_consistent() == b.ctx.is_consistent()
+    n = len(product)
+    for budget in (n - 1, n):
+        fits = [case_tree(system, walk, budget) is not None for walk in (False, True)]
+        assert fits == [budget >= n] * 2
+
+
+def test_the_product_strategy_reaches_the_product_walk():
+    """Draws of leaf_systems(product=True) take the product walk, on trees
+    of two or more free parameters too, and others fall back to the
+    general walk."""
+    for wanted in (True, False):
+        system = find(leaf_systems(product=True),
+                      lambda s: takes_the_product_walk(*s[:2]) == wanted
+                      and len(case_tree(s, False)) >= (4 if wanted else 1),
+                      settings=settings(max_examples=2000, database=None))
+        assert takes_the_product_walk(*system[:2]) == wanted
 
 
 def test_heisenberg_twisted_center_is_d2_scaled_r_axis():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from cocycle_lab import cocycles, decision, exact, groups, zlinalg as zl
-from cocycle_lab._value import BudgetExceeded, InputError, Unsupported
+from cocycle_lab._value import BudgetExceeded, InputError, Unsupported, Value
 from cocycle_lab.cocycles import phase_from_monomials, twisted_center
 from cocycle_lab.decision import (NOT_ZSTABLE, SIMPLE_NO, SIMPLE_UNKNOWN,
                                   SIMPLE_YES, UNDECIDED, ZSTABLE, Analysis, Branch,
@@ -748,7 +748,9 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     monkeypatch.setattr(zl, "kernel_int", kernel_int)
     decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
-    # 29, all of them in the two level-0 case trees; 59 while a rational
+    # 4 on the product walk, one per param at the root (see
+    # test_product_trees_classify_only_at_their_root); 29 on the general
+    # walk, all of them in the two level-0 case trees; 59 while a rational
     # split child classified its split value afresh, 93 while it dropped its
     # parent's IRRATIONAL entries (also 93 while 12 level-1 children
     # recursed, each classifying in its leaf's own context; 147 while each
@@ -757,13 +759,19 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     assert kernels == []  # 52 when the pure-theta search ran without thetas
 
 
+def general_walk_only(monkeypatch):
+    """Send every case tree through condition_lattice's general walk."""
+    monkeypatch.setattr(exact.RationalityContext, "product_residuals", lambda self, units: None)
+
+
 def test_a_split_reduces_its_value_once(monkeypatch):
-    """On the chain Z^5 with 4 params each split(x) costs one reduction of
-    x's symbol vector: the one in the classify that found x undetermined,
-    whose residual both children take, the rational child into its span
-    and the irrational one as its residual.  (3 per split before: that
-    classify, the rational child's insertion and the irrational child's
-    residual.)"""
+    """On the chain Z^5 with 4 params, walked in general, each split(x)
+    costs one reduction of x's symbol vector: the one in the classify that
+    found x undetermined, whose residual both children take, the rational
+    child into its span and the irrational one as its residual.  (3 per
+    split before: that classify, the rational child's insertion and the
+    irrational child's residual.)"""
+    general_walk_only(monkeypatch)
     p = parse_problem(CHAIN_Z5)
     reduced, classified, per_split = [], [], []
     real_reduce = zl.QEchelon.reduce
@@ -793,11 +801,12 @@ def test_a_split_reduces_its_value_once(monkeypatch):
 
 
 def test_chain_case_leaves_build_no_exact_layer_cache(monkeypatch):
-    """On the chain Z^5 with 4 params every classify in a case leaf is
-    answered by the leaf's own memo or its ancestors', so decide and
-    decide_simplicity build a span (and fact parts and irrational residuals)
-    only in the internal case nodes, each of which classified a value no
-    memo on its path held, and never in a leaf."""
+    """On the chain Z^5 with 4 params, walked in general, every classify in
+    a case leaf is answered by the leaf's own memo or its ancestors', so
+    decide and decide_simplicity build a span (and fact parts and
+    irrational residuals) only in the internal case nodes, each of which
+    classified a value no memo on its path held, and never in a leaf."""
+    general_walk_only(monkeypatch)
     p = parse_problem(CHAIN_Z5)
     leaves = []
     real = cocycles.condition_lattice
@@ -821,6 +830,70 @@ def test_chain_case_leaves_build_no_exact_layer_cache(monkeypatch):
     assert all("_span" in ctx.__dict__ for ctx in internal.values())
     caches = {"_span", "_fact_parts", "_irrational_residuals"}
     assert [leaf for leaf in leaves if caches & leaf.ctx.__dict__.keys()] == []
+
+
+def chain_z5_case_trees(monkeypatch):
+    """The case leaves of decide and decide_simplicity on the chain Z^5 with
+    4 params, and every context above them."""
+    p = parse_problem(CHAIN_Z5)
+    leaves = []
+    real = cocycles.condition_lattice
+    monkeypatch.setattr(cocycles, "condition_lattice",
+                        lambda *args: leaves.extend(out := real(*args)) or out)
+    decide(p.cocycle, p.context)
+    decide_simplicity(p.cocycle, p.context)
+    internal = {}
+    for leaf in leaves:
+        ctx = leaf.ctx._parent
+        while ctx is not None:
+            internal[id(ctx)] = ctx
+            ctx = ctx._parent
+    return p.context, leaves, list(internal.values())
+
+
+def test_product_trees_classify_only_at_their_root(monkeypatch):
+    """The chain Z^5's params are independent free symbols, so both case
+    trees are built as the product over them: _classify runs on the root
+    context alone, once per symbol (29 calls in 29 contexts when walked in
+    general), and the rational span reduces nothing below the root."""
+    classified, reduced = [], []
+    real_classify = exact.RationalityContext._classify
+    real_reduce = zl.QEchelon.reduce
+    monkeypatch.setattr(exact.RationalityContext, "_classify",
+                        lambda self, x: classified.append((self, x)) or real_classify(self, x))
+    monkeypatch.setattr(zl.QEchelon, "reduce",
+                        lambda self, v: reduced.append(self) or real_reduce(self, v))
+    root, leaves, internal = chain_z5_case_trees(monkeypatch)
+    assert len(leaves) == 32 and len(internal) == 2 * 14 + 1
+    assert len(classified) == 4 and all(ctx is root for ctx, _ in classified)
+    assert sorted(symbol_names(x)[0] for _, x in classified) == ["x1", "x2", "x3", "x4"]
+    assert reduced and all(span is root._span for span in reduced)
+
+
+def test_product_tree_nodes_build_no_exact_layer_cache(monkeypatch):
+    """Below the root no internal node or leaf of the chain Z^5's product
+    trees builds a span, fact parts or irrational residuals: each split
+    takes its value's residual and consistency from the root's answers."""
+    root, leaves, internal = chain_z5_case_trees(monkeypatch)
+    caches = {"_span", "_fact_parts", "_irrational_residuals"}
+    below = [ctx for ctx in internal if ctx is not root] + [leaf.ctx for leaf in leaves]
+    assert len(below) == 2 * 14 + 32
+    assert [ctx for ctx in below if caches & ctx.__dict__.keys()] == []
+
+
+def test_chain_records_skip_the_generic_constructor(monkeypatch):
+    """Deciding the chain Z^5 with 4 params builds its 32 case leaves and 32
+    branches with their own constructors, never the generic Value.__init__
+    (its field loop and _check hook were about 5% of a chain-free pass)."""
+    built = []
+    real = Value.__init__
+    monkeypatch.setattr(Value, "__init__",
+                        lambda self, *a, **k: built.append(type(self)) or real(self, *a, **k))
+    p = parse_problem(CHAIN_Z5)
+    v = decide(p.cocycle, p.context)
+    _, branches, _ = decide_simplicity(p.cocycle, p.context)
+    assert len(v.certificate.branches) == len(branches) == 16
+    assert built and not {cocycles.CaseLeaf, Branch} & set(built)
 
 
 @pytest.mark.parametrize("text, branches", [(CHAIN_Z5, 16), (CHAIN_Z4_H3, 27)],

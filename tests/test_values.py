@@ -130,3 +130,20 @@ def test_the_generic_constructor_binds_like_a_signature():
                          (("integer",), {"nope": 1}), (("integer", 1, 2), {})]:
         with pytest.raises(TypeError):
             Classification(*args, **kwargs)
+
+
+def test_case_leaves_and_branches_bind_like_the_generic_constructor():
+    """CaseLeaf and Branch, built per case leaf, have constructors of their
+    own that bind positional and keyword arguments and CaseLeaf's defaults
+    as the generic one does, and raise on a missing or extra argument."""
+    assert CaseLeaf.__init__ is not Value.__init__ and Branch.__init__ is not Value.__init__
+    ctx, lat = context(), zl.SubgroupLattice((0,), ((1,),))
+    assert CaseLeaf(ctx, lat) == CaseLeaf(ctx, lat, (), ())
+    assert CaseLeaf(ctx, lat, skipped=("s",)) == CaseLeaf(lattice=lat, ctx=ctx, conditions=(),
+                                                          skipped=("s",))
+    assert Branch(leaf(), ZSTABLE, (), None) == Branch(leaf(), ZSTABLE, notes=(), child=None)
+    for build in (lambda: CaseLeaf(ctx), lambda: CaseLeaf(ctx, lat, (), (), 1),
+                  lambda: CaseLeaf(ctx, lat, nope=1), lambda: Branch(leaf(), ZSTABLE, ()),
+                  lambda: Branch(leaf(), ZSTABLE, (), None, verdict=ZSTABLE)):
+        with pytest.raises(TypeError):
+            build()
