@@ -5,7 +5,11 @@ an unsupported shape, on which the rule asked for does not apply, or with an
 indecisive certificate), ``BudgetExceeded`` or an honestly undecided verdict;
 1 = ``InputError`` (``ProblemError`` among them) or a usage error; 3 =
 internal error: any other exception, reported as the one line "internal
-error: <Type>: <message>" on stderr, without a traceback.
+error: <Type>: <message>" on stderr, without a traceback.  With ``--json``
+every outcome but a usage error and exit 3 writes one report.
+
+``main`` returns the exit code; ``run``, the process entry, ends the process
+with it and skips the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -253,10 +257,13 @@ def cmd_product(args):
 
 
 def cmd_tf(args):
-    from .timefreq import frame_verdict
+    from fractions import Fraction
+
+    from .timefreq import DensityDatum, frame_verdict
     p, a = _load(args)
     if p.density is None:
         raise InputError("tf verdict needs a density line in the [tf] section")
+    density = DensityDatum(*(Fraction(*bound) for bound in p.density))
     v = decide(a)
     if v.z_stable == UNDECIDED:
         return _emit(args, ["undecided: non-rationality of the cocycle could "
@@ -264,7 +271,7 @@ def cmd_tf(args):
                      {"error": "nonrationality undecided"}, UNDECIDED_EXIT)
     nonrational = v.z_stable == ZSTABLE
     try:
-        fv = frame_verdict(nonrational, p.density, p.homogeneous)
+        fv = frame_verdict(nonrational, density, p.homogeneous)
     except Unsupported as e:
         return _emit(args, [f"undecided: {e}"], {"error": str(e)}, UNDECIDED_EXIT)
     lines = [f"nonrational cocycle: {'yes' if nonrational else 'no'}",
@@ -370,16 +377,38 @@ def main(argv=None):
                             _positive_budget(args.case_budget, "--case-budget"))
         return _FILE_COMMANDS[args.command](args)
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return INPUT_ERROR
+        return _fail(args, "error", e, INPUT_ERROR)
     except (Unsupported, BudgetExceeded) as e:
-        print(f"undecided: {e}", file=sys.stderr)
-        return UNDECIDED_EXIT
+        return _fail(args, "undecided", e, UNDECIDED_EXIT)
     except Exception as e:
         message = " ".join(str(e).split())
         print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
         return INTERNAL_ERROR
 
 
+def _fail(args, tag, error, code):
+    """The one stderr line of an input error or an undecided outcome and,
+    under --json, its report."""
+    print(f"{tag}: {error}", file=sys.stderr)
+    if args.json:
+        return _emit(args, (), {"error": str(error)}, code)
+    return code
+
+
+def run():
+    """The process entry: main's exit code, with both streams flushed, ends
+    the process at once.  A one-shot process holds nothing that needs
+    freeing, and the interpreter's teardown costs each command several
+    milliseconds.  A stream whose reader has gone away does not change the
+    exit code."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

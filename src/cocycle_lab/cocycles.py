@@ -137,7 +137,9 @@ def cocycle_defect(c):
 
 
 def validate_cocycle(c):
-    """None when valid; otherwise a human-readable violation report.
+    """None when valid; otherwise a human-readable violation report.  A
+    phase of degree above 3 in some variable is outside what is checked:
+    Unsupported, not a violation.
 
     Bilinear shortcut: when the law has no carry (x*y = x + y coordinate-wise)
     and every phase monomial has degree exactly 1 in g and exactly 1 in h, Q
@@ -149,7 +151,7 @@ def validate_cocycle(c):
     t = c.table
     terms = c.phase.terms
     if c.phase.max_degree() > 3:
-        return "phase degree exceeds the supported bound (3 per variable)"
+        raise Unsupported("phase degree exceeds the supported bound (3 per variable)")
     den = math.lcm(*(q.ints[0] for _, q in terms))
     bilinear = not c.group.bilinear and all(sum(e[:n]) == sum(e[n:]) == 1 for e, _ in terms)
     if not bilinear:  # normalization sigma(g, e) = sigma(e, g) = 1, read off by restriction

@@ -50,7 +50,8 @@ class ProblemError(InputError):
 class Problem(Value):
     """A parsed problem file."""
 
-    # table: SymbolTable; cocycle: Cocycle; density: DensityDatum | None
+    # table: SymbolTable; cocycle: Cocycle; density: the [tf] bounds, two
+    # (numerator, denominator) pairs, or None
     __slots__ = _fields = ("group", "table", "cocycle", "context", "density", "homogeneous")
 
 
@@ -282,7 +283,9 @@ def _parse_monomial(line, i, group, table):
 
 
 def _parse_tf(lines):
-    """(density, homogeneous) of a [tf] section, each line at most once."""
+    """(density, homogeneous) of a [tf] section, each line at most once; the
+    density is its bounds as reduced (numerator, denominator) pairs, which
+    the tf command reads as a timefreq.DensityDatum."""
     density, homogeneous, seen = None, False, set()
     for i, line in lines:
         parts = line.split()
@@ -291,16 +294,11 @@ def _parse_tf(lines):
             raise ProblemError(i, f"repeated {key} line")
         seen.add(key)
         if key == "density":
-            from fractions import Fraction
-
-            from .timefreq import DensityDatum
             if len(parts) != 3:
                 raise ProblemError(i, "density needs: density <lower> <upper>")
-            lo, up = (Fraction(*_rational(tok, i)) for tok in parts[1:])
-            try:
-                density = DensityDatum(lo, up)
-            except InputError as e:
-                raise ProblemError(i, str(e))
+            (a, b), (c, d) = density = tuple(_rational(tok, i) for tok in parts[1:])
+            if a * d > c * b:  # both denominators are positive
+                raise ProblemError(i, "density interval has lower > upper")
         elif key == "homogeneous":
             if len(parts) != 2 or parts[1] not in ("true", "false"):
                 raise ProblemError(i, "homogeneous needs true or false")

@@ -405,7 +405,7 @@ def validate_cocycle_reference(c):
     n = c.n
     t = c.table
     if c.phase.max_degree() > 3:
-        return "phase degree exceeds the supported bound (3 per variable)"
+        raise Unsupported("phase degree exceeds the supported bound (3 per variable)")
     # normalization sigma(g, e) = sigma(e, g) = 1
     zero = [Poly.zero(n, t)] * n
     gvars = [Poly.var(n, t, i) for i in range(n)]

@@ -315,6 +315,22 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def error_report(command, path, code, message):
+    """The --json report of a command that ends in an input error or an
+    undecided outcome."""
+    return json.dumps({"schema_version": 1, "command": command, "input": path,
+                       "exit_code": code, "error": message}, indent=2) + "\n"
+
+
+class Inline(str):
+    """A problem file's text in an argument list, written to a file for the run."""
+
+
+# a 2-cocycle (bilinear and carry-free) of degree 4 in x1: valid, but above
+# the degree that validation supports
+DEGREE_4 = Inline("[group]\nbuilder abelian 0 0\n\n[cocycle]\n1/2 * g:x1^4 * h:x2\n")
+
+
 EXIT_MATRIX = [
     (["validate", fixture("g3")], 0),
     (["verdict", fixture("g3")], 0),
@@ -343,13 +359,33 @@ EXIT_MATRIX = [
     (["verdict"], 1),                               # no path
     (["no-such-command", fixture("g3")], 1),
     (["verdict", fixture("g3"), "--no-such-flag"], 1),
+    # a phase above the supported degree is undecided, not invalid
+    (["validate", DEGREE_4], 2),
+    (["verdict", DEGREE_4], 2),
 ]
 
 
 @pytest.mark.parametrize("argv,want", EXIT_MATRIX)
-def test_exit_code_matrix(argv, want, capsys):
+def test_exit_code_matrix(argv, want, capsys, tmp_path):
+    path = tmp_path / "inline.problem"
+    for a in argv:
+        if isinstance(a, Inline):
+            path.write_text(a)
+    argv = [str(path) if isinstance(a, Inline) else a for a in argv]
     code, _, _ = run(argv, capsys)
     assert code == want
+
+
+@pytest.mark.parametrize("command", ["validate", "verdict", "twisted-center"])
+def test_a_phase_above_the_degree_bound_is_undecided_not_invalid(command, tmp_path, capsys):
+    """The degree bound limits what validation checks; it says nothing about
+    the cocycle, so the input is not reported invalid."""
+    f = tmp_path / "degree4.problem"
+    f.write_text(DEGREE_4)
+    message = "phase degree exceeds the supported bound (3 per variable)"
+    assert run([command, str(f)], capsys) == (2, "", f"undecided: {message}\n")
+    assert run([command, "--json", str(f)], capsys) == (
+        2, error_report(command, str(f), 2, message), f"undecided: {message}\n")
 
 
 def test_usage_errors_keep_argparse_message_and_help_exits_0(capsys):
@@ -455,8 +491,9 @@ def test_bound_command_prints_recursion_value(capsys):
 ])
 def test_bound_too_large_to_print_is_an_input_error(argv, n, capsys):
     code, out, err = run(argv, capsys)
-    assert code == 1 and not out
-    assert err == f"error: f({n}) has more than 4300 decimal digits and cannot be printed\n"
+    message = f"f({n}) has more than 4300 decimal digits and cannot be printed"
+    assert (code, err) == (1, f"error: {message}\n")
+    assert out == (error_report("bound", None, 1, message) if "--json" in argv else "")
 
 
 def test_bound_prints_the_largest_printable_value(capsys):
@@ -610,7 +647,34 @@ def test_repeated_tf_lines_are_input_errors(tf, message, tmp_path, capsys):
         text = fh.read()
     f = tmp_path / "repeated.problem"
     f.write_text(text[:text.index("[tf]")] + "[tf]\n" + tf)
-    assert run(["tf", "--json", str(f)], capsys) == (1, "", f"error: {message}\n")
+    assert run(["tf", "--json", str(f)], capsys) == (
+        1, error_report("tf", str(f), 1, message), f"error: {message}\n")
+
+
+@pytest.mark.parametrize("bounds, valid", [
+    ("3/5 2/5", False), ("2/5 3/5", True), ("2/4 1/2", True), ("-1/2 -3/5", False),
+    ("-3/5 -1/2", True), ("0.6 1/2", False), ("1 0.9999", False), ("-0 0", True),
+])
+def test_a_density_interval_is_ordered_as_fractions_order_it(bounds, valid, tmp_path, capsys):
+    """The parser compares the density bounds in integers; a lower bound
+    above the upper one fails every command at its own line, as Fraction
+    comparison would have it."""
+    lo, up = (Fraction(tok) for tok in bounds.split())
+    assert (lo <= up) == valid
+    with open(fixture("z-times-h3-irr-irr"), encoding="utf-8") as fh:
+        text = fh.read()
+    text = text[:text.index("[tf]")] + f"[tf]\ndensity {bounds}\n"
+    f = tmp_path / "density.problem"
+    f.write_text(text)
+    line = text.count("\n")
+    code, out, err = run(["verdict", str(f)], capsys)
+    if valid:
+        assert code == 0 and not err
+        assert parse_problem(text).density == ((lo.numerator, lo.denominator),
+                                               (up.numerator, up.denominator))
+    else:
+        assert (code, out, err) == (1, "", f"error: line {line}: density interval "
+                                           "has lower > upper\n")
 
 
 def test_torus_keeps_torsion_and_coordinate_names(tmp_path, capsys):

@@ -1224,7 +1224,8 @@ def test_validation_and_one_fixture_pass_build_no_fractions(monkeypatch):
     surjectivity test and induced carries; both counts on Python 3.11).  A
     Fraction is counted when its constructor runs and, on Python >= 3.12,
     when arithmetic builds one through _from_coprime_ints, which bypasses
-    the constructor.  Parsing, before the count starts, builds some."""
+    the constructor.  Parsing builds none either: the [tf] density bounds
+    stay integer pairs until the tf command reads them."""
     built = []
     real_new = Fraction.__new__
     monkeypatch.setattr(Fraction, "__new__",
@@ -1233,9 +1234,10 @@ def test_validation_and_one_fixture_pass_build_no_fractions(monkeypatch):
         real_from = Fraction._from_coprime_ints
         monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
             lambda cls, n, d: built.append(cls) or real_from(n, d)))
-    problems = [load_problem(f) for f in all_fixtures()]
-    assert built  # the count sees the parser's Fractions
+    assert Fraction(1, 2) + Fraction(1, 3) and built  # the count sees Fractions
     built.clear()
+    problems = [load_problem(f) for f in all_fixtures()]
+    assert built == []
     for p in problems:
         assert cocycles.validate_cocycle(p.cocycle) is None
     assert len(problems) == 10 and built == []

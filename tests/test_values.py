@@ -110,14 +110,22 @@ def test_repr_names_the_fields_in_constructor_order():
 def test_cli_import_loads_no_code_generation():
     """dataclasses and the modules it imports (inspect, ast, dis, tokenize)
     cost a fresh process about 30 ms of its start-up; fractions (with
-    decimal and numbers) about 1.4 ms, and the engine computes without it.
+    decimal and numbers) 1.7–3 ms, and the engine computes without it.
     timefreq, which keeps Fractions for its density intervals, loads only
-    with a [tf] density line or the tf and bound commands."""
-    probe = ("import sys, cocycle_lab.cli; print(sorted({'dataclasses', 'inspect', 'fractions', "
-             "'decimal', 'numbers', 'cocycle_lab.timefreq'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": SRC}, check=True)
-    assert out.stdout == "[]\n"
+    with the tf and bound commands: a verdict on a fixture with a [tf]
+    density line, which the parser keeps as integer pairs, loads neither."""
+    probe = ("import sys, cocycle_lab.cli\n"
+             "loaded = lambda: sorted({'dataclasses', 'inspect', 'fractions', 'decimal', "
+             "'numbers', 'cocycle_lab.timefreq'} & set(sys.modules))\n"
+             "print(loaded(), file=sys.stderr)\n"
+             "if sys.argv[1:]:\n"
+             "    code = cocycle_lab.cli.main(sys.argv[1:])\n"
+             "    print(code, loaded(), file=sys.stderr)\n")
+    fixture = os.path.join(SRC, "cocycle_lab", "fixtures", "z-times-h3-irr-rat.problem")
+    for args, want in [([], "[]\n"), (["verdict", "--json", fixture], "[]\n2 []\n")]:
+        out = subprocess.run([sys.executable, "-S", "-c", probe, *args], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": SRC}, check=True)
+        assert out.stderr == want
 
 
 def test_the_generic_constructor_binds_like_a_signature():
