@@ -680,6 +680,27 @@ t * g:x * h:z
 """
 CHAIN_Z4_H3_SHA = "6fcd75f3ef5223aa5dd50756c61c25f59921f4329adf82f82c6642a19bea4094"
 
+# the chain Z^5 with a theta in the table that no form names: the product
+# walk runs over the params while the table holds a theta
+CHAIN_Z5_THETA = CHAIN_Z5.replace("[symbols]\n", "[symbols]\ntheta irrational\n")
+
+# H(1, 2) with an irrational phase beside two params: theta is among the
+# symbols the forms name, so both levels' case trees take the general walk,
+# and the level-0 leaf recurses into a tree over x, gamma1_1 and y
+HEIS_1_2_PARAMS = """[symbols]
+theta irrational
+x param
+y param
+
+[group]
+builder heisenberg_diag 1 2
+
+[cocycle]
+x * g:t1 * h:s1
+theta * g:t2 * h:s2
+y * g:s1 * h:t2
+"""
+
 
 def sha256_of(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=str).encode()).hexdigest()
@@ -698,7 +719,13 @@ def sha256_of(doc):
      "77f704ecdd122a2a1623136288bff96aff167b4d47202080cfd14bfaf1464dd3"),
     (CHAIN_Z4_H3, ZSTABLE, SIMPLE_UNKNOWN, CHAIN_Z4_H3_SHA,
      "94545cf18e263b062df6076e3be7d10a2a578098e340d0e3be3d4b048aa6c5f6"),
-], ids=["chain-z5", "mixed-symbols", "chain-z4-h3"])
+    (CHAIN_Z5_THETA, NOT_ZSTABLE, SIMPLE_UNKNOWN,
+     "81ad98edb62ea48953001c3d08dc18eef77632e67d000bb7aacf7ba55970732e",
+     "ed03935504d503686bc4cc2af7788dc842a58481088039b232e886a0d03ecc03"),
+    (HEIS_1_2_PARAMS, ZSTABLE, SIMPLE_NO,
+     "5bd52c78ba0f18e5e79d3297b8916db9143d777069b925c5b75477eab4c65159",
+     "ef1def051d2858f0bf66c0606bf22445c57189636cb7061945182aaaeaf59a6b"),
+], ids=["chain-z5", "mixed-symbols", "chain-z4-h3", "chain-z5-theta", "heis-1-2-params"])
 def test_parametric_case_splits_reproduce_recorded_hashes(text, z_stable, simple,
                                                           trace_sha, simple_sha):
     p = parse_problem(text)
