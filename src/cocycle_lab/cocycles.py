@@ -323,11 +323,9 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     unit symbol, so its classification depends on the symbol and the node's
     context alone.  The node splits on the first undetermined symbol in that
     order, the first undetermined term in the walk over the forms; only a
-    node with none builds its conditions.  Each split child starts from the
-    classifications of the symbols before that one which it inherits
-    (RationalityContext.inherited), so it classifies from the split symbol
-    on.  A child is built bare and answers from its own and its ancestors'
-    memos, so a leaf whose symbols its ancestors settled builds no span.
+    node with none builds its conditions.  A split child is built bare and
+    classify() answers from its own and its ancestors' memos, so a leaf
+    whose symbols its ancestors settled builds no span.
 
     The product walk.  Let u_1..u_k be the symbols in that order, S their
     coordinates and e_u a unit vector.  When every u is a free xi, the root
@@ -351,16 +349,14 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     splits N on u_{i+1} = x, with residual e_x.  The irrational child is
     consistent (the residual is nonzero) and gains e_x as a residual.  The
     rational child inserts e_x, which changes no row and no residual (none
-    has an entry at x); a span combination with zero xi-part has no e_u in
-    it (only e_u is nonzero at u), so it is one of the root's, which is
-    zero; and an irrational fact or theta keeps its nonzero residual, which
-    is zero on S, so the child is consistent.  Both children satisfy the
-    claim.  So the leaves are the 2^k nodes at depth k, and the walk reaches
-    them irrational child first, with the classes of the path: IRRATIONAL,
-    or RATIONAL with denominator None.  _product_leaves seeds each internal
-    node's memo with UNDETERMINED and its u's root residual and calls
-    split(), so every child and leaf context is built as the walk builds
-    it, and each leaf by _case_leaf.
+    has an entry at x), and is consistent, as the rational child of an
+    undetermined value in a consistent context (RationalityContext).  Both
+    children satisfy the claim.  So the leaves are the 2^k nodes at depth
+    k, and the walk reaches them irrational child first, with the classes
+    of the path: IRRATIONAL, or RATIONAL with denominator None.
+    _product_leaves seeds each internal node's memo with UNDETERMINED and
+    its u's root residual and calls split(), so every child and leaf
+    context is built as the walk builds it, and each leaf by _case_leaf.
 
     The case budget is exceeded, with BudgetExceeded, iff the tree has more
     than case_budget leaves: the product walk checks 2^k before it splits,
@@ -389,17 +385,14 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     if residuals is not None:
         return _product_leaves(ctx, units, residuals, prepared, zmoduli, case_budget)
     leaves = []
-    stack = [(ctx, {})]  # a node and the classifications it inherits
+    stack = [ctx]
     while stack:
-        cur, classes = stack.pop()  # classes: symbol name -> its classification in cur
+        cur = stack.pop()
+        classes = {}  # symbol name -> its classification in cur
         for s, x in units.items():
-            if s in classes:
-                continue
             classes[s] = cls = cur.classify(x)
             if cls.kind == UNDETERMINED:
-                del classes[s]
-                stack.extend((child, child.inherited(classes))
-                             for child in cur.split(x) if child is not None)
+                stack.extend(child for child in cur.split(x) if child is not None)
                 break
         else:
             leaves.append(_case_leaf(cur, prepared, classes, zmoduli))

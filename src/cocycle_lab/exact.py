@@ -54,6 +54,11 @@ class SymbolTable(Value):
         """Position of each name in ``names``."""
         return {n: i for i, n in enumerate(self.names)}
 
+    @cached_property
+    def columns(self):
+        """The names in RationalityContext's span-vector order: xis first."""
+        return tuple(n for n, _ in self.xis) + tuple(self.thetas)
+
     def torsion_order(self, name):
         for n, m in self.xis:
             if n == name:
@@ -244,6 +249,16 @@ class RationalityContext(Value):
     """Immutable set of facts; fact parts, the span, the irrational
     residuals, consistency and classify() results are cached per instance.
 
+    Span vectors list a value's symbol numerators in SymbolTable.columns
+    order, the xis first.  An echelon row pivots on its first nonzero
+    column, so a row pivoting on a theta is pure-theta, and a span vector
+    with zero xi-part has coefficient 0 on every row pivoting on a xi.  So
+    the span holds a nonzero pure-theta vector, which the theta axiom
+    forbids, iff a row pivots on a theta.  Reducing a pure-theta vector
+    subtracts only such rows, so a value is congruent to a pure-theta
+    vector outside the span, and IRRATIONAL by the theta axiom, iff its
+    residual is nonzero with zero xi-part.
+
     assume_*() builds a child bare: its facts, its assumptions, a link to
     this context, the new fact x, and what this context already knows about
     x (its residual, when a classify left it, and the child's consistency
@@ -279,16 +294,19 @@ class RationalityContext(Value):
     are unchanged.  An irrational child also keeps IRRATIONAL ones (same
     span, more residuals) and records x itself as IRRATIONAL when x's
     residual is nonzero.  So does the rational child of split(x) on a
-    consistent context without thetas in which x is UNDETERMINED, and that
-    child is consistent.  Proof: with P the projection modulo the rational
-    span, y is IRRATIONAL there because P(y) = q*P(f) for an irrational
-    fact f.  Then y - q*f lies in the old span, so in the new one, and
-    P_new(y) = q*P_new(f), which is nonzero unless f lies in the new span.
-    That needs P_old(f) collinear with P_old(x), which would have made x
-    IRRATIONAL.  So no irrational fact enters the span, none is constant
-    (the parent is consistent), and the child is consistent.  With thetas a
-    rational child keeps no IRRATIONAL entry: a new theta pivot can leave a
-    pure-theta residual undetermined, so a theta-axiom entry can flip.
+    consistent context in which x is UNDETERMINED, and that child is
+    consistent.  Proof: x's residual r is nonzero and has a xi entry (else
+    the theta axiom made x IRRATIONAL), so the child's one new row r pivots
+    on a xi column p, and no row pivots on a theta column.  A y IRRATIONAL by
+    the theta axiom has a residual w with zero xi-part: w[p] = 0, w is zero
+    at every old pivot, so w reduces to itself and y stays IRRATIONAL.
+    Otherwise, with P the projection modulo the rational span, y is
+    IRRATIONAL because P(y) = q*P(f) for an irrational fact f.  Then
+    y - q*f lies in the old span, so in the new one, and P_new(y) =
+    q*P_new(f), which is nonzero unless f lies in the new span.  That needs
+    P_old(f) collinear with P_old(x), which would have made x IRRATIONAL.
+    So no irrational fact enters the span, none is constant (the parent is
+    consistent), no row pivots on a theta, and the child is consistent.
     UNDETERMINED entries are never kept, and an integral child keeps
     nothing: its denominators can change.
 
@@ -305,12 +323,12 @@ class RationalityContext(Value):
     keep is that ancestor's classification, so it equals the nearer entry,
     and a kind the walk has stopped keeping is not kept farther up either.
 
-    The rational child of split(x) on any x UNDETERMINED in its parent,
-    thetas or not, records x itself as Classification(RATIONAL, None),
-    which is what _classify finds there: x lies in the child's span, and no
-    integral fact bounds its denominator, since a multiple of x's symbol
-    part in the integral facts' lattice would lie in the parent's span,
-    which holds every integral fact and not x's symbol part."""
+    The rational child of split(x) on any x UNDETERMINED in its parent
+    records x itself as Classification(RATIONAL, None), which is what
+    _classify finds there: x lies in the child's span, and no integral
+    fact bounds its denominator, since a multiple of x's symbol part in the
+    integral facts' lattice would lie in the parent's span, which holds
+    every integral fact and not x's symbol part."""
 
     # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
     # outside Q; assumptions: human-readable trail of split() choices
@@ -327,13 +345,13 @@ class RationalityContext(Value):
     # -- internal vector views -------------------------------------------
 
     def _vec(self, x):
-        """x's symbol numerators, one per table name, cached per table: x's
-        symbol part times its denominator, which is all a span question reads."""
+        """x's symbol numerators in the table's columns, cached per table:
+        x's symbol part times its denominator, all a span question reads."""
         pairs = x.ints[2]
         v = self.table._vectors.get(pairs)
         if v is None:
             coeffs = dict(pairs)
-            v = self.table._vectors[pairs] = tuple([coeffs.get(n, 0) for n in self.table.names])
+            v = self.table._vectors[pairs] = tuple([coeffs.get(n, 0) for n in self.table.columns])
         return v
 
     @cached_property
@@ -403,20 +421,12 @@ class RationalityContext(Value):
 
     @cached_property
     def _consistent(self):
-        ntheta = len(self.table.thetas)
         span = self._span
-        # the rational span must not contain a nonzero pure-theta vector:
-        # find combinations of span basis rows with zero xi-part (scaling a
-        # row by a positive factor scales its coefficient in the kernel)
-        rows = [row for _, row in span.rows]
-        if rows and ntheta:
-            xi_cols = range(ntheta, len(self.table.names))
-            mat = [[row[j] for row in rows] for j in xi_cols]
-            for combo in zl.kernel_int(mat) if xi_cols else zl.identity(len(rows)):
-                if any(sum(a * row[j] for a, row in zip(combo, rows)) for j in range(ntheta)):
-                    return False
-        implicit = [symbol(self.table, n) for n in self.table.thetas]
-        for f in list(self.irrational) + implicit:
+        # the rational span holds a nonzero pure-theta vector iff a row
+        # pivots on a theta column (rows are sorted by pivot)
+        if span.rows and span.rows[-1][0] >= len(self.table.xis):
+            return False
+        for f in self.irrational:
             v = self._vec(f)
             if not any(v):
                 return False  # declared irrational but constant
@@ -429,12 +439,6 @@ class RationalityContext(Value):
         if cls is None:
             cls = self._classified[x.ints] = self._inherited(x.ints) or self._classify(x)
         return cls
-
-    def inherited(self, classes):
-        """The entries of ``classes``, a dict of classifications in this
-        context's parent, that hold here too by the class docstring's rules."""
-        keep = self._keeps
-        return {key: cls for key, cls in classes.items() if cls.kind in keep}
 
     def _inherited(self, key):
         """The nearest ancestor's memo entry for key when every link up to
@@ -456,7 +460,7 @@ class RationalityContext(Value):
         residual = self._span.reduce(v)
         direction = _direction(residual)
         if direction is not None:
-            if not any(residual[len(self.table.thetas):]):
+            if not any(residual[:len(self.table.xis)]):
                 return _IRRATIONAL  # theta axiom
             if direction in self._irrational_residuals:
                 return _IRRATIONAL
@@ -489,9 +493,9 @@ class RationalityContext(Value):
     def _extend(self, kind, x, note, settled=False):
         """Bare child with one more fact x of the given kind, linked to this
         context (see the class docstring); ``settled`` marks a rational
-        child of split() on an undetermined x in a consistent context
-        without thetas.  Only x is checked against the table: the inherited
-        facts passed this context's check."""
+        child of split() on an undetermined x in a consistent context.
+        Only x is checked against the table: the inherited facts passed
+        this context's check."""
         if x.table is not self.table and x.table != self.table:
             raise ValueError("fact does not belong to this symbol table")
         child = object.__new__(RationalityContext)
@@ -518,13 +522,13 @@ class RationalityContext(Value):
         """Binary rational/irrational case split on x.
 
         Returns (rational branch, irrational branch); a branch is None when the
-        corresponding assumption is inconsistent with this context."""
-        # read from the memos, so classify's call count is unchanged
-        cls = self._classified.get(x.ints) or self._inherited(x.ints) or self._classify(x)
-        undetermined = cls.kind == UNDETERMINED
+        corresponding assumption is inconsistent with this context.  When
+        classify() finds x UNDETERMINED in a consistent context, the
+        rational child is consistent and keeps this context's IRRATIONAL
+        entries, so nothing checks it (see the class docstring)."""
+        undetermined = self.classify(x).kind == UNDETERMINED
         note = str(x)
-        rat = self._extend("rational", x, note + " rational",
-                           undetermined and not self.table.thetas and self._consistent)
+        rat = self._extend("rational", x, note + " rational", undetermined and self._consistent)
         if undetermined:
             rat._classified[x.ints] = _RATIONAL
         irr = self._extend("irrational", x, note + " irrational")
@@ -544,7 +548,7 @@ class RationalityContext(Value):
             return None
         if any(self.classify(x).kind != UNDETERMINED for x in units.values()):
             return None
-        cols = [self.table.order[s] for s in units]
+        cols = [self.table.columns.index(s) for s in units]
         for v in [row for _, row in self._span.rows] + list(self._irrational_residuals):
             if any(v[j] for j in cols):
                 return None

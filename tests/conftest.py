@@ -2,9 +2,13 @@
 property that takes its count from the profile: one that pins none, or one
 that pins a multiple of it with ``helpers.examples`` (every property of
 tests/test_zlinalg.py and tests/test_exact.py, among them the split
-children property test_extended_children_agree_with_fresh_contexts and
-the irrational set test's property
-test_the_irrational_set_test_is_the_collinear_scan, the cached-center
+children property test_extended_children_agree_with_fresh_contexts, the
+irrational set test's property
+test_the_irrational_set_test_is_the_collinear_scan and the rank-reference
+property test_consistency_and_the_theta_axiom_agree_with_ranks; the CLI
+contract property
+test_every_drawn_command_ends_in_a_verdict_an_undecided_or_an_input_error
+of tests/test_cli_contract.py; the cached-center
 property of tests/test_groups.py, and the induce_gamma differential
 property and the case-leaf differential properties
 test_case_leaves_equal_the_unpresolved_replay,

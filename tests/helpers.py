@@ -7,8 +7,10 @@ quotient's bilinear entries, a KNumber's symbol coefficients, the
 Fraction integrality test in the binomial basis, substitution by KNumber
 products, the cocycle defect by four substitutions, an unabridged cocycle
 validator, the antisymmetrization by substitution, a slot-by-slot
-reference for the pairing rows and the single-level index rule for abelian
-groups, and example counts that follow the active Hypothesis profile."""
+reference for the pairing rows, the single-level index rule for abelian
+groups, rank-based references for the rationality context's consistency
+and theta-axiom answers, and example counts that follow the active
+Hypothesis profile."""
 
 import itertools
 import math
@@ -154,6 +156,60 @@ def collinear(a, b):
     irrational facts' residuals that RationalityContext once ran per value."""
     k = next((i for i, y in enumerate(b) if y), None)
     return k is not None and all(x * b[k] == a[k] * y for x, y in zip(a, b))
+
+
+def rank_q(rows, width):
+    """The rank over Q of rows of ``width`` rationals, by Gaussian
+    elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(width):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _names_vector(x):
+    """x's symbol coefficients, one per table name in ``names`` order."""
+    cs = dict(symbol_coefficients(x))
+    return [cs.get(n, 0) for n in x.table.names]
+
+
+def _span_reference(table, rational, integral):
+    """The rational span's generators (rational and integral facts and one
+    unit vector per torsion axiom) in ``names`` order, and the positions of
+    the xis there."""
+    rows = [_names_vector(f) for f in rational + integral]
+    rows += [[int(n == name) for n in table.names] for name, m in table.xis if m]
+    return rows, [table.order[name] for name, _ in table.xis]
+
+
+def consistent_reference(table, rational, integral, irrational):
+    """Whether the facts are consistent, by ranks: the span holds no nonzero
+    pure-theta vector (its rank is its xi-part's), and no irrational fact is
+    constant or lies in the span."""
+    rows, xi = _span_reference(table, rational, integral)
+    n, rank = len(table.names), rank_q(rows, len(table.names))
+    if rank != rank_q([[row[j] for j in xi] for row in rows], len(xi)):
+        return False
+    return all(any(v) and rank_q(rows + [v], n) > rank for v in map(_names_vector, irrational))
+
+
+def theta_axiom_reference(table, rational, integral, x):
+    """Whether x is congruent modulo the span to a nonzero pure-theta
+    vector, in a context whose span holds none: x's xi-part lies in the
+    span's xi-part and x's symbol vector does not lie in the span."""
+    rows, xi = _span_reference(table, rational, integral)
+    n, v = len(table.names), _names_vector(x)
+    xi_rows = [[row[j] for j in xi] for row in rows]
+    return (rank_q(xi_rows + [[v[j] for j in xi]], len(xi)) == rank_q(xi_rows, len(xi))
+            and rank_q(rows + [v], n) > rank_q(rows, n))
 
 
 def rational_component(p):

@@ -758,7 +758,8 @@ def test_bilinear_phases_without_carry_skip_the_cocycle_identity(p, defects, mon
 def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     """On the chain Z^5 with 4 params every split child starts from its
     parent's settled classifications and extended span, so few values are
-    classified anew and no consistency check searches a kernel."""
+    classified anew, and the exact layer searches no kernel: its
+    consistency check reads the span's pivots."""
     p = parse_problem(CHAIN_Z5)
     classified, kernels = [], []
     real_classify = exact.RationalityContext._classify
@@ -767,7 +768,8 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     real_kernel = zl.kernel_int
 
     def kernel_int(mat):
-        # exact calls kernel_int only from the consistency check
+        # the consistency check once searched the span's rows for
+        # combinations with zero xi-part here
         if sys._getframe(1).f_globals["__name__"] == exact.__name__:
             kernels.append(mat)
         return real_kernel(mat)
@@ -783,7 +785,7 @@ def test_case_split_children_reuse_their_parents_classifications(monkeypatch):
     # recursed, each classifying in its leaf's own context; 147 while each
     # child rebuilt it, 249 when every child classified from empty)
     assert len(classified) <= 29
-    assert kernels == []  # 52 when the pure-theta search ran without thetas
+    assert kernels == []  # 52 when that search ran, even without thetas
 
 
 def general_walk_only(monkeypatch):
@@ -859,10 +861,10 @@ def test_chain_case_leaves_build_no_exact_layer_cache(monkeypatch):
     assert [leaf for leaf in leaves if caches & leaf.ctx.__dict__.keys()] == []
 
 
-def chain_z5_case_trees(monkeypatch):
+def chain_z5_case_trees(monkeypatch, text=CHAIN_Z5):
     """The case leaves of decide and decide_simplicity on the chain Z^5 with
-    4 params, and every context above them."""
-    p = parse_problem(CHAIN_Z5)
+    4 params (or another problem ``text``), and every context above them."""
+    p = parse_problem(text)
     leaves = []
     real = cocycles.condition_lattice
     monkeypatch.setattr(cocycles, "condition_lattice",
@@ -897,11 +899,15 @@ def test_product_trees_classify_only_at_their_root(monkeypatch):
     assert reduced and all(span is root._span for span in reduced)
 
 
-def test_product_tree_nodes_build_no_exact_layer_cache(monkeypatch):
+@pytest.mark.parametrize("text", [CHAIN_Z5, CHAIN_Z5_THETA], ids=["chain-z5", "chain-z5-theta"])
+def test_product_tree_nodes_build_no_exact_layer_cache(text, monkeypatch):
     """Below the root no internal node or leaf of the chain Z^5's product
     trees builds a span, fact parts or irrational residuals: each split
-    takes its value's residual and consistency from the root's answers."""
-    root, leaves, internal = chain_z5_case_trees(monkeypatch)
+    takes its value's residual and consistency from the root's answers, a
+    theta in the table or not.  (With the theta, 44 of the 60 contexts
+    built a span while a rational split child's consistency was set only
+    without thetas.)"""
+    root, leaves, internal = chain_z5_case_trees(monkeypatch, text)
     caches = {"_span", "_fact_parts", "_irrational_residuals"}
     below = [ctx for ctx in internal if ctx is not root] + [leaf.ctx for leaf in leaves]
     assert len(below) == 2 * 14 + 32
@@ -959,15 +965,17 @@ def test_chain_case_leaves_need_no_hermite_form(monkeypatch):
 def test_recursion_classifies_each_symbol_once_per_case_node(monkeypatch):
     """Inside condition_lattice each case node (a context popped by one
     call) classifies each distinct symbol at most once, and a split child
-    classifies none of the symbols its parent settled before the split: on
-    Z^4 x H3(Z) with 4 params, 187 classify calls for 187 distinct (node,
-    symbol) pairs of 73 nodes in 13 calls, 11 of them level-1 children (305
-    while each child classified every symbol again).  The memo misses stay
-    at 95 (125 while a rational split child classified its split value
-    afresh) and the trace at its recorded hash.  (Pinned on the chain Z^5
-    with 4 params until abelian levels ended at the index rule: 250 calls
-    for 74 nodes in 14 calls, 402 while each (form, symbol) term was
-    classified, 93 misses.)"""
+    answers the symbols its parent settled before the split from its
+    ancestors' memos: on Z^4 x H3(Z) with 4 params, 305 classify calls for
+    305 distinct (node, symbol) pairs of 73 nodes in 13 calls, 11 of them
+    level-1 children (187 while each child was handed its parent's settled
+    classifications).  The memo misses are 45 (95 while a rational split
+    child of a context with a theta kept none of its parent's IRRATIONAL
+    entries, 125 while it also classified its split value afresh) and the
+    trace stays at its recorded hash.  (Pinned on the chain Z^5 with 4
+    params until abelian levels ended at the index rule: 250 calls for 74
+    nodes in 14 calls, 402 while each (form, symbol) term was classified,
+    93 misses.)"""
     p = parse_problem(CHAIN_Z4_H3)
     calls, misses, nodes = [], [], []
     real_lattice = cocycles.condition_lattice
@@ -993,8 +1001,8 @@ def test_recursion_classifies_each_symbol_once_per_case_node(monkeypatch):
     v = decide(p.cocycle, p.context)
     decide_simplicity(p.cocycle, p.context)
     assert (len(nodes), sum(map(len, nodes))) == (13, 73)
-    assert len(calls) == len(set(calls)) == 187
-    assert len(misses) == 95
+    assert len(calls) == len(set(calls)) == 305
+    assert len(misses) == 45
     assert sha256_of(v.certificate.to_dict()) == CHAIN_Z4_H3_SHA
 
 

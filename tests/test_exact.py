@@ -22,7 +22,8 @@ from cocycle_lab.exact import (
 )
 
 from cocycle_lab.exact import _direction
-from helpers import coeff, collinear, examples, rational_part, symbol_coefficients
+from helpers import (coeff, collinear, consistent_reference, examples, rational_part,
+                     symbol_coefficients, theta_axiom_reference)
 
 T = SymbolTable(thetas=("theta",), xis=(("xi", 0), ("eta", 3)))
 
@@ -308,17 +309,33 @@ def test_split_children_do_not_share_the_parent_memo(ctx, x):
 
 
 def test_split_settles_a_rational_child_only_where_the_proof_holds():
-    """Without thetas the rational child of split(x) is set consistent only
-    for an undetermined x in a consistent context: split on an irrational x,
-    or in an inconsistent context, still finds the rational child
-    inconsistent."""
-    t = SymbolTable(xis=(("xi", 0), ("zeta", 0)))
-    xi, zeta = symbol(t, "xi"), symbol(t, "zeta")
-    ctx = empty_context(t).assume_irrational(xi + zeta)
-    assert ctx.split(xi + zeta)[0] is None
-    assert ctx.split(xi)[0].is_consistent()
-    broken = ctx.assume_irrational(knum(t, Fraction(1, 2)))
-    assert broken.split(xi) == (None, None)
+    """The rational child of split(x) is set consistent only for an
+    undetermined x in a consistent context, a theta in the table or not:
+    split on an irrational x, or in an inconsistent context, still finds
+    the rational child inconsistent."""
+    for thetas in ((), ("theta",)):
+        t = SymbolTable(thetas=thetas, xis=(("xi", 0), ("zeta", 0)))
+        xi, zeta = symbol(t, "xi"), symbol(t, "zeta")
+        ctx = empty_context(t).assume_irrational(xi + zeta)
+        assert ctx.split(xi + zeta)[0] is None
+        assert ctx.split(xi)[0].is_consistent()
+        broken = ctx.assume_irrational(knum(t, Fraction(1, 2)))
+        assert broken.split(xi) == (None, None)
+
+
+def test_a_mixed_rational_fact_leaves_both_its_symbols_irrational():
+    """With theta + x rational, x = q - theta for a rational q, so theta and
+    x are both irrational by the theta axiom, and split(x) has no rational
+    child.  Span vectors list the xis first, so the span's one row pivots
+    on x and theta's vector reduces to itself."""
+    t = SymbolTable(thetas=("theta",), xis=(("x", 0),))
+    theta, x = symbol(t, "theta"), symbol(t, "x")
+    ctx = empty_context(t).assume_rational(theta + x)
+    assert ctx.is_consistent()
+    assert [ctx.classify(y).kind for y in (theta, x, x.scale(3) + 1)] == [IRRATIONAL] * 3
+    assert ctx.classify(theta + x + Fraction(1, 2)) == Classification(RATIONAL, None)
+    rat, irr = ctx.split(x)
+    assert rat is None and irr.is_consistent()
 
 
 @st.composite
@@ -359,8 +376,6 @@ EXTENSION_TABLES = [
     SymbolTable(thetas=("theta", "phi"), xis=(("eta", 2), ("xi", 0), ("zeta", 0))),
     SymbolTable(thetas=("theta",), xis=(("xi", 0), ("eta", 2), ("zeta", 0), ("mu", 6))),
     SymbolTable(thetas=("theta", "phi", "psi"), xis=(("xi", 0), ("eta", 4))),
-    # without thetas a rational split child keeps its parent's IRRATIONAL
-    # entries and its consistency is set, not computed
     SymbolTable(thetas=(), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
 ]
 KINDS = ("rational", "integral", "irrational")
@@ -420,8 +435,7 @@ def test_extended_children_agree_with_fresh_contexts(chain):
         children, checked = [], None
         if how == "split" and kind != "integral":
             fresh = fresh_copy(ctx)  # whether split() knows the rational child's consistency
-            settled = (not table.thetas and fresh.is_consistent()
-                       and fresh.classify(x).kind == UNDETERMINED)
+            settled = fresh.is_consistent() and fresh.classify(x).kind == UNDETERMINED
             rat, irr = ctx.split(x)
             checked = None if settled else rat
             for got, k in ((rat, "rational"), (irr, "irrational")):
@@ -449,6 +463,42 @@ def test_extended_children_agree_with_fresh_contexts(chain):
         for c in children:
             assert [c.classify(y) for y in later] == [fresh_copy(c).classify(y) for y in later]
         ctx = child
+
+
+@st.composite
+def theta_contexts(draw):
+    """A table with zero to three thetas and up to three xis, free or with a
+    torsion order, facts of each kind over it that mix thetas and xis, and
+    values to classify."""
+    thetas = ("theta", "phi", "psi")[:draw(st.integers(0, 3))]
+    orders = draw(st.lists(st.sampled_from((0, 0, 2, 3)), min_size=0 if thetas else 1,
+                           max_size=3))
+    table = SymbolTable(thetas=thetas, xis=tuple((f"x{i}", m) for i, m in enumerate(orders)))
+    values = table_values(table)
+    facts = {k: tuple(draw(st.lists(values, max_size=2))) for k in KINDS}
+    return table, facts, draw(st.lists(values, min_size=1, max_size=4))
+
+
+@settings(max_examples=examples(3), deadline=None)
+@given(theta_contexts())
+def test_consistency_and_the_theta_axiom_agree_with_ranks(case):
+    """is_consistent() and the theta axiom's IRRATIONAL answers agree with
+    the rank-based references of tests/helpers.py, which use no QEchelon,
+    for a context built from its facts and one built fact by fact.  Without
+    irrational facts a value is IRRATIONAL only by the theta axiom."""
+    table, facts, xs = case
+    rational, integral, irrational = (facts[k] for k in KINDS)
+    want = consistent_reference(table, rational, integral, irrational)
+    chained = empty_context(table)
+    for kind in KINDS:
+        for f in facts[kind]:
+            chained = getattr(chained, "assume_" + kind)(f)
+    assert RationalityContext(table, **facts).is_consistent() == chained.is_consistent() == want
+    span_only = RationalityContext(table, rational, integral)
+    if span_only.is_consistent():
+        for x in xs + list(irrational):
+            assert ((span_only.classify(x).kind == IRRATIONAL)
+                    == theta_axiom_reference(table, rational, integral, x))
 
 
 @st.composite
