@@ -323,40 +323,36 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     unit symbol, so its classification depends on the symbol and the node's
     context alone.  The node splits on the first undetermined symbol in that
     order, the first undetermined term in the walk over the forms; only a
-    node with none builds its conditions.  A split child is built bare and
-    classify() answers from its own and its ancestors' memos, so a leaf
-    whose symbols its ancestors settled builds no span.
+    node with none builds its conditions.  Each child is handed the classes
+    read on its path, plus the split symbol's (RATIONAL with no denominator,
+    or IRRATIONAL), and classifies only the symbols after it.  It would
+    classify the handed ones the same (RationalityContext.split): it comes
+    from a consistent node split on an undetermined value, since the
+    children of an inconsistent node are inconsistent and never pushed.
+    So a leaf whose symbols its path settled classifies nothing.
 
     The product walk.  Let u_1..u_k be the symbols in that order, S their
     coordinates and e_u a unit vector.  When every u is a free xi, the root
     is consistent, each u classifies UNDETERMINED there and no row of the
     root's span (integral facts and torsion axioms included) and no root
     irrational residual is nonzero on S (RationalityContext.
-    product_residuals), the tree is the full product over the u_i, and
-    _product_leaves builds it without classifying below the root.  Claim,
-    for a node N at depth i whose path assumed u_1..u_i each rational or
-    irrational: N is consistent, its span rows are the root's plus e_u for
-    each rational u, and its irrational residuals are the root's plus e_u
-    for each irrational u.  At the root this is the hypothesis.  Suppose it
-    holds at N.  Every pivot of N lies outside S or is an assumed u; the
-    root's rows and residuals and every integral fact are zero on S, and an
-    added row or residual e_u is zero on S but at u.
-    So an unsplit u reduces to e_u itself, the root's residual, which is no
-    theta axiom (u is a xi) and no irrational direction: u is UNDETERMINED.
-    An assumed u is IRRATIONAL if the path said so (e_u is a residual), else
-    RATIONAL with no denominator (e_u is in the span, and no integral fact
-    has an entry at u).  So the walk reads u_1..u_i as the path assumed and
-    splits N on u_{i+1} = x, with residual e_x.  The irrational child is
-    consistent (the residual is nonzero) and gains e_x as a residual.  The
-    rational child inserts e_x, which changes no row and no residual (none
-    has an entry at x), and is consistent, as the rational child of an
-    undetermined value in a consistent context (RationalityContext).  Both
-    children satisfy the claim.  So the leaves are the 2^k nodes at depth
-    k, and the walk reaches them irrational child first, with the classes
-    of the path: IRRATIONAL, or RATIONAL with denominator None.
-    _product_leaves seeds each internal node's memo with UNDETERMINED and
-    its u's root residual and calls split(), so every child and leaf
-    context is built as the walk builds it, and each leaf by _case_leaf.
+    product_residuals), the tree is the full product over the u_i, and the
+    walk splits each node on its next u with split_open, classifying
+    nothing below the root.  Claim, for a node N at depth i whose path
+    assumed u_1..u_i each rational or irrational: N is consistent, its span
+    rows are the root's plus e_u for each rational u, and its irrational
+    residuals are the root's plus e_u for each irrational u.  At the root
+    this is the hypothesis.  Suppose it holds at N.  Every pivot of N lies
+    outside S or is an assumed u; the root's rows and residuals and every
+    integral fact are zero on S, and an added row or residual e_u is zero
+    on S but at u.  So an unsplit u reduces to e_u itself, the root's
+    residual, which is no theta axiom (u is a xi) and no irrational
+    direction: u is UNDETERMINED, and N splits on u_{i+1} = x with residual
+    e_x.  The irrational child is consistent (the residual is nonzero) and
+    gains e_x as a residual.  The rational child inserts e_x, which changes
+    no row and no residual (none has an entry at x), and is consistent
+    (RationalityContext.split).  Both children satisfy the claim.  So the
+    leaves are the 2^k nodes at depth k, each with the classes of its path.
 
     The case budget is exceeded, with BudgetExceeded, iff the tree has more
     than case_budget leaves: the product walk checks 2^k before it splits,
@@ -382,43 +378,32 @@ def condition_lattice(ctx, forms, zmoduli, gen_names, case_budget=DEFAULT_CASE_B
     units = {s: symbol(ctx.table, s) for s in dict.fromkeys(t[0] for _, terms in prepared
                                                              for t in terms)}
     residuals = ctx.product_residuals(units)
-    if residuals is not None:
-        return _product_leaves(ctx, units, residuals, prepared, zmoduli, case_budget)
+    if residuals is not None and 2 ** len(units) > case_budget:
+        raise BudgetExceeded(case_budget)
     leaves = []
-    stack = [ctx]
+    stack = [(ctx, {})]  # a node and the classes read on its path
     while stack:
-        cur = stack.pop()
-        classes = {}  # symbol name -> its classification in cur
+        cur, classes = stack.pop()
         for s, x in units.items():
-            classes[s] = cls = cur.classify(x)
-            if cls.kind == UNDETERMINED:
-                stack.extend(child for child in cur.split(x) if child is not None)
-                break
+            if s in classes:
+                continue
+            if residuals is not None:
+                rat, irr = cur.split_open(x, residuals[s])
+            else:
+                cls = cur.classify(x)
+                if cls.kind != UNDETERMINED:
+                    classes[s] = cls
+                    continue
+                rat, irr = cur.split(x)
+            if rat is not None:
+                stack.append((rat, {**classes, s: _RATIONAL}))
+            if irr is not None:
+                stack.append((irr, {**classes, s: _IRRATIONAL}))
+            break
         else:
             leaves.append(_case_leaf(cur, prepared, classes, zmoduli))
         if len(leaves) + len(stack) > case_budget:  # each pending node gives a leaf
             raise BudgetExceeded(case_budget)
-    return leaves
-
-
-def _product_leaves(ctx, units, residuals, prepared, zmoduli, case_budget):
-    """The case tree over independent free symbols, as the walk in
-    condition_lattice builds it, without classifying: the node at depth i
-    splits on the i-th unit, and each leaf reads its classes off its path."""
-    if 2 ** len(units) > case_budget:
-        raise BudgetExceeded(case_budget)
-    names, xs = list(units), list(units.values())
-    leaves = []
-    stack = [(ctx, {})]
-    while stack:
-        cur, classes = stack.pop()
-        i = len(classes)
-        if i == len(xs):
-            leaves.append(_case_leaf(cur, prepared, classes, zmoduli))
-            continue
-        rat, irr = cur.split_open(xs[i], residuals[i])
-        stack.append((rat, {**classes, names[i]: _RATIONAL}))
-        stack.append((irr, {**classes, names[i]: _IRRATIONAL}))
     return leaves
 
 
@@ -496,11 +481,10 @@ def twisted_center(c, ctx, case_budget=DEFAULT_CASE_BUDGET):
     sigma~(g, h) = 1 for all h}.
 
     Over the caller's own table the tree is rooted in the caller's context
-    itself, not a copy: its split children, and so the case leaves, are
-    linked to it, and a recursion child over the same table classifies in
-    its leaf's context, span and memo included.  The root's memo therefore
-    outlives the call; its entries are classifications under its facts, so
-    a later call reads the same answers it would compute."""
+    itself, not a copy, and a recursion child over the same table classifies
+    in its leaf's context, span and memo included.  The root's memo
+    therefore outlives the call; its entries are classifications under its
+    facts, so a later call reads the same answers it would compute."""
     ctx = _rebase_ctx(ctx, c.table)
     center = c.group.center()
     _check_additive(c.group, center)
@@ -618,7 +602,7 @@ def induce_gamma(c, qd, prefix="gamma"):
     The gamma terms are computed first.  When all of them vanish, c is
     returned as it is, over its own table, so a recursion child keeps its
     parent's table and twisted_center keeps the leaf's RationalityContext
-    (span, residuals and classify memo).  The induced symbols would occur in
+    and whatever it has cached.  The induced symbols would occur in
     no value and in no fact; each adds only its torsion axiom, a vector
     supported on its own coordinate.  Such a vector cannot enter the
     reduction of a value without that coordinate, cannot make the span hold

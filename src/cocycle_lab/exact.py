@@ -15,8 +15,8 @@ A RationalityContext records which symbol combinations are asserted to be
 rational, integral, or irrational; classify() decides the status of a value
 from those facts by exact linear algebra, and split() performs the binary
 rational/irrational case split when the status is genuinely open; each child
-is built bare and extends its parent's span and classifications by its one
-new fact on first use.
+is built bare and builds its span and classifications from its own facts on
+first use.
 """
 
 from __future__ import annotations
@@ -259,19 +259,14 @@ class RationalityContext(Value):
     vector outside the span, and IRRATIONAL by the theta axiom, iff its
     residual is nonzero with zero xi-part.
 
-    assume_*() builds a child bare: its facts, its assumptions, a link to
-    this context, the new fact x, and what this context already knows about
-    x (its residual, when a classify left it, and the child's consistency
-    where split() knows it; an irrational child's consistency needs x's
-    residual, so it takes that at once).  It checks only x against the
-    table.  Each cache is built on first use, from the parent's caches
-    (never from the facts again): the fact parts gain x's; a rational or
-    integral child copies the span and inserts x's residual (reduced
-    row-echelon form is unique, so reduce() answers equal a rebuild's); an
-    irrational child keeps the span, gains x's residual, and is consistent
-    iff the parent is and x is neither constant nor in the span.  So a
-    case-tree leaf that only reads inherited classifications builds none of
-    them.
+    assume_*() builds a child bare: its facts, its assumptions, and what
+    this context already knows about the new fact x.  An irrational child
+    takes its consistency from x's residual (the one a classify left here,
+    else one reduction in this span): it is consistent iff this context is
+    and the residual is nonzero, and then x is IRRATIONAL in its memo.  The
+    rational child of split() on an undetermined x in a consistent context
+    is consistent (see split).  Only x is checked against the table; every
+    other cache is built from the child's own facts on first use.
 
     The irrational residuals are the irrational facts' residuals modulo the
     span, each a primitive integer vector made sign-normalized (first
@@ -279,56 +274,9 @@ class RationalityContext(Value):
     vectors are collinear over Q iff they are equal up to sign (a = (m/n)b
     in lowest terms gives n*a = m*b, so n divides every entry of b and m
     every entry of a, whose gcds are 1), so a value is IRRATIONAL by an
-    irrational fact iff its sign-normalized residual is in that set.  A rational or integral child's
-    span gains one row r with pivot p and the other rows lose their entry at
-    p; a residual w is zero at every old pivot, so when w[p] = 0 it reduces
-    to itself, and the child shares its parent's set when no member has a
-    nonzero entry at p.  _classify keeps the residual of each value it
-    finds UNDETERMINED, so a split reduces x once.
-
-    classify() reads the context's own memo, then its ancestors' memos up
-    the links, each link keeping only the kinds below, and stops at the
-    first ancestor that holds an entry for the value.  A rational or
-    irrational child keeps the parent's INTEGER/RATIONAL entries, since
-    (c, v), the integral facts and span membership (the span only grows)
-    are unchanged.  An irrational child also keeps IRRATIONAL ones (same
-    span, more residuals) and records x itself as IRRATIONAL when x's
-    residual is nonzero.  So does the rational child of split(x) on a
-    consistent context in which x is UNDETERMINED, and that child is
-    consistent.  Proof: x's residual r is nonzero and has a xi entry (else
-    the theta axiom made x IRRATIONAL), so the child's one new row r pivots
-    on a xi column p, and no row pivots on a theta column.  A y IRRATIONAL by
-    the theta axiom has a residual w with zero xi-part: w[p] = 0, w is zero
-    at every old pivot, so w reduces to itself and y stays IRRATIONAL.
-    Otherwise, with P the projection modulo the rational span, y is
-    IRRATIONAL because P(y) = q*P(f) for an irrational fact f.  Then
-    y - q*f lies in the old span, so in the new one, and P_new(y) =
-    q*P_new(f), which is nonzero unless f lies in the new span.  That needs
-    P_old(f) collinear with P_old(x), which would have made x IRRATIONAL.
-    So no irrational fact enters the span, none is constant (the parent is
-    consistent), no row pivots on a theta, and the child is consistent.
-    UNDETERMINED entries are never kept, and an integral child keeps
-    nothing: its denominators can change.
-
-    These lookups read the entries an eager copy made at the split would
-    have read, whenever they are read.  Each keep rule above is proved from
-    the facts of parent and child alone, and a memo entry is the value's
-    classification under its context's facts (a memo only caches a function
-    of the facts, which never change).  So an entry the parent gains after
-    the split is the one classifying the value at the split would have
-    given, and keeping it is as sound as keeping an entry copied then; by
-    induction along the links, so is an entry of any ancestor whose kind
-    every link up to it keeps.  Stopping at the nearest entry loses
-    nothing: a farther entry whose kind the links up to the nearer ancestor
-    keep is that ancestor's classification, so it equals the nearer entry,
-    and a kind the walk has stopped keeping is not kept farther up either.
-
-    The rational child of split(x) on any x UNDETERMINED in its parent
-    records x itself as Classification(RATIONAL, None), which is what
-    _classify finds there: x lies in the child's span, and no integral
-    fact bounds its denominator, since a multiple of x's symbol part in the
-    integral facts' lattice would lie in the parent's span, which holds
-    every integral fact and not x's symbol part."""
+    irrational fact iff its sign-normalized residual is in that set.
+    _classify keeps the residual of each value it finds UNDETERMINED, so a
+    split reduces x once."""
 
     # rational, integral, irrational: KNumbers asserted to lie in Q, in Z,
     # outside Q; assumptions: human-readable trail of split() choices
@@ -339,8 +287,8 @@ class RationalityContext(Value):
         for f in self.rational + self.integral + self.irrational:
             if f.table is not self.table and f.table != self.table:
                 raise ValueError("fact does not belong to this symbol table")
-        # classify() memo, UNDETERMINED residuals, and no parent to read from
-        self.__dict__.update(_classified={}, _residuals={}, _parent=None, _keeps=_KEEP_NONE)
+        # classify() memo and UNDETERMINED residuals
+        self.__dict__.update(_classified={}, _residuals={})
 
     # -- internal vector views -------------------------------------------
 
@@ -359,16 +307,6 @@ class RationalityContext(Value):
         """Symbol vectors of the rational facts, and (symbol vector,
         constant, denominator) numerators of the integral facts, torsion
         axioms included."""
-        if self._parent is not None:
-            rat, integ = self._parent._fact_parts
-            kind, x = self._fact
-            v = self._vec(x)
-            if kind == "rational" and any(v):
-                rat += (v,)
-            elif kind == "integral":  # integral facts precede the torsion axioms
-                k = len(self.integral) - 1
-                integ = integ[:k] + ((v, x.ints[1], x.ints[0]),) + integ[k:]
-            return rat, integ
         rat = tuple(v for v in map(self._vec, self.rational) if any(v))
         integ = [(self._vec(f), f.ints[1], f.ints[0]) for f in self.integral]
         for n, m in self.table.xis:
@@ -378,41 +316,16 @@ class RationalityContext(Value):
 
     @cached_property
     def _span(self):
-        parent = self._parent
-        if parent is None:
-            rat, integ = self._fact_parts
-            ech = zl.QEchelon()
-            for v in rat + tuple(u for u, _, _ in integ):
-                ech.add(v)
-            return ech
-        if self._fact[0] == "irrational":
-            return parent._span
-        span = zl.QEchelon()
-        span.rows = list(parent._span.rows)  # insert() replaces rows, never edits one
-        span.insert(self._step_residual)
-        return span
-
-    @cached_property
-    def _step_residual(self):
-        """The new fact's residual modulo the parent's span."""
-        return self._parent._span.reduce(self._vec(self._fact[1]))
+        rat, integ = self._fact_parts
+        ech = zl.QEchelon()
+        for v in rat + tuple(u for u, _, _ in integ):
+            ech.add(v)
+        return ech
 
     @cached_property
     def _irrational_residuals(self):
-        parent = self._parent
-        if parent is None:
-            return frozenset(filter(None, (_direction(self._span.reduce(self._vec(f)))
-                                           for f in self.irrational)))
-        old, r = parent._irrational_residuals, self._step_residual
-        if self._fact[0] == "irrational":
-            d = _direction(r)
-            return old | {d} if d else old
-        if not old:
-            return old
-        p = next((i for i, y in enumerate(r) if y), None)
-        if p is None or not any(w[p] for w in old):
-            return old
-        return frozenset(filter(None, (_direction(self._span.reduce(w)) for w in old)))
+        return frozenset(filter(None, (_direction(self._span.reduce(self._vec(f)))
+                                       for f in self.irrational)))
 
     # -- public API -------------------------------------------------------
 
@@ -437,20 +350,8 @@ class RationalityContext(Value):
     def classify(self, x):
         cls = self._classified.get(x.ints)
         if cls is None:
-            cls = self._classified[x.ints] = self._inherited(x.ints) or self._classify(x)
+            cls = self._classified[x.ints] = self._classify(x)
         return cls
-
-    def _inherited(self, key):
-        """The nearest ancestor's memo entry for key when every link up to
-        it keeps its kind, else None (see the class docstring)."""
-        ctx, keep = self, self._keeps
-        while keep:
-            ctx = ctx._parent
-            cls = ctx._classified.get(key)
-            if cls is not None:
-                return cls if cls.kind in keep else None
-            keep &= ctx._keeps
-        return None
 
     def _classify(self, x):
         d, c, cs = x.ints
@@ -491,25 +392,23 @@ class RationalityContext(Value):
         return self._extend("irrational", x, f"{x} irrational")
 
     def _extend(self, kind, x, note, settled=False):
-        """Bare child with one more fact x of the given kind, linked to this
-        context (see the class docstring); ``settled`` marks a rational
-        child of split() on an undetermined x in a consistent context.
-        Only x is checked against the table: the inherited facts passed
-        this context's check."""
+        """Bare child with one more fact x of the given kind (see the class
+        docstring); ``settled`` marks a rational child of split() on an
+        undetermined x in a consistent context.  Only x is checked against
+        the table: the other facts passed this context's check."""
         if x.table is not self.table and x.table != self.table:
             raise ValueError("fact does not belong to this symbol table")
         child = object.__new__(RationalityContext)
         slots = child.__dict__  # the fields, and where cached_property keeps its values
         slots.update(table=self.table, rational=self.rational, integral=self.integral,
                      irrational=self.irrational, assumptions=self.assumptions + (note,),
-                     _classified={}, _residuals={}, _parent=self, _fact=(kind, x),
-                     _keeps=_KEEP_ALL if kind == "irrational" or settled else _KEEP[kind])
+                     _classified={}, _residuals={})
         slots[kind] += (x,)
-        residual = self._residuals.get(x.ints)
-        if residual is not None:
-            slots["_step_residual"] = residual
         if kind == "irrational":
-            if not any(child._step_residual):
+            residual = self._residuals.get(x.ints)
+            if residual is None:
+                residual = self._span.reduce(self._vec(x))
+            if not any(residual):
                 slots["_consistent"] = False
             else:  # _classify finds x's own residual, or the theta axiom
                 slots["_consistent"] = self._consistent
@@ -522,10 +421,39 @@ class RationalityContext(Value):
         """Binary rational/irrational case split on x.
 
         Returns (rational branch, irrational branch); a branch is None when the
-        corresponding assumption is inconsistent with this context.  When
-        classify() finds x UNDETERMINED in a consistent context, the
-        rational child is consistent and keeps this context's IRRATIONAL
-        entries, so nothing checks it (see the class docstring)."""
+        corresponding assumption is inconsistent with this context, so both
+        are None when this context is inconsistent.
+
+        Lemma: in a consistent context with x UNDETERMINED, both children
+        are consistent, x is IRRATIONAL in the irrational child and
+        Classification(RATIONAL, None) in the rational one, and each child
+        classifies every value this context classifies INTEGER, RATIONAL or
+        IRRATIONAL exactly as this context does.  So a case walk may hand a
+        child the classes read on its path.
+
+        Proof.  x's residual r is nonzero and has a xi entry (else the theta
+        axiom made x IRRATIONAL).  The irrational child has the same span
+        and more irrational residuals, r among them, so it is consistent
+        and keeps every class.  The rational child's one new row r pivots
+        on a xi column p, so still no row pivots on a theta.  An INTEGER or
+        RATIONAL y keeps its class: (c, v), the integral facts and span
+        membership (the span only grows) are unchanged.  A y IRRATIONAL by
+        the theta axiom has a residual w with zero xi-part: w[p] = 0, w is
+        zero at every old pivot, so w reduces to itself and y stays
+        IRRATIONAL.  Otherwise, with P the projection modulo the rational
+        span, y is IRRATIONAL because P(y) = q*P(f) for an irrational fact
+        f.  Then y - q*f lies in the old span, so in the new one, and
+        P_new(y) = q*P_new(f), which is nonzero unless f lies in the new
+        span.  That needs P_old(f) collinear with P_old(x), which would
+        have made x IRRATIONAL.  So no irrational fact enters the span, none
+        is constant (this context is consistent), no row pivots on a theta,
+        and the rational child is consistent.  There x lies in the span,
+        and no integral fact bounds its denominator, since a multiple of
+        x's symbol part in the integral facts' lattice would lie in this
+        span, which holds every integral fact and not x's symbol part.
+
+        So nothing checks the rational child's consistency here, and x's
+        class is written into each child's memo."""
         undetermined = self.classify(x).kind == UNDETERMINED
         note = str(x)
         rat = self._extend("rational", x, note + " rational", undetermined and self._consistent)
@@ -537,12 +465,13 @@ class RationalityContext(Value):
 
     def product_residuals(self, units):
         """The residuals of the unit values ``units`` (symbol name -> unit
-        value) here when the case tree over them is their full product, else
-        None.  It is when there is a name, every name is a free xi (no
-        theta, torsion order 0), this context is consistent, each unit
-        classifies UNDETERMINED and no span row and no irrational residual
-        has a nonzero entry at their coordinates (cocycles.condition_lattice
-        proves it).  Each residual is then the unit vector itself."""
+        value) here, keyed by name, when the case tree over them is their
+        full product, else None.  It is when there is a name, every name is
+        a free xi (no theta, torsion order 0), this context is consistent,
+        each unit classifies UNDETERMINED and no span row and no irrational
+        residual has a nonzero entry at their coordinates
+        (cocycles.condition_lattice proves it).  Each residual is then the
+        unit vector itself."""
         free = {n for n, m in self.table.xis if not m}
         if not units or not free.issuperset(units) or not self._consistent:
             return None
@@ -552,7 +481,7 @@ class RationalityContext(Value):
         for v in [row for _, row in self._span.rows] + list(self._irrational_residuals):
             if any(v[j] for j in cols):
                 return None
-        return [self._residuals[x.ints] for x in units.values()]
+        return {s: self._residuals[x.ints] for s, x in units.items()}
 
     def split_open(self, x, residual):
         """split(x) for an x known UNDETERMINED here with the given residual:
@@ -560,12 +489,6 @@ class RationalityContext(Value):
         self._classified[x.ints] = _UNDETERMINED
         self._residuals[x.ints] = residual
         return self.split(x)
-
-
-# the memo kinds a child keeps from its parent's (see RationalityContext)
-_KEEP_NONE = frozenset()
-_KEEP_ALL = frozenset((INTEGER, RATIONAL, IRRATIONAL))
-_KEEP = {"rational": frozenset((INTEGER, RATIONAL)), "integral": _KEEP_NONE}
 
 
 def _direction(r):

@@ -3,6 +3,8 @@ property that takes its count from the profile: one that pins none, or one
 that pins a multiple of it with ``helpers.examples`` (every property of
 tests/test_zlinalg.py and tests/test_exact.py, among them the split
 children property test_extended_children_agree_with_fresh_contexts, the
+split lemma's property
+test_split_children_classify_what_their_parent_settled_as_it_did, the
 irrational set test's property
 test_the_irrational_set_test_is_the_collinear_scan and the rank-reference
 property test_consistency_and_the_theta_axiom_agree_with_ranks; the CLI

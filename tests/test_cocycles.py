@@ -346,8 +346,8 @@ def test_case_leaf_contexts_classify_as_fresh_contexts(system, data):
     """Every case leaf's context, read after the whole tree is built,
     classifies as a context built from its facts does: each unit symbol the
     tree settled, each fact and drawn values.  The recursion, decide_product
-    and phi_map all classify in leaf contexts, and a leaf answers from its
-    ancestors' memos, which its siblings' subtrees went on filling."""
+    and phi_map all classify in leaf contexts, each built bare with its
+    split value's class in its memo."""
     ctx, forms, zmoduli = system
     leaves = condition_lattice(ctx, forms, zmoduli, [f"z{i}" for i in range(len(zmoduli))])
     table = ctx.table

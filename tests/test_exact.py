@@ -368,8 +368,8 @@ def test_the_irrational_set_test_is_the_collinear_scan(case):
     assert _direction(a) == _direction([-x for x in a]) and next(filter(None, _direction(a))) > 0
 
 
-# extended children: a child made by assume_*() or split() fills its caches
-# from its parent's.  Tables with zero to three thetas, free parameters, and
+# extended children: a child made by assume_*() or split() is built bare and
+# fills its caches from its own facts.  Tables with zero to three thetas, free parameters, and
 # torsion parameters before, between or after the free ones.
 EXTENSION_TABLES = [
     SymbolTable(thetas=("theta", "phi"), xis=(("xi", 0), ("zeta", 0), ("eta", 3))),
@@ -421,12 +421,12 @@ CACHES = ("_span", "_fact_parts", "_irrational_residuals")
 def test_extended_children_agree_with_fresh_contexts(chain):
     """Every child, both of a split's included, classifies as a context
     built from its facts does, right after the step and again after its
-    parent has classified further values: its span took x's residual (the
-    parent's classify's or a new one), and its memo lookups read the
-    parent's entries of the kept kinds whenever they were made.  A child
-    nothing has classified in has built no cache and copied no memo entry;
-    only split()'s rational child with an open consistency builds its span,
-    to check it.  The chain goes on from the child of the drawn kind."""
+    parent has classified further values.  A child nothing has classified
+    in has built no cache and holds no memo entry but x's; only split()'s
+    rational child with an open consistency builds its span, to check it,
+    and an irrational child takes its consistency from x's residual in the
+    parent (its classify's or a new one).  The chain goes on from the child
+    of the drawn kind."""
     table, steps = chain
     ctx = empty_context(table)
     for how, kind, x, warm, probes, later, first in steps:
@@ -458,7 +458,7 @@ def test_extended_children_agree_with_fresh_contexts(chain):
         # the parent is left as it was
         assert [ctx.classify(y) for y in warm] == parent
         assert [ctx.classify(y) for y in probes] == [fresh_copy(ctx).classify(y) for y in probes]
-        # entries the parent makes after the step reach each child as they stand
+        # classifying further values in the parent leaves each child as it was
         assert [ctx.classify(y) for y in later] == [fresh_copy(ctx).classify(y) for y in later]
         for c in children:
             assert [c.classify(y) for y in later] == [fresh_copy(c).classify(y) for y in later]
@@ -534,6 +534,35 @@ def test_rational_split_child_knows_the_value_it_split_on(split):
     got, misses = classify_counting_misses(rat, x)
     assert misses == []
     assert got == fresh_copy(rat).classify(x) == Classification(RATIONAL, None)
+
+
+@settings(max_examples=examples(3), deadline=None)
+@given(undetermined_splits(), st.data())
+def test_split_children_classify_what_their_parent_settled_as_it_did(split, data):
+    """split()'s lemma: in a consistent context with x UNDETERMINED both
+    children are consistent, and every value the context classified
+    INTEGER, RATIONAL or IRRATIONAL before the split classifies the same in
+    each child, in the context and in a context built from the child's
+    facts.  This is what lets condition_lattice hand a child its path's
+    classes.  The drawn values include the facts and their multiples and
+    shifts, so each kind occurs."""
+    ctx, x = split
+    assume(ctx.is_consistent())
+    table = ctx.table
+    drawn = data.draw(st.lists(table_values(table), max_size=4))
+    facts = list(ctx.rational + ctx.integral + ctx.irrational)
+    ys = drawn + facts + [f.scale(q) + c for f in facts
+                          for q, c in ((2, 0), (Fraction(1, 2), 1), (-1, Fraction(1, 3)))]
+    settled = [(y, cls) for y in ys if (cls := ctx.classify(y)).kind != UNDETERMINED]
+    rat, irr = ctx.split(x)
+    assert rat is not None and irr is not None
+    assert (rat.classify(x), irr.classify(x)) == (Classification(RATIONAL, None),
+                                                  Classification(IRRATIONAL))
+    for child in (rat, irr):
+        fresh = fresh_copy(child)
+        assert fresh.is_consistent()
+        for y, cls in settled:
+            assert child.classify(y) == ctx.classify(y) == fresh.classify(y) == cls
 
 
 def test_only_split_records_the_value_it_split_on():
